@@ -8,44 +8,73 @@ escape followed by one literal byte. Random access per string is preserved when
 lengths are stored separately (our LENGTH stream).
 
 Training follows the paper's iterative greedy scheme on a bounded sample:
-repeatedly encode the sample with the current table, count symbol and
+repeatedly parse the sample with the current table, count symbol and
 symbol-concatenation frequencies, keep the highest-gain candidates.
 
-This implementation favors clarity over raw speed (Python per-symbol loop in
-``compress``); the stripe-level codec selector only picks FSST when it beats
-dict/direct on the sampled chunk, and chunk encoding parallelizes across Ray
-tasks. A vectorized two-level match is a known follow-up.
+Encoder and trainer share one whole-array parse: the longest match at every
+position in one pass, then a plain walk of the greedy chain. The stripe-level
+codec selector only picks FSST when it beats dict/direct on the sampled chunk.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import itertools
 
 import numpy as np
 
 ESCAPE = 255
 MAX_SYMBOLS = 255
 MAX_SYMBOL_LEN = 8
+_BLOCK = 1024
 
 
 class SymbolTable:
+    """Up to 255 symbols, also kept as arrays: ``values`` holds each symbol as
+    a big-endian uint64, zero-padded on the right, and ``lengths`` its length."""
+
     def __init__(self, symbols: list[bytes]):
         assert len(symbols) <= MAX_SYMBOLS
         self.symbols = symbols
-        # first-byte index: byte -> [(symbol, code)] sorted longest-first
-        self.index: dict[int, list[tuple[bytes, int]]] = {}
-        for code, sym in enumerate(symbols):
-            self.index.setdefault(sym[0], []).append((sym, code))
-        for lst in self.index.values():
-            lst.sort(key=lambda t: -len(t[0]))
-        self.lengths = np.array([len(s) for s in symbols] + [1], dtype=np.int64)
+        k = len(symbols)
+        self.lengths = np.array([len(s) for s in symbols], dtype=np.int64)
         # decode tables: per-code byte length and a flat (256*8) byte matrix
         self.sym_lens = np.zeros(256, dtype=np.int64)
+        self.sym_lens[:k] = self.lengths
         symmat = np.zeros((256, MAX_SYMBOL_LEN), dtype=np.uint8)
-        for code, s in enumerate(symbols):
-            self.sym_lens[code] = len(s)
-            symmat[code, : len(s)] = np.frombuffer(s, dtype=np.uint8)
+        symmat[:k] = np.frombuffer(b"".join(s.ljust(MAX_SYMBOL_LEN, b"\0") for s in symbols),
+                                   dtype=np.uint8).reshape(k, MAX_SYMBOL_LEN)
         self.symflat = symmat.ravel()
+        self.values = symmat[:k].view(">u8").ravel().astype(np.uint64)
+        self._matcher: list | None = None
+
+    def matcher(self) -> list[tuple[np.uint64, np.uint64, np.uint64, np.ndarray, np.ndarray]]:
+        """Per symbol length, shortest first, a collision-free multiply-shift
+        hash of the symbols' values: (window shift, multiplier, slot shift,
+        value per slot, ``length << 8 | code`` per slot). An empty slot holds
+        a value that hashes elsewhere, so it never matches. Built once per
+        table."""
+        if self._matcher is None:
+            self._matcher = []
+            for L in sorted(set(self.lengths.tolist())):
+                at = np.flatnonzero(self.lengths == L)
+                pats, first = np.unique(self.values[at] >> np.uint64(64 - 8 * L),
+                                        return_index=True)
+                # odd multipliers; at >= 2 * k**2 slots (2**15 past 127 symbols)
+                # a try collides with probability <= 0.63, and every 4th
+                # collision doubles the slots
+                bits = min(2 * len(pats).bit_length() + 1, 15)
+                for i in itertools.count():
+                    mult = np.uint64(0x9E3779B97F4A7C15 * (2 * i + 1) % 2**64)
+                    shift = np.uint64(64 - bits - i // 4)
+                    slot = (pats * mult) >> shift
+                    if np.unique(slot).size == len(slot):
+                        break
+                value = np.full(1 << (64 - int(shift)), pats[0], dtype=np.uint64)
+                value[slot] = pats
+                length_code = np.zeros(len(value), dtype=np.int16)
+                length_code[slot] = L << 8 | at[first]
+                self._matcher.append((np.uint64(64 - 8 * L), mult, shift, value, length_code))
+        return self._matcher
 
     def serialize(self) -> bytes:
         out = bytearray([len(self.symbols)])
@@ -67,217 +96,125 @@ class SymbolTable:
         return cls(symbols), pos
 
 
-def _token_stream(codes: bytes, table: SymbolTable) -> tuple[np.ndarray, np.ndarray]:
-    """(extended codes, byte length per token) for a compressed stream.
-    Extended code = symbol code, or 256+literal for escape tokens. Parsing
-    uses the same 255-run-parity trick as decompress."""
-    b = np.frombuffer(codes, dtype=np.uint8)
-    n = len(b)
-    literal = np.zeros(n + 1, dtype=bool)
-    is_esc_byte = b == ESCAPE
-    if is_esc_byte.any():
-        d = np.diff(is_esc_byte.astype(np.int8))
-        run_starts = np.nonzero(d == 1)[0] + 1
-        if is_esc_byte[0]:
-            run_starts = np.concatenate([[0], run_starts])
-        run_ends = np.nonzero(d == -1)[0] + 1
-        if is_esc_byte[-1]:
-            run_ends = np.concatenate([run_ends, [n]])
-        run_lens = run_ends - run_starts
-        lit_counts = (run_lens + 1) // 2
-        base = np.repeat(run_starts, lit_counts)
-        prefix = np.concatenate([[0], np.cumsum(lit_counts[:-1])])
-        j = np.arange(int(lit_counts.sum())) - np.repeat(prefix, lit_counts)
-        literal[base + 1 + 2 * j] = True
-    literal = literal[:n]
-    is_code = ~literal
-    token_codes = b[is_code].astype(np.int64)
-    esc = token_codes == ESCAPE
-    esc_pos = np.nonzero(is_code)[0][esc]
-    ext = token_codes.copy()
-    ext[esc] = 256 + b[np.minimum(esc_pos + 1, n - 1)]
-    lens = np.where(esc, 1, table.sym_lens[np.minimum(token_codes, 255)])
-    return ext, lens
-
-
 def train(sample: bytes, iterations: int = 3) -> SymbolTable:
     """Iterative greedy symbol-table construction on a bounded sample
     (gain = frequency x length over current-parse tokens and adjacent-token
-    concatenations, per the FSST paper's scheme). Counting is vectorized:
-    the sample is compressed with the current table, the token stream is
-    recovered, and singles/pairs count via bincount over extended codes.
+    concatenations, per the FSST paper's scheme).
 
     16 KiB / 3 iterations measures within 0.1% of the post-zlib ratio of
     64 KiB / 5 iterations on the documents corpus at ~10x less train cost."""
     sample = sample[: 1 << 14]
-    if not sample:
-        return SymbolTable([])
     table = SymbolTable([])
-    for it in range(iterations):
-        if not table.symbols:
-            ext = np.frombuffer(sample, dtype=np.uint8).astype(np.int64) + 256
-            lens = np.ones(len(ext), dtype=np.int64)
-        else:
-            ext, lens = _token_stream(compress(sample, table), table)
-
-        def ext_bytes(code: int) -> bytes:
-            return table.symbols[code] if code < 256 else bytes([code - 256])
-
-        counts: Counter[bytes] = Counter()
-        singles = np.bincount(ext, minlength=512)
-        for code in np.nonzero(singles)[0].tolist():
-            counts[ext_bytes(code)] += int(singles[code])
-        ok = (lens[:-1] + lens[1:]) <= MAX_SYMBOL_LEN
-        pair_ids = ext[:-1][ok] * 512 + ext[1:][ok]
-        pcnt = np.bincount(pair_ids) if len(pair_ids) else np.zeros(0, np.int64)
-        for pid in np.nonzero(pcnt)[0].tolist():
-            counts[ext_bytes(pid // 512) + ext_bytes(pid % 512)] += int(pcnt[pid])
-        candidates = sorted(counts.items(), key=lambda kv: -(kv[1] * len(kv[0])))
-        table = SymbolTable([s for s, _ in candidates[:MAX_SYMBOLS]])
+    if not sample:
+        return table
+    for _ in range(iterations):
+        table = SymbolTable(_rank(_parse(sample, table), table))
     return table
 
 
-def _match(table: SymbolTable, data: bytes, pos: int) -> bytes:
-    cands = table.index.get(data[pos])
-    if cands:
-        for sym, _ in cands:
-            if data.startswith(sym, pos):
-                return sym
-    return data[pos : pos + 1]
+def _rank(ext: np.ndarray, table: SymbolTable) -> list[bytes]:
+    """The 255 highest-gain (count x length) candidates among the parse's
+    tokens and adjacent token pairs of at most 8 bytes. A key formed more than
+    once sums its counts and keeps its first position; ties go by position,
+    singles by ascending extended code, then pairs by ascending
+    ``first * 512 + second``."""
+    n_sym = len(table.symbols)
+    ext_lens = np.ones(512, dtype=np.int64)
+    ext_lens[:n_sym] = table.lengths
+    ext_values = np.arange(512, dtype=np.uint64) << np.uint64(56)  # (256 + b) << 56 wraps to b << 56
+    ext_values[:n_sym] = table.values
+    lens = ext_lens[ext]
+    singles, s_cnt = np.unique(ext, return_counts=True)
+    ok = lens[:-1] + lens[1:] <= MAX_SYMBOL_LEN
+    pairs, p_cnt = np.unique(ext[:-1][ok] * 512 + ext[1:][ok], return_counts=True)
+    first, second = pairs // 512, pairs % 512
+    shift = (8 * ext_lens[first]).astype(np.uint64)
+    vals = np.concatenate([ext_values[singles], ext_values[first] | ext_values[second] >> shift])
+    klen = np.concatenate([ext_lens[singles], ext_lens[first] + ext_lens[second]])
+    # lexsort is stable: each run of equal keys starts at its first position
+    order = np.lexsort((klen, vals))
+    v, k = vals[order], klen[order]
+    head = np.flatnonzero(np.r_[True, (v[1:] != v[:-1]) | (k[1:] != k[:-1])])
+    gain = np.add.reduceat(np.concatenate([s_cnt, p_cnt])[order], head) * k[head]
+    top = head[np.lexsort((order[head], -gain))[:MAX_SYMBOLS]]
+    raw = v[top].astype(">u8").tobytes()
+    return [raw[8 * i : 8 * i + L] for i, L in enumerate(k[top].tolist())]
 
 
-def compress_scalar(data: bytes, table: SymbolTable) -> bytes:
-    """Reference greedy longest-match encode (kept for training's _match and
-    as the semantics oracle in tests). Codes 0-254 = symbols, 255 = escape."""
-    out = bytearray()
+def _parse(data: bytes, table: SymbolTable) -> np.ndarray:
+    """Greedy longest-match parse of ``data`` as extended codes: a symbol's
+    code, or 256 + the byte of an escape.
+
+    The data is cut in blocks of ``min(1024, max(64, ceil(n / 64)))`` bytes.
+    A match that would cross its block's end, or run into the zero padding
+    past the data, becomes an escape, never a shorter match. Inputs under 16
+    bytes take the scalar parse, which has neither rule. Both rules are part
+    of the pinned output (tests/test_fsst_bytes.py)."""
+    n = len(data)
+    b = np.frombuffer(data, dtype=np.uint8)
+    if not table.symbols:
+        return b.astype(np.int64) + 256
+    if n < 16:
+        return np.array(_parse_scalar(data, table), dtype=np.int64)
+    padded = np.concatenate([b, np.zeros(MAX_SYMBOL_LEN, dtype=np.uint8)])
+    window = np.ndarray((n,), dtype=">u8", buffer=padded, strides=(1,)).astype(np.uint64)
+    # longest match at every position as length << 8 | code, 0 for none
+    match = np.zeros(n, dtype=np.int16)
+    for key_shift, mult, shift, value, length_code in table.matcher():
+        key = window >> key_shift
+        slot = ((key * mult) >> shift).view(np.int64)
+        match = np.where(value[slot] == key, length_code[slot], match)
+    block = int(min(_BLOCK, max(64, -(-n // 64))))
+    ends = np.minimum(np.arange(block, n + block, block), n)
+    room = np.arange(1, MAX_SYMBOL_LEN)
+    at = (ends[:, None] - room).ravel()
+    match[at[match[at] >> 8 > np.tile(room, len(ends))]] = 0
+    step = np.maximum(match >> 8, 1).astype(np.uint8).tobytes()
+    chain = []
+    p = 0
+    while p < n:
+        chain.append(p)
+        p += step[p]
+    chain = np.array(chain)
+    tokens = match[chain]
+    return np.where(tokens == 0, b[chain].astype(np.int64) + 256, tokens & 255)
+
+
+def _parse_scalar(data: bytes, table: SymbolTable) -> list[int]:
+    longest_first = sorted(zip(table.symbols, range(len(table.symbols))), key=lambda t: -len(t[0]))
+    out = []
     pos = 0
     n = len(data)
-    index = table.index
     while pos < n:
-        cands = index.get(data[pos])
-        if cands:
-            for sym, code in cands:
-                if data.startswith(sym, pos):
-                    out.append(code)
-                    pos += len(sym)
-                    break
-            else:
-                out.append(ESCAPE)
-                out.append(data[pos])
-                pos += 1
+        for sym, code in longest_first:
+            if data.startswith(sym, pos):
+                out.append(code)
+                pos += len(sym)
+                break
         else:
-            out.append(ESCAPE)
-            out.append(data[pos])
+            out.append(256 + data[pos])
             pos += 1
-    return bytes(out)
-
-
-_BLOCK = 1024
-
-
-def _match_tables(table: SymbolTable):
-    """Per-length match structures for the vectorized encoder: length-1
-    symbols get a 256-entry direct map; longer lengths a sorted pattern
-    array searched with np.searchsorted (exact — matches the scalar
-    longest-first greedy)."""
-    by_len: dict[int, list[tuple[int, bytes]]] = {}
-    for code, s in enumerate(table.symbols):
-        by_len.setdefault(len(s), []).append((code, s))
-    out = []
-    for L in sorted(by_len, reverse=True):
-        if L == 1:
-            m = np.full(256, ESCAPE, dtype=np.uint8)
-            for code, s in by_len[L]:
-                m[s[0]] = code
-            out.append((1, m, None))
-        else:
-            pats = np.array(
-                [int.from_bytes(s.ljust(8, b"\0"), "big") >> ((8 - L) * 8)
-                 for _, s in by_len[L]], dtype=np.uint64)
-            codes = np.array([c for c, _ in by_len[L]], dtype=np.uint8)
-            order = np.argsort(pats)
-            first_ok = np.zeros(256, dtype=bool)
-            for _, s in by_len[L]:
-                first_ok[s[0]] = True
-            out.append((L, pats[order], codes[order], first_ok))
     return out
 
 
+def _emit(ext: np.ndarray) -> bytes:
+    """Code bytes of a parse: a symbol code, or ESCAPE then the byte."""
+    esc = ext >= 256
+    at = np.arange(len(ext)) + np.cumsum(esc) - esc
+    out = np.full(len(ext) + int(esc.sum()), ESCAPE, dtype=np.uint8)
+    out[at[~esc]] = ext[~esc]
+    out[at[esc] + 1] = ext[esc] - 256
+    return out.tobytes()
+
+
+def compress_scalar(data: bytes, table: SymbolTable) -> bytes:
+    """Reference greedy longest-match encode with no blocks or padding; the
+    encoding of inputs under 16 bytes. Codes 0-254 = symbols, 255 = escape."""
+    return _emit(np.array(_parse_scalar(data, table), dtype=np.int64))
+
+
 def compress(data: bytes, table: SymbolTable) -> bytes:
-    """Vectorized greedy longest-match encode.
-
-    Phase 1 computes the best match (length, code) at EVERY position with a
-    few vector ops per distinct symbol length (2-byte-prefix map + pattern
-    verify on big-endian 8-byte windows). Phase 2 resolves the sequential
-    greedy walk for all 1 KiB blocks in lockstep — one vector step per
-    emitted token position, width = number of blocks. Tokens never cross
-    block boundaries (a clamped match falls back to escape), so blocks parse
-    independently; output differs from the strict sequential parse only at
-    those boundaries and decodes identically either way."""
-    n = len(data)
-    if n == 0:
-        return b""
-    if not table.symbols or n < 16:
-        return compress_scalar(data, table)
-    b = np.frombuffer(data, dtype=np.uint8)
-    padded = np.concatenate([b, np.zeros(8, dtype=np.uint8)])
-    tables = _match_tables(table)
-
-    # keep the lockstep front >=64 blocks wide: iterations scale with block
-    # size, so small inputs use small blocks
-    block = int(min(_BLOCK, max(64, -(-n // 64))))
-    starts = np.arange(0, n, block, dtype=np.int64)
-    ends = np.minimum(starts + block, n)
-    nb = len(starts)
-    out = np.zeros((nb, 2 * block + 8), dtype=np.uint8)
-    out_len = np.zeros(nb, dtype=np.int64)
-    P = starts.copy()
-    rows = np.arange(nb)
-    u8s = [np.uint64((8 - L) * 8) for L in range(9)]
-    while True:
-        a = P < ends
-        if not a.any():
-            break
-        p = P[a]
-        r = rows[a]
-        e = ends[a]
-        fb = b[p]
-        # best match at each active position, lazily: only visited positions
-        # pay matching cost (the greedy parse skips ~60% of positions)
-        w = np.zeros(len(p), dtype=np.uint64)
-        for j in range(8):
-            w = (w << np.uint64(8)) | padded[p + j]
-        l = np.zeros(len(p), dtype=np.int64)
-        c = np.full(len(p), ESCAPE, dtype=np.uint8)
-        for entry in tables:
-            L, tbl = entry[0], entry[1]
-            un = l == 0
-            if L == 1:
-                m = tbl[fb]
-                sel = un & (m != ESCAPE)
-                l[sel] = 1
-                c[sel] = m[sel]
-                continue
-            codes, first_ok = entry[2], entry[3]
-            un &= first_ok[fb]
-            if not un.any():
-                continue
-            masked = w[un] >> u8s[L]
-            pos = np.searchsorted(tbl, masked)
-            pos_c = np.minimum(pos, len(tbl) - 1)
-            hit = tbl[pos_c] == masked
-            ui = np.nonzero(un)[0][hit]
-            l[ui] = L
-            c[ui] = codes[pos_c[hit]]
-        # emit: clamp matches crossing the block end (or data end) to escape
-        esc = (c == ESCAPE) | (p + l > e)
-        l = np.where(esc, 1, l)
-        ob = out_len[a]
-        out[r, ob] = np.where(esc, ESCAPE, c)
-        out[r[esc], ob[esc] + 1] = fb[esc]
-        out_len[a] = ob + np.where(esc, 2, 1)
-        P[a] = p + l
-    return b"".join(out[i, : out_len[i]].tobytes() for i in range(nb))
+    return _emit(_parse(data, table))
 
 
 def decompress(codes: bytes, table: SymbolTable) -> bytes:

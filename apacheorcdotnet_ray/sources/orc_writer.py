@@ -402,7 +402,13 @@ def _encode_node_stripe(node: _Node, arr, row_bounds: np.ndarray,
         buf = d.buffers()[1]
         pairs = np.frombuffer(buf, dtype=np.int64,
                               count=2 * (d.offset + len(d)))
-        mant = pairs.reshape(-1, 2)[d.offset:d.offset + len(d), 0].copy()
+        lanes = pairs.reshape(-1, 2)[d.offset:d.offset + len(d)]
+        mant = lanes[:, 0].copy()
+        # DATA is a signed varint of the low lane only: a mantissa that does
+        # not fit int64 would be written wrong
+        if not (lanes[:, 1] == mant >> 63).all():
+            raise NotImplementedError(
+                f"ORC writer: {t} mantissa wider than 64 bits")
         raw, poss = _seg_varint(mant, True, dense_bounds)
         streams.append(("DATA", raw, poss))
         raw, poss = _seg_rle(np.full(len(d), t.scale, dtype=np.int64),
@@ -586,8 +592,12 @@ def write_orc(table: pa.Table, path: str, compression: str = "zlib",
         encs: dict[int, bytes] = {0: pb_msg(pb_field(1, _ENC_DIRECT))}
         stats_rows: list = []
         for ci, rnode in enumerate(roots):
-            _encode_node_stripe(rnode, sl.column(ci), bounds,
-                                recs, encs, stats_rows)
+            try:
+                _encode_node_stripe(rnode, sl.column(ci), bounds,
+                                    recs, encs, stats_rows)
+            except NotImplementedError as e:
+                raise NotImplementedError(
+                    f"column {sl.column_names[ci]!r}: {e}") from e
         framed = []
         for kind, cid, raw, poss in recs:
             fb, chtable = _frame_chunks(raw, compression)
@@ -695,8 +705,8 @@ def write_orc(table: pa.Table, path: str, compression: str = "zlib",
         pb_field(3, 256 * 1024),
         pb_field(4, 0), pb_field(4, 12),                  # version 0.12
         pb_field(5, len(metadata_framed)),
-        pb_field(6, 6),     # writerVersion ORC_517 (same as liborc; ≥
-                            # ORC_101 so readers trust kind-8 blooms)
+        pb_field(6, 6),     # writerVersion ORC_135 (≥ ORC_101, so
+                            # readers trust kind-8 blooms)
         pb_field(8000, "ORC"),
     )
     assert len(postscript) < 256

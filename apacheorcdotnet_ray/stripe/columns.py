@@ -57,24 +57,28 @@ def _unique_ratio(sample: np.ndarray) -> float:
 
 
 def _encode_int_data(vals: np.ndarray, config: EncodeConfig, signed: bool = True) -> tuple[str, bytes]:
-    """Pick the smallest codec by competing on a sample; RLEv2 is the floor."""
+    """Pick the smallest codec by competing on a sample; RLEv2 is the floor.
+    When the sample is the whole stream, the winner's trial output is the
+    stream."""
     vals = np.ascontiguousarray(vals, dtype=np.int64)
     sample = vals[: config.selector_sample_size]
     aligned = config.aligned_bit_widths
-    sizes: dict[str, int] = {}
-    sizes["rlev2"] = len(rlev2.encode(sample, signed, aligned))
+    trials: dict[str, bytes] = {}
+    trials["rlev2"] = rlev2.encode(sample, signed, aligned)
     if "for" in config.int_codecs:
         f = for_.encode(sample)
         if f is not None:
-            sizes["for"] = len(f)
+            trials["for"] = f
     if "intdict" in config.int_codecs and _unique_ratio(sample) <= config.intdict_max_card_ratio:
         d = intdict.encode(sample)
         if d is not None:
-            sizes["intdict"] = len(d)
-    best = min(sizes, key=lambda k: sizes[k])
+            trials["intdict"] = d
+    best = min(trials, key=lambda k: len(trials[k]))
     # prefer the parity floor unless the challenger wins by ≥10% on the sample
-    if best != "rlev2" and sizes[best] >= 0.9 * sizes["rlev2"]:
+    if best != "rlev2" and len(trials[best]) >= 0.9 * len(trials["rlev2"]):
         best = "rlev2"
+    if len(sample) == len(vals):
+        return best, trials[best]
     if best == "for":
         enc = for_.encode(vals)
         if enc is not None:
@@ -399,7 +403,9 @@ def _encode_string(name: str, valid: pa.Array, config: EncodeConfig,
         z_direct = len(zlib.compress(sample_bytes, 1))
         z_fsst = len(zlib.compress(fsst_sample, 1))
         if z_fsst < 0.9 * z_direct:
-            streams.append(Stream(name, DATA, "fsst", fsst.encode_chunk(data, table=table), nv))
+            if len(sample_bytes) < len(data):
+                fsst_sample = fsst.encode_chunk(data, table=table)
+            streams.append(Stream(name, DATA, "fsst", fsst_sample, nv))
             return "fsst"
 
     streams.append(Stream(name, DATA, "raw", data, nv, {"dtype": "bytes"}))

@@ -17,9 +17,13 @@ import pytest
 from apacheorcdotnet_ray.sources.orc_reader import OrcFile
 
 DEMO = "/root/reference/test/ApacheOrcDotNet.Test/Data/demo-12-zlib.orc"
+DECIMAL = os.path.join(os.path.dirname(DEMO), "decimal.orc")
 
-pytestmark = pytest.mark.skipif(
+# only the tests that open a reference file skip without it
+needs_demo = pytest.mark.skipif(
     not os.path.exists(DEMO), reason="reference conformance file not present")
+needs_decimal = pytest.mark.skipif(
+    not os.path.exists(DECIMAL), reason="reference decimal.orc not present")
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +31,7 @@ def demo():
     return OrcFile(DEMO)
 
 
+@needs_demo
 def test_tail_parse(demo):
     assert demo.number_of_rows == 1_920_800
     assert len(demo.stripes) == 1
@@ -34,6 +39,7 @@ def test_tail_parse(demo):
     assert demo.stripes[0].number_of_rows == 1_920_800
 
 
+@needs_demo
 @pytest.mark.parametrize("column,formula", [
     (1, lambda i: i + 1),                          # LongReader_Test.cs:24
     (5, lambda i: ((i // 70) * 500) % 10_000 + 500),  # :41
@@ -48,6 +54,7 @@ def test_int_column_formulas(demo, column, formula):
     assert (vals == formula(idx)).all()
 
 
+@needs_demo
 def test_matches_pyarrow_orc(demo):
     """Same bytes through pyarrow's independent C++ ORC reader."""
     po = pytest.importorskip("pyarrow.orc")
@@ -57,6 +64,7 @@ def test_matches_pyarrow_orc(demo):
     assert (ours == theirs).all()
 
 
+@needs_demo
 def test_read_table_demo_packed_subtypes(demo):
     """read_table on the Hive-written file: Type.subtypes arrives PACKED
     (one length-delimited varint blob — proto2 [packed=true]), which
@@ -74,6 +82,7 @@ def test_read_table_demo_packed_subtypes(demo):
         assert a.equals(theirs.column(c)), c
 
 
+@needs_demo
 def test_read_file_stats_demo_packed_subtypes():
     """read_file_stats must survive packed subtypes too (tail-only read)."""
     from apacheorcdotnet_ray.sources.orc_reader import read_file_stats
@@ -83,6 +92,7 @@ def test_read_file_stats_demo_packed_subtypes():
     assert stats["_col1"]["min"] == "F" and stats["_col1"]["max"] == "M"
 
 
+@needs_demo
 @pytest.mark.parametrize("column", [2, 3, 4, 6])
 def test_string_columns_match_pyarrow(demo, column):
     """DICTIONARY_V2 string columns (unsigned RLEv2 ids + lengths) decoded
@@ -95,16 +105,14 @@ def test_string_columns_match_pyarrow(demo, column):
     assert ours == theirs
 
 
+@needs_decimal
 def test_decimal_column_matches_pyarrow():
     """decimal.orc: zigzag-varint mantissas + signed-RLEv2 scales + a real
     PRESENT stream (2,000 nulls) — three repo codecs (varint, rlev2,
     bool_rle) against independently written bytes."""
     po = pytest.importorskip("pyarrow.orc")
-    path = "/root/reference/test/ApacheOrcDotNet.Test/Data/decimal.orc"
-    if not os.path.exists(path):
-        pytest.skip("reference decimal.orc not present")
-    ours = OrcFile(path).read_decimal_column(1)
-    theirs = po.ORCFile(path).read().column(0).to_pylist()
+    ours = OrcFile(DECIMAL).read_decimal_column(1)
+    theirs = po.ORCFile(DECIMAL).read().column(0).to_pylist()
     assert len(ours) == 6000
     assert sum(v is None for v in ours) == 2000
     assert ours == theirs  # Decimal equality is numeric-exact
@@ -216,6 +224,28 @@ def test_write_orc_temporal_decimal(tmp_path):
     for c in t.column_names:
         got = back.column(c).cast(t.column(c).type).to_pylist()
         assert got == t.column(c).to_pylist(), c
+
+
+def test_write_orc_rejects_wide_decimal(tmp_path):
+    """A decimal128 mantissa beyond int64 is refused, naming the column,
+    rather than written as its low 64 bits."""
+    from decimal import Decimal
+
+    import pyarrow as pa
+
+    from apacheorcdotnet_ray.sources.orc_writer import write_orc
+
+    t = pa.table({"k": [1, 2],
+                  "amount": pa.array([Decimal("1.000"), Decimal("12345678901234567890.123")],
+                                     type=pa.decimal128(38, 3))})
+    with pytest.raises(NotImplementedError, match="'amount'"):
+        write_orc(t, str(tmp_path / "wide.orc"))
+    narrow = pa.table({"amount": pa.array([Decimal("-9223372036854775.808"), None],
+                                          type=pa.decimal128(38, 3))})
+    write_orc(narrow, str(tmp_path / "narrow.orc"))
+    po = pytest.importorskip("pyarrow.orc")
+    assert po.ORCFile(str(tmp_path / "narrow.orc")).read().column(0).to_pylist() == \
+        narrow.column(0).to_pylist()
 
 
 def test_read_table_full_stack(tmp_path):

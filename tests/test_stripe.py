@@ -605,3 +605,39 @@ def test_dict_predicate_mask_fast_path():
     out3 = decode_stripe(buf3, predicate=("u", "==", "unique-000000ff"), io_stats=st3)
     assert "dict_masked_cols" not in st3
     assert out3["k"].to_pylist() == [255]
+
+
+def test_selector_reuses_whole_stream_trials(monkeypatch):
+    """When the selector's sample is the whole stream, the winning trial is
+    the stream: each codec runs once per stream, with the same bytes."""
+    from apacheorcdotnet_ray.codecs import fsst, rlev2
+    from apacheorcdotnet_ray.stripe import columns
+
+    calls = {"rlev2": 0, "fsst": 0}
+
+    def counting(mod, fn, key):
+        orig = getattr(mod, fn)
+
+        def wrapped(*a, **kw):
+            calls[key] += 1
+            return orig(*a, **kw)
+        monkeypatch.setattr(mod, fn, wrapped)
+
+    counting(rlev2, "encode", "rlev2")
+    counting(fsst, "encode_chunk", "fsst")
+    vals = np.arange(1000, dtype=np.int64) * 7
+    config = EncodeConfig(int_codecs=("rlev2",))
+    assert columns._encode_int_data(vals, config) == ("rlev2", rlev2.encode(vals, True))
+    assert calls["rlev2"] == 2  # one trial, one for the expected value above
+
+    rng = np.random.default_rng(5)
+    words = np.asarray(["".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz"), rng.integers(2, 9)))
+                        for _ in range(21)], dtype=object)
+    text = [" ".join(words[rng.integers(0, len(words), 20)]) for _ in range(200)]
+    streams = []
+    assert columns._encode_string("s", pa.array(text), EncodeConfig(dictionary_threshold=0.0),
+                                  streams) == "fsst"
+    assert calls["fsst"] == 1
+    data = "".join(text).encode()
+    assert streams[-1].data == fsst.encode_chunk(data, table=fsst.train(data))
+    roundtrip_table(pa.table({"s": text}), EncodeConfig(dictionary_threshold=0.0))
