@@ -4,7 +4,7 @@ Vectorized (NumPy) reimplementation of the bit-twiddling utilities of the
 reference engine (``/root/reference/src/ApacheOrcDotNet/Encodings/BitManipulation.cs``):
 zigzag, MSB-first bit-packing at arbitrary widths, LEB128 varints, big-endian
 fixed-width longs, the direct-width tables (1-24,26,28,30,32,40,48,56,64) and
-bit-width histograms / percentile widths that drive codec selection.
+the percentile widths that drive codec selection.
 
 All functions operate on whole NumPy arrays (no per-value Python loops on hot
 paths) and are bit-exact with the reference: the golden byte vectors from
@@ -60,23 +60,18 @@ def zigzag_decode_scalar(value: int) -> int:
 # ---------------------------------------------------------------------------
 # bit widths
 
-_BYTE_BITLEN = np.array([b.bit_length() for b in range(256)], dtype=np.int64)
-
-
 def bit_widths(values: np.ndarray) -> np.ndarray:
     """Number of significant bits per value (0 for 0), on uint64 views.
 
     Vectorized equivalent of BitManipulation.NumBits (BitManipulation.cs:148-157):
-    locate the highest non-zero byte, then table-look-up its bit length.
+    each 32-bit half is below 2**53, so it converts to float64 exactly, and
+    the biased exponent of an integer x >= 1 is bit_length(x) + 1022.
     """
-    v = np.ascontiguousarray(np.asarray(values).view(U64))
-    b = v.view(np.uint8).reshape(-1, 8)  # little-endian byte lanes
-    rev_nz = b[:, ::-1] != 0
-    hi = 7 - rev_nz.argmax(axis=1)  # index of highest non-zero byte (0 if all zero)
-    w = hi * 8 + _BYTE_BITLEN[b[np.arange(len(v)), hi]]
-    if not rev_nz[:, -1].all():  # argmax on all-False rows points at byte 7
-        w[~rev_nz.any(axis=1)] = 0
-    return w
+    v = np.asarray(values).view(U64)
+    hi = (v >> U64(32)).astype(np.float64).view(I64)
+    lo = (v & U64(0xFFFFFFFF)).astype(np.float64).view(I64)
+    e = np.where(hi > 0, hi + (32 << 52), lo) >> 52
+    return np.maximum(e - 1022, 0)
 
 
 def num_bits(value: int) -> int:
@@ -121,30 +116,18 @@ _NEAREST_TABLE = np.array([find_nearest_direct_width(b) for b in range(65)], dty
 _ALIGNED_TABLE = np.array(
     [find_nearest_aligned_direct_width(b) for b in range(65)], dtype=np.int64
 )
-_ENCODED_OF_NEAREST = np.array(
-    [encode_direct_width(find_nearest_direct_width(b)) for b in range(65)], dtype=np.int64
-)
 
 
-def histogram_of_bit_widths(values: np.ndarray) -> tuple[int, np.ndarray]:
-    """(total, 32-bucket histogram of encoded nearest direct widths).
-
-    Reference: BitManipulation.GenerateHistogramOfBitWidths (cs:115-129).
-    """
-    bw = bit_widths(values)
-    enc = _ENCODED_OF_NEAREST[bw]
-    hist = np.bincount(enc, minlength=32)
-    return len(bw), hist
-
-
-def bits_for_percentile(total: int, hist: np.ndarray, percentile: float) -> int:
-    """Reference: BitManipulation.GetBitsRequiredForPercentile (cs:131-146)."""
-    num_to_drop = int(total * (1.0 - percentile))
-    for i in range(31, -1, -1):
-        num_to_drop -= int(hist[i])
-        if num_to_drop < 0:
-            return decode_direct_width(i)
-    return 0
+def percentile_widths(rows: np.ndarray, percentile: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest direct widths at the 100th and ``percentile``-th percentile of
+    each row, along the last axis (BitManipulation.cs:115-146). The width is
+    monotone in the value, so these are the widths of the row's maximum and
+    of its (drop+1)-th largest value."""
+    n = rows.shape[-1]
+    drop = int(n * (1.0 - percentile))  # as the reference: 0, not 1, for n=10 at 0.9
+    ranks = np.partition(rows, (n - 1 - drop, n - 1), axis=-1)[..., [n - 1, n - 1 - drop]]
+    w = _NEAREST_TABLE[bit_widths(ranks)]
+    return w[..., 0], w[..., 1]
 
 
 def subtraction_would_overflow(left: int, right: int) -> bool:
@@ -165,12 +148,14 @@ def subtraction_would_overflow(left: int, right: int) -> bool:
 
 def pack_bits(values: np.ndarray, width: int) -> bytes:
     """MSB-first bit-pack each value's low `width` bits; final byte zero-padded."""
-    if width == 8:
-        return np.asarray(values).view(U64).astype(np.uint8).tobytes()
-    v = np.ascontiguousarray(np.asarray(values).view(U64), dtype=U64)
-    be = v.astype(">u8")
-    bits = np.unpackbits(be.view(np.uint8).reshape(-1, 8), axis=1)[:, 64 - width:]
-    return np.packbits(bits.ravel()).tobytes()
+    v = np.asarray(values).view(U64)
+    if width in (8, 16, 32, 64):
+        return v.astype(f">u{width // 8}").tobytes()
+    nb = (width + 7) // 8  # only the low bytes hold bits that are kept
+    be = v.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - nb:]
+    if width % 8 == 0:
+        return be.tobytes()
+    return np.packbits(np.unpackbits(be, axis=1)[:, 8 * nb - width:]).tobytes()
 
 
 def unpack_bits(buf, width: int, count: int, offset: int = 0) -> tuple[np.ndarray, int]:

@@ -7,7 +7,10 @@ Reimplements the greedy 512-value-window codec auto-selection cascade of
 that our compressed sizes equal the reference's by construction.
 
 Inner math is NumPy over whole windows; the only Python-level loop is per
-encoded run (≤512 values each). Golden byte vectors from
+encoded run (≤512 values each). The reference's percentile bit widths come
+from a per-window width histogram; since a value's width is monotone in the
+value, they are read here from two order statistics of each window (its
+maximum and its (drop+1)-th largest value). Golden byte vectors from
 ``IntegerRunLengthEncodingV2_Test.cs`` are ported to ``tests/test_rlev2.py``.
 """
 
@@ -19,19 +22,16 @@ from .bitpack import (
     I64,
     U64,
     _ALIGNED_TABLE,
-    _DECODE_DIRECT,
-    _ENCODED_OF_NEAREST,
     _MASK64,
     _NEAREST_TABLE,
     bit_widths,
-    bits_for_percentile,
     encode_direct_width,
     decode_direct_width,
     find_nearest_aligned_direct_width,
     find_nearest_direct_width,
-    histogram_of_bit_widths,
     num_bits,
     pack_bits,
+    percentile_widths,
     read_long_be,
     read_varint_signed,
     read_varint_unsigned,
@@ -47,7 +47,6 @@ from .bitpack import (
 
 _WINDOW = 512
 _MAX_BATCH = 256  # windows analyzed per vectorized pass (128k values)
-_DECODE_ARR = np.array(_DECODE_DIRECT, dtype=np.int64)
 
 
 def encode(values: np.ndarray, signed: bool, aligned: bool = False) -> bytes:
@@ -56,7 +55,7 @@ def encode(values: np.ndarray, signed: bool, aligned: bool = False) -> bytes:
     Fast path: SHORT_REPEAT is the only sub-mode that consumes fewer than 512
     values (Writer.cs:19-28 feeds the consumed run length back into the scan),
     so window boundaries stay 512-aligned until one fires — all per-window
-    stats (min/max/deltas/bit-width histograms) are computed vectorized across
+    stats (min/max/deltas/percentile widths) are computed vectorized across
     up to ``_MAX_BATCH`` windows at once, and the scalar path only handles
     short-repeat runs and the final partial window.
     """
@@ -149,15 +148,8 @@ def _encode_batch(
     constd = (D == D[:, :1]).all(axis=1)
     inc = (D >= 0).all(axis=1) & (d0 > 0)
     dec = (D <= 0).all(axis=1) & (d0 < 0)
-    # per-window bit-width histograms in one bincount (BitManipulation.cs:115-146)
-    enc_w = _ENCODED_OF_NEAREST[bit_widths(ZZl.ravel())]
-    hist = np.bincount(
-        enc_w + 32 * np.repeat(np.arange(limit), _WINDOW), minlength=limit * 32
-    ).reshape(limit, 32)
-    revc = np.cumsum(hist[:, ::-1], axis=1)
-    bits100 = _DECODE_ARR[31 - (revc > 0).argmax(axis=1)]
-    drop90 = int(_WINDOW * (1.0 - 0.9))
-    bits90 = _DECODE_ARR[31 - (revc > drop90).argmax(axis=1)]
+    # 100th/90th percentile widths per window (BitManipulation.cs:115-146)
+    bits100, bits90 = percentile_widths(ZZl, 0.9)
 
     # batched base-reduced percentiles for the PATCHED_BASE candidates
     # (Writer.cs:74-85): only windows that fail every earlier check and have
@@ -172,15 +164,7 @@ def _encode_batch(
         pb_pos[pb_idx] = np.arange(len(pb_idx))
         with np.errstate(over="ignore"):
             BR = (Wl[pb_idx] - mins[pb_idx, None]).view(U64)
-        benc = _ENCODED_OF_NEAREST[bit_widths(BR.ravel())]
-        bhist = np.bincount(
-            benc + 32 * np.repeat(np.arange(len(pb_idx)), _WINDOW),
-            minlength=len(pb_idx) * 32,
-        ).reshape(len(pb_idx), 32)
-        brevc = np.cumsum(bhist[:, ::-1], axis=1)
-        br100 = _DECODE_ARR[31 - (brevc > 0).argmax(axis=1)]
-        drop95 = int(_WINDOW * (1.0 - 0.95))
-        br95 = _DECODE_ARR[31 - (brevc > drop95).argmax(axis=1)]
+        br100, br95 = percentile_widths(BR, 0.95)
         is_patch[pb_idx] = br100 != br95
 
     # group-pack DIRECT payloads by bit width: a 512-value window at width w
@@ -276,22 +260,16 @@ def _encode_window(out: bytearray, w: np.ndarray, signed: bool, aligned: bool) -
 
     # Writer.cs:74-85 — PATCHED_BASE attempt, else DIRECT
     zz = (zigzag_encode(w) if signed else w).view(U64)
-    fixed_bit_width = None
-    total, hist = histogram_of_bit_widths(zz)
-    bits100 = bits_for_percentile(total, hist, 1.0)
-    fixed_bit_width = bits100
-    bits90 = bits_for_percentile(total, hist, 0.9)
-    if bits100 - bits90 != 0:
+    bits100, bits90 = percentile_widths(zz, 0.9)
+    if bits100 != bits90:
         with np.errstate(over="ignore"):
             base_reduced = (w - np.int64(minv)).view(U64)
-        btotal, bhist = histogram_of_bit_widths(base_reduced)
-        br100 = bits_for_percentile(btotal, bhist, 1.0)
-        br95 = bits_for_percentile(btotal, bhist, 0.95)
-        if br100 - br95 != 0:
-            _patch_encode(out, minv, base_reduced.copy(), br100, br95)
+        br100, br95 = percentile_widths(base_reduced, 0.95)
+        if br100 != br95:
+            _patch_encode(out, minv, base_reduced.copy(), int(br100), int(br95))
             return n
 
-    _direct_encode(out, zz, n, aligned, fixed_bit_width)
+    _direct_encode(out, zz, n, aligned, int(bits100))
     return n
 
 
@@ -300,8 +278,7 @@ def _direct_encode(
 ) -> None:
     """Writer.cs:234-260."""
     if fixed_bit_width is None:
-        total, hist = histogram_of_bit_widths(values_u64)
-        fixed_bit_width = bits_for_percentile(total, hist, 1.0)
+        fixed_bit_width = num_bits(int(values_u64.max()))
     if aligned:
         fixed_bit_width = find_nearest_aligned_direct_width(fixed_bit_width)
     else:

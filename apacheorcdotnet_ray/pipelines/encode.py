@@ -8,7 +8,8 @@ its stripe/file bookkeeping (OrcWriter.cs:57-104):
   batch; returns the metrics Dataset (one small row per stripe).
 - ``encode_corpus``: the resumable job path for parquet corpora. Input is
   deterministically partitioned by (file, row-group range) from parquet
-  metadata; every partition task reads only its fragment, writes
+  metadata; Ray tasks take contiguous runs of partitions, sized the way Ray
+  Data sizes a read; each partition reads only its fragment, writes
   content-hash-named stripes + a lineage record; the driver folds records into
   ``manifest.jsonl`` + a job summary with file-level stats (the reference's
   stride→stripe→file stats roll-up, StripeWriter.cs:151-158, as a tiny driver
@@ -25,6 +26,7 @@ import os
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
+import ray
 import ray.data as rd
 
 from ..stages.encode import StripeEncoder
@@ -91,8 +93,6 @@ def encode_grouped(
 
     Returns the metrics Dataset (one row per stripe, same schema as
     ``StripeEncoder``)."""
-    import ray
-
     from .stats import group_stats_by
 
     config = config or EncodeConfig()
@@ -244,14 +244,15 @@ def _file_partitions(path: str, row_groups_per_partition: int) -> list[dict]:
     parts = []
     for start in range(0, n_rg, row_groups_per_partition):
         end = min(start + row_groups_per_partition, n_rg)
-        rows = sum(md.row_group(i).num_rows for i in range(start, end))
+        rgs = [md.row_group(i) for i in range(start, end)]
         parts.append(
             {
                 "partition_id": f"{os.path.basename(path)}:rg{start}-{end}",
                 "path": path,
                 "rg_start": start,
                 "rg_end": end,
-                "rows": rows,
+                "rows": sum(rg.num_rows for rg in rgs),
+                "byte_size": sum(rg.total_byte_size for rg in rgs),
                 "fingerprint": f"{size}-{md.num_rows}",
             }
         )
@@ -266,8 +267,6 @@ def enumerate_partitions(paths: list[str], row_groups_per_partition: int = 4) ->
     files — a serial driver scan would dominate job startup)."""
     paths = sorted(paths)
     if len(paths) > 256:
-        import ray
-
         @ray.remote(num_cpus=0.25)
         def scan(p: str) -> list[dict]:
             return _file_partitions(p, row_groups_per_partition)
@@ -275,6 +274,18 @@ def enumerate_partitions(paths: list[str], row_groups_per_partition: int = 4) ->
         nested = ray.get([scan.remote(p) for p in paths])
         return [part for sub in nested for part in sub]
     return [part for p in paths for part in _file_partitions(p, row_groups_per_partition)]
+
+
+def encode_num_blocks(n_parts: int, est_bytes: int, cpus: int, ctx) -> int:
+    """Blocks for ``n_parts`` partition descriptors holding ``est_bytes`` of
+    parquet data, chosen as Ray Data chooses a read's block count: up to
+    ``ctx.read_op_min_num_blocks`` while blocks stay above
+    ``ctx.target_min_block_size``, at least enough to keep them under
+    ``ctx.target_max_block_size``, and two per CPU; never more than one per
+    partition."""
+    n = max(min(ctx.read_op_min_num_blocks, est_bytes // ctx.target_min_block_size),
+            est_bytes // ctx.target_max_block_size, 2 * cpus)
+    return max(1, min(n_parts, n))
 
 
 def split_for_stripes(table: pa.Table, config: EncodeConfig) -> list[pa.Table]:
@@ -384,7 +395,12 @@ def encode_corpus(
         if done.get(p["partition_id"], {}).get("fingerprint") != p["fingerprint"]
     ]
     if todo:
-        ds = rd.from_items(todo, override_num_blocks=len(todo))
+        # one task per block, each a contiguous run of partitions: a task per
+        # tiny partition costs more in scheduling than its encode
+        n_blocks = encode_num_blocks(
+            len(todo), sum(p["byte_size"] for p in todo),
+            int(ray.cluster_resources().get("CPU", 1)), rd.DataContext.get_current())
+        ds = rd.from_items(todo, override_num_blocks=n_blocks)
         if concurrency is None:
             # stateless task pool: Ray reuses warm workers, no actor startup
             # latency, and scheduling load-balances across the whole cluster

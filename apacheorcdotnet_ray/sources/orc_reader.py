@@ -606,10 +606,9 @@ class OrcFile:
         """False only when the column's blooms PROVE no row group of this
         stripe can contain ``lit`` (equality predicates). Advisory: any
         missing/unhashable piece returns True."""
-        from ..codecs.orc_bloom import bloom_might_contain, hash_literal
+        from ..codecs.orc_bloom import bloom_might_contain
 
-        dialect = {0: "java", 1: "cpp"}.get(self.writer_impl)
-        h = hash_literal(lit, dialect=dialect)
+        h = self._bloom_hash(column, lit)
         if h is None:
             return True
         blooms = self.bloom_filters(st, column)
@@ -617,6 +616,18 @@ class OrcFile:
             return True
         return any(bool(bloom_might_contain(k, bits, h).all())
                    for k, bits in blooms)
+
+    def _bloom_hash(self, column: int, lit) -> int | None:
+        """The bloom hash of ``lit`` for ``column``, or None (cannot prune)
+        when the literal's type is not the column's: a number against a
+        string column, or a string against any other, hashes to a value the
+        writer never put in the bloom."""
+        from ..codecs.orc_bloom import hash_literal
+
+        string_column = self.types[column].get(1, [0])[0] in (7, 8, 16, 17)
+        if string_column != isinstance(lit, (str, bytes, bytearray)):
+            return None
+        return hash_literal(lit, dialect={0: "java", 1: "cpp"}.get(self.writer_impl))
 
     def _stripe_encoding(self, st: _Stripe, column: int) -> int:
         enc = self._stripe_footer(st).get(2, [])
@@ -704,10 +715,9 @@ class OrcFile:
         # requested column can seek-decode (scalar, RLEv2-family).
         plan: dict[int, list[int]] = {}
         if preds and self.row_index_stride and stripes:
-            from ..codecs.orc_bloom import bloom_might_contain, hash_literal
+            from ..codecs.orc_bloom import bloom_might_contain
 
             by_name = dict(zip(names, top_ids))
-            dialect = {0: "java", 1: "cpp"}.get(self.writer_impl)
             terms = [p for p in preds
                      if by_name.get(p[0]) is not None
                      and p[1] in ("==", "=", "<", "<=", ">", ">=")]
@@ -723,7 +733,7 @@ class OrcFile:
                     keep = [g for g in keep if _stats_may_match(
                         {p[0]: ri[g][1]}, p)]
                     if p[1] in ("==", "=") and keep:
-                        h = hash_literal(p[2], dialect=dialect)
+                        h = self._bloom_hash(cid, p[2])
                         blooms = self.bloom_filters(st, cid) \
                             if h is not None else None
                         if blooms and len(blooms) == K:
@@ -1038,12 +1048,15 @@ def _stats_may_match(stats: dict, predicate) -> bool:
     if rec is None or "min" not in rec:
         return True  # no stats → cannot prune
     lo, hi = rec["min"], rec["max"]
-    if op == "==":
-        return lo <= lit <= hi
-    if op in ("<", "<="):
-        return lo < lit if op == "<" else lo <= lit
-    if op in (">", ">="):
-        return hi > lit if op == ">" else hi >= lit
+    try:
+        if op == "==":
+            return lo <= lit <= hi
+        if op in ("<", "<="):
+            return lo < lit if op == "<" else lo <= lit
+        if op in (">", ">="):
+            return hi > lit if op == ">" else hi >= lit
+    except TypeError:
+        pass  # a literal that does not compare with the stats cannot prune
     return True
 
 
@@ -1133,7 +1146,13 @@ def read_orc_files(paths, columns: list[str] | None = None,
             kernel = {"==": pc.equal, "=": pc.equal, "<": pc.less,
                       "<=": pc.less_equal, ">": pc.greater,
                       ">=": pc.greater_equal}[op]
-            t = t.filter(kernel(t.column(col), lit))
+            c = t.column(col)
+            try:
+                mask = kernel(c, lit)
+            except pa.ArrowNotImplementedError:
+                # no kernel for the pair: compare in the column's type
+                mask = kernel(c, pa.scalar(lit).cast(c.type))
+            t = t.filter(mask)
         if drop_after:
             t = t.drop_columns(drop_after)
         return t

@@ -23,6 +23,7 @@ import os
 import time
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..stripe import EncodeConfig, encode_stripe
 
@@ -69,8 +70,6 @@ class StripeEncoder:
             return None
         col = batch.column(self.adaptive_fsst_by)
         src = col[0].as_py()
-        import pyarrow.compute as pc
-
         if pc.count_distinct(col).as_py() != 1:
             return None  # cache only applies to source-pure stripes
         if len(self._fsst_cache) > 1024:
@@ -112,10 +111,10 @@ class StripeEncoder:
     def _lineage(self, batch: pa.Table) -> dict:
         lineage: dict = {"rows": batch.num_rows}
         if self.key_column and self.key_column in batch.column_names and batch.num_rows:
-            col = batch.column(self.key_column)
+            mm = pc.min_max(batch.column(self.key_column))
             lineage["key_column"] = self.key_column
-            lineage["key_min"] = str(col[0].as_py())
-            lineage["key_max"] = str(col[-1].as_py())
+            lineage["key_min"] = str(mm["min"].as_py())
+            lineage["key_max"] = str(mm["max"].as_py())
         for c in self.lineage_columns:
             if c in batch.column_names and batch.num_rows:
                 lineage[c] = str(batch.column(c)[0].as_py())

@@ -5,8 +5,8 @@ Headline: encode throughput on the deterministic pre-tokenized corpus
 plus decode-verify and representative operator pipelines over $GRAFT_SF_DIR.
 
 Usage:
-    python bench.py                  # single run at $RAY_GRAFT_CPUS (default 32)
-    python bench.py --scaling        # 8-cpu vs 32-cpu fresh-process runs + efficiency
+    python bench.py                  # single run at $RAY_GRAFT_CPUS (default: os.cpu_count())
+    python bench.py --scaling        # $GRAFT_SCALE_LO vs $GRAFT_SCALE_HI cpus (default 1 vs 4)
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", os.cpu_count() or 1))
 
 # corpus sized from the sf dir (same input at every parallelism level)
 _SF_SCALE = {"sf0.001": (4, 500), "sf0.01": (8, 2000), "sf0.1": (32, 2500)}
@@ -217,11 +217,11 @@ def run_scaling() -> None:
     compared legs minutes apart and produced physically-implausible >1
     efficiencies when single-core throughput drifted between them.
 
-    Default 1 vs 4: this box exposes 32 vCPUs but per-process throughput of
-    memory-heavy kernels degrades measurably beyond ~4-8 concurrent
-    processes (shared bandwidth / SMT / virtualization), so higher levels
-    measure the hardware ceiling, not the engine's scaling; BASELINE.md
-    records measurements at both 1v4 and 2v8."""
+    Default 1 vs 4: per-process throughput of memory-heavy kernels degrades
+    measurably beyond ~4-8 concurrent processes (shared bandwidth / SMT /
+    virtualization), so higher levels measure the hardware ceiling, not the
+    engine's scaling; BASELINE.md records measurements at both 1v4 and 2v8.
+    The high level may not exceed ``os.cpu_count()``."""
     def run(ncpu: int) -> dict:
         env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu), GRAFT_SCALING_CORPUS="1",
                    GRAFT_ENCODE_ONLY="1", GRAFT_ENCODE_REPS="1")
@@ -231,6 +231,9 @@ def run_scaling() -> None:
         return json.loads(out.strip().splitlines()[-1])
 
     lo, hi = int(os.environ.get("GRAFT_SCALE_LO", 1)), int(os.environ.get("GRAFT_SCALE_HI", 4))
+    if hi > (os.cpu_count() or 1):
+        sys.exit(f"bench.py --scaling: GRAFT_SCALE_HI={hi} exceeds this machine's "
+                 f"{os.cpu_count()} CPUs; set GRAFT_SCALE_HI to at most that")
     n_pairs = int(os.environ.get("GRAFT_SCALE_PAIRS", 5))
     # sandwich mode: lo, hi, lo per pair — the hi leg sits BETWEEN two lo
     # legs and the lo time is their mean, so any linear host-load drift

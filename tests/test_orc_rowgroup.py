@@ -237,6 +237,24 @@ def test_read_orc_files_projection_excludes_predicate_column(tmp_path):
     assert res == [{"v": "s4321"}]
 
 
+def test_read_orc_files_string_column_int_literal(tmp_path):
+    """A literal that does not compare with a column's stats (an int
+    against a string column) prunes nothing, and neither does the bloom;
+    the exact filter compares it in the column's type."""
+    from apacheorcdotnet_ray.sources.orc_reader import read_orc_files
+
+    n = 10_000
+    t = pa.table({"k": pa.array(np.arange(n, dtype=np.int64)),
+                  "s": pa.array([str(j % 97) for j in range(n)])})
+    write_orc(t, str(tmp_path / "s.orc"), stripe_rows=5_000,
+              row_index_stride=1_000, bloom_columns=["s"])
+    got = pa.Table.from_pylist(
+        read_orc_files(str(tmp_path), predicate=("s", "==", 7)).take_all())
+    want = t.filter(pc.equal(t["s"], "7"))
+    assert want.num_rows > 0
+    assert got.sort_by("k").equals(want)
+
+
 @pytest.mark.skipif(not os.path.exists(DEMO), reason="reference conformance file not present")
 def test_hive_demo_file_predicate_still_exact():
     """demo-12-zlib.orc uses pre-Hive-0.12 (RLEv1) encodings — the seek

@@ -12,11 +12,12 @@ from apacheorcdotnet_ray.pipelines.encode import (
     encode_corpus,
     encode_dataset,
     decode_dataset,
+    encode_num_blocks,
     enumerate_partitions,
 )
 from apacheorcdotnet_ray.pipelines.verify import verify_roundtrip
 from apacheorcdotnet_ray.sources.tokens import generate_tokens_shard, write_tokens_corpus
-from apacheorcdotnet_ray.stripe import EncodeConfig
+from apacheorcdotnet_ray.stripe import EncodeConfig, read_footer
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +69,53 @@ def test_encode_corpus_resume_identical_manifest(corpus, ray_session, tmp_path):
     s1 = json.load(open(os.path.join(out_full, "job_summary.json")))
     s2 = json.load(open(os.path.join(out_resume, "job_summary.json")))
     assert s1 == s2
+
+
+def test_encode_num_blocks_rule():
+    from types import SimpleNamespace
+
+    mib = 1 << 20
+    ctx = SimpleNamespace(read_op_min_num_blocks=200, target_min_block_size=mib,
+                          target_max_block_size=128 * mib)
+    # many tiny partitions: blocks of at least 1 MiB, but two per CPU
+    assert encode_num_blocks(32, 4 * mib + 5, 1, ctx) == 4
+    assert encode_num_blocks(32, 100_000, 1, ctx) == 2
+    assert encode_num_blocks(32, 100_000, 4, ctx) == 8
+    # CPUs >= partitions: one block per partition
+    assert encode_num_blocks(32, 100_000, 32, ctx) == 32
+    assert encode_num_blocks(3, 100_000, 8, ctx) == 3
+    # few large partitions: never more blocks than partitions
+    assert encode_num_blocks(3, 10 << 30, 1, ctx) == 3
+    # many large ones: read_op_min_num_blocks, until blocks would pass the max size
+    assert encode_num_blocks(1000, 1 << 30, 1, ctx) == 200
+    assert encode_num_blocks(1000, 64 << 30, 1, ctx) == 512
+
+
+def test_encode_corpus_block_sizing_same_output(ray_session, tmp_path, monkeypatch):
+    """Blocks of several partitions write what one block per partition writes."""
+    import apacheorcdotnet_ray.pipelines.encode as enc
+
+    paths = write_tokens_corpus(str(tmp_path / "in"), n_shards=32, docs_per_shard=5, seed=7)
+    rule = enc.encode_num_blocks
+    used = []
+
+    def one_cpu(n_parts, est_bytes, cpus, ctx):
+        used.append(rule(n_parts, est_bytes, 1, ctx))
+        return used[-1]
+
+    monkeypatch.setattr(enc, "encode_num_blocks", one_cpu)
+    encode_corpus(paths, str(tmp_path / "sized"))
+    monkeypatch.setattr(enc, "encode_num_blocks", lambda n_parts, *_: n_parts)
+    encode_corpus(paths, str(tmp_path / "per_part"))
+    assert used == [2]
+
+    def contents(d):
+        return {name: open(os.path.join(d, name), "rb").read()
+                for name in os.listdir(d) if name.endswith((".oray", ".jsonl", ".json"))}
+
+    sized, per_part = contents(tmp_path / "sized"), contents(tmp_path / "per_part")
+    assert sum(n.endswith(".oray") for n in sized) >= 32
+    assert sized == per_part
 
 
 def test_encode_corpus_skips_done(corpus, ray_session, tmp_path):
@@ -147,6 +195,24 @@ def test_encode_grouped_skew_split(corpus, ray_session, tmp_path):
 
     res = verify_roundtrip(ds, decode_dataset(out))
     assert res["content_match"], res
+
+
+def test_stripe_encoder_lineage_key_range_unsorted(tmp_path):
+    """Stripe lineage records the key column's true min and max, not its
+    first and last rows."""
+    import pyarrow as pa
+
+    from apacheorcdotnet_ray.stages.encode import StripeEncoder
+    from apacheorcdotnet_ray.stripe import EncodeConfig
+
+    batch = pa.table({"doc_id": pa.array([5, 2, 9, 1, 7], type=pa.int64()),
+                      "v": pa.array(["a", "b", "c", "d", "e"])})
+    enc = StripeEncoder(out_dir=str(tmp_path), config=EncodeConfig(), key_column="doc_id")
+    metrics = enc(batch)
+    lineage = json.loads(metrics["lineage_json"][0].as_py())
+    assert (lineage["key_min"], lineage["key_max"]) == ("1", "9")
+    footer = read_footer(open(metrics["path"][0].as_py(), "rb").read())
+    assert footer["lineage"] == lineage
 
 
 def test_stripe_encoder_adaptive_fsst_cache(tmp_path):
