@@ -619,13 +619,15 @@ class OrcFile:
 
     def _bloom_hash(self, column: int, lit) -> int | None:
         """The bloom hash of ``lit`` for ``column``, or None (cannot prune)
-        when the literal's type is not the column's: a number against a
-        string column, or a string against any other, hashes to a value the
-        writer never put in the bloom."""
+        when the literal's type is not the column's: 7 against a string
+        column or 7.0 against an integer one hashes to a value the writer
+        never put in the bloom, though the exact filter matches it."""
         from ..codecs.orc_bloom import hash_literal
 
-        string_column = self.types[column].get(1, [0])[0] in (7, 8, 16, 17)
-        if string_column != isinstance(lit, (str, bytes, bytearray)):
+        kind = self.types[column].get(1, [0])[0]
+        want = ((str, bytes, bytearray) if kind in (7, 8, 16, 17)
+                else (float, np.floating) if kind in (5, 6) else (int, np.integer))
+        if not isinstance(lit, want):
             return None
         return hash_literal(lit, dialect={0: "java", 1: "cpp"}.get(self.writer_impl))
 

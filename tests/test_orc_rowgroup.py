@@ -237,9 +237,10 @@ def test_read_orc_files_projection_excludes_predicate_column(tmp_path):
     assert res == [{"v": "s4321"}]
 
 
-def test_read_orc_files_string_column_int_literal(tmp_path):
+def test_read_orc_files_literal_of_another_type(tmp_path):
     """A literal that does not compare with a column's stats (an int
-    against a string column) prunes nothing, and neither does the bloom;
+    against a string column) prunes nothing, and no literal of another
+    type (that, or a float against an integer column) is bloom-probed;
     the exact filter compares it in the column's type."""
     from apacheorcdotnet_ray.sources.orc_reader import read_orc_files
 
@@ -247,12 +248,12 @@ def test_read_orc_files_string_column_int_literal(tmp_path):
     t = pa.table({"k": pa.array(np.arange(n, dtype=np.int64)),
                   "s": pa.array([str(j % 97) for j in range(n)])})
     write_orc(t, str(tmp_path / "s.orc"), stripe_rows=5_000,
-              row_index_stride=1_000, bloom_columns=["s"])
-    got = pa.Table.from_pylist(
-        read_orc_files(str(tmp_path), predicate=("s", "==", 7)).take_all())
-    want = t.filter(pc.equal(t["s"], "7"))
-    assert want.num_rows > 0
-    assert got.sort_by("k").equals(want)
+              row_index_stride=1_000, bloom_columns=["s", "k"])
+    for pred, want in ((("s", "==", 7), t.filter(pc.equal(t["s"], "7"))),
+                       (("k", "==", 7.0), t.slice(7, 1))):
+        got = read_orc_files(str(tmp_path), predicate=pred).take_all()
+        assert want.num_rows > 0
+        assert pa.Table.from_pylist(got, schema=t.schema).sort_by("k").equals(want)
 
 
 @pytest.mark.skipif(not os.path.exists(DEMO), reason="reference conformance file not present")
