@@ -203,7 +203,6 @@ def test_stripe_encoder_lineage_key_range_unsorted(tmp_path):
     import pyarrow as pa
 
     from apacheorcdotnet_ray.stages.encode import StripeEncoder
-    from apacheorcdotnet_ray.stripe import EncodeConfig
 
     batch = pa.table({"doc_id": pa.array([5, 2, 9, 1, 7], type=pa.int64()),
                       "v": pa.array(["a", "b", "c", "d", "e"])})
