@@ -17,14 +17,25 @@ source:
   packed and the unpacked dialect;
 - ORC compressed-stream framing (3-byte little-endian chunk headers,
   ``(len << 1) | is_original``; raw-deflate bodies for ZLIB);
-- column decoders driving the repo codecs: DIRECT_V2 ints (``rlev2``),
-  DICTIONARY_V2/DIRECT_V2 strings (zero-copy ``pa.Array.from_buffers``
-  construction — no per-row Python), doubles/floats, booleans, two-stream
-  timestamps (both nano dialects: C++ signed-negative nanos AND the
-  Java/Hive positive-nanos one-second adjustment), dates, decimals
-  (``varint`` mantissas, vectorized to ``decimal128`` for precision ≤ 18),
-  PRESENT null masks (``bool_rle``), STRUCT and LIST — all of them across
-  multiple stripes (per-stripe decode, one concat at the top);
+- one tail parser (``OrcFile.__init__``; ``read_file_stats`` goes through
+  it) that checks the PostScript magic and every length and stripe span
+  against the file size, so a truncated file raises ``ValueError`` naming
+  the path instead of reading short;
+- one column decoder, ``OrcFile._decode_rows``: each ORC type kind becomes
+  an Arrow array in exactly one place, for full-stripe reads and ROW_INDEX
+  seeks alike. Ints, DICTIONARY/DIRECT strings and binary (zero-copy
+  ``pa.Array.from_buffers``, no per-row Python), doubles/floats, booleans,
+  bytes, two-stream timestamps (both nano dialects: C++ signed-negative
+  nanos AND the Java/Hive positive-nanos one-second adjustment), dates,
+  decimals (``varint`` mantissas, vectorized to ``decimal128`` for
+  precision ≤ 18), PRESENT null masks, STRUCT, LIST and MAP. Every integer
+  stream is RLEv1 or RLEv2 by its column's encoding (pre-Hive-0.12
+  DIRECT/DICTIONARY vs the v2 encodings). Nested children decode the
+  number of values they hold: a STRUCT child the parent's non-null rows,
+  a LIST/MAP child the summed lengths;
+- predicate reads seek by ROW_INDEX positions into the surviving row
+  groups for scalar kinds with v2 encodings; nested kinds and RLEv1
+  columns decode whole stripes;
 - the file is ``mmap``-ed, not slurped: only the tail plus the streams a
   read actually touches are ever paged in / copied;
 - ``read_table(columns=...)`` prunes at the decode (unrequested streams
@@ -39,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..codecs import bool_rle, byte_rle, rlev1, rlev2
+from ..codecs import byte_rle, rlev1, rlev2
 
 # --- minimal protobuf wire-format reader -----------------------------------
 
@@ -62,24 +73,30 @@ def pb_parse(buf: bytes) -> dict[int, list]:
     StripeFooter messages."""
     out: dict[int, list] = {}
     pos = 0
-    while pos < len(buf):
-        key, pos = _read_varint(buf, pos)
-        tag, wire = key >> 3, key & 7
-        if wire == 0:
-            val, pos = _read_varint(buf, pos)
-        elif wire == 2:
-            ln, pos = _read_varint(buf, pos)
-            val = buf[pos:pos + ln]
-            pos += ln
-        elif wire == 5:
-            val = int.from_bytes(buf[pos:pos + 4], "little")
-            pos += 4
-        elif wire == 1:
-            val = int.from_bytes(buf[pos:pos + 8], "little")
-            pos += 8
-        else:  # pragma: no cover - groups unused by ORC
-            raise ValueError(f"unsupported protobuf wire type {wire}")
-        out.setdefault(tag, []).append(val)
+    end = len(buf)
+    try:
+        while pos < end:
+            key, pos = _read_varint(buf, pos)
+            tag, wire = key >> 3, key & 7
+            if wire == 0:
+                val, pos = _read_varint(buf, pos)
+            elif wire == 2:
+                ln, pos = _read_varint(buf, pos)
+                val = buf[pos:pos + ln]
+                pos += ln
+            elif wire == 5:
+                val = int.from_bytes(buf[pos:pos + 4], "little")
+                pos += 4
+            elif wire == 1:
+                val = int.from_bytes(buf[pos:pos + 8], "little")
+                pos += 8
+            else:
+                raise ValueError(f"unsupported protobuf wire type {wire}")
+            out.setdefault(tag, []).append(val)
+    except IndexError:
+        raise ValueError("protobuf message ends inside a varint") from None
+    if pos > end:
+        raise ValueError("protobuf field runs past the end of its message")
     return out
 
 
@@ -103,7 +120,8 @@ def pb_repeated_uint(values: list) -> list[int]:
 # --- ORC structures (field numbers from the public ORC proto) ---------------
 
 _KIND_PRESENT, _KIND_DATA, _KIND_LENGTH = 0, 1, 2
-_KIND_DICTIONARY_DATA, _KIND_ROW_INDEX = 3, 6
+_KIND_DICTIONARY_DATA, _KIND_SECONDARY, _KIND_ROW_INDEX = 3, 5, 6
+_KIND_BLOOM_FILTER_UTF8 = 8
 _ENC_DIRECT, _ENC_DICTIONARY, _ENC_DIRECT_V2, _ENC_DICTIONARY_V2 = 0, 1, 2, 3
 
 
@@ -143,16 +161,21 @@ def _decompress(buf: bytes, compression: int) -> bytes:
         return buf
     out = bytearray()
     pos = 0
-    while pos + 3 <= len(buf):
+    while pos < len(buf):
         hdr = int.from_bytes(buf[pos:pos + 3], "little")
         pos += 3
         ln, original = hdr >> 1, hdr & 1
+        if pos + ln > len(buf):
+            raise ValueError("compressed chunk runs past the end of its stream")
         chunk = buf[pos:pos + ln]
         pos += ln
         if original:
             out += chunk
         elif compression == 1:  # ZLIB = raw deflate
-            out += zlib.decompress(chunk, -15)
+            try:
+                out += zlib.decompress(chunk, -15)
+            except zlib.error as e:
+                raise ValueError(f"corrupt zlib chunk: {e}") from None
         elif compression == 5:  # ZSTD frames
             import pyarrow as _pa
 
@@ -224,45 +247,73 @@ class OrcFile:
     def __init__(self, path: str):
         import mmap
 
+        self.path = path
         self._f = open(path, "rb")
         try:
             self._buf = mmap.mmap(self._f.fileno(), 0,
                                   access=mmap.ACCESS_READ)
-        except (ValueError, OSError):  # pragma: no cover - empty/special
+        except (ValueError, OSError):  # empty or special file
             self._buf = self._f.read()
+        self._sf_cache: dict[int, dict[int, list]] = {}
+        self._span_cache: dict[int, dict[tuple[int, int], tuple[int, int]]] = {}
+        self._dict_cache: dict[tuple[int, int], "pa.Array"] = {}  # noqa: F821
+        try:
+            self._parse_tail()
+        except ValueError as e:
+            self.close()
+            raise ValueError(f"{path}: not a readable ORC file: {e}") from None
+
+    def _parse_tail(self) -> None:
+        """PostScript → Footer (and the Metadata span), each length and
+        every stripe's span checked against the file size."""
         buf = self._buf
-        ps_len = buf[-1]
+        size = len(buf)
+        ps_len = buf[-1] if size else 0
+        if not 0 < ps_len < size:
+            raise ValueError(f"PostScript length {ps_len} in a {size} B file")
         ps = pb_parse(buf[-1 - ps_len:-1])
-        footer_len = ps[1][0]
+        if ps.get(8000, [b""])[0] != b"ORC":
+            raise ValueError("no ORC magic in the PostScript")
+        footer_len = ps.get(1, [0])[0]
+        meta_len = ps.get(5, [0])[0]
         self.compression = ps.get(2, [0])[0]
-        self.block_size = ps.get(3, [256 * 1024])[0]
-        self._metadata_span = (len(buf) - 1 - ps_len - footer_len
-                               - ps.get(5, [0])[0], ps.get(5, [0])[0])
-        footer_raw = _decompress(
-            buf[-1 - ps_len - footer_len:-1 - ps_len], self.compression)
-        footer = pb_parse(footer_raw)
+        data_end = size - 1 - ps_len - footer_len - meta_len
+        if data_end < 3:  # the file opens with 3 magic bytes
+            raise ValueError(f"footer ({footer_len} B) and metadata "
+                             f"({meta_len} B) exceed the file")
+        self._metadata_span = (data_end, meta_len)
+        footer = pb_parse(_decompress(
+            buf[data_end + meta_len:size - 1 - ps_len], self.compression))
         self.number_of_rows = footer.get(6, [0])[0]
         self.stripes = [
             _Stripe(s.get(1, [0])[0], s.get(2, [0])[0], s.get(3, [0])[0],
                     s.get(4, [0])[0], s.get(5, [0])[0])
             for s in (pb_parse(raw) for raw in footer.get(3, []))
         ]
+        for st in self.stripes:
+            end = st.offset + st.index_length + st.data_length \
+                + st.footer_length
+            if st.offset < 3 or end > data_end:
+                raise ValueError(f"stripe at {st.offset} ends at {end}, "
+                                 f"past the data end {data_end}")
         # types: field 1 = kind enum, field 2 = subtypes (packed or not)
         self.types = [pb_parse(raw) for raw in footer.get(4, [])]
+        if not self.types:
+            raise ValueError("footer lists no types")
+        self._file_stats = footer.get(7, [])
         # writer implementation (Footer field 9): 0 = ORC_JAVA, 1 =
         # ORC_CPP, absent = unknown. Java and C++ hash DOUBLE bloom
         # entries differently, so double bloom probes dispatch on this.
         w = footer.get(9, [None])[0]
         self.writer_impl = int(w) if w is not None else None
         self.row_index_stride = footer.get(8, [0])[0]
-        self._sf_cache: dict[int, dict[int, list]] = {}
-        self._dict_cache: dict[tuple[int, int], "pa.Array"] = {}  # noqa: F821
 
     def close(self) -> None:
         buf, self._buf = self._buf, b""
         if hasattr(buf, "close"):
             buf.close()
         self._f.close()
+        self._dict_cache.clear()
 
     def __del__(self):  # pragma: no cover - GC timing
         try:
@@ -272,6 +323,15 @@ class OrcFile:
 
     def subtypes(self, column: int) -> list[int]:
         return pb_repeated_uint(self.types[column].get(2, []))
+
+    def field_names(self) -> list[str]:
+        return [v.decode("utf-8") for v in self.types[0].get(3, [])]
+
+    def _top_columns(self) -> list[tuple[str, int]]:
+        """(name, column id) of each top-level field."""
+        names = self.field_names()
+        ids = self.subtypes(0) or range(1, len(names) + 1)
+        return [(name, int(ci)) for name, ci in zip(names, ids)]
 
     def _stripe_footer(self, st: _Stripe) -> dict[int, list]:
         cached = self._sf_cache.get(st.offset)
@@ -283,56 +343,267 @@ class OrcFile:
         self._sf_cache[st.offset] = sf
         return sf
 
-    def _column_streams(self, st: _Stripe, column: int) -> dict[int, bytes]:
-        """kind → decompressed stream bytes for one column of one stripe.
-        Stream payloads are laid out in StripeFooter.streams order: ROW_INDEX
-        kinds live in the index region, the rest in the data region."""
-        sf = self._stripe_footer(st)
-        streams = [pb_parse(raw) for raw in sf.get(1, [])]
-        out: dict[int, bytes] = {}
-        pos = st.offset
-        for s in streams:
-            kind = s.get(1, [0])[0]
-            col = s.get(2, [0])[0]
-            ln = s.get(3, [0])[0]
-            if col == column and kind not in (_KIND_ROW_INDEX, 7, 8):
-                out[kind] = _decompress(self._buf[pos:pos + ln],
-                                        self.compression)
-            pos += ln
-        return out
+    def _streams(self, st: _Stripe) -> dict[tuple[int, int], tuple[int, int]]:
+        """(column, stream kind) → (absolute offset, length) for one
+        stripe. Payloads are laid out in StripeFooter.streams order:
+        ROW_INDEX and bloom kinds in the index region, the rest in the
+        data region."""
+        spans = self._span_cache.get(st.offset)
+        if spans is None:
+            spans = {}
+            pos = st.offset
+            for raw in self._stripe_footer(st).get(1, []):
+                s = pb_parse(raw)
+                ln = s.get(3, [0])[0]
+                spans[(s.get(2, [0])[0], s.get(1, [0])[0])] = (pos, ln)
+                pos += ln
+            if pos > st.offset + st.index_length + st.data_length:
+                raise ValueError(f"{self.path}: streams of the stripe at "
+                                 f"{st.offset} overrun its index and data")
+            self._span_cache[st.offset] = spans
+        return spans
 
-    def _stream_spans(self, st: _Stripe) -> list[tuple[int, int, int, int]]:
-        """(kind, column, absolute offset, length) per stream, in stripe
-        directory order (payloads are laid out in exactly this order)."""
-        sf = self._stripe_footer(st)
-        out = []
-        pos = st.offset
-        for raw in sf.get(1, []):
-            s = pb_parse(raw)
-            kind = s.get(1, [0])[0]
-            col = s.get(2, [0])[0]
-            ln = s.get(3, [0])[0]
-            out.append((kind, col, pos, ln))
-            pos += ln
-        return out
+    def _stream(self, st: _Stripe, column: int, kind: int) -> bytes | None:
+        """One stream's whole decompressed bytes, or None when absent."""
+        span = self._streams(st).get((column, kind))
+        if span is None:
+            return None
+        off, ln = span
+        return _decompress(self._buf[off:off + ln], self.compression)
+
+    def _stripe_encoding(self, st: _Stripe, column: int) -> int:
+        enc = self._stripe_footer(st).get(2, [])
+        return pb_parse(enc[column]).get(1, [0])[0] if column < len(enc) else 0
+
+    def column_encoding(self, column: int) -> int:
+        return self._stripe_encoding(self.stripes[0], column)
 
     def _row_index(self, st: _Stripe,
                    column: int) -> list[tuple[list[int], dict]] | None:
         """Parsed ROW_INDEX for one column of one stripe: one
         (positions, stats-rec) per row group, or None when absent."""
-        for kind, col, off, ln in self._stream_spans(st):
-            if col == column and kind == _KIND_ROW_INDEX:
-                ri = pb_parse(_decompress(self._buf[off:off + ln],
-                                          self.compression))
-                out = []
-                for raw in ri.get(1, []):
-                    e = pb_parse(raw)
-                    poss = pb_repeated_uint(e.get(1, []))
-                    stat_raw = e.get(2, [None])[0]
-                    rec = _stats_rec(pb_parse(stat_raw)) if stat_raw else {}
-                    out.append((poss, rec))
-                return out or None
-        return None
+        raw = self._stream(st, column, _KIND_ROW_INDEX)
+        if raw is None:
+            return None
+        out = []
+        for raw_entry in pb_parse(raw).get(1, []):
+            e = pb_parse(raw_entry)
+            stat_raw = e.get(2, [None])[0]
+            out.append((pb_repeated_uint(e.get(1, [])),
+                        _stats_rec(pb_parse(stat_raw)) if stat_raw else {}))
+        return out or None
+
+    def bloom_filters(self, st: _Stripe,
+                      column: int) -> list[tuple[int, bytes]] | None:
+        """Parsed BLOOM_FILTER_UTF8 (kind 8) entries for one column of one
+        stripe: one (numHashFunctions, bitset bytes) per row group, or
+        None when the stripe carries no bloom for that column. Kind 7
+        (pre-ORC-101 blooms, different string/double hashing) is ignored
+        — never pruned on, only a missed optimization."""
+        raw = self._stream(st, column, _KIND_BLOOM_FILTER_UTF8)
+        if raw is None:
+            return None
+        out = []
+        for b in pb_parse(raw).get(1, []):
+            bd = pb_parse(b)
+            out.append((int(bd.get(1, [1])[0]), bd.get(3, [b""])[0]))
+        return out or None
+
+    def _bloom_may_match(self, st: _Stripe, column: int, lit) -> bool:
+        """False only when the column's blooms PROVE no row group of this
+        stripe can contain ``lit`` (equality predicates). Advisory: any
+        missing/unhashable piece returns True."""
+        from ..codecs.orc_bloom import bloom_might_contain
+
+        h = self._bloom_hash(column, lit)
+        if h is None:
+            return True
+        blooms = self.bloom_filters(st, column)
+        if blooms is None:
+            return True
+        return any(bool(bloom_might_contain(k, bits, h).all())
+                   for k, bits in blooms)
+
+    def _bloom_hash(self, column: int, lit) -> int | None:
+        """The bloom hash of ``lit`` for ``column``, or None (cannot prune)
+        when the literal's type is not the column's: 7 against a string
+        column or 7.0 against an integer one hashes to a value the writer
+        never put in the bloom, though the exact filter matches it."""
+        from ..codecs.orc_bloom import hash_literal
+
+        kind = self.types[column].get(1, [0])[0]
+        want = ((str, bytes, bytearray) if kind in (7, 8, 16, 17)
+                else (float, np.floating) if kind in (5, 6) else (int, np.integer))
+        if not isinstance(lit, want):
+            return None
+        return hash_literal(lit, dialect={0: "java", 1: "cpp"}.get(self.writer_impl))
+
+    def stripe_stats(self) -> list[dict[str, dict]]:
+        """Per-stripe column statistics from the Metadata section (one
+        {name: {n, min, max}} per stripe for top-level int/string columns);
+        empty list when the writer emitted no Metadata. Tail-only — no
+        stream bytes are touched."""
+        off, ln = self._metadata_span
+        if not ln:
+            return []
+        meta = pb_parse(_decompress(self._buf[off:off + ln],
+                                    self.compression))
+        top = self._top_columns()
+        out = []
+        for raw in meta.get(1, []):  # StripeStatistics
+            cols = pb_parse(raw).get(1, [])
+            out.append({name: _stats_rec(pb_parse(cols[cid]))
+                        for name, cid in top if cid < len(cols)})
+        return out
+
+    # --- column decode ---------------------------------------------------
+
+    def _whole(self, st: _Stripe, column: int):
+        """``at`` for a full-stripe read: each stream's whole decompressed
+        bytes from offset 0, with no codec state to skip."""
+        def at(kind):
+            buf = self._stream(st, column, kind)
+            return None if buf is None else (buf, 0, (0, 0))
+        return at
+
+    def _read_stripe(self, st: _Stripe, column: int):
+        return self._decode_rows(st, column, st.number_of_rows,
+                                 self._whole(st, column), False)
+
+    def _decode_rows(self, st: _Stripe, column: int, n_rows: int, at,
+                     seeking: bool):
+        """``n_rows`` rows of one column of one stripe → Arrow array: the
+        one place each ORC type kind is decoded. ``at(kind)`` gives a
+        stream's (bytes, byte offset, codec state), or None when the
+        column has no such stream: the whole stream for a full-stripe
+        read, the row group's ROW_INDEX position when ``seeking`` (scalar
+        kinds with v2 encodings only; see ``_read_groups``). Nested
+        children decode whole-stripe with the number of values they hold."""
+        import pyarrow as pa
+
+        kind = self.types[column].get(1, [0])[0]
+        enc = self._stripe_encoding(st, column)
+        dictionary = enc in (_ENC_DICTIONARY, _ENC_DICTIONARY_V2)
+        # pre-Hive-0.12 files: DIRECT(0)/DICTIONARY(1) encodings carry
+        # RLEv1 integer streams; v2 encodings carry RLEv2
+        rle = rlev1 if enc in (_ENC_DIRECT, _ENC_DICTIONARY) else rlev2
+
+        def ints(stream, n, signed, whole=False):
+            """Every integer stream of this column. A whole stream decodes
+            strictly to its end; a seek decodes past the run skip.
+            ``whole`` reads the whole stream even when seeking."""
+            if seeking and not whole:
+                buf, off, (skip, *_) = at(stream)
+                vals, _ = rlev2.decode_from(buf, off, signed,
+                                            expected_count=skip + n,
+                                            allow_overshoot=True)
+                return vals[skip:skip + n]
+            vals = rle.decode(self._stream(st, column, stream) if whole
+                              else at(stream)[0], signed)
+            if n is not None and len(vals) != n:
+                raise ValueError(f"{self.path}: column {column} stream "
+                                 f"{stream}: {len(vals)} values, expected {n}")
+            return vals
+
+        def bits(src, n):
+            """Boolean / PRESENT bits: byte-RLE run skip + bit offset."""
+            buf, off, (byte_skip, bit_off) = src
+            end = byte_skip + (bit_off + n + 7) // 8
+            packed, _ = byte_rle.decode_from(buf, off, expected_count=end)
+            return np.unpackbits(packed[byte_skip:end])[
+                bit_off:bit_off + n].astype(bool)
+
+        def blob(n_bytes):
+            buf, off, _ = at(_KIND_DATA)
+            out = buf[off:off + n_bytes]
+            if len(out) < n_bytes:
+                raise ValueError(f"{self.path}: column {column} DATA holds "
+                                 f"{len(out)} of {n_bytes} bytes")
+            return out
+
+        src = at(_KIND_PRESENT)
+        present = None if src is None else bits(src, n_rows)
+        n = n_rows if present is None else int(present.sum())
+        if kind in (2, 3, 4):  # SHORT / INT / LONG — width-faithful
+            dt = {2: np.int16, 3: np.int32, 4: np.int64}[kind]
+            arr = pa.array(ints(_KIND_DATA, n, True).astype(dt))
+        elif kind == 1:  # BYTE (tinyint): byte-RLE DATA
+            buf, off, (skip, *_) = at(_KIND_DATA)
+            vals, _ = byte_rle.decode_from(buf, off, expected_count=skip + n)
+            arr = pa.array(vals[skip:skip + n].view(np.int8))
+        elif kind == 0:  # BOOLEAN
+            arr = pa.array(bits(at(_KIND_DATA), n))
+        elif kind in (5, 6):  # FLOAT / DOUBLE
+            w = 4 if kind == 5 else 8
+            arr = pa.array(np.frombuffer(blob(w * n), f"<f{w}"))
+        elif kind in (7, 16, 17) and dictionary:  # STRING / VARCHAR / CHAR
+            key = (st.offset, column)
+            entries = self._dict_cache.get(key)
+            if entries is None:  # stripe-wide: read whole even when seeking
+                entries = self._dict_cache[key] = _strings_from_blob(
+                    self._stream(st, column, _KIND_DICTIONARY_DATA),
+                    ints(_KIND_LENGTH, None, False, whole=True))
+            arr = entries.take(pa.array(ints(_KIND_DATA, n, False)))
+        elif kind in (7, 8, 16, 17):  # direct strings, BINARY
+            lengths = ints(_KIND_LENGTH, n, False)
+            arr = _strings_from_blob(blob(int(lengths.sum())), lengths,
+                                     binary=kind == 8)
+        elif kind == 9:  # TIMESTAMP (two-stream ORC layout)
+            from ..stripe.columns import _decode_orc_nanos, _ORC_EPOCH_S
+
+            secs = ints(_KIND_DATA, n, True)
+            # arithmetic shift keeps the C++ writer's SIGNED nanos dialect
+            # (pre-1970 fractions stored as negative scaled nanos)
+            nanos = _decode_orc_nanos(
+                ints(_KIND_SECONDARY, n, False).astype(np.int64))
+            unix_secs = secs + _ORC_EPOCH_S
+            # Java/Hive dialect: positive nanos with truncated-toward-zero
+            # seconds — readers subtract one second when writerTime < 0
+            adj = ((unix_secs < 0) & (nanos > 999_999)).astype(np.int64)
+            us = (unix_secs - adj) * 1_000_000 + nanos // 1_000
+            arr = pa.array(us).cast(pa.timestamp("us"))
+        elif kind == 15:  # DATE
+            days = ints(_KIND_DATA, n, True)
+            arr = pa.array(days.astype(np.int32)).cast(pa.date32())
+        elif kind == 14:  # DECIMAL: varint mantissas + SECONDARY scales
+            from ..codecs import varint
+
+            buf, off, _ = at(_KIND_DATA)
+            # varints are self-delimiting: a seek decodes from its point
+            # and keeps the group's first n values
+            mant = varint.decode(buf[off:], None if seeking else n,
+                                 signed=True)[:n]
+            scale = ints(_KIND_SECONDARY, n, True)
+            prec = self.types[column].get(5, [38])[0]
+            scl = self.types[column].get(6, [0])[0]
+            arr = _decimals_from_parts(mant, scale, prec, scl)
+        elif kind == 12:  # STRUCT: children hold the non-null rows
+            names = [v.decode("utf-8")
+                     for v in self.types[column].get(3, [])]
+            arr = pa.StructArray.from_arrays(
+                [self._decode_rows(st, c, n, self._whole(st, c), False)
+                 for c in self.subtypes(column)], names)
+        elif kind in (10, 11):  # LIST / MAP: children hold sum(lengths)
+            lengths = ints(_KIND_LENGTH, n, False)
+            offs = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(lengths, out=offs[1:])
+            m = int(offs[-1])
+            subs = self.subtypes(column) or [column + 1]
+            kids = [self._decode_rows(st, c, m, self._whole(st, c), False)
+                    for c in subs]
+            if kind == 10:
+                arr = pa.LargeListArray.from_arrays(pa.array(offs), kids[0])
+            else:
+                arr = pa.MapArray.from_arrays(
+                    pa.array(offs.astype(np.int32)), kids[0], kids[1])
+        else:  # pragma: no cover
+            raise NotImplementedError(f"ORC type kind {kind}")
+        if present is not None:
+            # expand dense values to row slots: take with NULL indices at
+            # absent rows (works for every type, nested included)
+            idx = np.maximum(np.cumsum(present) - 1, 0)
+            arr = arr.take(pa.array(idx, mask=~present))
+        return arr
 
     # --- row-group (ROW_INDEX-seek) decode -------------------------------
 
@@ -365,67 +636,11 @@ class OrcFile:
                 return base                      # raw bytes / varint
             if type_kind in (7, 16, 17):
                 return base + 1 if dictionary else base
-        if stream_kind == 5:                     # SECONDARY
+        if stream_kind == _KIND_SECONDARY:
             return base + 1                      # ts nanos / decimal scale
         return None
 
-    def _bytes_from_position(self, span: tuple[int, int], pos: list[int]
-                             ) -> tuple[bytes, int]:
-        """(decompressed bytes from the position's chunk to stream end,
-        byte offset of the seek point within them). Decompressing to the
-        stream end trades some tail work for simplicity — the expensive
-        part a seek avoids is decoding values, and chunks BEFORE the seek
-        point are never touched."""
-        off, ln = span
-        if self.compression == 0:
-            return self._buf[off:off + ln], int(pos[0])
-        chunk, within = int(pos[0]), int(pos[1])
-        return _decompress(self._buf[off + chunk:off + ln],
-                           self.compression), within
-
-    def _seek_ints(self, span, base, state, n, signed) -> np.ndarray:
-        """RLEv2 seek decode: jump to the position's chunk/byte, decode
-        ``state[0]`` + ``n`` values (the run containing the group's first
-        value may have started before the boundary), drop the skip."""
-        buf, off = self._bytes_from_position(span, base)
-        skip = int(state[0])
-        vals, _ = rlev2.decode_from(buf, off, signed,
-                                    expected_count=skip + n,
-                                    allow_overshoot=True)
-        return vals[skip:skip + n]
-
-    def _seek_bits(self, span, base, state, n) -> np.ndarray:
-        """Boolean/PRESENT seek decode: byte-RLE run skip + bit offset."""
-        byte_skip, bit_off = int(state[0]), int(state[1])
-        buf, off = self._bytes_from_position(span, base)
-        nbytes = byte_skip + (bit_off + n + 7) // 8
-        packed, _ = byte_rle.decode_from(buf, off, expected_count=nbytes)
-        packed = packed[byte_skip:byte_skip + (bit_off + n + 7) // 8]
-        return np.unpackbits(packed)[bit_off:bit_off + n].astype(bool)
-
-    def _dictionary(self, st: _Stripe, column: int):
-        """Decoded (cached) dictionary entries for one stripe/column."""
-        key = (st.offset, column)
-        ent = self._dict_cache.get(key)
-        if ent is None:
-            spans = {k: (o, ln) for k, c, o, ln in self._stream_spans(st)
-                     if c == column}
-            lengths = rlev2.decode(
-                _decompress(self._buf[spans[_KIND_LENGTH][0]:
-                                      spans[_KIND_LENGTH][0]
-                                      + spans[_KIND_LENGTH][1]],
-                            self.compression), signed=False)
-            blob = _decompress(
-                self._buf[spans[_KIND_DICTIONARY_DATA][0]:
-                          spans[_KIND_DICTIONARY_DATA][0]
-                          + spans[_KIND_DICTIONARY_DATA][1]],
-                self.compression)
-            ent = _strings_from_blob(blob, lengths)
-            self._dict_cache[key] = ent
-        return ent
-
-    def _read_column_stripe_groups(self, st: _Stripe, column: int,
-                                   groups: list[int]):
+    def _read_groups(self, st: _Stripe, column: int, groups: list[int]):
         """Decode ONLY the given row groups of one scalar column via
         ROW_INDEX positions (works on foreign files too: seeks land on
         run headers, the skip count crosses into mid-run group starts).
@@ -448,8 +663,7 @@ class OrcFile:
         stride = self.row_index_stride
         if not ri or not stride:
             return None
-        spans = {k: (o, ln) for k, c, o, ln in self._stream_spans(st)
-                 if c == column and k not in (_KIND_ROW_INDEX, 7, 8)}
+        spans = self._streams(st)
         # RowIndexEntry positions follow the LOGICAL stream order
         # (PRESENT, DATA, then LENGTH/SECONDARY), NOT the stripe
         # directory order — liborc lists LENGTH before DATA in the
@@ -461,208 +675,40 @@ class OrcFile:
         elif kind == 8:
             order.append(_KIND_LENGTH)
         elif kind in (9, 14):
-            order.append(5)                      # SECONDARY
-        layout = []       # (stream kind, span, slice into positions)
+            order.append(_KIND_SECONDARY)
+        layout = {}       # stream kind → (span, slice into positions)
         at = 0
         for k in order:
-            if k not in spans:
+            if (column, k) not in spans:
                 continue
             a = self._position_arity(k, kind, enc)
             if a:
-                layout.append((k, spans[k], slice(at, at + a)))
+                layout[k] = (spans[(column, k)], slice(at, at + a))
                 at += a
         if any(len(p) != at for p, _ in ri):
             return None   # layout mismatch — never guess on foreign files
         base_n = 1 if self.compression == 0 else 2
 
-        def stream_pos(g, want_kind):
-            for k, span, sl in layout:
-                if k == want_kind:
-                    p = ri[g][0][sl]
-                    return span, p[:base_n], p[base_n:]
-            return None
+        def seek(g):
+            def at(k):
+                if k not in layout:
+                    return None
+                (off, ln), sl = layout[k]
+                p = ri[g][0][sl]
+                state = p[base_n:]
+                if self.compression == 0:
+                    return self._buf[off:off + ln], p[0], state
+                # decompress from the position's chunk to the stream end:
+                # chunks BEFORE the seek point are never touched
+                return (_decompress(self._buf[off + p[0]:off + ln],
+                                    self.compression), p[1], state)
+            return at
 
-        parts = []
-        for g in groups:
-            n_rows = min(stride, st.number_of_rows - g * stride)
-            present = None
-            n = n_rows
-            if stream_pos(g, _KIND_PRESENT) is not None:
-                span, base, state = stream_pos(g, _KIND_PRESENT)
-                present = self._seek_bits(span, base, state, n_rows)
-                n = int(present.sum())
-            if kind in (2, 3, 4):       # SHORT / INT / LONG
-                span, base, state = stream_pos(g, _KIND_DATA)
-                vals = self._seek_ints(span, base, state, n, signed=True)
-                dt = {2: np.int16, 3: np.int32, 4: np.int64}[kind]
-                arr = pa.array(vals.astype(dt))
-            elif kind == 1:             # BYTE
-                span, base, state = stream_pos(g, _KIND_DATA)
-                buf, off = self._bytes_from_position(span, base)
-                skip = int(state[0])
-                bv, _ = byte_rle.decode_from(buf, off,
-                                             expected_count=skip + n)
-                arr = pa.array(bv[skip:skip + n].view(np.int8))
-            elif kind == 0:             # BOOLEAN
-                span, base, state = stream_pos(g, _KIND_DATA)
-                arr = pa.array(self._seek_bits(span, base, state, n))
-            elif kind == 6:             # DOUBLE
-                span, base, _ = stream_pos(g, _KIND_DATA)
-                buf, off = self._bytes_from_position(span, base)
-                arr = pa.array(np.frombuffer(buf, "<f8", count=n,
-                                             offset=off))
-            elif kind == 5:             # FLOAT
-                span, base, _ = stream_pos(g, _KIND_DATA)
-                buf, off = self._bytes_from_position(span, base)
-                arr = pa.array(np.frombuffer(buf, "<f4", count=n,
-                                             offset=off))
-            elif kind in (7, 16, 17):   # STRING / VARCHAR / CHAR
-                if enc in (_ENC_DICTIONARY_V2, _ENC_DICTIONARY):
-                    span, base, state = stream_pos(g, _KIND_DATA)
-                    ids = self._seek_ints(span, base, state, n, signed=False)
-                    arr = self._dictionary(st, column).take(pa.array(ids))
-                else:
-                    span, base, state = stream_pos(g, _KIND_LENGTH)
-                    lengths = self._seek_ints(span, base, state, n,
-                                              signed=False)
-                    span, base, _ = stream_pos(g, _KIND_DATA)
-                    buf, off = self._bytes_from_position(span, base)
-                    blob = buf[off:off + int(lengths.sum())]
-                    arr = _strings_from_blob(blob, lengths)
-            elif kind == 8:             # BINARY
-                span, base, state = stream_pos(g, _KIND_LENGTH)
-                lengths = self._seek_ints(span, base, state, n, signed=False)
-                span, base, _ = stream_pos(g, _KIND_DATA)
-                buf, off = self._bytes_from_position(span, base)
-                arr = _strings_from_blob(buf[off:off + int(lengths.sum())],
-                                         lengths, binary=True)
-            elif kind == 9:             # TIMESTAMP
-                from ..stripe.columns import _decode_orc_nanos, _ORC_EPOCH_S
-
-                span, base, state = stream_pos(g, _KIND_DATA)
-                secs = self._seek_ints(span, base, state, n, signed=True)
-                span, base, state = stream_pos(g, 5)
-                frac = self._seek_ints(span, base, state, n, signed=False)
-                nanos = _decode_orc_nanos(frac.astype(np.int64))
-                unix_secs = secs + _ORC_EPOCH_S
-                adj = ((unix_secs < 0) & (nanos > 999_999)).astype(np.int64)
-                us = (unix_secs - adj) * 1_000_000 + nanos // 1_000
-                arr = pa.array(us).cast(pa.timestamp("us"))
-            elif kind == 15:            # DATE
-                span, base, state = stream_pos(g, _KIND_DATA)
-                days = self._seek_ints(span, base, state, n, signed=True)
-                arr = pa.array(days.astype(np.int32)).cast(pa.date32())
-            elif kind == 14:            # DECIMAL
-                from ..codecs import varint
-
-                span, base, _ = stream_pos(g, _KIND_DATA)
-                buf, off = self._bytes_from_position(span, base)
-                # varints are self-delimiting: decode from the seek point
-                # and keep the group's first n values
-                mant = varint.decode(buf[off:], signed=True)[:n]
-                span, base, state = stream_pos(g, 5)
-                scale = self._seek_ints(span, base, state, n, signed=True)
-                prec = self.types[column].get(5, [38])[0]
-                scl = self.types[column].get(6, [0])[0]
-                arr = _decimals_from_parts(mant, scale, prec, scl)
-            else:  # pragma: no cover - guarded by _GROUP_KINDS
-                return None
-            if present is not None:
-                idx = np.maximum(np.cumsum(present) - 1, 0)
-                arr = arr.take(pa.array(idx, mask=~present))
-            parts.append(arr.combine_chunks()
-                         if isinstance(arr, pa.ChunkedArray) else arr)
-        if not parts:  # callers skip stripes whose keep-set is empty
-            return None
-        return pa.concat_arrays(parts)
-
-    def bloom_filters(self, st: _Stripe,
-                      column: int) -> list[tuple[int, bytes]] | None:
-        """Parsed BLOOM_FILTER_UTF8 (kind 8) entries for one column of one
-        stripe: one (numHashFunctions, bitset bytes) per row group, or
-        None when the stripe carries no bloom for that column. Kind 7
-        (pre-ORC-101 blooms, different string/double hashing) is ignored
-        — never pruned on, only a missed optimization."""
-        sf = self._stripe_footer(st)
-        pos = st.offset
-        for raw in sf.get(1, []):
-            s = pb_parse(raw)
-            kind = s.get(1, [0])[0]
-            col = s.get(2, [0])[0]
-            ln = s.get(3, [0])[0]
-            if col == column and kind == 8:
-                idx = pb_parse(_decompress(self._buf[pos:pos + ln],
-                                           self.compression))
-                out = []
-                for b in idx.get(1, []):
-                    bd = pb_parse(b)
-                    out.append((int(bd.get(1, [1])[0]),
-                                bd.get(3, [b""])[0]))
-                return out or None
-            pos += ln
-        return None
-
-    def _bloom_may_match(self, st: _Stripe, column: int, lit) -> bool:
-        """False only when the column's blooms PROVE no row group of this
-        stripe can contain ``lit`` (equality predicates). Advisory: any
-        missing/unhashable piece returns True."""
-        from ..codecs.orc_bloom import bloom_might_contain
-
-        h = self._bloom_hash(column, lit)
-        if h is None:
-            return True
-        blooms = self.bloom_filters(st, column)
-        if blooms is None:
-            return True
-        return any(bool(bloom_might_contain(k, bits, h).all())
-                   for k, bits in blooms)
-
-    def _bloom_hash(self, column: int, lit) -> int | None:
-        """The bloom hash of ``lit`` for ``column``, or None (cannot prune)
-        when the literal's type is not the column's: 7 against a string
-        column or 7.0 against an integer one hashes to a value the writer
-        never put in the bloom, though the exact filter matches it."""
-        from ..codecs.orc_bloom import hash_literal
-
-        kind = self.types[column].get(1, [0])[0]
-        want = ((str, bytes, bytearray) if kind in (7, 8, 16, 17)
-                else (float, np.floating) if kind in (5, 6) else (int, np.integer))
-        if not isinstance(lit, want):
-            return None
-        return hash_literal(lit, dialect={0: "java", 1: "cpp"}.get(self.writer_impl))
-
-    def _stripe_encoding(self, st: _Stripe, column: int) -> int:
-        enc = self._stripe_footer(st).get(2, [])
-        return pb_parse(enc[column]).get(1, [0])[0] if column < len(enc) else 0
-
-    def column_encoding(self, column: int) -> int:
-        return self._stripe_encoding(self.stripes[0], column)
-
-    def field_names(self) -> list[str]:
-        return [v.decode("utf-8") for v in self.types[0].get(3, [])]
-
-    def stripe_stats(self) -> list[dict[str, dict]]:
-        """Per-stripe column statistics from the Metadata section (one
-        {name: {n, min, max}} per stripe for top-level int/string columns);
-        empty list when the writer emitted no Metadata. Tail-only — no
-        stream bytes are touched."""
-        off, ln = self._metadata_span
-        if not ln:
-            return []
-        meta = pb_parse(_decompress(self._buf[off:off + ln],
-                                    self.compression))
-        names = self.field_names()
-        top_ids = self.subtypes(0) or list(range(1, len(names) + 1))
-        out = []
-        for raw in meta.get(1, []):  # StripeStatistics
-            cols = [pb_parse(c) for c in pb_parse(raw).get(1, [])]
-            rec: dict[str, dict] = {}
-            for name, cid in zip(names, top_ids):
-                if cid >= len(cols):
-                    continue
-                rec[name] = _stats_rec(cols[int(cid)])
-            out.append(rec)
-        return out
+        parts = [self._decode_rows(
+            st, column, min(stride, st.number_of_rows - g * stride),
+            seek(g), True) for g in groups]
+        # callers skip stripes whose keep-set is empty
+        return pa.concat_arrays(parts) if parts else None
 
     def read_table(self, columns: list[str] | None = None,
                    predicate: tuple | None = None,
@@ -687,15 +733,14 @@ class OrcFile:
         preds = normalize_predicate(predicate)
         stripes = self.stripes if stripe_indices is None \
             else [self.stripes[i] for i in stripe_indices]
+        top = self._top_columns()
+        by_name = dict(top)
         if preds:
             per_stripe = self.stripe_stats()
             if len(per_stripe) == len(self.stripes):
                 keep = {id(st) for st, ss in zip(self.stripes, per_stripe)
                         if all(_stats_may_match(ss, p) for p in preds)}
                 stripes = [st for st in stripes if id(st) in keep]
-            names = self.field_names()
-            tids = self.subtypes(0) or list(range(1, len(names) + 1))
-            by_name = dict(zip(names, tids))
             for p in preds:
                 if p[1] not in ("==", "="):
                     continue
@@ -705,10 +750,8 @@ class OrcFile:
                 cid = by_name.get(p[0])
                 if cid is not None:
                     stripes = [st for st in stripes
-                               if self._bloom_may_match(st, int(cid), p[2])]
-        names = self.field_names()
-        top_ids = self.subtypes(0) or list(range(1, len(names) + 1))
-        want = [(int(ci), name) for ci, name in zip(top_ids, names)
+                               if self._bloom_may_match(st, cid, p[2])]
+        want = [(ci, name) for name, ci in top
                 if columns is None or name in columns]
 
         # row-group plan: inside each surviving stripe, keep only groups
@@ -719,16 +762,15 @@ class OrcFile:
         if preds and self.row_index_stride and stripes:
             from ..codecs.orc_bloom import bloom_might_contain
 
-            by_name = dict(zip(names, top_ids))
             terms = [p for p in preds
-                     if by_name.get(p[0]) is not None
+                     if p[0] in by_name
                      and p[1] in ("==", "=", "<", "<=", ">", ">=")]
             stride = self.row_index_stride
             for st in stripes:
                 K = -(-st.number_of_rows // stride)
                 keep = list(range(K))
                 for p in terms:
-                    cid = int(by_name[p[0]])
+                    cid = by_name[p[0]]
                     ri = self._row_index(st, cid)
                     if not ri or len(ri) != K:
                         continue  # this term can't narrow — stay safe
@@ -753,243 +795,23 @@ class OrcFile:
                     continue  # every row group pruned
                 done = {}
                 for ci, name in want:
-                    arr = self._read_column_stripe_groups(st, ci, keep)
+                    arr = self._read_groups(st, ci, keep)
                     if arr is None:  # some column can't seek-decode
                         done = None
                         break
                     done[name] = arr
             if done is None:
-                done = {name: self._read_column_stripe(st, ci)
-                        for ci, name in want}
+                done = {name: self._read_stripe(st, ci) for ci, name in want}
             for _, name in want:
-                a = done[name]
-                per_col[name].append(a.combine_chunks()
-                                     if isinstance(a, pa.ChunkedArray)
-                                     else a)
+                per_col[name].append(done[name])
         cols = {}
         for ci, name in want:
             parts = per_col[name]
             if not parts:  # every stripe pruned: typed empty column
-                cols[name] = pa.concat_arrays(
-                    [self._read_column_stripe(self.stripes[0], ci)]
-                ).slice(0, 0) if self.stripes else pa.array([])
-            else:
-                cols[name] = pa.concat_arrays(parts)
+                parts = [self._read_stripe(self.stripes[0], ci).slice(0, 0)] \
+                    if self.stripes else [pa.array([])]
+            cols[name] = pa.concat_arrays(parts)
         return pa.table(cols)
-
-    def _read_any_column(self, column: int, stripes=None):
-        import pyarrow as pa
-
-        parts = [self._read_column_stripe(st, column)
-                 for st in (self.stripes if stripes is None else stripes)]
-        parts = [p.combine_chunks() if isinstance(p, pa.ChunkedArray) else p
-                 for p in parts]
-        if not parts:  # every stripe pruned: typed empty column
-            return pa.concat_arrays(
-                [self._read_column_stripe(self.stripes[0], column)]).slice(0, 0) \
-                if self.stripes else pa.array([])
-        return pa.concat_arrays(parts)
-
-    def _read_column_stripe(self, st: _Stripe, column: int):
-        """One column of ONE stripe → Arrow array (recursive for nested
-        types, so multi-stripe STRUCT/LIST work stripe-locally: child
-        streams are scoped to the same stripe as the parent's)."""
-        import pyarrow as pa
-
-        kind = self.types[column].get(1, [0])[0]
-        # pre-Hive-0.12 files: DIRECT(0)/DICTIONARY(1) encodings carry
-        # RLEv1 integer streams; v2 encodings carry RLEv2
-        enc = self._stripe_encoding(st, column)
-        ints = rlev1.decode if enc in (_ENC_DIRECT, _ENC_DICTIONARY) \
-            else rlev2.decode
-        streams = self._column_streams(st, column)
-        present = None
-        if _KIND_PRESENT in streams:
-            present = bool_rle.decode(streams[_KIND_PRESENT],
-                                      st.number_of_rows)
-        if kind in (2, 3, 4):  # SHORT / INT / LONG — width-faithful
-            vals = ints(streams[_KIND_DATA], signed=True)
-            dt = {2: np.int16, 3: np.int32, 4: np.int64}[kind]
-            arr = pa.array(vals.astype(dt))
-        elif kind == 1:  # BYTE (tinyint): byte-RLE DATA
-            from ..codecs import byte_rle
-
-            n_vals = int(present.sum()) if present is not None \
-                else st.number_of_rows
-            vals = byte_rle.decode(streams[_KIND_DATA], n_vals)
-            arr = pa.array(np.asarray(vals, dtype=np.uint8).view(np.int8))
-        elif kind == 8:  # BINARY: packed blob + LENGTH
-            lengths = ints(streams[_KIND_LENGTH], signed=False)
-            arr = _strings_from_blob(streams[_KIND_DATA], lengths,
-                                     binary=True)
-        elif kind == 0:  # BOOLEAN
-            n_vals = int(present.sum()) if present is not None \
-                else st.number_of_rows
-            arr = pa.array(bool_rle.decode(streams[_KIND_DATA], n_vals)
-                           .astype(bool))
-        elif kind == 6:  # DOUBLE
-            arr = pa.array(np.frombuffer(streams[_KIND_DATA], dtype="<f8"))
-        elif kind == 5:  # FLOAT
-            arr = pa.array(np.frombuffer(streams[_KIND_DATA], dtype="<f4"))
-        elif kind in (7, 16, 17):  # STRING / VARCHAR / CHAR — same streams
-            lengths = ints(streams[_KIND_LENGTH], signed=False)
-            if enc in (_ENC_DICTIONARY_V2, _ENC_DICTIONARY):
-                entries = _strings_from_blob(
-                    streams[_KIND_DICTIONARY_DATA], lengths)
-                ids = ints(streams[_KIND_DATA], signed=False)
-                arr = entries.take(pa.array(ids))
-            else:
-                arr = _strings_from_blob(streams[_KIND_DATA], lengths)
-        elif kind == 9:  # TIMESTAMP (two-stream ORC layout)
-            from ..stripe.columns import _decode_orc_nanos, _ORC_EPOCH_S
-
-            secs = rlev2.decode(streams[_KIND_DATA], signed=True)
-            frac = rlev2.decode(streams[5], signed=False)
-            # arithmetic shift keeps the C++ writer's SIGNED nanos dialect
-            # (pre-1970 fractions stored as negative scaled nanos)
-            nanos = _decode_orc_nanos(frac.astype(np.int64))
-            unix_secs = secs + _ORC_EPOCH_S
-            # Java/Hive dialect: positive nanos with truncated-toward-zero
-            # seconds — readers subtract one second when writerTime < 0
-            adj = ((unix_secs < 0) & (nanos > 999_999)).astype(np.int64)
-            us = (unix_secs - adj) * 1_000_000 + nanos // 1_000
-            arr = pa.array(us).cast(pa.timestamp("us"))
-        elif kind == 15:  # DATE
-            days = rlev2.decode(streams[_KIND_DATA], signed=True)
-            arr = pa.array(days.astype(np.int32)).cast(pa.date32())
-        elif kind == 14:  # DECIMAL
-            from ..codecs import varint
-
-            mant = varint.decode(streams[_KIND_DATA], signed=True)
-            scale = rlev2.decode(streams[5], signed=True)
-            prec = self.types[column].get(5, [38])[0]
-            scl = self.types[column].get(6, [0])[0]
-            arr = _decimals_from_parts(mant, scale, prec, scl)
-        elif kind == 12:  # STRUCT
-            child_ids = self.subtypes(column)
-            names = [v.decode("utf-8")
-                     for v in self.types[column].get(3, [])]
-            children = []
-            for cid in child_ids:
-                c = self._read_column_stripe(st, int(cid))
-                children.append(c.combine_chunks()
-                                if isinstance(c, pa.ChunkedArray) else c)
-            if present is not None:
-                idx = pa.array(np.maximum(np.cumsum(present) - 1, 0))
-                children = [c.take(idx) for c in children]
-                arr = pa.StructArray.from_arrays(
-                    children, names, mask=pa.array(~present))
-                present = None  # expansion handled here
-            else:
-                arr = pa.StructArray.from_arrays(children, names)
-        elif kind == 10:  # LIST
-            lengths = rlev2.decode(streams[_KIND_LENGTH], signed=False)
-            subs = self.subtypes(column)
-            child_id = subs[0] if subs else column + 1
-            child = self._read_column_stripe(st, int(child_id))
-            offs = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
-            arr = pa.LargeListArray.from_arrays(
-                pa.array(offs, type=pa.int64()),
-                child.combine_chunks()
-                if isinstance(child, pa.ChunkedArray) else child)
-        elif kind == 11:  # MAP: LENGTH + key/value children
-            lengths = rlev2.decode(streams[_KIND_LENGTH], signed=False)
-            subs = self.subtypes(column)
-            keys = self._read_column_stripe(st, int(subs[0]))
-            items = self._read_column_stripe(st, int(subs[1]))
-            offs = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int32)
-            arr = pa.MapArray.from_arrays(
-                pa.array(offs, type=pa.int32()),
-                keys.combine_chunks()
-                if isinstance(keys, pa.ChunkedArray) else keys,
-                items.combine_chunks()
-                if isinstance(items, pa.ChunkedArray) else items)
-        else:  # pragma: no cover
-            raise NotImplementedError(f"ORC type kind {kind}")
-        if present is not None:
-            # expand dense values to row slots: take with NULL indices at
-            # absent rows (works for every type, map included)
-            idx = np.maximum(np.cumsum(present) - 1, 0)
-            arr = arr.take(pa.array(idx, mask=~present))
-        return arr
-
-    def read_decimal_column(self, column: int) -> list:
-        """Decode a decimal column (DIRECT_V2): DATA = zigzag varint
-        mantissas (our ``codecs.varint``), SECONDARY = signed RLEv2 scales,
-        PRESENT = boolean RLE. Returns ``decimal.Decimal`` values with None
-        for nulls — drives three repo codecs against independent bytes."""
-        from decimal import Decimal
-
-        from ..codecs import varint
-
-        out: list = []
-        for st in self.stripes:
-            streams = self._column_streams(st, column)
-            mant = varint.decode(streams[_KIND_DATA], signed=True)
-            scale = rlev2.decode(streams[5], signed=True)  # SECONDARY
-            if len(scale) != len(mant):  # pragma: no cover
-                raise ValueError("scale/mantissa count mismatch")
-            vals = [Decimal(int(m)).scaleb(-int(s))
-                    for m, s in zip(mant, scale)]
-            if _KIND_PRESENT in streams:
-                present = bool_rle.decode(streams[_KIND_PRESENT],
-                                          st.number_of_rows)
-                it = iter(vals)
-                vals = [next(it) if p else None for p in present]
-            out.extend(vals)
-        return out
-
-    def read_string_column(self, column: int) -> list:
-        """Decode a string column across all stripes: DICTIONARY_V2
-        (DATA = unsigned RLEv2 dictionary ids, DICTIONARY_DATA = packed
-        UTF-8, LENGTH = unsigned RLEv2 entry lengths) or DIRECT_V2
-        (DATA = packed UTF-8, LENGTH = unsigned RLEv2 row lengths) —
-        both drive the repo's RLEv2 decoder on the unsigned path."""
-        import pyarrow as pa
-
-        out: list = []
-        for st in self.stripes:
-            enc = self._stripe_encoding(st, column)
-            streams = self._column_streams(st, column)
-            lengths = rlev2.decode(streams[_KIND_LENGTH], signed=False)
-            if enc == _ENC_DICTIONARY_V2:
-                entries = _strings_from_blob(
-                    streams[_KIND_DICTIONARY_DATA], lengths)
-                ids = rlev2.decode(streams[_KIND_DATA], signed=False)
-                out.extend(entries.take(pa.array(ids)).to_pylist())
-            elif enc == _ENC_DIRECT_V2:
-                out.extend(_strings_from_blob(
-                    streams[_KIND_DATA], lengths).to_pylist())
-            else:  # pragma: no cover
-                raise NotImplementedError(f"string encoding {enc}")
-        return out
-
-    def read_int_column(self, column: int) -> np.ndarray:
-        """Decode an integer column (DIRECT_V2) across all stripes with the
-        repo's RLEv2 decoder; PRESENT (if any) via the boolean-RLE decoder.
-        Returns int64 values (nulls excluded — the conformance columns are
-        fully present, and the null PATH is exercised by the present-mask
-        assertion)."""
-        parts = []
-        for st in self.stripes:
-            enc = self._stripe_encoding(st, column)
-            if enc not in (_ENC_DIRECT_V2,):
-                raise NotImplementedError(
-                    f"column encoding {enc} (only DIRECT_V2 wired)")
-            streams = self._column_streams(st, column)
-            data = streams[_KIND_DATA]
-            vals = rlev2.decode(data, signed=True)
-            if _KIND_PRESENT in streams:
-                present = bool_rle.decode(streams[_KIND_PRESENT],
-                                          st.number_of_rows)
-                if int(present.sum()) != len(vals):  # pragma: no cover
-                    raise ValueError("PRESENT count != decoded value count")
-            elif len(vals) != st.number_of_rows:  # pragma: no cover
-                raise ValueError(
-                    f"decoded {len(vals)} values, stripe has "
-                    f"{st.number_of_rows} rows")
-            parts.append(vals.astype(np.int64))
-        return np.concatenate(parts) if parts else np.empty(0, np.int64)
 
 
 def _unzz(v: int) -> int:
@@ -1012,36 +834,17 @@ def _stats_rec(st: dict[int, list]) -> dict:
 
 
 def read_file_stats(path: str) -> dict[str, dict]:
-    """Footer column statistics via a TAIL-ONLY read (two seeks, no stream
-    bytes touched): name → {n, min, max} for top-level int/string columns.
-    The file-level analog of the container's footer-stats pruning."""
-    import os
-
-    size = os.path.getsize(path)
-    with open(path, "rb") as f:
-        f.seek(max(0, size - 16384))
-        tail = f.read()
-        ps_len = tail[-1]
-        ps = pb_parse(tail[-1 - ps_len:-1])
-        footer_len = ps[1][0]
-        need = 1 + ps_len + footer_len
-        if need > len(tail):  # enormous footer: one more seek
-            f.seek(size - need)
-            tail = f.read()
-        compression = ps.get(2, [0])[0]
-    footer = pb_parse(_decompress(
-        tail[-1 - ps_len - footer_len:-1 - ps_len], compression))
-    types = [pb_parse(raw) for raw in footer.get(4, [])]
-    names = [v.decode("utf-8") for v in types[0].get(3, [])]
-    top_ids = pb_repeated_uint(types[0].get(2, [])) \
-        or list(range(1, len(names) + 1))
-    stats = [pb_parse(raw) for raw in footer.get(7, [])]
-    out: dict[str, dict] = {}
-    for name, cid in zip(names, top_ids):
-        if cid >= len(stats):
-            continue
-        out[name] = _stats_rec(stats[int(cid)])
-    return out
+    """Footer column statistics through ``OrcFile``'s tail parse (no
+    stream bytes touched): name → {n, min, max} for top-level int/string
+    columns. The file-level analog of the container's footer-stats
+    pruning."""
+    f = OrcFile(path)
+    try:
+        stats = f._file_stats
+        return {name: _stats_rec(pb_parse(stats[cid]))
+                for name, cid in f._top_columns() if cid < len(stats)}
+    finally:
+        f.close()
 
 
 def _stats_may_match(stats: dict, predicate) -> bool:

@@ -31,6 +31,13 @@ def demo():
     return OrcFile(DEMO)
 
 
+def _column(f, column):
+    """Top-level column ``column`` (an ORC type id: the first field is 1)
+    decoded through ``read_table``."""
+    name = f.field_names()[column - 1]
+    return f.read_table(columns=[name]).column(name)
+
+
 @needs_demo
 def test_tail_parse(demo):
     assert demo.number_of_rows == 1_920_800
@@ -48,7 +55,7 @@ def test_tail_parse(demo):
     (9, lambda i: i // 274_400),                   # :92
 ])
 def test_int_column_formulas(demo, column, formula):
-    vals = demo.read_int_column(column)
+    vals = _column(demo, column).to_numpy()
     assert len(vals) == 1_920_800
     idx = np.arange(len(vals), dtype=np.int64)
     assert (vals == formula(idx)).all()
@@ -59,7 +66,7 @@ def test_matches_pyarrow_orc(demo):
     """Same bytes through pyarrow's independent C++ ORC reader."""
     po = pytest.importorskip("pyarrow.orc")
     t = po.ORCFile(DEMO).read()
-    ours = demo.read_int_column(1)
+    ours = _column(demo, 1).to_numpy()
     theirs = t.column(0).to_numpy(zero_copy_only=False).astype(np.int64)
     assert (ours == theirs).all()
 
@@ -99,7 +106,7 @@ def test_string_columns_match_pyarrow(demo, column):
     with the repo codecs, cross-checked against pyarrow's C++ ORC reader."""
     po = pytest.importorskip("pyarrow.orc")
     t = po.ORCFile(DEMO).read()
-    ours = demo.read_string_column(column)
+    ours = _column(demo, column).to_pylist()
     theirs = t.column(column - 1).to_pylist()
     assert demo.column_encoding(column) == 3  # DICTIONARY_V2
     assert ours == theirs
@@ -111,7 +118,7 @@ def test_decimal_column_matches_pyarrow():
     PRESENT stream (2,000 nulls) — three repo codecs (varint, rlev2,
     bool_rle) against independently written bytes."""
     po = pytest.importorskip("pyarrow.orc")
-    ours = OrcFile(DECIMAL).read_decimal_column(1)
+    ours = _column(OrcFile(DECIMAL), 1).to_pylist()
     theirs = po.ORCFile(DECIMAL).read().column(0).to_pylist()
     assert len(ours) == 6000
     assert sum(v is None for v in ours) == 2000
@@ -165,8 +172,9 @@ def test_write_orc_read_by_own_reader(tmp_path):
     write_orc(t, p, compression="zlib")
     f = OrcFile(p)
     assert f.number_of_rows == 25_000
-    assert (f.read_int_column(1) == vals).all()
-    assert f.read_string_column(2) == words.tolist()
+    back = f.read_table()
+    assert (back.column("v").to_numpy() == vals).all()
+    assert back.column("w").to_pylist() == words.tolist()
 
 
 def test_write_orc_dataset_sink(ray_session, tmp_path):
@@ -706,7 +714,7 @@ def test_byte_binary_float_kinds(tmp_path):
     scol = f.subtypes(0)[t.column_names.index("s")]
     for k in (16, 17):
         f.types[scol][1] = [k]
-        assert eq(f._read_any_column(scol), t.column("s"))
+        assert eq(f.read_table(columns=["s"]).column("s"), t.column("s"))
     f.close()
     p2 = str(tmp_path / "kinds_pa.orc")  # conforming writer direction
     po.write_table(t, p2)

@@ -106,27 +106,33 @@ def test_signed_delta_run_pyarrow_crosscheck():
 
 
 def test_v1_encoded_orc_column_reads():
-    """A hand-assembled ORC file with DIRECT(0) v1-encoded int and
-    DICTIONARY(1) v1-encoded string columns decodes through the reader's
-    v1 path (the pre-Hive-0.12 file shape)."""
+    """A hand-assembled ORC file with DIRECT(0) v1-encoded int, DATE and
+    LIST<LONG> columns and a DICTIONARY(1) v1-encoded string column
+    decodes through the reader's v1 path (the pre-Hive-0.12 file shape),
+    value-exact against pyarrow's C++ reader."""
     import tempfile, os
 
-    import pyarrow as pa
+    import pyarrow.orc as porc
 
-    from apacheorcdotnet_ray.codecs import bool_rle
     from apacheorcdotnet_ray.sources import orc_writer as W
     from apacheorcdotnet_ray.sources.orc_reader import OrcFile
 
     vals = np.arange(1000, dtype=np.int64) * 3
     words = ["aa", "bb", "cc"]
     ids = (vals % 3).astype(np.int64)
+    days = (vals * 7 - 2_000).astype(np.int64)     # pre- and post-1970
+    lens = (vals % 4).astype(np.int64)
+    items = np.arange(int(lens.sum()), dtype=np.int64) * -5 + 40
     data_i = rlev1.encode(vals, signed=True)
     data_s = rlev1.encode(ids, signed=False)
     dict_blob = "".join(words).encode()
     dict_lens = rlev1.encode(np.full(3, 2, dtype=np.int64), signed=False)
 
     stream_recs = [(1, 1, data_i), (1, 2, data_s), (3, 2, dict_blob),
-                   (2, 2, dict_lens)]
+                   (2, 2, dict_lens),
+                   (1, 3, rlev1.encode(days, signed=True)),
+                   (2, 4, rlev1.encode(lens, signed=False)),
+                   (1, 5, rlev1.encode(items, signed=True))]
     data = b"".join(r for _, _, r in stream_recs)
     sf = W.pb_msg(
         *[W.pb_field(1, W.pb_msg(W.pb_field(1, k), W.pb_field(2, c),
@@ -136,10 +142,16 @@ def test_v1_encoded_orc_column_reads():
         W.pb_field(2, W.pb_msg(W.pb_field(1, 0))),      # int DIRECT (v1)
         W.pb_field(2, W.pb_msg(W.pb_field(1, 1),        # str DICTIONARY (v1)
                                W.pb_field(2, 3))),
+        W.pb_field(2, W.pb_msg(W.pb_field(1, 0))),      # date DIRECT (v1)
+        W.pb_field(2, W.pb_msg(W.pb_field(1, 0))),      # list DIRECT (v1)
+        W.pb_field(2, W.pb_msg(W.pb_field(1, 0))),      # list item DIRECT
     )
-    types = [W.pb_msg(W.pb_field(1, 12), W.pb_field(2, 1), W.pb_field(2, 2),
-                      W.pb_field(3, "i"), W.pb_field(3, "s")),
-             W.pb_msg(W.pb_field(1, 4)), W.pb_msg(W.pb_field(1, 7))]
+    types = [W.pb_msg(W.pb_field(1, 12), *[W.pb_field(2, c) for c in (1, 2, 3, 4)],
+                      *[W.pb_field(3, nm) for nm in ("i", "s", "d", "l")]),
+             W.pb_msg(W.pb_field(1, 4)), W.pb_msg(W.pb_field(1, 7)),
+             W.pb_msg(W.pb_field(1, 15)),
+             W.pb_msg(W.pb_field(1, 10), W.pb_field(2, 5)),
+             W.pb_msg(W.pb_field(1, 4))]
     si = W.pb_msg(W.pb_field(1, 3), W.pb_field(2, 0), W.pb_field(3, len(data)),
                   W.pb_field(4, len(sf)), W.pb_field(5, 1000))
     footer = W.pb_msg(W.pb_field(1, 3),
@@ -158,3 +170,11 @@ def test_v1_encoded_orc_column_reads():
         t = OrcFile(p).read_table()
         assert (t.column("i").to_numpy() == vals).all()
         assert t.column("s").to_pylist() == [words[int(i)] for i in ids]
+        assert (t.column("d").cast("int32").to_numpy() == days).all()
+        offs = np.concatenate([[0], np.cumsum(lens)])
+        assert t.column("l").to_pylist() == [
+            items[a:b].tolist() for a, b in zip(offs[:-1], offs[1:])]
+        theirs = porc.ORCFile(p).read()
+        for c in ("i", "s", "d", "l"):
+            assert t.column(c).cast(theirs.schema.field(c).type) \
+                .equals(theirs.column(c)), c
