@@ -18,9 +18,10 @@ source:
 - ORC compressed-stream framing (3-byte little-endian chunk headers,
   ``(len << 1) | is_original``; raw-deflate bodies for ZLIB);
 - one tail parser (``OrcFile.__init__``; ``read_file_stats`` goes through
-  it) that checks the PostScript magic and every length and stripe span
-  against the file size, so a truncated file raises ``ValueError`` naming
-  the path instead of reading short;
+  it) that checks the ORC magic (in the PostScript, or in the file header
+  for Hive 0.11 files, which wrote none there) and every length and stripe
+  span against the file size, so a truncated file raises ``ValueError``
+  naming the path instead of reading short;
 - one column decoder, ``OrcFile._decode_rows``: each ORC type kind becomes
   an Arrow array in exactly one place, for full-stripe reads and ROW_INDEX
   seeks alike. Ints, DICTIONARY/DIRECT strings and binary (zero-copy
@@ -125,6 +126,15 @@ _KIND_BLOOM_FILTER_UTF8 = 8
 _ENC_DIRECT, _ENC_DICTIONARY, _ENC_DIRECT_V2, _ENC_DICTIONARY_V2 = 0, 1, 2, 3
 
 
+def _tail_field(msg: dict[int, list], tag: int, repeated: bool = False):
+    """A scalar integer field of a tail message (0 when absent), or every
+    value of a repeated message field; a wrong wire type is a bad tail."""
+    vals = msg.get(tag, [] if repeated else [0])
+    if any(isinstance(v, int) == repeated for v in vals):
+        raise ValueError(f"protobuf field {tag} has the wrong wire type")
+    return vals if repeated else vals[0]
+
+
 @dataclass
 class _Stripe:
     offset: int
@@ -184,8 +194,9 @@ def _decompress(buf: bytes, compression: int) -> bytes:
             # always carry it)
             out += _pa.Codec("zstd").decompress(
                 chunk, decompressed_size=_zstd_content_size(chunk))
-        else:  # pragma: no cover
-            raise NotImplementedError(f"ORC compression kind {compression}")
+        else:
+            raise ValueError(f"ORC compression kind {compression} is not "
+                             "supported")
     return bytes(out)
 
 
@@ -272,11 +283,13 @@ class OrcFile:
         if not 0 < ps_len < size:
             raise ValueError(f"PostScript length {ps_len} in a {size} B file")
         ps = pb_parse(buf[-1 - ps_len:-1])
-        if ps.get(8000, [b""])[0] != b"ORC":
-            raise ValueError("no ORC magic in the PostScript")
-        footer_len = ps.get(1, [0])[0]
-        meta_len = ps.get(5, [0])[0]
-        self.compression = ps.get(2, [0])[0]
+        # Hive 0.11 wrote no PostScript magic (field 8000): such files
+        # are recognised by the 3-byte "ORC" header instead.
+        magic = ps.get(8000, [None])[0]
+        if magic != b"ORC" and (magic is not None or buf[:3] != b"ORC"):
+            raise ValueError("no ORC magic in the PostScript or header")
+        footer_len, meta_len = _tail_field(ps, 1), _tail_field(ps, 5)
+        self.compression = _tail_field(ps, 2)
         data_end = size - 1 - ps_len - footer_len - meta_len
         if data_end < 3:  # the file opens with 3 magic bytes
             raise ValueError(f"footer ({footer_len} B) and metadata "
@@ -284,12 +297,9 @@ class OrcFile:
         self._metadata_span = (data_end, meta_len)
         footer = pb_parse(_decompress(
             buf[data_end + meta_len:size - 1 - ps_len], self.compression))
-        self.number_of_rows = footer.get(6, [0])[0]
-        self.stripes = [
-            _Stripe(s.get(1, [0])[0], s.get(2, [0])[0], s.get(3, [0])[0],
-                    s.get(4, [0])[0], s.get(5, [0])[0])
-            for s in (pb_parse(raw) for raw in footer.get(3, []))
-        ]
+        self.number_of_rows = _tail_field(footer, 6)
+        self.stripes = [_Stripe(*(_tail_field(s, t) for t in range(1, 6)))
+                        for s in map(pb_parse, _tail_field(footer, 3, True))]
         for st in self.stripes:
             end = st.offset + st.index_length + st.data_length \
                 + st.footer_length
@@ -297,16 +307,16 @@ class OrcFile:
                 raise ValueError(f"stripe at {st.offset} ends at {end}, "
                                  f"past the data end {data_end}")
         # types: field 1 = kind enum, field 2 = subtypes (packed or not)
-        self.types = [pb_parse(raw) for raw in footer.get(4, [])]
+        self.types = list(map(pb_parse, _tail_field(footer, 4, True)))
         if not self.types:
             raise ValueError("footer lists no types")
-        self._file_stats = footer.get(7, [])
+        self._file_stats = _tail_field(footer, 7, True)
         # writer implementation (Footer field 9): 0 = ORC_JAVA, 1 =
         # ORC_CPP, absent = unknown. Java and C++ hash DOUBLE bloom
         # entries differently, so double bloom probes dispatch on this.
         w = footer.get(9, [None])[0]
         self.writer_impl = int(w) if w is not None else None
-        self.row_index_stride = footer.get(8, [0])[0]
+        self.row_index_stride = _tail_field(footer, 8)
 
     def close(self) -> None:
         buf, self._buf = self._buf, b""
@@ -334,13 +344,12 @@ class OrcFile:
         return [(name, int(ci)) for name, ci in zip(names, ids)]
 
     def _stripe_footer(self, st: _Stripe) -> dict[int, list]:
-        cached = self._sf_cache.get(st.offset)
-        if cached is not None:
-            return cached
-        start = st.offset + st.index_length + st.data_length
-        raw = self._buf[start:start + st.footer_length]
-        sf = pb_parse(_decompress(raw, self.compression))
-        self._sf_cache[st.offset] = sf
+        sf = self._sf_cache.get(st.offset)
+        if sf is None:
+            start = st.offset + st.index_length + st.data_length
+            raw = self._buf[start:start + st.footer_length]
+            sf = self._sf_cache[st.offset] = pb_parse(
+                _decompress(raw, self.compression))
         return sf
 
     def _streams(self, st: _Stripe) -> dict[tuple[int, int], tuple[int, int]]:
@@ -488,19 +497,17 @@ class OrcFile:
         # RLEv1 integer streams; v2 encodings carry RLEv2
         rle = rlev1 if enc in (_ENC_DIRECT, _ENC_DICTIONARY) else rlev2
 
-        def ints(stream, n, signed, whole=False):
+        def ints(stream, n, signed):
             """Every integer stream of this column. A whole stream decodes
-            strictly to its end; a seek decodes past the run skip.
-            ``whole`` reads the whole stream even when seeking."""
-            if seeking and not whole:
+            strictly to its end; a seek decodes past the run skip."""
+            if seeking:
                 buf, off, (skip, *_) = at(stream)
                 vals, _ = rlev2.decode_from(buf, off, signed,
                                             expected_count=skip + n,
                                             allow_overshoot=True)
                 return vals[skip:skip + n]
-            vals = rle.decode(self._stream(st, column, stream) if whole
-                              else at(stream)[0], signed)
-            if n is not None and len(vals) != n:
+            vals = rle.decode(at(stream)[0], signed)
+            if len(vals) != n:
                 raise ValueError(f"{self.path}: column {column} stream "
                                  f"{stream}: {len(vals)} values, expected {n}")
             return vals
@@ -537,12 +544,16 @@ class OrcFile:
             w = 4 if kind == 5 else 8
             arr = pa.array(np.frombuffer(blob(w * n), f"<f{w}"))
         elif kind in (7, 16, 17) and dictionary:  # STRING / VARCHAR / CHAR
+            # stripe-wide: read whole even when seeking, and cached only
+            # then, for the stripe's other row groups
             key = (st.offset, column)
-            entries = self._dict_cache.get(key)
-            if entries is None:  # stripe-wide: read whole even when seeking
-                entries = self._dict_cache[key] = _strings_from_blob(
+            cache = self._dict_cache if seeking else {}
+            entries = cache.get(key)
+            if entries is None:
+                entries = cache[key] = _strings_from_blob(
                     self._stream(st, column, _KIND_DICTIONARY_DATA),
-                    ints(_KIND_LENGTH, None, False, whole=True))
+                    rle.decode(self._stream(st, column, _KIND_LENGTH),
+                               False))
             arr = entries.take(pa.array(ints(_KIND_DATA, n, False)))
         elif kind in (7, 8, 16, 17):  # direct strings, BINARY
             lengths = ints(_KIND_LENGTH, n, False)
@@ -872,8 +883,9 @@ def read_orc_files(paths, columns: list[str] | None = None,
     stream level — unrequested columns never decompress. ``paths``: a
     directory, a glob, or an explicit list. ``predicate`` = one
     (col, op, lit) triple or a list of them (a conjunction): whole files
-    whose footer stats exclude any term are never opened beyond the tail
-    (two seeks), surviving files prune STRIPES by Metadata stripe stats
+    whose footer stats exclude any term are never read beyond the tail
+    (``OrcFile``'s checked tail parse on an mmap of the file; no stream
+    is touched), surviving files prune STRIPES by Metadata stripe stats
     (+ blooms) and ROW GROUPS by ROW_INDEX, and surviving rows are
     filtered exactly on every term.
 

@@ -4,6 +4,7 @@ properties. Needed only to DECODE pre-Hive-0.12 files; production writes
 are always RLEv2."""
 
 import numpy as np
+import pytest
 
 from apacheorcdotnet_ray.codecs import rlev1
 
@@ -110,6 +111,16 @@ def test_v1_encoded_orc_column_reads():
     LIST<LONG> columns and a DICTIONARY(1) v1-encoded string column
     decodes through the reader's v1 path (the pre-Hive-0.12 file shape),
     value-exact against pyarrow's C++ reader."""
+    _check_v1_file(ps_magic=True)
+
+
+def test_hive011_file_without_postscript_magic_reads():
+    """Hive 0.11 wrote no magic in the PostScript: the 3-byte "ORC" file
+    header identifies such a file, and a file with neither is refused."""
+    _check_v1_file(ps_magic=False)
+
+
+def _check_v1_file(ps_magic):
     import tempfile, os
 
     import pyarrow.orc as porc
@@ -162,11 +173,17 @@ def test_v1_encoded_orc_column_reads():
     ps = W.pb_msg(W.pb_field(1, len(footer)), W.pb_field(2, 0),
                   W.pb_field(3, 256 * 1024), W.pb_field(4, 0),
                   W.pb_field(4, 11), W.pb_field(5, 0),
-                  W.pb_field(8000, "ORC"))
+                  *([W.pb_field(8000, "ORC")] if ps_magic else []))
     with tempfile.TemporaryDirectory() as d:
         p = os.path.join(d, "v1.orc")
+        tail = data + sf + footer + ps + bytes([len(ps)])
+        if not ps_magic:
+            with open(p, "wb") as f:
+                f.write(b"XYZ" + tail)
+            with pytest.raises(ValueError, match="no ORC magic"):
+                OrcFile(p)
         with open(p, "wb") as f:
-            f.write(b"ORC" + data + sf + footer + ps + bytes([len(ps)]))
+            f.write(b"ORC" + tail)
         t = OrcFile(p).read_table()
         assert (t.column("i").to_numpy() == vals).all()
         assert t.column("s").to_pylist() == [words[int(i)] for i in ids]
