@@ -44,18 +44,23 @@ def cmd_encode(args) -> int:
     return 0
 
 
+def _predicate_term(spec: str) -> tuple:
+    """``col,op,lit`` → (col, op, lit). The literal is JSON when it parses
+    (7, 7.5, "x", true), else the raw string; the read casts it to the
+    column's type (predicate.py)."""
+    col, op, lit = spec.split(",", 2)
+    try:
+        lit = json.loads(lit)
+    except json.JSONDecodeError:
+        pass
+    return col, op, lit
+
+
 def cmd_decode(args) -> int:
     from .pipelines.encode import decode_dataset
 
     _ensure_ray()
-    predicate = None
-    if args.predicate:
-        col, op, lit = args.predicate.split(",", 2)
-        try:
-            lit = json.loads(lit)
-        except json.JSONDecodeError:
-            pass  # keep as string
-        predicate = (col, op, lit)
+    predicate = _predicate_term(args.predicate) if args.predicate else None
     columns = args.columns.split(",") if args.columns else None
     ds = decode_dataset(args.stripe_dir, columns=columns, predicate=predicate,
                         unify_schema=args.unify_schema).materialize()
@@ -90,19 +95,8 @@ def cmd_import_orc(args) -> int:
 
     _ensure_ray()
     columns = args.columns.split(",") if args.columns else None
-    predicate = None
-    if args.predicate:
-        predicate = []
-        for spec in args.predicate:  # repeatable: terms AND together
-            col, op, lit = spec.split(",", 2)
-            try:
-                lit = int(lit)
-            except ValueError:
-                try:
-                    lit = float(lit)
-                except ValueError:
-                    pass
-            predicate.append((col, op, lit))
+    # repeatable: terms AND together
+    predicate = [_predicate_term(p) for p in args.predicate or ()]
     read_orc_files(args.input, columns=columns, predicate=predicate,
                    split_stripes=args.split_stripes).write_parquet(args.out)
     print(json.dumps({"out": args.out}))

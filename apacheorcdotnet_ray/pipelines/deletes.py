@@ -18,15 +18,14 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
+from ..predicate import bind, normalize_predicate
 from ..sources.stripes import prune_stripes, stripe_paths
-from ..stripe.container import decode_stripe, normalize_predicate
+from ..stripe.container import decode_stripe
 from ..stripe.deletes import read_delete_mask, write_delete_mask
-from ..stripe.stats import compare_mask
 
 
 def delete_where(stripe_dir: str, predicate) -> dict:
@@ -52,10 +51,7 @@ def delete_where(stripe_dir: str, predicate) -> dict:
             # full physical decode of just the predicate columns: the mask
             # must align to every row, so no stride skip / late-material here
             tbl = decode_stripe(buf, columns=pred_cols)
-            mask = None
-            for col, op, lit in preds:
-                m = compare_mask(tbl.column(col), op, lit)
-                mask = m if mask is None else pc.and_kleene(mask, m)
+            mask = bind(preds, tbl.schema).mask(tbl)
             dm = pc.fill_null(mask, False).to_numpy(zero_copy_only=False) \
                 .astype(bool)  # NULL never matches ⇒ never deleted (SQL WHERE)
             out_path.append(path)

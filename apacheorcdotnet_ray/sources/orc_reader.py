@@ -52,6 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..codecs import byte_rle, rlev1, rlev2
+from ..predicate import bind, normalize_predicate
 
 # --- minimal protobuf wire-format reader -----------------------------------
 
@@ -418,34 +419,64 @@ class OrcFile:
             out.append((int(bd.get(1, [1])[0]), bd.get(3, [b""])[0]))
         return out or None
 
-    def _bloom_may_match(self, st: _Stripe, column: int, lit) -> bool:
+    def _bloom_may_match(self, st: _Stripe, column: int, h: int) -> bool:
         """False only when the column's blooms PROVE no row group of this
-        stripe can contain ``lit`` (equality predicates). Advisory: any
-        missing/unhashable piece returns True."""
+        stripe holds the value of bloom hash ``h`` (equality terms).
+        Advisory: a stripe without blooms returns True."""
         from ..codecs.orc_bloom import bloom_might_contain
 
-        h = self._bloom_hash(column, lit)
-        if h is None:
-            return True
         blooms = self.bloom_filters(st, column)
         if blooms is None:
             return True
         return any(bool(bloom_might_contain(k, bits, h).all())
                    for k, bits in blooms)
 
-    def _bloom_hash(self, column: int, lit) -> int | None:
-        """The bloom hash of ``lit`` for ``column``, or None (cannot prune)
-        when the literal's type is not the column's: 7 against a string
-        column or 7.0 against an integer one hashes to a value the writer
-        never put in the bloom, though the exact filter matches it."""
+    def _probe_hash(self, term) -> int | None:
+        """The ORC bloom hash of an equality term's ``probe`` (the literal
+        cast exactly to the column's type), or None: no probe, or a type
+        without a bloom hash here (numeric hashes need a known writer)."""
         from ..codecs.orc_bloom import hash_literal
 
-        kind = self.types[column].get(1, [0])[0]
-        want = ((str, bytes, bytearray) if kind in (7, 8, 16, 17)
-                else (float, np.floating) if kind in (5, 6) else (int, np.integer))
-        if not isinstance(lit, want):
+        if term.probe is None:
             return None
-        return hash_literal(lit, dialect={0: "java", 1: "cpp"}.get(self.writer_impl))
+        return hash_literal(term.probe.as_py(),
+                            dialect={0: "java", 1: "cpp"}.get(self.writer_impl))
+
+    def arrow_type(self, column: int) -> "pa.DataType":  # noqa: F821
+        """The Arrow type ``_decode_rows`` gives this column."""
+        import pyarrow as pa
+
+        kind = self.types[column].get(1, [0])[0]
+        if kind in (10, 11):
+            subs = [self.arrow_type(c)
+                    for c in self.subtypes(column) or [column + 1]]
+            return pa.large_list(subs[0]) if kind == 10 else pa.map_(*subs)
+        if kind == 12:
+            names = [v.decode("utf-8") for v in self.types[column].get(3, [])]
+            return pa.struct([(n, self.arrow_type(c)) for n, c
+                              in zip(names, self.subtypes(column))])
+        if kind == 14:
+            return pa.decimal128(self.types[column].get(5, [38])[0],
+                                 self.types[column].get(6, [0])[0])
+        return {0: pa.bool_(), 1: pa.int8(), 2: pa.int16(), 3: pa.int32(),
+                4: pa.int64(), 5: pa.float32(), 6: pa.float64(),
+                7: pa.string(), 8: pa.binary(), 9: pa.timestamp("us"),
+                15: pa.date32(), 16: pa.string(), 17: pa.string()}[kind]
+
+    @property
+    def schema(self) -> "pa.Schema":  # noqa: F821
+        """Arrow schema of the top-level columns (what predicates bind to)."""
+        import pyarrow as pa
+
+        return pa.schema([(name, self.arrow_type(ci))
+                          for name, ci in self._top_columns()])
+
+    def file_stats(self) -> dict[str, dict]:
+        """Footer column statistics: name → {n, min, max} for top-level
+        int/string columns (tail-only)."""
+        stats = self._file_stats
+        return {name: _stats_rec(pb_parse(stats[cid]))
+                for name, cid in self._top_columns() if cid < len(stats)}
 
     def stripe_stats(self) -> list[dict[str, dict]]:
         """Per-stripe column statistics from the Metadata section (one
@@ -732,36 +763,39 @@ class OrcFile:
         triple or a list of them (a conjunction): stripes are pruned by
         the Metadata per-stripe statistics (+ bloom probes for equality
         terms) before any stream is read, then row groups by ROW_INDEX
-        stats/blooms (rows are NOT exact-filtered here — callers like
-        ``read_orc_files`` do that). Multi-stripe files decode
+        stats/blooms, all through ``predicate.py``. The result holds every
+        row of the surviving row groups: ``predicate.bind(...).filter``
+        keeps the matching ones (``read_orc_files`` does). Multi-stripe
+        files decode
         stripe-by-stripe (nested types included) with one concat per
         column at the top. ``stripe_indices`` restricts the decode to a
         subset of stripes (the per-stripe Ray task unit)."""
         import pyarrow as pa
 
-        from ..stripe.container import normalize_predicate
-
         preds = normalize_predicate(predicate)
+        bound = bind(preds, self.schema) if preds else None
         stripes = self.stripes if stripe_indices is None \
             else [self.stripes[i] for i in stripe_indices]
         top = self._top_columns()
         by_name = dict(top)
-        if preds:
+        terms = []  # (term, column id, bloom hash or None)
+        if bound is not None:
+            if bound.empty:
+                stripes = []  # a term's column is not in this file
+            terms = [(t, by_name[t.col], self._probe_hash(t))
+                     for t in bound.terms]
             per_stripe = self.stripe_stats()
             if len(per_stripe) == len(self.stripes):
                 keep = {id(st) for st, ss in zip(self.stripes, per_stripe)
-                        if all(_stats_may_match(ss, p) for p in preds)}
+                        if bound.may_match(ss.get)}
                 stripes = [st for st in stripes if id(st) in keep]
-            for p in preds:
-                if p[1] not in ("==", "="):
-                    continue
-                # equality: additionally probe BLOOM_FILTER_UTF8 streams
-                # (prunes stripes whose [min, max] matches but which
-                # cannot contain the literal)
-                cid = by_name.get(p[0])
-                if cid is not None:
+            # equality: additionally probe BLOOM_FILTER_UTF8 streams
+            # (prunes stripes whose [min, max] matches but which cannot
+            # contain the literal)
+            for _, cid, h in terms:
+                if h is not None:
                     stripes = [st for st in stripes
-                               if self._bloom_may_match(st, cid, p[2])]
+                               if self._bloom_may_match(st, cid, h)]
         want = [(ci, name) for name, ci in top
                 if columns is None or name in columns]
 
@@ -770,27 +804,20 @@ class OrcFile:
         # ORC seek-skip a production reader does. Kicks in only when every
         # requested column can seek-decode (scalar, RLEv2-family).
         plan: dict[int, list[int]] = {}
-        if preds and self.row_index_stride and stripes:
+        if terms and self.row_index_stride and stripes:
             from ..codecs.orc_bloom import bloom_might_contain
 
-            terms = [p for p in preds
-                     if p[0] in by_name
-                     and p[1] in ("==", "=", "<", "<=", ">", ">=")]
             stride = self.row_index_stride
             for st in stripes:
                 K = -(-st.number_of_rows // stride)
                 keep = list(range(K))
-                for p in terms:
-                    cid = by_name[p[0]]
+                for term, cid, h in terms:
                     ri = self._row_index(st, cid)
                     if not ri or len(ri) != K:
                         continue  # this term can't narrow — stay safe
-                    keep = [g for g in keep if _stats_may_match(
-                        {p[0]: ri[g][1]}, p)]
-                    if p[1] in ("==", "=") and keep:
-                        h = self._bloom_hash(cid, p[2])
-                        blooms = self.bloom_filters(st, cid) \
-                            if h is not None else None
+                    keep = [g for g in keep if term.may_match(ri[g][1])]
+                    if h is not None and keep:
+                        blooms = self.bloom_filters(st, cid)
                         if blooms and len(blooms) == K:
                             keep = [g for g in keep if bool(
                                 bloom_might_contain(*blooms[g], h).all())]
@@ -851,29 +878,9 @@ def read_file_stats(path: str) -> dict[str, dict]:
     pruning."""
     f = OrcFile(path)
     try:
-        stats = f._file_stats
-        return {name: _stats_rec(pb_parse(stats[cid]))
-                for name, cid in f._top_columns() if cid < len(stats)}
+        return f.file_stats()
     finally:
         f.close()
-
-
-def _stats_may_match(stats: dict, predicate) -> bool:
-    col, op, lit = predicate
-    rec = stats.get(col)
-    if rec is None or "min" not in rec:
-        return True  # no stats → cannot prune
-    lo, hi = rec["min"], rec["max"]
-    try:
-        if op == "==":
-            return lo <= lit <= hi
-        if op in ("<", "<="):
-            return lo < lit if op == "<" else lo <= lit
-        if op in (">", ">="):
-            return hi > lit if op == ">" else hi >= lit
-    except TypeError:
-        pass  # a literal that does not compare with the stats cannot prune
-    return True
 
 
 def read_orc_files(paths, columns: list[str] | None = None,
@@ -882,8 +889,10 @@ def read_orc_files(paths, columns: list[str] | None = None,
     """Ray Data source over real ``.orc`` files, column-pruned at the
     stream level — unrequested columns never decompress. ``paths``: a
     directory, a glob, or an explicit list. ``predicate`` = one
-    (col, op, lit) triple or a list of them (a conjunction): whole files
-    whose footer stats exclude any term are never read beyond the tail
+    (col, op, lit) triple or a list of them (a conjunction; ops and
+    literal casts per ``predicate.py``, checked against each file's schema
+    here, before any task runs): whole files whose footer stats exclude
+    any term, or that lack a term's column, are never read beyond the tail
     (``OrcFile``'s checked tail parse on an mmap of the file; no stream
     is touched), surviving files prune STRIPES by Metadata stripe stats
     (+ blooms) and ROW GROUPS by ROW_INDEX, and surviving rows are
@@ -900,8 +909,6 @@ def read_orc_files(paths, columns: list[str] | None = None,
     import pyarrow as pa
     import ray.data as rd
 
-    from ..stripe.container import normalize_predicate
-
     preds = normalize_predicate(predicate)
     if isinstance(paths, str):
         if os.path.isdir(paths):
@@ -913,9 +920,12 @@ def read_orc_files(paths, columns: list[str] | None = None,
     if preds:
         kept = []
         for p in paths:
-            fs = read_file_stats(p)
-            if all(_stats_may_match(fs, t) for t in preds):
-                kept.append(p)
+            f = OrcFile(p)  # tail only: schema and footer stats
+            try:
+                if bind(preds, f.schema).may_match(f.file_stats().get):
+                    kept.append(p)
+            finally:
+                f.close()
         pruned = len(paths) - len(kept)
         if pruned:
             print(f"read_orc_files: footer stats pruned {pruned}/"
@@ -947,29 +957,18 @@ def read_orc_files(paths, columns: list[str] | None = None,
             drop_after = extra
 
     def decode(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         tables = []
         for p, si in zip(batch.column("path").to_pylist(),
                          batch.column("stripe").to_pylist()):
             f = OrcFile(p)
-            # surviving files also prune STRIPES by Metadata stripe stats
-            tables.append(f.read_table(
-                columns=read_cols, predicate=preds or None,
-                stripe_indices=None if si < 0 else [si]))
+            # surviving files also prune STRIPES and ROW GROUPS
+            t = f.read_table(columns=read_cols, predicate=preds or None,
+                             stripe_indices=None if si < 0 else [si])
+            if preds:  # exact row filter after the prunes
+                t = bind(preds, f.schema).filter(t)
+            tables.append(t)
             f.close()
         t = pa.concat_tables(tables)
-        for col, op, lit in preds:  # exact row filter after the prunes
-            kernel = {"==": pc.equal, "=": pc.equal, "<": pc.less,
-                      "<=": pc.less_equal, ">": pc.greater,
-                      ">=": pc.greater_equal}[op]
-            c = t.column(col)
-            try:
-                mask = kernel(c, lit)
-            except pa.ArrowNotImplementedError:
-                # no kernel for the pair: compare in the column's type
-                mask = kernel(c, pa.scalar(lit).cast(c.type))
-            t = t.filter(mask)
         if drop_after:
             t = t.drop_columns(drop_after)
         return t

@@ -9,7 +9,8 @@ Predicate pushdown (the reference's ROW_INDEX/seek-statistics analog,
 ColumnTypes/ColumnWriterStatistics.cs:12-33): stripe footers carry per-column
 min/max stats, so whole stripe files whose stat range cannot satisfy the
 predicate are pruned driver-side by a cheap tail read — only surviving
-stripes are scheduled, then the exact filter applies per decoded batch.
+stripes are scheduled, and each decode task returns only the matching rows.
+Every level evaluates the predicate through ``predicate.py``.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ import zlib
 
 import ray.data as rd
 
+from ..predicate import bind, normalize_predicate
 from ..stages.decode import StripeDecoder
-
-# predicate: (column, op, literal) with op in <, <=, >, >=, ==, !=
-_OPS = {"<", "<=", ">", ">=", "==", "!="}
+from ..stripe import bloom as bloom_mod
+from ..stripe.container import column_meta, footer_schema
 
 
 def stripe_paths(stripe_dir: str) -> list[str]:
@@ -46,42 +47,24 @@ def read_stripe_footer(path: str) -> dict:
         return json.loads(zlib.decompress(f.read(footer_len)))
 
 
-# Footer stats for timestamp/date columns are stored as ISO-ish strings
-# (str(datetime)); temporal predicates accept EITHER an ISO string or a
-# datetime/date literal — maybe_satisfies parses both sides to datetimes
-# for pruning and compare_mask casts the literal to the column type for
-# the exact filter, so one literal form prunes AND filters. A genuinely
-# incomparable literal degrades to no-prune rather than raising.
-from ..stripe.stats import maybe_satisfies as _maybe_satisfies
-
-
-def _prune_one(path: str, predicate) -> bool:
-    from ..stripe import bloom as bloom_mod
-    from ..stripe.container import normalize_predicate
-
-    footer = read_stripe_footer(path)
+def stripe_may_match(footer: dict, predicate) -> bool:
+    """May this stripe hold a row matching ``predicate``? Its footer stats,
+    and for equality terms its bloom (when written under this reader's
+    hash version), decide; a term on a column the stripe lacks prunes it.
+    Binding raises ``ValueError`` for a literal the column cannot take."""
+    bound = bind(predicate, footer_schema(footer))
+    if bound.empty:
+        return False
     bloom_ok = footer.get("bloom_hash") == bloom_mod.hash_version()
-    schema = None
-    for col, op, lit in normalize_predicate(predicate):
-        meta = next((c for c in footer["columns"] if c["name"] == col), {})
-        if not _maybe_satisfies(meta.get("stats", {}), op, lit):
+    for term in bound.terms:
+        meta = column_meta(footer, term.col)
+        if not term.may_match(meta.get("stats")):
             return False
-        # equality predicates additionally probe the per-stripe bloom (when
-        # written under the same hash version) — prunes point lookups on
-        # unclustered keys that min/max cannot. The literal is cast to the
-        # column's footer-schema type first (polars hashes 577 and 577.0
-        # differently — a raw-literal probe could false-negative).
-        if op == "==" and bloom_ok and "bloom" in meta:
-            if schema is None:
-                from ..stripe.container import footer_schema
-
-                schema = footer_schema(footer)
-            try:
-                col_type = schema.field(col).type
-            except KeyError:
-                col_type = None
-            if not bloom_mod.might_contain(meta["bloom"], lit, col_type):
-                return False
+        # equality: the bloom prunes point lookups on unclustered keys
+        # that min/max cannot
+        if bloom_ok and term.probe is not None and "bloom" in meta \
+                and not bloom_mod.might_contain(meta["bloom"], term.probe):
+            return False
     return True
 
 
@@ -105,7 +88,9 @@ def map_footers(paths: list[str], fn, chunk_size: int = 64,
 
 def prune_stripes(paths: list[str], predicate) -> list[str]:
     """Stat/bloom-based stripe pruning via tail-only footer reads."""
-    flags = map_footers(paths, lambda p: _prune_one(p, predicate))
+    preds = normalize_predicate(predicate)
+    flags = map_footers(
+        paths, lambda p: stripe_may_match(read_stripe_footer(p), preds))
     return [p for p, f in zip(paths, flags) if f]
 
 
@@ -115,8 +100,6 @@ def unified_schema(paths: list[str]) -> "pa.Schema":
     40-62 reads with a narrower/wider row shape). Fans out as Ray tasks
     above a few hundred files, like prune_stripes."""
     import pyarrow as pa
-
-    from ..stripe.container import footer_schema
 
     blobs = map_footers(
         paths,
@@ -146,22 +129,18 @@ def read_stripes(
     lineage_filter: dict | None = None,
 ) -> rd.Dataset:
     """predicate: one (column, op, literal) triple or a LIST of them (a
-    conjunction); stripes whose footer stats exclude any term are never
-    read, row-indexed stripes additionally skip non-qualifying strides,
-    the decode task late-materializes (predicate columns decode first and
-    non-matching rows never leave the task), and surviving batches get the
-    exact filter. unify_schema=True tolerates schema-evolved stripe sets:
-    every batch conforms to the union of all footers' schemas, with columns
-    missing from a stripe decoded as typed nulls."""
+    conjunction; ops and literal casts per ``predicate.py``, checked here
+    before any task runs); stripes whose footer stats or blooms exclude any
+    term are never read, row-indexed stripes additionally skip
+    non-qualifying strides, and the decode task late-materializes: the
+    predicate columns decode first, and only matching rows, projected to
+    ``columns``, leave the task. unify_schema=True tolerates schema-evolved
+    stripe sets: every batch conforms to the union of all footers' schemas,
+    with columns missing from a stripe decoded as typed nulls; a stripe
+    that lacks a predicate column holds no matching row."""
     import pyarrow as pa
 
-    from ..stripe.container import normalize_predicate
-
     preds = normalize_predicate(predicate)
-    for p in preds:
-        if p[1] not in _OPS:
-            raise ValueError(f"unsupported predicate op {p[1]}")
-
     paths = stripe_paths(stripe_dir)
     if not paths:
         raise FileNotFoundError(f"no .oray stripes under {stripe_dir}")
@@ -173,11 +152,7 @@ def read_stripes(
         if unknown:
             raise ValueError(
                 f"columns {unknown} exist in no stripe's schema under {stripe_dir}")
-        keep = [c for c in columns if c in target_schema.names]
-        for p in preds:
-            if p[0] in target_schema.names and p[0] not in keep:
-                keep = keep + [p[0]]
-        target_schema = pa.schema([target_schema.field(c) for c in keep])
+        target_schema = pa.schema([target_schema.field(c) for c in columns])
     if lineage_filter or preds:
         # ONE footer pass for both pruning axes (folding lineage + stat/
         # bloom checks avoids a second map_footers wave over the corpus):
@@ -185,14 +160,15 @@ def read_stripes(
         #   (e.g. source), so a per-source read touches only those stripes;
         #   stripes WITHOUT the key are kept conservatively (values compared
         #   as strings on both sides — lineage stamps are stringified).
-        # - predicate: footer min/max + bloom checks, as before.
+        # - predicate: footer min/max + bloom checks.
         def keep_stripe(p: str) -> bool:
+            footer = read_stripe_footer(p)
             if lineage_filter:
-                lin = read_stripe_footer(p).get("lineage", {})
+                lin = footer.get("lineage", {})
                 if not all(k not in lin or str(lin[k]) == str(v)
                            for k, v in lineage_filter.items()):
                     return False
-            return _prune_one(p, preds) if preds else True
+            return stripe_may_match(footer, preds) if preds else True
 
         flags = map_footers(paths, keep_stripe)
         kept = [p for p, f in zip(paths, flags) if f]
@@ -204,66 +180,40 @@ def read_stripes(
             if target_schema is not None:
                 sch = target_schema
             else:
-                from ..stripe.container import footer_schema
-
                 sch = footer_schema(read_stripe_footer(paths[0]))
                 if columns is not None:
                     sch = pa.schema([sch.field(c) for c in columns
                                      if c in sch.names])
             return rd.from_arrow(sch.empty_table())
         paths = kept
-    read_cols = columns
-    if preds and columns is not None:
-        extra = [p[0] for p in preds if p[0] not in columns]
-        if extra:
-            read_cols = list(columns) + sorted(set(extra), key=extra.index)
     fallback_schema = None
     if on_error == "skip" and target_schema is None:
         # derive the typed-empty schema for all-corrupt tasks from the first
         # READABLE footer (one driver-side tail read; corrupt candidates are
         # skipped the same way the decode tasks will skip them)
-        from ..stripe.container import footer_schema
-
         for p in paths[:8]:
             try:
                 sch = footer_schema(read_stripe_footer(p))
             except Exception:  # noqa: BLE001 — corrupt candidate, try next
                 continue
-            if read_cols is not None:
-                sch = pa.schema([sch.field(c) for c in read_cols
+            if columns is not None:
+                sch = pa.schema([sch.field(c) for c in columns
                                  if c in sch.names])
             fallback_schema = sch
             break
     # include_paths: the decoder needs each stripe's path to find its
     # merge-on-read delete sidecar (<file>.del, stripe/deletes.py)
     ds = rd.read_binary_files(paths, include_paths=True)
-    # stateless → plain-function task pool; the predicate additionally skips
-    # non-qualifying strides inside row-indexed stripes (ROW_INDEX analog)
-    decoder = StripeDecoder(columns=read_cols, predicate=preds or None,
+    # stateless → plain-function task pool; the predicate skips
+    # non-qualifying strides and filters rows inside each task
+    decoder = StripeDecoder(columns=columns, predicate=preds or None,
                             schema=target_schema, on_error=on_error,
                             fallback_schema=fallback_schema)
-    ds = ds.map_batches(
+    return ds.map_batches(
         decoder.__call__,
         batch_format="pyarrow",
         batch_size=None,  # one input file is already a full stripe
     )
-    if preds:
-        from ..stripe.stats import compare_mask
-
-        def exact_filter(batch: pa.Table) -> pa.Table:
-            out = batch
-            if out.num_rows == 0 and not out.column_names:
-                # schema-less empty block: every stripe of the task was
-                # skipped (on_error="skip") — nothing to filter or project
-                return out
-            for col, op, lit in preds:
-                # compare_mask casts the literal to the column type when no
-                # direct kernel exists (ISO string vs timestamp/date column)
-                out = out.filter(compare_mask(out.column(col), op, lit))
-            return out.select(columns) if columns is not None else out
-
-        ds = ds.map_batches(exact_filter, batch_format="pyarrow")
-    return ds
 
 
 def _natural_key(path: str) -> tuple:
@@ -296,7 +246,7 @@ def read_row_range(
     (decode_stripe's row_range seek, the ORC ROW_INDEX skip analog)."""
     import pyarrow as pa
 
-    from ..stripe.container import decode_stripe, footer_schema
+    from ..stripe.container import decode_stripe
 
     paths = sorted(stripe_paths(stripe_dir), key=_natural_key)
     if not paths:

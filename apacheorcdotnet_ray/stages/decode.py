@@ -21,8 +21,8 @@ class StripeDecoder:
                  fallback_schema: pa.Schema | None = None,
                  apply_deletes: bool = True):
         self.columns = columns
-        # (col, op, lit): on row-indexed stripes, skips non-qualifying
-        # strides before decompression; caller still applies the exact filter
+        # (col, op, lit) or a list of them: only matching rows leave the
+        # task; row-indexed stripes skip non-qualifying strides first
         self.predicate = predicate
         # target schema for schema-evolved stripe sets (the reference's
         # missing-column tolerance, RoundTrip_Test.cs:40-62): columns absent

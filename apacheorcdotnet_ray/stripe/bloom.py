@@ -57,28 +57,15 @@ def build(values, bits_per_value: int = 10, max_bits: int = 1 << 16,
             "bits": base64.b64encode(bits.tobytes()).decode()}
 
 
-def might_contain(bloom: dict, literal, arrow_type=None) -> bool:
-    """Probe for one literal; True on any doubt (advisory filter).
-
-    ``arrow_type`` (the column's type from the footer schema) is REQUIRED
-    for a meaningful probe whenever the literal's Python-inferred dtype
-    could differ from the column's: polars hashes 577 (Int64) and 577.0
-    (Float64) differently, so probing with the raw literal would produce a
-    FALSE NEGATIVE — silently pruning stripes that contain matching rows.
-    The literal is cast to the column type first; any cast failure or
-    value change (577.9 → int would truncate) degrades to True."""
+def might_contain(bloom: dict, value) -> bool:
+    """Probe for one value: a ``pa.Scalar`` of the column's type (the
+    ``predicate.Term.probe`` of an equality term), or a plain Python value
+    hashed as its inferred type. polars hashes 577 (Int64) and 577.0
+    (Float64) differently, so a probe in any type other than the column's
+    could give a false negative: ``Term.probe`` is that exact cast."""
     import pyarrow as pa
 
-    try:
-        if arrow_type is not None:
-            arr = pa.array([literal]).cast(arrow_type)
-            if arr[0].as_py() != literal:  # lossy cast → can't trust probe
-                return True
-            h = np.uint64(_hashes(arr)[0])
-        else:
-            h = np.uint64(_hashes([literal])[0])
-    except Exception:
-        return True
+    h = np.uint64(_hashes(pa.array([value]))[0])
     m = np.uint64(bloom["m"])
     bits = np.frombuffer(base64.b64decode(bloom["bits"]), dtype=np.uint8)
     h2 = (h >> np.uint64(17)) | np.uint64(1)

@@ -553,30 +553,23 @@ def _decode_string(t: pa.DataType, by_kind: dict, nv: int) -> pa.Array:
 
 
 def column_predicate_mask(field_: pa.Field, streams: list[Stream], n_rows: int,
-                          op: str, lit) -> pa.Array | None:
-    """Evaluate (op, lit) directly on a dict-encoded string/binary column:
-    ONE comparison over the (tiny) sorted dictionary, then a fancy-index
-    over the id stream — row strings never materialize for the predicate
-    (the classic predicate-on-encoded-data win for low-cardinality
-    columns). Returns None when the column isn't dict-encoded or the op
-    has no kernel; the caller then decodes + compares normally. Null rows
-    yield null (Kleene), matching ``compare_mask`` on a decoded column."""
+                          term) -> pa.Array | None:
+    """Evaluate a bound ``predicate.Term`` directly on a dict-encoded
+    string/binary column: ONE comparison over the (tiny) sorted dictionary,
+    then a fancy-index over the id stream — row strings never materialize
+    for the predicate (the classic predicate-on-encoded-data win for
+    low-cardinality columns). Returns None when the column isn't
+    dict-encoded; the caller then decodes + compares normally. Null rows
+    yield null (Kleene), matching ``term.mask`` on a decoded column."""
     by_kind = {s.kind: s for s in streams if s.col == field_.name}
     t = field_.type
     if DICT_DATA not in by_kind or not (
             pa.types.is_string(t) or pa.types.is_large_string(t)
             or pa.types.is_binary(t)):
         return None
-    from .stats import compare_mask
-
     dstream = by_kind[DICT_DATA]
     dlens = rlev2.decode(by_kind[DICT_LENGTH].data, False, dstream.n)
-    dictionary = _build_string_array(t, dlens, dstream.data)
-    try:
-        dmask = compare_mask(dictionary, op, lit)
-    except (pa.ArrowInvalid, pa.ArrowTypeError,
-            pa.ArrowNotImplementedError, TypeError, KeyError):
-        return None
+    dmask = term.mask(_build_string_array(t, dlens, dstream.data))
     dmask_np = dmask.to_numpy(zero_copy_only=False).astype(bool)
     present = by_kind.get(PRESENT)
     if present is None:

@@ -25,11 +25,12 @@ import zlib
 
 import pyarrow as pa
 
+from ..predicate import bind, normalize_predicate
 from .columns import (Stream, column_predicate_mask, decode_column,
                       encode_column)
 from .config import EncodeConfig
 from .framing import compress, decompress
-from .stats import maybe_satisfies, merge_stats
+from .stats import merge_stats
 
 MAGIC = b"ORAY1"
 TAIL_MAGIC = b"ORAY"
@@ -232,28 +233,20 @@ def footer_schema(footer: dict) -> pa.Schema:
     return pa.ipc.read_schema(pa.py_buffer(base64.b64decode(footer["schema"])))
 
 
-def normalize_predicate(predicate) -> list[tuple]:
-    """One (col, op, lit) triple or a list of them (conjunction) → list."""
-    if predicate is None:
-        return []
-    if isinstance(predicate, tuple) and len(predicate) == 3 \
-            and isinstance(predicate[1], str):
-        return [predicate]
-    return list(predicate)
+def column_meta(footer: dict, name: str) -> dict:
+    """One column's footer entry (stats, row index, bloom); {} when absent."""
+    return next((c for c in footer["columns"] if c["name"] == name), {})
 
 
 def qualifying_strides(footer: dict, predicate) -> list[int]:
-    """Stride indexes whose per-stride [min, max] could satisfy EVERY
-    (col, op, lit) in the conjunction. Columns without a row index qualify
-    every stride (conservative)."""
-    n_strides = len(footer.get("stride_rows", []))
-    keep = list(range(n_strides))
-    for col, op, lit in normalize_predicate(predicate):
-        meta = next((c for c in footer["columns"] if c["name"] == col), None)
-        ri = (meta or {}).get("row_index")
-        if not ri:
-            continue
-        keep = [i for i in keep if maybe_satisfies(ri[i], op, lit)]
+    """Stride indexes whose per-stride [min, max] may satisfy every term of
+    ``predicate`` (a ``predicate.Bound``). Columns without a row index
+    qualify every stride (conservative)."""
+    keep = list(range(len(footer.get("stride_rows", []))))
+    for term in predicate.terms:
+        ri = column_meta(footer, term.col).get("row_index")
+        if ri:
+            keep = [i for i in keep if term.may_match(ri[i])]
     return keep
 
 
@@ -269,11 +262,12 @@ def decode_stripe(
 
     Column pruning here is the analog of ORC's per-stream reads
     (Stripes/StripeStreamReader.cs:33-39): untouched columns' segments are
-    never decompressed. On stripes written with ``row_index_stride``, a
-    ``predicate`` (col, op, lit) additionally skips whole strides whose
-    footer row-index range excludes it — the ROW_INDEX seek analog
-    (ColumnWriterStatistics.cs:12-33); the result still needs the exact
-    row filter applied by the caller. ``row_range`` = stripe-local
+    never decompressed. ``predicate`` = one (col, op, lit) term or a list
+    of them (see ``predicate.py``): only the matching rows are returned,
+    and predicate columns outside ``columns`` are read for the mask and
+    dropped. On stripes written with ``row_index_stride`` it first skips
+    whole strides whose footer row-index range excludes it — the ROW_INDEX
+    seek analog (ColumnWriterStatistics.cs:12-33). ``row_range`` = stripe-local
     ``(start, stop)`` row positions: on strided stripes only the
     overlapping strides decompress (the ORC seek-to-row analog), then the
     exact slice is taken — the trainer fast-forward path. ``io_stats``,
@@ -288,7 +282,13 @@ def decode_stripe(
         raise ValueError(
             f"stripe format v{footer.get('version', 1)} != reader v{FORMAT_VERSION};"
             " re-encode the input")
-    schema = pa.ipc.read_schema(pa.py_buffer(base64.b64decode(footer["schema"])))
+    schema = footer_schema(footer)
+    proj = [f for f in schema if columns is None or f.name in columns]
+    out_schema = pa.schema(proj)
+    preds = normalize_predicate(predicate)
+    bound = bind(preds, schema) if preds else None
+    if bound is not None and bound.empty:
+        return out_schema.empty_table()  # a term's column is not in this stripe
     n_rows = footer["rows"]
     codec = footer.get("compression")
     framed = codec in ("zlib", "zstd")
@@ -296,12 +296,11 @@ def decode_stripe(
     range_slice = None  # (local offset into the decoded strides, length)
     range_sel = None    # stride indexes the range overlaps
     if row_range is not None:
-        if predicate is not None:
+        if bound is not None:
             raise ValueError("row_range and predicate are mutually exclusive")
         r0, r1 = max(0, int(row_range[0])), min(int(row_range[1]), n_rows)
         if r0 >= r1:
-            proj_f = [f for f in schema if columns is None or f.name in columns]
-            return pa.schema(proj_f).empty_table()
+            return out_schema.empty_table()
         srs = footer.get("stride_rows")
         if srs:
             bounds = [0]
@@ -339,8 +338,8 @@ def decode_stripe(
     stride_rows = footer.get("stride_rows")
     if stride_rows is not None and footer.get("version", 1) >= 5:
         sel = (range_sel if range_sel is not None
-               else qualifying_strides(footer, predicate)
-               if predicate is not None
+               else qualifying_strides(footer, bound)
+               if bound is not None
                else list(range(len(stride_rows))))
         if io_stats is not None:
             io_stats["strides_total"] = len(stride_rows)
@@ -393,8 +392,8 @@ def decode_stripe(
     elif stride_rows is not None:
         # v3/v4 strided layout: independently framed per-stride segments
         sel = (range_sel if range_sel is not None
-               else qualifying_strides(footer, predicate)
-               if predicate is not None
+               else qualifying_strides(footer, bound)
+               if bound is not None
                else list(range(len(stride_rows))))
         if io_stats is not None:
             io_stats["strides_total"] = len(stride_rows)
@@ -416,52 +415,39 @@ def decode_stripe(
         return pa.chunked_array(chunks, type=field_.type) \
             if chunks else pa.chunked_array([], type=field_.type)
 
-    def predicate_mask_field(field_, op, lit):
+    def predicate_mask_field(field_, term):
         # dictionary fast path: one compare over the tiny dict per chunk +
         # a fancy-index over ids — row strings never materialize
         out = []
         for s, n in field_chunks(field_):
-            m = column_predicate_mask(field_, s, n, op, lit)
+            m = column_predicate_mask(field_, s, n, term)
             if m is None:
                 return None
             out.append(m)
         return pa.chunked_array(out, type=pa.bool_()) \
             if out else pa.chunked_array([], type=pa.bool_())
 
-    proj = [f for f in schema if columns is None or f.name in columns]
-    out_schema = pa.schema(proj)
-
     # late materialization (CompressDB-style compressed-scan refinement,
-    # PAPERS.md SIGMOD 2022): decode the predicate column FIRST, and only
+    # PAPERS.md SIGMOD 2022): decode the predicate columns FIRST, and only
     # materialize the remaining columns for stripes/strides where rows
     # actually match — a selective scan never decodes non-matching data
     decoded: dict[str, object] = {}
     mask = None
-    preds = [p for p in normalize_predicate(predicate)
-             if any(f.name == p[0] for f in proj)]
-    if preds:
+    if bound is not None:
         import pyarrow.compute as pc
 
-        from .stats import compare_mask
-
-        for col, op, lit in preds:
-            pred_field = next(f for f in proj if f.name == col)
+        for term in bound.terms:
+            pred_field = schema.field(term.col)
             m = None
-            if col not in decoded:
-                m = predicate_mask_field(pred_field, op, lit)
+            if term.col not in decoded:
+                m = predicate_mask_field(pred_field, term)
                 if m is not None and io_stats is not None:
                     io_stats["dict_masked_cols"] = \
                         io_stats.get("dict_masked_cols", 0) + 1
             if m is None:
-                if col not in decoded:
-                    decoded[col] = decode_field(pred_field)
-                try:
-                    # compare_mask casts the literal to the column type when
-                    # no direct kernel exists (ISO string vs temporal column)
-                    m = compare_mask(decoded[col], op, lit)
-                except (pa.ArrowInvalid, pa.ArrowTypeError,
-                        pa.ArrowNotImplementedError, TypeError, KeyError):
-                    continue  # incomparable literal/op → can't refine
+                if term.col not in decoded:
+                    decoded[term.col] = decode_field(pred_field)
+                m = term.mask(decoded[term.col])
             mask = m if mask is None else pc.and_kleene(mask, m)
             if not pc.any(mask).as_py():
                 return out_schema.empty_table()

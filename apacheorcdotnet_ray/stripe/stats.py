@@ -62,9 +62,8 @@ def column_stats(arr: pa.ChunkedArray | pa.Array) -> dict:
             stats["min"] = str(mm["min"].as_py())
             stats["max"] = str(mm["max"].as_py())
         except (OverflowError, ValueError):
-            # outside Python datetime's year range → store raw epoch units;
-            # predicate comparisons vs string literals then degrade to
-            # conservative no-prune (maybe_satisfies catches the TypeError)
+            # outside Python datetime's year range → store raw epoch units,
+            # which predicate.py reads as "may match" (no prune)
             stats["min"] = mm["min"].value
             stats["max"] = mm["max"].value
     elif pa.types.is_list(t) or pa.types.is_large_list(t):
@@ -74,84 +73,6 @@ def column_stats(arr: pa.ChunkedArray | pa.Array) -> dict:
         stats["min_len"] = mm["min"].as_py()
         stats["max_len"] = mm["max"].as_py()
     return stats
-
-
-_CMP_KERNELS = None
-
-
-def compare_mask(col, op: str, lit):
-    """Arrow comparison kernel with literal coercion: when no kernel exists
-    for (column type, literal type) — e.g. a timestamp column vs an
-    ISO-string literal — cast the literal to the column's type and retry,
-    so ONE literal form (ISO string or datetime) works end-to-end for both
-    footer-stat pruning and the exact row filter."""
-    global _CMP_KERNELS
-    if _CMP_KERNELS is None:
-        _CMP_KERNELS = {"<": pc.less, "<=": pc.less_equal, ">": pc.greater,
-                        ">=": pc.greater_equal, "==": pc.equal,
-                        "!=": pc.not_equal}
-    fn = _CMP_KERNELS[op]
-    try:
-        return fn(col, pa.scalar(lit))
-    except (pa.ArrowNotImplementedError, pa.ArrowInvalid, pa.ArrowTypeError):
-        t = col.type
-        # cast fallback ONLY for temporal columns: elsewhere an incomparable
-        # literal keeps its documented degrade-to-no-refinement behavior
-        # (a blanket cast would silently turn e.g. int-vs-string into a
-        # lexicographic compare)
-        if not (pa.types.is_timestamp(t) or pa.types.is_date(t)
-                or pa.types.is_time(t)):
-            raise
-        return fn(col, pa.scalar(lit).cast(t))
-
-
-import re as _re
-
-_TEMPORAL_PREFIX = _re.compile(r"^\d{4}-\d{2}-\d{2}")
-
-
-def _parse_temporal(v):
-    import datetime as dt
-
-    if isinstance(v, dt.datetime):
-        return v
-    if isinstance(v, dt.date):
-        return dt.datetime.combine(v, dt.time())
-    return dt.datetime.fromisoformat(v)  # accepts ' ' and 'T', opt. fraction
-
-
-def maybe_satisfies(stats: dict, op: str, lit) -> bool:
-    """Can any value in [min, max] satisfy ``value <op> lit``? Missing stats
-    or an incomparable literal degrade to conservative True (no pruning).
-
-    Temporal columns store min/max as strings (str(datetime): space
-    separator, microseconds omitted when zero) — compared as raw strings, a
-    'T'-separated or '.000000'-suffixed literal would order WRONG, so when
-    both bounds look temporal all three values are parsed to datetimes
-    before comparing; an unparsable literal falls back to no-prune."""
-    lo, hi = stats.get("min"), stats.get("max")
-    if lo is None or hi is None:
-        return True
-    if (isinstance(lo, str) and isinstance(hi, str)
-            and _TEMPORAL_PREFIX.match(lo) and _TEMPORAL_PREFIX.match(hi)):
-        try:
-            lo, hi, lit = _parse_temporal(lo), _parse_temporal(hi), _parse_temporal(lit)
-        except (TypeError, ValueError):
-            pass  # incomparable forms fall through to the outer guard
-    try:
-        if op == "<":
-            return lo < lit
-        if op == "<=":
-            return lo <= lit
-        if op == ">":
-            return hi > lit
-        if op == ">=":
-            return hi >= lit
-        if op == "==":
-            return lo <= lit <= hi
-        return not (lo == hi == lit)  # !=
-    except TypeError:
-        return True
 
 
 def merge_stats(a: dict | None, b: dict | None) -> dict:

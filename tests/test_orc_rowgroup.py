@@ -14,6 +14,7 @@ import pytest
 from apacheorcdotnet_ray.codecs import rlev2
 from apacheorcdotnet_ray.sources.orc_reader import OrcFile
 from apacheorcdotnet_ray.sources.orc_writer import write_orc
+from apacheorcdotnet_ray.stripe import EncodeConfig, encode_stripe
 
 DEMO = "/root/reference/test/ApacheOrcDotNet.Test/Data/demo-12-zlib.orc"
 
@@ -254,6 +255,46 @@ def test_read_orc_files_literal_of_another_type(tmp_path):
         got = read_orc_files(str(tmp_path), predicate=pred).take_all()
         assert want.num_rows > 0
         assert pa.Table.from_pylist(got, schema=t.schema).sort_by("k").equals(want)
+
+
+_DRIFT_X = pa.table({"x": pa.array(np.arange(100, dtype=np.int64))})
+_DRIFT_S = pa.table({"s": pa.array([str(j) for j in range(100)])})
+
+
+@pytest.mark.parametrize("reader", ["read_stripes", "read_orc_files"])
+@pytest.mark.parametrize("table,pred,want", [
+    (pa.table({"s": ["2020-01-01 23:00", "2020-01-01T01:00"]}),
+     ("s", "==", "2020-01-01T01:00"), ["2020-01-01T01:00"]),
+    (_DRIFT_X, ("x", "!=", 5), [j for j in range(100) if j != 5]),
+    (_DRIFT_X, ("x", "=", 5), ValueError),        # no "=" alias
+    (_DRIFT_X, ("x", "==", "7"), [7]),
+    (_DRIFT_S, ("s", "==", 7), ["7"]),
+    (_DRIFT_X, ("x", "==", "abc"), ValueError),   # uncastable literal
+], ids=["iso_string", "ne", "eq_alias", "str_literal", "int_literal",
+        "uncastable"])
+def test_both_readers_same_answer(ray_session, tmp_path, reader, table,
+                                  pred, want):
+    """The `.oray` and ORC readers give the same rows for the same
+    predicate, and refuse the same predicates with ValueError from the
+    call itself (in the driver, before any task runs)."""
+    from apacheorcdotnet_ray.sources.orc_reader import read_orc_files
+    from apacheorcdotnet_ray.sources.stripes import read_stripes
+
+    if reader == "read_stripes":
+        buf, _ = encode_stripe(table, EncodeConfig(row_index_stride=50))
+        (tmp_path / "t.oray").write_bytes(buf)
+        read = read_stripes
+    else:
+        write_orc(table, str(tmp_path / "t.orc"), row_index_stride=50,
+                  bloom_columns=table.column_names)
+        read = read_orc_files
+    col = table.column_names[0]
+    if want is ValueError:
+        with pytest.raises(ValueError):
+            read(str(tmp_path), predicate=pred)
+        return
+    got = sorted(r[col] for r in read(str(tmp_path), predicate=pred).take_all())
+    assert got == sorted(want)
 
 
 @pytest.mark.skipif(not os.path.exists(DEMO), reason="reference conformance file not present")

@@ -501,6 +501,21 @@ def test_cli_encode_inspect_decode(ray_session, tmp_path):
     assert b.sort_by("r_regionkey").select(a.column_names).equals(
         a.sort_by("r_regionkey").cast(b.select(a.column_names).schema))
 
+    # import-orc parses literals like decode does (JSON, else the raw
+    # string); the read casts 7 to the string column's type
+    import pyarrow as pa
+
+    from apacheorcdotnet_ray.sources.orc_writer import write_orc
+
+    orc_dir = tmp_path / "orc"
+    orc_dir.mkdir()
+    write_orc(pa.table({"s": [str(j) for j in range(20)]}),
+              str(orc_dir / "s.orc"))
+    out_orc = str(tmp_path / "orc.parquet")
+    assert main(["import-orc", str(orc_dir), out_orc,
+                 "--predicate", "s,==,7"]) == 0
+    assert pq.read_table(out_orc)["s"].to_pylist() == ["7"]
+
 
 def test_conjunction_predicate_read(ray_session, tmp_path):
     import numpy as np

@@ -7,6 +7,7 @@ re-expressed as Arrow-table round-trips.
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 from apacheorcdotnet_ray.stripe import EncodeConfig, decode_stripe, encode_stripe, read_footer
@@ -242,15 +243,16 @@ def test_decimal_stats_widened_conservatively():
 def test_prune_incomparable_literal_no_crash():
     import datetime
 
-    from apacheorcdotnet_ray.sources.stripes import _maybe_satisfies
+    from apacheorcdotnet_ray.predicate import Term
 
-    # timestamp stats are ISO strings; a datetime literal must degrade to
-    # conservative no-prune instead of raising TypeError
+    # timestamp stats are ISO strings, read by the column's type
+    ts = pa.timestamp("us")
     stats = {"min": "2024-01-01 00:00:00", "max": "2024-06-01 00:00:00"}
-    assert _maybe_satisfies(stats, ">", datetime.datetime(2024, 3, 1)) is True
-    assert _maybe_satisfies(stats, "==", 12345) is True
+    assert Term("t", ">", datetime.datetime(2024, 3, 1), ts).may_match(stats)
+    # an int is the µs-epoch value (1970) the exact filter compares with
+    assert not Term("t", "==", 12345, ts).may_match(stats)
     # comparable ISO-string literal still prunes
-    assert _maybe_satisfies(stats, ">", "2024-07-01 00:00:00") is False
+    assert not Term("t", ">", "2024-07-01 00:00:00", ts).may_match(stats)
 
 
 def test_struct_column_roundtrip():
@@ -461,9 +463,9 @@ def test_late_materialization_skips_nonmatching_decode():
     part = decode_stripe(buf, predicate=("k", "<", 100))
     assert part.num_rows == 100
     assert part.column("k").to_pylist() == list(range(100))
-    # incomparable literal degrades to full decode
-    full = decode_stripe(buf, predicate=("payload", "<", 5))
-    assert full.num_rows == n
+    # an int literal against a string column compares as the string "5"
+    some = decode_stripe(buf, predicate=("payload", "<", 5))
+    assert some.equals(t.filter(pc.less(t["payload"], "5")))
 
 
 def test_bloom_filter_prunes_point_lookups(tmp_path):
@@ -500,15 +502,20 @@ def test_bloom_filter_prunes_point_lookups(tmp_path):
 
 
 def test_bloom_probe_type_mismatch_no_false_negative():
+    from apacheorcdotnet_ray.predicate import Term
     from apacheorcdotnet_ray.stripe import bloom as bloom_mod
+
+    def probe(lit, t):
+        return Term("c", "==", lit, t).probe
 
     b_int = bloom_mod.build(pa.array([577, 1000], type=pa.int64()))
     # float literal against int64 column: must cast-and-match, never prune
-    assert bloom_mod.might_contain(b_int, 577.0, pa.int64())
-    assert not bloom_mod.might_contain(b_int, 9999, pa.int64())
-    assert bloom_mod.might_contain(b_int, 577.9, pa.int64())  # lossy → keep
+    assert bloom_mod.might_contain(b_int, probe(577.0, pa.int64()))
+    assert not bloom_mod.might_contain(b_int, probe(9999, pa.int64()))
+    assert probe(577.9, pa.int64()) is None  # lossy → no probe, keep
+    assert probe(0.1, pa.float32()) is None  # 0.1 has no exact float32
     b_f32 = bloom_mod.build(pa.array([1.5, 2.5], type=pa.float32()))
-    assert bloom_mod.might_contain(b_f32, 1.5, pa.float32())
+    assert bloom_mod.might_contain(b_f32, probe(1.5, pa.float32()))
 
 
 def test_merge_stats_mixed_timestamp_forms():

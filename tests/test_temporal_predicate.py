@@ -5,7 +5,7 @@ Regression for the round-2 advisory: timestamp footer stats are stored as
 str(datetime) (space separator, microseconds dropped when zero) while
 pc.less_equal(timestamp_col, pa.scalar("...")) has no kernel — so a string
 literal raised in the read task and a datetime literal silently disabled
-pruning. No Ray needed: decode_stripe + the stats helpers are pure."""
+pruning. No Ray needed: decode_stripe + predicate.Term are pure."""
 
 import datetime as dt
 
@@ -15,7 +15,9 @@ import pytest
 
 from apacheorcdotnet_ray.stripe.config import EncodeConfig
 from apacheorcdotnet_ray.stripe.container import decode_stripe, encode_stripe
-from apacheorcdotnet_ray.stripe.stats import compare_mask, maybe_satisfies
+from apacheorcdotnet_ray.predicate import Term
+
+TS = pa.timestamp("us")
 
 
 def _ts_table(n=6000):
@@ -52,24 +54,32 @@ def test_temporal_filter_and_stride_prune(lit):
 ])
 def test_maybe_satisfies_temporal_forms(lit):
     stats = {"min": "2024-01-01 00:00:00", "max": "2024-01-02 23:59:59"}
-    assert maybe_satisfies(stats, "<", lit)        # range below the cutoff
-    assert not maybe_satisfies(stats, ">=", lit)   # nothing at/after it
+    assert Term("ts", "<", lit, TS).may_match(stats)  # range below the cutoff
+    assert not Term("ts", ">=", lit, TS).may_match(stats)  # nothing at/after it
     # a 'T' literal compared RAW would sort above ' '-separated bounds and
     # wrongly claim > is satisfiable — parsed comparison must say no
-    assert not maybe_satisfies(stats, ">", "2024-01-02T23:59:59")
+    assert not Term("ts", ">", "2024-01-02T23:59:59", TS).may_match(stats)
 
 
 def test_maybe_satisfies_incomparable_degrades_to_true():
     stats = {"min": "2024-01-01 00:00:00", "max": "2024-01-02 00:00:00"}
-    assert maybe_satisfies(stats, "<", 12345)      # int vs temporal strings
-    assert maybe_satisfies({"min": 1, "max": 2}, "<", dt.datetime(2024, 1, 1))
+    # an int against a timestamp column is its µs-epoch value (1970), the
+    # value the exact filter compares with: below this range, so pruned
+    t = Term("ts", "<", 12345, TS)
+    assert not t.may_match(stats)
+    assert t.mask(pa.array([dt.datetime(2024, 1, 1)], TS)).to_pylist() == [False]
+    # raw-epoch bounds (the out-of-range fallback) cannot be read: no prune
+    assert Term("ts", "<", dt.datetime(2024, 1, 1), TS).may_match(
+        {"min": 1, "max": 2})
+    # a literal past datetime's year range has no Python value: no prune
+    assert Term("ts", ">", 10**18, TS).may_match(stats)
 
 
 def test_compare_mask_casts_literal():
     col = pa.chunked_array([pa.array(
-        [dt.datetime(2024, 1, 1), dt.datetime(2024, 1, 5)],
-        type=pa.timestamp("us"))])
-    m = compare_mask(col, "<", "2024-01-03T00:00:00")
+        [dt.datetime(2024, 1, 1), dt.datetime(2024, 1, 5)], type=TS)])
+    m = Term("ts", "<", "2024-01-03T00:00:00", TS).mask(col)
     assert m.to_pylist() == [True, False]
-    # non-temporal paths are untouched
-    assert compare_mask(pa.array([1, 5]), ">=", 5).to_pylist() == [False, True]
+    # a numeric literal against a numeric column is not cast
+    m = Term("x", ">=", 5, pa.int64()).mask(pa.array([1, 5]))
+    assert m.to_pylist() == [False, True]
