@@ -34,11 +34,13 @@ def zigzag_encode(values: np.ndarray) -> np.ndarray:
 
 
 def zigzag_decode(values: np.ndarray) -> np.ndarray:
-    """Inverse of zigzag_encode. Reference: BitManipulation.cs:64-67."""
-    v = np.asarray(values, dtype=I64)
-    u = v.view(U64) >> np.uint64(1)
-    with np.errstate(over="ignore"):
-        return u.view(I64) ^ -(v & np.int64(1))
+    """Inverse of zigzag_encode, in uint64 arithmetic (which wraps without
+    warnings). Reference: BitManipulation.cs:64-67."""
+    u = np.asarray(values, dtype=I64).view(U64)
+    out = u & U64(1)
+    np.subtract(U64(0), out, out=out)  # 0 - (u & 1)
+    out ^= u >> U64(1)
+    return out.view(I64)
 
 
 def zigzag_encode_scalar(value: int) -> int:
@@ -158,20 +160,48 @@ def pack_bits(values: np.ndarray, width: int) -> bytes:
     return np.packbits(np.unpackbits(be, axis=1)[:, 8 * nb - width:]).tobytes()
 
 
+# An 8-value block of w-bit values is w bytes. Lane j of a block starts at
+# bit j*w: byte (j*w) >> 3 of the block, bit (j*w) & 7 of that byte.
+_LANE_BYTE = [None] + [(np.arange(8) * w) >> 3 for w in range(1, 65)]
+_LANE_BIT = [None] + [((np.arange(8) * w) & 7).astype(U64)[:, None] for w in range(1, 65)]
+BLOCK_PAD = 8  # bytes unpack_blocks reads past the last block
+
+
+def unpack_blocks(data, width: int, blocks: int) -> np.ndarray:
+    """Every value of the first ``blocks`` MSB-first blocks of 8
+    ``width``-bit values in ``data``, as uint64. ``data`` (any bytes-like
+    object) must hold ``BLOCK_PAD`` bytes past the last block: each lane is
+    one unaligned 8-byte load at its block's start plus a constant per
+    lane, shifted by a constant per lane."""
+    lanes, bits = _LANE_BYTE[width], _LANE_BIT[width]
+    # the 8-byte word at every byte of every block, byte-major: row o holds
+    # the word at byte o of each block, so a lane is one row
+    words = np.ndarray((width, blocks), U64, data, strides=(1, width))
+    x = words[lanes]  # (8, blocks): gathered lane by lane
+    x.byteswap(inplace=True)
+    x <<= bits
+    if width > 57:  # a lane can reach into a ninth byte
+        ninth = np.ndarray((width, blocks), np.uint8, data, 8, (1, width))
+        x |= ninth[lanes] >> (U64(8) - bits)
+    x >>= U64(64 - width)
+    return x.T.reshape(-1)
+
+
 def unpack_bits(buf, width: int, count: int, offset: int = 0) -> tuple[np.ndarray, int]:
     """Read `count` MSB-first `width`-bit integers from buf starting at byte
     `offset`. Returns (uint64 array, bytes consumed)."""
+    if not 1 <= width <= 64:
+        raise ValueError(f"bit width {width} outside 1..64")
     nbytes = (count * width + 7) // 8
     if count == 0:
         return np.empty(0, dtype=U64), 0
-    raw = np.frombuffer(buf, dtype=np.uint8, count=nbytes, offset=offset)
-    if width == 8:
-        return raw.astype(U64), nbytes
-    bits = np.unpackbits(raw)[: count * width].reshape(count, width)
-    out = np.zeros((count, 64), dtype=np.uint8)
-    out[:, 64 - width:] = bits
-    packed = np.packbits(out, axis=1)
-    return np.ascontiguousarray(packed).view(">u8").ravel().astype(U64), nbytes
+    if offset + nbytes > len(buf):
+        raise ValueError(f"{count} {width}-bit values at byte {offset} overrun "
+                         f"a {len(buf)}-byte buffer")
+    blocks = (count + 7) // 8
+    data = bytearray(blocks * width + BLOCK_PAD)
+    data[:nbytes] = buf[offset:offset + nbytes]
+    return unpack_blocks(data, width, blocks)[:count], nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +245,7 @@ def read_varint_signed(buf, pos: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# big-endian fixed-width longs (BitManipulation.cs:20-29,55-62)
+# big-endian fixed-width longs (BitManipulation.cs:20-29)
 
 
 def write_long_be(out: bytearray, num_bytes: int, value: int) -> None:
@@ -223,9 +253,3 @@ def write_long_be(out: bytearray, num_bytes: int, value: int) -> None:
     for i in range(num_bytes - 1, -1, -1):
         out.append((value >> (i * 8)) & 0xFF)
 
-
-def read_long_be(buf, pos: int, num_bytes: int) -> tuple[int, int]:
-    result = 0
-    for i in range(num_bytes):
-        result = (result << 8) | buf[pos + i]
-    return result, pos + num_bytes

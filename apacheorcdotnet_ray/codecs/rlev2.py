@@ -6,15 +6,32 @@ Reimplements the greedy 512-value-window codec auto-selection cascade of
 (``IntegerRunLengthEncodingV2Reader.cs``), producing byte-identical output so
 that our compressed sizes equal the reference's by construction.
 
-Inner math is NumPy over whole windows; the only Python-level loop is per
+The writer's inner math is NumPy over whole windows; its only Python-level loop is per
 encoded run (≤512 values each). The reference's percentile bit widths come
 from a per-window width histogram; since a value's width is monotone in the
 value, they are read here from two order statistics of each window (its
 maximum and its (drop+1)-th largest value). Golden byte vectors from
 ``IntegerRunLengthEncodingV2_Test.cs`` are ported to ``tests/test_rlev2.py``.
+
+The reader decodes a whole stream, not one run at a time, in two steps:
+
+1. A scalar pass over the run headers. It records each run's kind,
+   length, output offset, base and delta base, and queues the run's
+   bit-packed bytes (DIRECT and PATCHED_BASE values, DELTA magnitudes),
+   padded to whole 8-value blocks, under its bit width. It stops at the
+   expected count and bounds every run by the bytes present.
+2. One expansion of all runs. Each width's queued blocks go through one
+   ``bitpack.unpack_blocks`` call (a word gather per lane of a block).
+   SHORT_REPEAT values fill the output with one ``np.repeat``, DIRECT
+   values are copied in, and one zigzag decodes both. PATCHED_BASE runs add
+   their base, and every patch list of the stream is applied in one scatter.
+   DELTA runs read one running sum per width, less its value before each
+   run.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
@@ -32,11 +49,11 @@ from .bitpack import (
     num_bits,
     pack_bits,
     percentile_widths,
-    read_long_be,
+    BLOCK_PAD,
     read_varint_signed,
     read_varint_unsigned,
     subtraction_would_overflow,
-    unpack_bits,
+    unpack_blocks,
     write_long_be,
     write_varint_signed,
     write_varint_unsigned,
@@ -386,6 +403,11 @@ def _generate_patch_list(
 # ---------------------------------------------------------------------------
 # decoder
 
+_WIDTHS = tuple(decode_direct_width(e) for e in range(32))
+_LIST_WIDTHS = tuple(int(w) for w in _NEAREST_TABLE)
+_ZEROS = bytes(64)
+_STEPS = np.arange(_WINDOW, dtype=I64)
+
 
 def decode(buf: bytes, signed: bool, expected_count: int | None = None) -> np.ndarray:
     """Decode RLEv2 bytes to int64. Consumes the entire buffer (or stops once
@@ -394,6 +416,11 @@ def decode(buf: bytes, signed: bool, expected_count: int | None = None) -> np.nd
     if expected_count is None and pos != len(buf):
         raise ValueError(f"RLEv2 decode consumed {pos} of {len(buf)} bytes")
     return values
+
+
+def _wrap(x: int) -> int:
+    """A Python int as the int64 it wraps to."""
+    return ((x + (1 << 63)) & _MASK64) - (1 << 63)
 
 
 def decode_from(
@@ -405,154 +432,184 @@ def decode_from(
     final run producing MORE than requested (an ORC ROW_INDEX seek into a
     foreign writer's stream lands on a run header that can span a
     row-group boundary — the caller slices). Without it a count mismatch
-    raises (the native container's segments are exact)."""
-    chunks: list[np.ndarray] = []
-    total = 0
+    raises (the native container's segments are exact). A run that reaches
+    past the end of ``buf`` raises ``ValueError``. The header pass follows
+    Reader.cs:53-199; the module docstring describes the two steps."""
     end = len(buf)
-    # consecutive SHORT_REPEAT runs batch into one np.repeat (run-heavy
-    # streams would otherwise pay one np.full per 3-10 values)
-    sr_vals: list[int] = []
-    sr_reps: list[int] = []
-    sr_pending = 0
+    limit = sys.maxsize if expected_count is None else expected_count
+    from_bytes = int.from_bytes
+    # every run: its SHORT_REPEAT value (0 for other kinds) and its length
+    fill: list[int] = []
+    counts: list[int] = []
+    # other kinds, by run: (first output index, length, width, first value
+    # in its width's unpacked output, ...)
+    direct: list[tuple] = []
+    patched: list[tuple] = []
+    deltas: list[tuple] = []
+    lists: list[tuple] = []  # PATCHED_BASE patch lists, in patch_bytes
+    patch_bytes: list = []
+    groups: dict[int, list] = {}  # width -> [payloads, blocks so far]
 
-    def flush_sr():
-        nonlocal total, sr_pending
-        if not sr_vals:
-            return
-        raw = np.array(sr_vals, dtype=U64)
-        vals = zigzag_decode(raw.view(I64)) if signed else raw.view(I64)
-        arr = np.repeat(vals, sr_reps)
-        chunks.append(arr)
-        total += len(arr)
-        sr_vals.clear()
-        sr_reps.clear()
-        sr_pending = 0
+    def payload(start: int, n: int, w: int) -> tuple[int, int]:
+        """Queue n w-bit values at buf[start:], padded to whole 8-value
+        blocks, for the width's unpack; returns (index of the first in the
+        width's output, end of the payload)."""
+        stop = start + (n * w + 7) // 8
+        if stop > end:
+            raise ValueError(f"RLEv2 payload ends at byte {stop}, past the "
+                             f"{end}-byte buffer")
+        g = groups.get(w)
+        if g is None:
+            g = groups[w] = [[], 0]
+        blocks = (n + 7) >> 3
+        g[0].append(buf[start:stop])
+        g[0].append(_ZEROS[:blocks * w - (stop - start)])
+        at = g[1] * 8
+        g[1] += blocks
+        return at, stop
 
-    while pos < end and (expected_count is None or total + sr_pending < expected_count):
-        first = buf[pos]
-        pos += 1
-        etype = (first >> 6) & 0x3
-        if etype == 0:
-            width = ((first >> 3) & 0x7) + 1
-            sr_vals.append(int.from_bytes(buf[pos : pos + width], "big"))
-            rep = (first & 0x7) + 3
-            sr_reps.append(rep)
-            sr_pending += rep
-            pos += width
-            continue
-        flush_sr()
-        if etype == 1:
-            arr, pos = _read_direct(buf, pos, first, signed)
-        elif etype == 2:
-            arr, pos = _read_patched_base(buf, pos, first)
-        else:
-            arr, pos = _read_delta(buf, pos, first, signed)
-        chunks.append(arr)
-        total += len(arr)
-    flush_sr()
+    add_fill, add_count = fill.append, counts.append
+    total = n_entries = n_patch_bytes = 0
+    try:
+        while pos < end and total < limit:
+            first = buf[pos]
+            if first < 0x40:  # SHORT_REPEAT
+                nxt = pos + 2 + ((first >> 3) & 0x7)
+                if nxt > end:
+                    raise ValueError(f"RLEv2 repeat at byte {pos} overruns "
+                                     f"the {end}-byte buffer")
+                add_fill(from_bytes(buf[pos + 1:nxt], "big"))
+                n = (first & 0x7) + 3
+                add_count(n)
+                total += n
+                pos = nxt
+                continue
+            kind = first >> 6
+            n = (((first & 0x1) << 8) | buf[pos + 1]) + 1
+            w = _WIDTHS[(first >> 1) & 0x1F]
+            pos += 2
+            if kind == 1:  # DIRECT
+                at, pos = payload(pos, n, w)
+                direct.append((total, n, w, at))
+            elif kind == 2:  # PATCHED_BASE
+                third, fourth = buf[pos], buf[pos + 1]
+                patch_w = _WIDTHS[third & 0x1F]
+                gap_w = (fourth >> 5) + 1
+                if patch_w + gap_w > 64:
+                    raise ValueError("patchGapWidth + patchWidth > 64")
+                base_end = pos + 3 + (third >> 5)
+                base = from_bytes(buf[pos + 2:base_end], "big")
+                msb = 1 << (8 * (base_end - pos - 2) - 1)
+                if base & msb:
+                    base = -(base ^ msb)
+                at, pos = payload(base_end, n, w)
+                entries, list_w = fourth & 0x1F, _LIST_WIDTHS[patch_w + gap_w]
+                stop = pos + (entries * list_w + 7) // 8
+                if stop > end:
+                    raise ValueError(f"RLEv2 patch list ends at byte {stop}, "
+                                     f"past the {end}-byte buffer")
+                if entries:
+                    lists.append((total, n, w, patch_w, list_w, entries,
+                                  n_entries, n_patch_bytes))
+                    patch_bytes.append(buf[pos:stop])
+                    n_entries += entries
+                    n_patch_bytes += stop - pos
+                patched.append((total, n, w, at, base))
+                pos = stop
+            else:  # DELTA
+                w = w if (first >> 1) & 0x1F else 0
+                if signed:
+                    base, pos = read_varint_signed(buf, pos)
+                else:
+                    base, pos = read_varint_unsigned(buf, pos)
+                step, pos = read_varint_signed(buf, pos)
+                at = 0
+                if w:
+                    if n < 2:
+                        raise ValueError("RLEv2 DELTA run of one value has a bit width")
+                    at, pos = payload(pos, n - 2, w)
+                deltas.append((total, n, w, at, base, step))
+            add_fill(0)
+            add_count(n)
+            total += n
+    except IndexError:
+        raise ValueError(f"RLEv2 run header overruns the {end}-byte buffer") from None
     if expected_count is not None and (
             total < expected_count
             or (total != expected_count and not allow_overshoot)):
         raise ValueError(f"RLEv2 decode produced {total} values, expected {expected_count}")
-    if not chunks:
-        return np.empty(0, dtype=I64), pos
-    return np.concatenate(chunks), pos
 
-
-def _read_short_repeat(buf, pos, first, signed):
-    """Reader.cs:53-62."""
-    width = ((first >> 3) & 0x7) + 1
-    repeat = (first & 0x7) + 3
-    value, pos = read_long_be(buf, pos, width)
-    if signed:
-        value = int(zigzag_decode(np.array([value & _MASK64], dtype=U64).view(I64))[0])
-    elif value >> 63:
-        value -= 1 << 64
-    return np.full(repeat, value, dtype=I64), pos
-
-
-def _read_direct(buf, pos, first, signed):
-    """Reader.cs:64-78."""
-    width = decode_direct_width((first >> 1) & 0x1F)
-    length = ((first & 0x1) << 8) | buf[pos]
-    pos += 1
-    length += 1
-    raw, consumed = unpack_bits(buf, width, length, pos)
-    pos += consumed
-    vals = raw.view(I64)
-    if signed:
-        vals = zigzag_decode(vals)
-    return vals, pos
-
-
-def _read_patched_base(buf, pos, first):
-    """Reader.cs:80-149."""
-    width = decode_direct_width((first >> 1) & 0x1F)
-    length = (((first & 0x1) << 8) | buf[pos]) + 1
-    pos += 1
-    third = buf[pos]
-    pos += 1
-    base_value_width = ((third >> 5) & 0x7) + 1
-    patch_width = decode_direct_width(third & 0x1F)
-    fourth = buf[pos]
-    pos += 1
-    patch_gap_width = ((fourth >> 5) & 0x7) + 1
-    patch_list_length = fourth & 0x1F
-
-    base_value, pos = read_long_be(buf, pos, base_value_width)
-    msb_mask = 1 << (base_value_width * 8 - 1)
-    if base_value & msb_mask:
-        base_value = -(base_value & ~msb_mask)
-
-    data, consumed = unpack_bits(buf, width, length, pos)
-    pos += consumed
-    if patch_gap_width + patch_width > 64:
-        raise ValueError("patchGapWidth + patchWidth > 64")
-    patch_list_width = find_nearest_direct_width(patch_width + patch_gap_width)
-    patch_list, consumed = unpack_bits(buf, patch_list_width, patch_list_length, pos)
-    pos += consumed
-
-    # apply patches (≤31 entries → Python loop is fine)
-    patch_mask = (1 << patch_width) - 1
-    gap_acc = 0
-    data = data.copy()
-    for raw in patch_list.tolist():
-        cur_gap = raw >> patch_width
-        patch = raw & patch_mask
-        if cur_gap == 255 and patch == 0:
-            gap_acc += 255
-            continue
-        gap_acc += cur_gap
-        data[gap_acc] |= np.uint64(patch << width)
-    with np.errstate(over="ignore"):
-        result = (data.view(I64) + np.int64(base_value))
-    return result, pos
-
-
-def _read_delta(buf, pos, first, signed):
-    """Reader.cs:151-199."""
-    enc_w = (first >> 1) & 0x1F
-    width = decode_direct_width(enc_w) if enc_w != 0 else 0
-    length = ((first & 0x1) << 8) | buf[pos]
-    pos += 1
-    if signed:
-        base, pos = read_varint_signed(buf, pos)
-    else:
-        base, pos = read_varint_unsigned(buf, pos)
-    delta_base, pos = read_varint_signed(buf, pos)
-    if width == 0:
-        with np.errstate(over="ignore"):
-            out = np.int64(base) + np.int64(delta_base) * np.arange(length + 1, dtype=I64)
-        return out, pos
-    deltas, consumed = unpack_bits(buf, width, length - 1, pos)
-    pos += consumed
-    sign = 1 if delta_base > 0 else -1
-    with np.errstate(over="ignore"):
-        steps = np.concatenate(
-            [
-                np.array([base, delta_base], dtype=I64),
-                np.int64(sign) * deltas.view(I64),
-            ]
-        )
-        out = np.cumsum(steps, dtype=I64)
+    repeats = len(counts) > len(direct) + len(patched) + len(deltas)
+    if repeats:
+        out = np.repeat(np.array(fill, dtype=U64), counts).view(I64)
+    else:  # every value is written below
+        out = np.empty(total, dtype=I64)
+    unpacked = {}
+    for w, (parts, blocks) in groups.items():
+        parts.append(_ZEROS[:BLOCK_PAD])
+        unpacked[w] = unpack_blocks(b"".join(parts), w, blocks).view(I64)
+    for s, n, w, at in direct:
+        out[s:s + n] = unpacked[w][at:at + n]
+    if signed and (repeats or direct):
+        # PATCHED_BASE and DELTA runs are written after: they are not zigzagged
+        out = zigzag_decode(out)
+    for s, n, w, at, base in patched:
+        np.add(unpacked[w][at:at + n], base, out=out[s:s + n])
+    if lists:
+        _patch(out, lists, b"".join(patch_bytes + [_ZEROS[:9]]))
+    if deltas:
+        _expand_deltas(out, deltas, unpacked)
     return out, pos
+
+
+def _patch(out: np.ndarray, lists: list[tuple], data: bytes) -> None:
+    """Apply every PATCHED_BASE patch list of a stream in one scatter
+    (Reader.cs:114-147). ``lists`` holds per list: (first output index of
+    its run, run length, value width, patch width, entry width, entries,
+    index of its first entry among the stream's, byte offset in ``data``)."""
+    table = np.array(lists, dtype=I64)
+    per_entry = np.repeat(table, table[:, 5], axis=0).view(U64).T
+    s, n, w, patch_w, list_w, _, first, offset = per_entry
+    bit = offset * U64(8) + (np.arange(len(s), dtype=U64) - first) * list_w
+    byte, shift = bit >> U64(3), bit & U64(7)
+    words = np.ndarray(len(data) - 7, U64, data, strides=(1,))  # word at every byte
+    x = words[byte].byteswap() << shift
+    x |= np.frombuffer(data, np.uint8)[byte + U64(8)] >> (U64(8) - shift)
+    x >>= U64(64) - list_w
+    gap = x >> patch_w
+    # the running gap is the position; a gap of 255 with patch 0 only moves it on
+    at = np.cumsum(gap)
+    at -= (at - gap)[first]
+    real = x != U64(255) << patch_w
+    at, x, gap, (s, n, w, patch_w) = at[real], x[real], gap[real], per_entry[:4, real]
+    if (at >= n).any():
+        raise ValueError("RLEv2 patch position past the end of its run")
+    # the base is already added; a patch's bits lie above the value's, so
+    # adding them is the reference's OR
+    out[s + at] += ((x ^ (gap << patch_w)) << w).view(I64)
+
+
+def _expand_deltas(out: np.ndarray, deltas: list[tuple], unpacked: dict) -> None:
+    """DELTA runs (Reader.cs:151-199): a run is its base, base + step, then
+    the running sum of its unpacked magnitudes, signed like the step. One
+    cumulative sum per width serves every run of that width: a run's sums
+    are the width's running sum minus its value before the run."""
+    sums = {}
+    for s, n, w, at, base, step in deltas:
+        if not w:  # fixed step
+            seg = out[s:s + n]
+            np.multiply(_STEPS[:n], step, out=seg)
+            seg += base
+            continue
+        out[s] = base
+        out[s + 1] = _wrap(base + step)
+        if n == 2:
+            continue
+        c = sums.get(w)
+        if c is None:
+            c = sums[w] = np.cumsum(unpacked[w])
+        before = int(c[at - 1]) if at else 0
+        if step > 0:
+            np.add(c[at:at + n - 2], _wrap(base + step - before), out=out[s + 2:s + n])
+        else:
+            np.subtract(_wrap(base + step + before), c[at:at + n - 2], out=out[s + 2:s + n])

@@ -336,26 +336,6 @@ def _minhash_from_shingles(
     return sigs
 
 
-def _batch_minhash(
-    texts: pa.Array | pa.ChunkedArray, k: int, a: np.ndarray, b: np.ndarray
-) -> np.ndarray:
-    sh, offs = _batch_shingle_hashes(texts, k)
-    return _minhash_from_shingles(sh, offs, a, b)
-
-
-def minhash_signatures(ds: rd.Dataset, k: int = 3, num_perm: int = 64) -> rd.Dataset:
-    a, b = _minhash_params(num_perm)
-
-    def fn(batch: pa.Table) -> pa.Table:
-        sigs = _batch_minhash(batch.column("text"), k, a, b).view(np.int64)
-        return pa.table({
-            "doc_id": batch.column("doc_id"),
-            "sig": pa.array(sigs.tolist(), type=pa.list_(pa.int64())),
-        })
-
-    return ds.map_batches(fn, batch_format="pyarrow")
-
-
 def dedup_minhash_lsh(
     ds: rd.Dataset, k: int = 3, num_perm: int = 64, bands: int = 16,
     jaccard_threshold: float = 0.8, num_partitions: int = 64,

@@ -45,19 +45,6 @@ def train_val_split(
             ds.map_batches(side(True), batch_format="pyarrow"))
 
 
-def hash_sample(
-    ds: rd.Dataset, frac: float, id_col: str = "doc_id",
-) -> rd.Dataset:
-    """Deterministic ~frac sample by id hash (a filter, not a shuffle)."""
-    cut = int(frac * _BUCKETS)
-
-    def fn(batch: pa.Table) -> pa.Table:
-        h = _row_hash(batch.column(id_col).to_numpy(zero_copy_only=False))
-        return batch.filter(pa.array(h < cut))
-
-    return ds.map_batches(fn, batch_format="pyarrow")
-
-
 def mix_sources(
     ds: rd.Dataset, weights: dict[str, float],
     key_col: str = "source", id_col: str = "doc_id",

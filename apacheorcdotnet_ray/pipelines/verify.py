@@ -28,19 +28,6 @@ def _row_fingerprints(batch: pa.Table, key: str) -> pa.Table:
                      "rows": pa.array([len(hashes)], type=pa.int64())})
 
 
-def dataset_fingerprint(ds: rd.Dataset, key: str = "doc_id") -> tuple[int, int]:
-    """(xor of per-row hashes, row count) — order-insensitive content digest."""
-    parts = ds.map_batches(
-        lambda b: _row_fingerprints(b, key), batch_format="pyarrow"
-    ).take_all()
-    acc = 0
-    rows = 0
-    for p in parts:
-        acc ^= p["xor_hash"]
-        rows += p["rows"]
-    return acc, rows
-
-
 def verify_roundtrip(source_ds: rd.Dataset, decoded_ds: rd.Dataset, key: str = "doc_id") -> dict:
     """Both sides fingerprint in ONE streamed execution: tagged partials from
     a union pipeline, so source read and stripe decode overlap instead of
