@@ -164,15 +164,26 @@ def pack_bits(values: np.ndarray, width: int) -> bytes:
 # bit j*w: byte (j*w) >> 3 of the block, bit (j*w) & 7 of that byte.
 _LANE_BYTE = [None] + [(np.arange(8) * w) >> 3 for w in range(1, 65)]
 _LANE_BIT = [None] + [((np.arange(8) * w) & 7).astype(U64)[:, None] for w in range(1, 65)]
-BLOCK_PAD = 8  # bytes unpack_blocks reads past the last block
 
 
-def unpack_blocks(data, width: int, blocks: int) -> np.ndarray:
-    """Every value of the first ``blocks`` MSB-first blocks of 8
-    ``width``-bit values in ``data``, as uint64. ``data`` (any bytes-like
-    object) must hold ``BLOCK_PAD`` bytes past the last block: each lane is
-    one unaligned 8-byte load at its block's start plus a constant per
-    lane, shifted by a constant per lane."""
+def unpack_bits(buf, width: int, count: int, offset: int = 0) -> tuple[np.ndarray, int]:
+    """Read `count` MSB-first `width`-bit integers from buf starting at byte
+    `offset`. Returns (uint64 array, bytes consumed).
+
+    Only the bytes read are copied, into whole 8-value blocks plus 8 bytes of
+    padding. Each lane of a block is then one unaligned 8-byte load at the
+    block's start plus a constant per lane, shifted by a constant per lane."""
+    if not 1 <= width <= 64:
+        raise ValueError(f"bit width {width} outside 1..64")
+    nbytes = (count * width + 7) // 8
+    if count == 0:
+        return np.empty(0, dtype=U64), 0
+    if offset + nbytes > len(buf):
+        raise ValueError(f"{count} {width}-bit values at byte {offset} overrun "
+                         f"a {len(buf)}-byte buffer")
+    blocks = (count + 7) // 8
+    data = bytearray(blocks * width + 8)
+    data[:nbytes] = buf[offset:offset + nbytes]
     lanes, bits = _LANE_BYTE[width], _LANE_BIT[width]
     # the 8-byte word at every byte of every block, byte-major: row o holds
     # the word at byte o of each block, so a lane is one row
@@ -184,24 +195,7 @@ def unpack_blocks(data, width: int, blocks: int) -> np.ndarray:
         ninth = np.ndarray((width, blocks), np.uint8, data, 8, (1, width))
         x |= ninth[lanes] >> (U64(8) - bits)
     x >>= U64(64 - width)
-    return x.T.reshape(-1)
-
-
-def unpack_bits(buf, width: int, count: int, offset: int = 0) -> tuple[np.ndarray, int]:
-    """Read `count` MSB-first `width`-bit integers from buf starting at byte
-    `offset`. Returns (uint64 array, bytes consumed)."""
-    if not 1 <= width <= 64:
-        raise ValueError(f"bit width {width} outside 1..64")
-    nbytes = (count * width + 7) // 8
-    if count == 0:
-        return np.empty(0, dtype=U64), 0
-    if offset + nbytes > len(buf):
-        raise ValueError(f"{count} {width}-bit values at byte {offset} overrun "
-                         f"a {len(buf)}-byte buffer")
-    blocks = (count + 7) // 8
-    data = bytearray(blocks * width + BLOCK_PAD)
-    data[:nbytes] = buf[offset:offset + nbytes]
-    return unpack_blocks(data, width, blocks)[:count], nbytes
+    return x.T.reshape(-1)[:count], nbytes
 
 
 # ---------------------------------------------------------------------------

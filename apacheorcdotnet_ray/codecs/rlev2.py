@@ -21,7 +21,7 @@ The reader decodes a whole stream, not one run at a time, in two steps:
    padded to whole 8-value blocks, under its bit width. It stops at the
    expected count and bounds every run by the bytes present.
 2. One expansion of all runs. Each width's queued blocks go through one
-   ``bitpack.unpack_blocks`` call (a word gather per lane of a block).
+   ``bitpack.unpack_bits`` call (a word gather per lane of a block).
    SHORT_REPEAT values fill the output with one ``np.repeat``, DIRECT
    values are copied in, and one zigzag decodes both. PATCHED_BASE runs add
    their base, and every patch list of the stream is applied in one scatter.
@@ -49,11 +49,10 @@ from .bitpack import (
     num_bits,
     pack_bits,
     percentile_widths,
-    BLOCK_PAD,
     read_varint_signed,
     read_varint_unsigned,
     subtraction_would_overflow,
-    unpack_blocks,
+    unpack_bits,
     write_long_be,
     write_varint_signed,
     write_varint_unsigned,
@@ -544,10 +543,9 @@ def decode_from(
         out = np.repeat(np.array(fill, dtype=U64), counts).view(I64)
     else:  # every value is written below
         out = np.empty(total, dtype=I64)
-    unpacked = {}
-    for w, (parts, blocks) in groups.items():
-        parts.append(_ZEROS[:BLOCK_PAD])
-        unpacked[w] = unpack_blocks(b"".join(parts), w, blocks).view(I64)
+    # a width's queued runs, each padded to whole blocks, pack back to back
+    unpacked = {w: unpack_bits(b"".join(parts), w, 8 * blocks)[0].view(I64)
+                for w, (parts, blocks) in groups.items()}
     for s, n, w, at in direct:
         out[s:s + n] = unpacked[w][at:at + n]
     if signed and (repeats or direct):
