@@ -32,6 +32,7 @@ The reader decodes a whole stream, not one run at a time, in two steps:
 from __future__ import annotations
 
 import sys
+from array import array
 
 import numpy as np
 
@@ -405,6 +406,9 @@ def _generate_patch_list(
 _WIDTHS = tuple(decode_direct_width(e) for e in range(32))
 _LIST_WIDTHS = tuple(int(w) for w in _NEAREST_TABLE)
 _ZEROS = bytes(64)
+# SHORT_REPEAT header byte -> bytes in the run, values in the run
+_REPEAT_BYTES = tuple(2 + ((b >> 3) & 0x7) for b in range(0x40))
+_REPEATS = tuple((b & 0x7) + 3 for b in range(0x40))
 _STEPS = np.arange(_WINDOW, dtype=I64)
 
 
@@ -438,8 +442,8 @@ def decode_from(
     limit = sys.maxsize if expected_count is None else expected_count
     from_bytes = int.from_bytes
     # every run: its SHORT_REPEAT value (0 for other kinds) and its length
-    fill: list[int] = []
-    counts: list[int] = []
+    fill = array("Q")
+    counts = array("q")
     # other kinds, by run: (first output index, length, width, first value
     # in its width's unpacked output, ...)
     direct: list[tuple] = []
@@ -462,7 +466,8 @@ def decode_from(
             g = groups[w] = [[], 0]
         blocks = (n + 7) >> 3
         g[0].append(buf[start:stop])
-        g[0].append(_ZEROS[:blocks * w - (stop - start)])
+        if n & 7:
+            g[0].append(_ZEROS[:blocks * w - (stop - start)])
         at = g[1] * 8
         g[1] += blocks
         return at, stop
@@ -473,12 +478,12 @@ def decode_from(
         while pos < end and total < limit:
             first = buf[pos]
             if first < 0x40:  # SHORT_REPEAT
-                nxt = pos + 2 + ((first >> 3) & 0x7)
+                nxt = pos + _REPEAT_BYTES[first]
                 if nxt > end:
                     raise ValueError(f"RLEv2 repeat at byte {pos} overruns "
                                      f"the {end}-byte buffer")
                 add_fill(from_bytes(buf[pos + 1:nxt], "big"))
-                n = (first & 0x7) + 3
+                n = _REPEATS[first]
                 add_count(n)
                 total += n
                 pos = nxt
@@ -540,7 +545,7 @@ def decode_from(
 
     repeats = len(counts) > len(direct) + len(patched) + len(deltas)
     if repeats:
-        out = np.repeat(np.array(fill, dtype=U64), counts).view(I64)
+        out = np.repeat(np.frombuffer(fill, U64), np.frombuffer(counts, I64)).view(I64)
     else:  # every value is written below
         out = np.empty(total, dtype=I64)
     # a width's queued runs, each padded to whole blocks, pack back to back
