@@ -6,11 +6,11 @@ Reimplements the greedy 512-value-window codec auto-selection cascade of
 (``IntegerRunLengthEncodingV2Reader.cs``), producing byte-identical output so
 that our compressed sizes equal the reference's by construction.
 
-The writer's inner math is NumPy over whole windows; its only Python-level loop is per
-encoded run (≤512 values each). The reference's percentile bit widths come
-from a per-window width histogram; since a value's width is monotone in the
-value, they are read here from two order statistics of each window (its
-maximum and its (drop+1)-th largest value). Golden byte vectors from
+The writer's inner math is NumPy over whole windows; its only Python-level
+loop is per encoded run (≤512 values each). The reference's percentile bit
+widths come from a per-window width histogram; since a value's width is
+monotone in the value, they are read here from two order statistics of each
+window (its maximum and its (drop+1)-th largest value). Golden byte vectors from
 ``IntegerRunLengthEncodingV2_Test.cs`` are ported to ``tests/test_rlev2.py``.
 
 The reader decodes a whole stream, not one run at a time, in two steps:

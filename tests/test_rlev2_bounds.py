@@ -1,4 +1,4 @@
-"""RLEv2 decode is bounded by the bytes present.
+"""RLEv2 decode and the bit unpacker are bounded by the bytes present.
 
 Every run's header bytes, varints, base bytes, payload and patch list must
 lie inside the buffer; a run that reaches past its end raises ``ValueError``
@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from apacheorcdotnet_ray.codecs import rlev2
-from apacheorcdotnet_ray.codecs.bitpack import decode_direct_width, find_nearest_direct_width
+from apacheorcdotnet_ray.codecs.bitpack import (decode_direct_width, find_nearest_direct_width,
+                                               unpack_bits)
 from test_int_codec_bytes import _extremes, _monotonic, _outliers, _random, _runs
 
 
@@ -49,7 +50,8 @@ def _run_ends(enc: bytes) -> list[tuple[int, int]]:
                 third, fourth = enc[pos + 2], enc[pos + 3]
                 list_w = find_nearest_direct_width(
                     decode_direct_width(third & 0x1F) + (fourth >> 5) + 1)
-                pos += 4 + (third >> 5) + 1 + (n * w + 7) // 8 + ((fourth & 0x1F) * list_w + 7) // 8
+                base_bytes = (third >> 5) + 1
+                pos += 4 + base_bytes + (n * w + 7) // 8 + ((fourth & 0x1F) * list_w + 7) // 8
             else:
                 w = w if (first >> 1) & 0x1F else 0
                 pos = _varint_end(enc, _varint_end(enc, pos + 2))
@@ -105,3 +107,27 @@ def test_inflated_patch_list_length():
     for count in (None, 512):
         with pytest.raises(ValueError):
             rlev2.decode(bytes(enc), True, count)
+
+
+def test_patch_position_past_run():
+    v = _outliers(512, np.random.default_rng(6)).astype(np.int64)
+    enc = _single_run(v, 2)
+    width = decode_direct_width((enc[0] >> 1) & 0x1F)
+    patch_list = 4 + (enc[2] >> 5) + 1 + (512 * width + 7) // 8
+    # every entry all ones: each moves the position by the largest gap
+    enc[patch_list:] = b"\xff" * (len(enc) - patch_list)
+    assert (enc[3] & 0x1F) * ((1 << ((enc[3] >> 5) + 1)) - 1) >= 512
+    for count in (None, 512):
+        with pytest.raises(ValueError):
+            rlev2.decode(bytes(enc), True, count)
+
+
+def test_unpack_bits_bounds():
+    data = bytes(range(16))
+    for width in (0, 65):
+        with pytest.raises(ValueError):
+            unpack_bits(data, width, 1)
+    with pytest.raises(ValueError):
+        unpack_bits(data, 13, 10, 1)  # 17 bytes from byte 1 of 16
+    vals, used = unpack_bits(data, 13, 9, 1)
+    assert used == 15 and len(vals) == 9
