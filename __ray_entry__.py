@@ -44,12 +44,13 @@ def _read(sf_dir: str, table: str, columns=None):
 
 
 def _out_dir(sf_dir: str, tag: str) -> str:
-    from apacheorcdotnet_ray.stripe.container import FORMAT_VERSION
+    from apacheorcdotnet_ray.stripe.container import BLOOM_HASH, FORMAT_VERSION
 
     paths = [_table_path(sf_dir, t) for t in
              ("lineitem", "documents", "embeddings")]
     fp = "|".join(f"{p}:{os.path.getsize(p)}" for p in paths if os.path.exists(p))
-    h = hashlib.sha256(f"{sf_dir}{fp}v{FORMAT_VERSION}".encode()).hexdigest()[:12]
+    h = hashlib.sha256(f"{sf_dir}{fp}v{FORMAT_VERSION}{BLOOM_HASH}"
+                       .encode()).hexdigest()[:12]
     return os.path.join(_SCRATCH, f"{tag}-{h}")
 
 
@@ -280,7 +281,7 @@ def _asof_join(sf_dir: str):
 
 def _hash_join(sf_dir: str):
     """Large-large shuffle join (both sides co-partitioned by key);
-    broadcast_threshold=0 pins the native shuffle path — this query exists
+    broadcast_threshold=0 pins the repartition shuffle path — this query exists
     to demonstrate it (broadcast_join covers the small-side path). Safe:
     the o_orderkey domain (15k at sf0.01) vastly exceeds the partition
     count."""

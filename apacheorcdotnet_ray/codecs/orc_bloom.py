@@ -202,7 +202,7 @@ def bloom_params(expected_entries: int, fpp: float = DEFAULT_FPP) -> tuple[int, 
     return num_bits, k
 
 
-def _positions(hashes: np.ndarray, k: int, num_bits: int) -> np.ndarray:
+def positions(hashes: np.ndarray, k: int, num_bits: int) -> np.ndarray:
     """(len(hashes), k) bit positions via the Java double-hash scheme:
     ``combined = hash1 + i*hash2`` in wrapping 32-bit ints, ``~combined``
     when negative, then ``% numBits``."""
@@ -225,7 +225,7 @@ def bloom_build(hashes: np.ndarray, expected_entries: int,
     num_bits, k = bloom_params(expected_entries, fpp)
     words = np.zeros(num_bits // 64, dtype=np.uint64)
     if len(hashes):
-        p = _positions(hashes, k, num_bits)
+        p = positions(hashes, k, num_bits)
         np.bitwise_or.at(words, p >> 6,
                          np.uint64(1) << (p & 63).astype(np.uint64))
     return k, words.tobytes()
@@ -238,7 +238,7 @@ def bloom_might_contain(k: int, bitset: bytes, hashes: np.ndarray) -> np.ndarray
     hashes = np.atleast_1d(np.asarray(hashes, dtype=np.uint64))
     if num_bits == 0 or k <= 0:
         return np.ones(len(hashes), dtype=bool)
-    p = _positions(hashes, k, num_bits)
+    p = positions(hashes, k, num_bits)
     bits = (words[p >> 6] >> (p & 63).astype(np.uint64)) & np.uint64(1)
     return bits.all(axis=1)
 

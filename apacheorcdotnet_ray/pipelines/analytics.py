@@ -16,7 +16,7 @@ def top_orders_by_revenue(
     """TPC-H Q3-shaped: join lineitem to high-value orders, sum revenue per
     order, return the top-k. Revenue accumulates as exact floor-cents ints
     (value-exact oracle). The join is hash_join's adaptive path (broadcast
-    while the filtered orders side is small, native hash-shuffle at scale);
+    while the filtered orders side is small, repartition shuffle at scale);
     per-order sums pre-aggregate inside bounded partitions; only k rows
     reach the driver-side head."""
     from .dedup import _grouped_map

@@ -191,7 +191,6 @@ def hash_join(
     how: str = "inner",
     num_partitions: int = 64,
     broadcast_threshold: int = 200_000,
-    native: bool = False,
 ) -> rd.Dataset:
     """Adaptive equi-join. The right side (by convention the smaller) is
     materialized and counted once — vocabulary/dimension-sized sides
@@ -199,28 +198,10 @@ def hash_join(
     per-batch with zero shuffle; larger sides go through the
     ``repartition_join`` shuffle below.
 
-    ``native=True`` opts into Ray Data's native hash-shuffle join
-    (``Dataset.join``) instead. Each side then shuffles with its OWN schema
-    to co-partitioned joining aggregators — measured 62% leaner on the wire
-    than the union-with-null-padding repartition shuffle, which matters on
-    a real multi-node cluster. It is NOT the default because on this
-    single-node target it measured 1.5–2.7× slower and far more variable
-    (interleaved worktree microbench, 600k × 150k sf0.1 join: repartition
-    3.3–4.5 s vs native 5.2–12.1 s best-of-2 legs), and because of two
-    Ray 2.49 caveats: (a) an aggregator partition that receives zero
-    shards of one side builds a column-less table and ``pa.Table.join``
-    raises 'No match ... FieldRef' (ray/data/_internal/execution/
-    operators/join.py:118) — key domains ≫ partitions make that ~0, the
-    broadcast cutoff shields small domains; (b) the joining aggregators
-    are gang-scheduled actors, so partitions are clamped to cluster CPUs
-    (observed hang at 64 partitions / 4 CPUs), making per-partition state
-    proportional to data/CPUs rather than to a data-sized partition count.
-    Re-evaluate the default when Dataset.join can pipeline aggregators.
-
     Output columns: left's, then right's minus its key (same contract as
     ``repartition_join``). ``how``: inner | left | full (full outer always
-    takes the repartition path — a broadcast or clamped-native plan cannot
-    emit unmatched right rows without global coordination)."""
+    takes the repartition path — a broadcast plan cannot emit unmatched
+    right rows without global coordination)."""
     l_cols = list(left.schema().names)
     r_cols = [c for c in right.schema().names if c != right_on]
     if broadcast_threshold > 0 and how in ("inner", "left"):
@@ -234,15 +215,6 @@ def hash_join(
                 left, small, left_on, right_on, join_type=bc_type
             ).map_batches(lambda b: b.select(l_cols + r_cols),
                           batch_format="pyarrow")
-    if native and how in ("inner", "left") and hasattr(rd.Dataset, "join"):
-        import ray
-
-        join_type = {"inner": "inner", "left": "left_outer"}[how]
-        cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-        out = left.join(right, join_type,
-                        num_partitions=max(1, min(num_partitions, cpus)),
-                        on=(left_on,), right_on=(right_on,))
-        return out.select_columns(l_cols + r_cols)
     return repartition_join(left, right, left_on, right_on, how,
                             num_partitions)
 
@@ -256,15 +228,15 @@ def repartition_join(
     num_partitions: int = 64,
 ) -> rd.Dataset:
     """Self-contained repartition equi-join (the classic shuffle-union
-    shape, kept as the fallback when ``Dataset.join`` is unavailable and as
-    the reference implementation): both sides co-partition by key hash
-    through ONE bounded shuffle, each side's rows shipping with the other
-    side's columns null-padded; each partition resolves with one Arrow
-    join. NOTE the measured wire cost of the padding on a 600k x 150k
-    lineitem/orders join: unified null-padded blocks IPC-serialize 62%
-    larger than side-specific schemas (Arrow writes full-length data
-    buffers for all-null columns, and the per-row side tag adds ~10 B/row)
-    — prefer ``hash_join``.
+    shape; ``hash_join``'s path for sides too large to broadcast): both
+    sides co-partition by key hash through ONE bounded shuffle, each side's
+    rows shipping with the other side's columns null-padded; each partition
+    resolves with one Arrow join. NOTE the measured wire cost of the
+    padding on a 600k x 150k lineitem/orders join: unified null-padded
+    blocks IPC-serialize 62% larger than side-specific schemas (Arrow
+    writes full-length data buffers for all-null columns, and the per-row
+    side tag adds ~10 B/row) — Ray's ``Dataset.join`` ships leaner but
+    measured 1.5–2.7× slower on a single node.
 
     Non-key column names must be disjoint. ``how``: inner | left | full
     (co-partitioning makes the per-partition full outer globally correct:
@@ -362,110 +334,64 @@ def anti_join(ds: rd.Dataset, keys_ds: rd.Dataset, left_on: str,
 
 def bloom_semi_join(
     ds: rd.Dataset, keys_ds: rd.Dataset, left_on: str, right_on: str,
-    bits_per_key: int = 10, num_partitions: int = 64,
-    verify: str = "rows",
+    num_partitions: int = 64,
 ) -> rd.Dataset:
     """Semi join for right key sets too large to broadcast exactly: a Bloom
     filter of the keys broadcasts instead (~10 bits/key ≈ 1% FP — an order
     of magnitude leaner than exact 64-bit keys, the difference between a
     1.25 GB and a 16 GB broadcast at 10^9 keys), prefiltering the left
-    stream so only probable matches pay the exact verify. Output == exact
-    semi join either way; ``verify`` picks how Bloom false positives die:
+    stream so only probable matches reach one repartition join against the
+    distinct key set, which drops the false positives: output == exact
+    semi join.
 
-    - ``"rows"`` (default): co-partition the surviving rows against the
-      distinct key set with one repartition join. Measured FASTER at narrow
-      row widths (interleaved best-of-2 legs at sf0.1: 7.8–13.2 s vs the
-      key path's 10.8–22.5 s) — the verify is one shuffle stage and the
-      left streams once.
-    - ``"keys"``: one bounded KEY-ONLY set difference yields the FP key set
-      (≈ FP-rate × |left distinct keys|, broadcastable by construction),
-      then a per-batch anti-filter. Payload rows never shuffle but the left
-      streams twice — the right trade when rows are WIDE (row bytes ≫ key
-      bytes), e.g. document or embedding payloads.
-
-    Both sides hash identical single-column tables (column renamed to the
-    same name), so probe positions agree regardless of source column
-    names."""
-    import polars as pl
+    The bloom is ``codecs/orc_bloom``'s (ORC hashes of the key cast to the
+    left key type, so both sides hash alike). Each build batch ships only
+    its sparse (word, bits) pairs; each probe batch hashes its distinct
+    keys once. A key type without an ORC bloom hash skips the prefilter."""
+    import pyarrow.compute as pc
     import ray
 
-    from .setops import distinct
+    from ..codecs.orc_bloom import (bloom_might_contain, bloom_params,
+                                    hash_arrow_values, positions)
+    from .setops import distinct, to_arrow_table
 
     l_sch = ds.schema()
     l_type = l_sch.types[l_sch.names.index(left_on)]
     rkeys = distinct(keys_ds.select_columns([right_on]), [right_on]) \
-        .map_batches(lambda b: b.rename_columns(["_k"]),
+        .map_batches(lambda b: b.rename_columns(["_bsj_key"]),
                      batch_format="pyarrow").materialize()
-    n_keys = max(1, rkeys.count())
-    m_bits = 1 << max(6, int(np.ceil(np.log2(n_keys * bits_per_key))))
-    pos_mask = np.uint64(m_bits - 1)
-    n_hash = max(1, int(round(bits_per_key * 0.6931)))
+    survivors = ds
+    if hash_arrow_values(pa.array([], l_type)) is not None:
+        num_bits, k = bloom_params(max(1, rkeys.count()), 0.01)
 
-    def probes(col: pa.Array) -> np.ndarray:
-        """(n_hash, n) bit positions via double hashing of the key values
-        (both sides cast to the left key type so hashes agree)."""
-        t = pa.table({"_k": col.cast(l_type)})
-        h1 = pl.from_arrow(t).hash_rows(seed=11).to_numpy().astype(np.uint64)
-        h2 = pl.from_arrow(t).hash_rows(seed=12).to_numpy().astype(np.uint64) \
-            | np.uint64(1)
-        i = np.arange(n_hash, dtype=np.uint64)[:, None]
-        return (h1[None, :] + i * h2[None, :]) & pos_mask
+        def build(batch: pa.Table) -> pa.Table:
+            col = batch.column("_bsj_key").combine_chunks().cast(l_type)
+            p = positions(hash_arrow_values(col), k, num_bits).ravel()
+            widx = p >> 6
+            wbit = np.uint64(1) << (p & 63).astype(np.uint64)
+            order = np.argsort(widx, kind="stable")
+            uniq, start = np.unique(widx[order], return_index=True)
+            words = np.bitwise_or.reduceat(wbit[order], start)
+            return pa.table({"i": pa.array(uniq), "v": pa.array(words)})
 
-    def build(batch: pa.Table) -> pa.Table:
-        col = batch.column("_k")
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        p = probes(col).ravel()
-        widx = (p >> np.uint64(6)).astype(np.int64)
-        wbit = np.uint64(1) << (p & np.uint64(63))
-        order = np.argsort(widx, kind="stable")
-        uniq, start = np.unique(widx[order], return_index=True)
-        words = np.bitwise_or.reduceat(wbit[order], start)
-        return pa.table({"i": pa.array(uniq), "v": pa.array(words)})
+        bitmap = np.zeros(num_bits // 64, dtype=np.uint64)
+        wt = to_arrow_table(rkeys.map_batches(build, batch_format="pyarrow"))
+        np.bitwise_or.at(bitmap, wt.column("i").to_numpy(zero_copy_only=False),
+                         wt.column("v").to_numpy(zero_copy_only=False))
+        bloom_ref = ray.put(bitmap.tobytes())
 
-    from .setops import to_arrow_table
+        def prefilter(batch: pa.Table) -> pa.Table:
+            enc = pc.dictionary_encode(batch.column(left_on).combine_chunks())
+            hit = np.append(bloom_might_contain(
+                k, ray.get(bloom_ref), hash_arrow_values(enc.dictionary)),
+                False)
+            # a null id reads the appended False: a null key never matches
+            ids = enc.indices.fill_null(len(enc.dictionary))
+            return batch.filter(pa.array(
+                hit[ids.to_numpy(zero_copy_only=False)]))
 
-    bitmap = np.zeros(m_bits >> 6, dtype=np.uint64)
-    wt = to_arrow_table(rkeys.map_batches(build, batch_format="pyarrow"))
-    np.bitwise_or.at(bitmap, wt.column("i").to_numpy(zero_copy_only=False),
-                     wt.column("v").to_numpy(zero_copy_only=False))
-    bloom_ref = ray.put(bitmap)
-
-    def prefilter(batch: pa.Table) -> pa.Table:
-        bloom = ray.get(bloom_ref)
-        col = batch.column(left_on)
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        p = probes(col)
-        hit = (bloom[(p >> np.uint64(6)).astype(np.int64)]
-               >> (p & np.uint64(63))) & np.uint64(1)
-        return batch.filter(pa.array(hit.all(axis=0)))
-
-    survivors = ds.map_batches(prefilter, batch_format="pyarrow")
-    if verify == "rows":
-        # exact verify: inner repartition join against the DISTINCT key set
-        # is precisely the semi join; only Bloom-probable rows reach it
-        verify_keys = rkeys.map_batches(
-            lambda b: b.rename_columns(["_bsj_key"]), batch_format="pyarrow")
-        return repartition_join(survivors, verify_keys, left_on, "_bsj_key",
-                                how="inner", num_partitions=num_partitions)
-    from .setops import except_, to_arrow_table
-
-    surv_keys = survivors.map_batches(
-        lambda b: pa.table({"_k": b.column(left_on).cast(l_type)}),
-        batch_format="pyarrow")
-    fp_keys = to_arrow_table(except_(surv_keys, rkeys, ["_k"])).column("_k")
-    fp_ref = ray.put(fp_keys.combine_chunks()
-                     if isinstance(fp_keys, pa.ChunkedArray) else fp_keys)
-
-    def drop_fps(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        fps = ray.get(fp_ref)
-        if len(fps) == 0:
-            return batch
-        mask = pc.invert(pc.is_in(batch.column(left_on).cast(l_type),
-                                  value_set=fps))
-        return batch.filter(mask)
-
-    return survivors.map_batches(drop_fps, batch_format="pyarrow")
+        survivors = ds.map_batches(prefilter, batch_format="pyarrow")
+    # exact verify: inner repartition join against the DISTINCT key set is
+    # precisely the semi join; only Bloom-probable rows reach it
+    return repartition_join(survivors, rkeys, left_on, "_bsj_key",
+                            how="inner", num_partitions=num_partitions)

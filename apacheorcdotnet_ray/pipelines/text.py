@@ -333,8 +333,7 @@ def tfidf_top_terms(ds: rd.Dataset, k: int = 3,
     postings (docs never span batches), document frequency aggregates
     through bounded hash partitions, and the vocabulary-sized df table
     joins back via hash_join's adaptive path — broadcast while the vocab
-    stays under ~200k rows (a few MB via ray.put, and the regime where
-    Ray's native join crashes on empty partitions), native hash-shuffle
+    stays under ~200k rows (a few MB via ray.put), a repartition shuffle
     beyond. Nothing CORPUS-sized is ever broadcast or collected.
 
     ``idf``: "log" → score = tf * ln(N/df) (textbook); "linear" → score =

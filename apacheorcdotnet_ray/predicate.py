@@ -25,7 +25,8 @@ The rule:
   strings; a bound that cannot be read counts as "may match";
 - a bloom is probed only for ``==``, with the literal cast exactly to the
   column's type (``577.0`` probes an int column as 577, ``577.9`` never
-  probes it);
+  probes it); a float zero never probes, since ``-0.0 == 0.0`` but the
+  two hash differently;
 - nulls never match, and a term on a column the schema lacks matches no
   row (``Bound.empty``).
 """
@@ -89,7 +90,8 @@ class Term:
             self._key = float(key) if self._float and key is not None else key
             if op == "==" and v.is_valid:
                 c = v.cast(type_)
-                if c.as_py() == key:
+                if c.as_py() == key and not (
+                        pa.types.is_floating(type_) and key == 0):
                     self.probe = c
         except (pa.ArrowException, OverflowError, ValueError):
             pass

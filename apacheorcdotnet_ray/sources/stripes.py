@@ -25,8 +25,8 @@ import ray.data as rd
 
 from ..predicate import bind, normalize_predicate
 from ..stages.decode import StripeDecoder
-from ..stripe import bloom as bloom_mod
-from ..stripe.container import column_meta, footer_schema
+from ..stripe.container import (BLOOM_HASH, bloom_may_contain, column_meta,
+                                footer_schema)
 
 
 def stripe_paths(stripe_dir: str) -> list[str]:
@@ -49,13 +49,13 @@ def read_stripe_footer(path: str) -> dict:
 
 def stripe_may_match(footer: dict, predicate) -> bool:
     """May this stripe hold a row matching ``predicate``? Its footer stats,
-    and for equality terms its bloom (when written under this reader's
-    hash version), decide; a term on a column the stripe lacks prunes it.
-    Binding raises ``ValueError`` for a literal the column cannot take."""
+    and for equality terms its bloom (when hashed under ``BLOOM_HASH``),
+    decide; a term on a column the stripe lacks prunes it. Binding raises
+    ``ValueError`` for a literal the column cannot take."""
     bound = bind(predicate, footer_schema(footer))
     if bound.empty:
         return False
-    bloom_ok = footer.get("bloom_hash") == bloom_mod.hash_version()
+    bloom_ok = footer.get("bloom_hash") == BLOOM_HASH
     for term in bound.terms:
         meta = column_meta(footer, term.col)
         if not term.may_match(meta.get("stats")):
@@ -63,7 +63,7 @@ def stripe_may_match(footer: dict, predicate) -> bool:
         # equality: the bloom prunes point lookups on unclustered keys
         # that min/max cannot
         if bloom_ok and term.probe is not None and "bloom" in meta \
-                and not bloom_mod.might_contain(meta["bloom"], term.probe):
+                and not bloom_may_contain(meta["bloom"], term.probe):
             return False
     return True
 

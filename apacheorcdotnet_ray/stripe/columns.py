@@ -460,8 +460,6 @@ def _decode_values(name: str, t: pa.DataType, by_kind: dict, child_streams: list
         return pa.Array.from_buffers(t, nv, [None, pa.py_buffer(lanes.tobytes())])
 
     if pa.types.is_timestamp(t):
-        if SECONDARY not in by_kind:  # legacy single-stream layout (pre-v4)
-            return pa.array(_decode_int_data(by_kind[DATA]), type=pa.int64()).cast(t)
         secs = _decode_int_data(by_kind[DATA])
         frac = _decode_int_data(by_kind[SECONDARY])
         nanos = _decode_orc_nanos(frac)

@@ -36,10 +36,10 @@ class EncodeConfig:
     # stripe instead of every stream. None = single-segment streams.
     row_index_stride: int | None = None
     # per-stripe Bloom filters for these columns (ORC-spec feature the C#
-    # reference lacks): ~1% false-positive filters in the footer let
-    # equality predicates prune stripes that min/max cannot (point lookups
-    # on unclustered keys). Advisory — readers under a different polars
-    # hash version ignore them.
+    # reference lacks): ~0.1% false-positive filters in the footer, hashed
+    # as ORC BLOOM_FILTER_UTF8, let equality predicates prune stripes that
+    # min/max cannot (point lookups on unclustered keys). Types without an
+    # ORC bloom hash (bool, decimal, nested) get none.
     bloom_columns: tuple[str, ...] = ()
 
     # sort rows by this column within each stripe before encoding: stride

@@ -23,8 +23,11 @@ import json
 import struct
 import zlib
 
+import numpy as np
 import pyarrow as pa
 
+from ..codecs.orc_bloom import (bloom_build, bloom_might_contain,
+                                hash_arrow_values)
 from ..predicate import bind, normalize_predicate
 from .columns import (Stream, column_predicate_mask, decode_column,
                       encode_column)
@@ -34,18 +37,18 @@ from .stats import merge_stats
 
 MAGIC = b"ORAY1"
 TAIL_MAGIC = b"ORAY"
-# bump when any codec's internal layout changes incompatibly (readers check
-# the footer's version; scratch caches key on it)
-# v3: intdict streams embed their value count; strided (row-index) stripes
-# v4: ORC-layout two-stream timestamps (readers accept v3 single-stream too)
-# v5: strided stripes share ONE physical stream per (column, kind) with
-#     per-stride POSITIONS (raw offset/length/count/crc) — the reference's
-#     positions-in-shared-stream ROW_INDEX (OrcCompressedBuffer.cs:66-72)
-#     instead of v3/v4's independently framed per-stride segments; recovers
-#     the compression-context + footer cost of segmentation (readers still
-#     accept v3/v4 strided layouts)
+# bump when any codec's internal layout changes incompatibly: readers accept
+# only this version and ask for older stripes to be re-encoded (scratch
+# caches key on it)
 FORMAT_VERSION = 5
-READABLE_VERSIONS = (3, 4, 5)
+# footer "bloom_hash" of the column blooms: ORC BLOOM_FILTER_UTF8 hashes
+# (codecs/orc_bloom.py, liborc's Wang dialect). A bloom under any other
+# scheme is ignored by readers — blooms are advisory, never a false negative
+BLOOM_HASH = "orc-utf8-cpp"
+# a tight false-positive rate, with entries capped where the bitset reaches
+# 65,536 bits (bloom_params(4558, 0.001) is the last 65,536-bit size)
+BLOOM_FPP = 0.001
+BLOOM_MAX_ENTRIES = 4558
 
 
 def encode_stripe(
@@ -67,7 +70,7 @@ def encode_stripe(
     stream_dir = []
     columns_meta = []
 
-    def emit(streams: list[Stream], stride_idx: int | None) -> None:
+    def emit(streams: list[Stream]) -> None:
         for s in streams:
             if config.compression == "zlib":
                 payload = compress(s.data, config.compression_block_size, config.zlib_level)
@@ -89,8 +92,6 @@ def encode_stripe(
                 # a when, not an if — decode verifies before decompressing
                 "crc32": zlib.crc32(payload),
             }
-            if stride_idx is not None:
-                entry["stride"] = stride_idx
             stream_dir.append(entry)
             out.extend(payload)
 
@@ -180,18 +181,14 @@ def encode_stripe(
             col = table.column(name)
             enc_name, streams, stats = encode_column(name, col, config, fsst_tables)
             columns_meta.append({"name": name, "encoding": enc_name, "stats": stats})
-            emit(streams, None)
+            emit(streams)
 
     if config.bloom_columns:
-        from . import bloom as bloom_mod
-
         for meta in columns_meta:
             if meta["name"] in config.bloom_columns:
-                col = table.column(meta["name"])
-                valid = col.combine_chunks().drop_null() \
-                    if isinstance(col, pa.ChunkedArray) else col.drop_null()
-                if len(valid):
-                    meta["bloom"] = bloom_mod.build(valid)
+                bloom = build_bloom(table.column(meta["name"]))
+                if bloom is not None:
+                    meta["bloom"] = bloom
 
     footer = {
         "version": FORMAT_VERSION,
@@ -204,9 +201,7 @@ def encode_stripe(
         "data_length": len(out),
     }
     if config.bloom_columns:
-        from . import bloom as bloom_mod
-
-        footer["bloom_hash"] = bloom_mod.hash_version()
+        footer["bloom_hash"] = BLOOM_HASH
     if stride:
         footer["row_index_stride"] = stride
         footer["stride_rows"] = stride_rows
@@ -217,6 +212,29 @@ def encode_stripe(
     out.extend(struct.pack("<I", len(footer_bytes)))
     out.extend(TAIL_MAGIC)
     return bytes(out), footer
+
+
+def build_bloom(col) -> dict | None:
+    """One column's footer bloom {k, bits (base64)}, or None when the column
+    has no non-null value or its type has no ORC bloom hash."""
+    hashes = hash_arrow_values(col.combine_chunks()
+                               if isinstance(col, pa.ChunkedArray) else col)
+    if hashes is None or not len(hashes):
+        return None
+    hashes = np.unique(hashes)
+    k, bits = bloom_build(hashes, min(len(hashes), BLOOM_MAX_ENTRIES),
+                          BLOOM_FPP)
+    return {"k": k, "bits": base64.b64encode(bits).decode()}
+
+
+def bloom_may_contain(bloom: dict, probe) -> bool:
+    """Probe a ``build_bloom`` bloom with one value of the column's type
+    (the ``predicate.Term.probe`` of an equality term: an exact cast, since
+    577 and 577.0 hash differently); a plain Python value hashes as the
+    Arrow type it infers."""
+    h = hash_arrow_values(pa.array([probe]))
+    return h is None or bool(bloom_might_contain(
+        bloom["k"], base64.b64decode(bloom["bits"]), h)[0])
 
 
 def read_footer(buf: bytes) -> dict:
@@ -278,7 +296,7 @@ def decode_stripe(
     physical rows and deleted rows are dropped from the slice after.
     """
     footer = read_footer(buf)
-    if footer.get("version", 1) not in READABLE_VERSIONS:  # v3: ts fallback
+    if footer.get("version", 1) != FORMAT_VERSION:
         raise ValueError(
             f"stripe format v{footer.get('version', 1)} != reader v{FORMAT_VERSION};"
             " re-encode the input")
@@ -336,7 +354,7 @@ def decode_stripe(
                 if m["col"] == name or m["col"].startswith(name + ".")]
 
     stride_rows = footer.get("stride_rows")
-    if stride_rows is not None and footer.get("version", 1) >= 5:
+    if stride_rows is not None:
         sel = (range_sel if range_sel is not None
                else qualifying_strides(footer, bound)
                if bound is not None
@@ -389,23 +407,6 @@ def decode_stripe(
                 streams = [s for m, st in zip(metas, states)
                            if (s := stride_stream(m, si, st)) is not None]
                 yield streams, stride_rows[si]
-    elif stride_rows is not None:
-        # v3/v4 strided layout: independently framed per-stride segments
-        sel = (range_sel if range_sel is not None
-               else qualifying_strides(footer, bound)
-               if bound is not None
-               else list(range(len(stride_rows))))
-        if io_stats is not None:
-            io_stats["strides_total"] = len(stride_rows)
-            io_stats["strides_read"] = len(sel)
-
-        def field_chunks(field_):
-            by_stride: dict[int, list[dict]] = {}
-            for m in col_metas(field_.name):
-                by_stride.setdefault(m["stride"], []).append(m)
-            for si in sel:
-                yield ([make_stream(m) for m in by_stride.get(si, [])],
-                       stride_rows[si])
     else:
         def field_chunks(field_):
             yield [make_stream(m) for m in col_metas(field_.name)], n_rows
@@ -458,8 +459,6 @@ def decode_stripe(
 
     keep = None  # ~delete_mask aligned to the DECODED rows (selected strides)
     if delete_mask is not None:
-        import numpy as np
-
         dm = np.asarray(delete_mask, dtype=bool)
         if len(dm) != n_rows:
             raise ValueError(

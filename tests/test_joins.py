@@ -172,29 +172,25 @@ def test_oov_rate(ray_session):
     assert out.loc["s2", "oov_rate"] == 0.75
 
 
-def test_bloom_semi_join_verify_paths_equal(ray_session):
-    """The wide-row 'keys' verify (FP key-set diff + anti-filter) must
-    produce exactly the default row-shuffle verify's output."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data as rd
+def test_bloom_semi_join_null_and_unhashable_keys(ray_session):
+    """Null left keys never match; a key type without an ORC bloom hash
+    (decimal) skips the prefilter and still answers the exact semi join."""
+    from decimal import Decimal
 
     from apacheorcdotnet_ray.pipelines.joins import bloom_semi_join
 
-    rng = np.random.default_rng(5)
-    left = pa.table({
-        "k": pa.array(rng.integers(0, 3000, size=20_000), type=pa.int64()),
-        "payload": pa.array([f"p{i}" for i in range(20_000)]),
-    })
-    right = pa.table({"rk": pa.array(np.arange(0, 3000, 3), type=pa.int64())})
-
-    def run(verify):
-        return bloom_semi_join(
-            rd.from_arrow(left).repartition(4),
-            rd.from_arrow(right).repartition(2),
-            "k", "rk", verify=verify,
-        ).to_pandas().sort_values(["k", "payload"]).reset_index(drop=True)
-
-    a, b = run("rows"), run("keys")
-    assert len(a) and a.equals(b)
-    assert set(a["k"].unique()) <= set(range(0, 3000, 3))
+    keys = [3, None, 7, 8, None, 3, 11]
+    right = pa.table({"rk": pa.array([3, 11, None], type=pa.int64())})
+    got = bloom_semi_join(
+        rd.from_arrow(pa.table({"k": pa.array(keys, type=pa.int64()),
+                                "x": pa.array(range(len(keys)))})),
+        rd.from_arrow(right), "k", "rk", num_partitions=2).to_pandas()
+    assert sorted(got["x"]) == [0, 5, 6]
+    dec = pa.decimal128(6, 2)
+    got = bloom_semi_join(
+        rd.from_arrow(pa.table({"k": pa.array(
+            [Decimal("1.50"), None, Decimal("2.25")], type=dec),
+            "x": pa.array([0, 1, 2])})),
+        rd.from_arrow(pa.table({"rk": pa.array([Decimal("2.25")], type=dec)})),
+        "k", "rk", num_partitions=2).to_pandas()
+    assert list(got["x"]) == [2]

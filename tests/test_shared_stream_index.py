@@ -7,15 +7,16 @@ the reference's positions-in-shared-stream design
 — instead of v3/v4's independently framed per-stride segments. Pins:
 the stride size cost on the token-corpus shape is ~zero, partial reads
 stay byte-proportional, per-stride CRCs catch corruption on partial
-reads, and v4 files (committed fixtures) still decode.
+reads, and a stripe of an older format version asks to be re-encoded.
 """
 
-import datetime as dt
-import os
+import json
+import struct
+import zlib
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.parquet as pq
+import pytest
 
 from apacheorcdotnet_ray.stripe.config import EncodeConfig
 from apacheorcdotnet_ray.stripe.container import (
@@ -23,8 +24,6 @@ from apacheorcdotnet_ray.stripe.container import (
     encode_stripe,
     read_footer,
 )
-
-FIX = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def _tokens_table(n_docs=2000, seed=0):
@@ -73,8 +72,6 @@ def test_partial_read_bytes_proportional():
 
 
 def test_partial_read_crc_catches_corruption():
-    import pytest
-
     n = 20_000
     t = pa.table({"k": pa.array(np.arange(n, dtype=np.int64)),
                   "v": pa.array(np.arange(n, dtype=np.int64) * 3)})
@@ -93,21 +90,16 @@ def test_partial_read_crc_catches_corruption():
     assert ok.num_rows == 2000
 
 
-def test_v4_fixtures_still_decode():
-    exp = pq.read_table(os.path.join(FIX, "v4_expected.parquet"))
-    for name in ("v4_strided.oray", "v4_plain.oray"):
-        buf = open(os.path.join(FIX, name), "rb").read()
-        footer = read_footer(buf)
-        assert footer["version"] == 4
-        got = decode_stripe(buf).combine_chunks()
-        assert got.equals(exp)
-    # predicate + projection on the old strided layout
-    buf = open(os.path.join(FIX, "v4_strided.oray"), "rb").read()
-    io: dict = {}
-    part = decode_stripe(buf, columns=["k", "ts"],
-                         predicate=("k", "<", 500), io_stats=io)
-    assert part.num_rows == 500
-    assert io["strides_read"] == 1 and io["strides_total"] == 6
+def test_older_format_version_asks_for_reencode():
+    t = pa.table({"k": pa.array(np.arange(3000, dtype=np.int64))})
+    buf, footer = encode_stripe(t, EncodeConfig(row_index_stride=1000))
+    footer["version"] = 4
+    fb = zlib.compress(json.dumps(footer).encode())
+    old = buf[:footer["data_length"]] + fb + struct.pack("<I", len(fb)) \
+        + b"ORAY"
+    assert read_footer(old)["version"] == 4
+    with pytest.raises(ValueError, match="re-encode"):
+        decode_stripe(old)
 
 
 def test_heterogeneous_codec_across_strides():

@@ -470,7 +470,8 @@ def test_late_materialization_skips_nonmatching_decode():
 
 def test_bloom_filter_prunes_point_lookups(tmp_path):
     from apacheorcdotnet_ray.sources.stripes import prune_stripes
-    from apacheorcdotnet_ray.stripe import bloom as bloom_mod
+    from apacheorcdotnet_ray.stripe.container import (bloom_may_contain,
+                                                      build_bloom)
 
     rng = np.random.default_rng(71)
     # unclustered keys: every stripe's [min, max] overlaps the whole range,
@@ -491,31 +492,32 @@ def test_bloom_filter_prunes_point_lookups(tmp_path):
     kept = prune_stripes(paths, ("k", "==", target))
     assert str(d / "s2.oray") in kept
     assert len(kept) <= 2, f"bloom should prune most stripes, kept {len(kept)}"
-    # absent key: usually everything pruned (1% fp per stripe)
+    # absent key: usually everything pruned (0.1% fp per stripe)
     absent = 10_000_000
     kept_absent = prune_stripes(paths, ("k", "==", absent))
     assert len(kept_absent) <= 1
     # direct unit check
-    b = bloom_mod.build(pa.array([1, 2, 3], type=pa.int64()))
-    assert bloom_mod.might_contain(b, 2)
-    assert not bloom_mod.might_contain(b, 999_999)
+    b = build_bloom(pa.array([1, 2, 3], type=pa.int64()))
+    assert bloom_may_contain(b, 2)
+    assert not bloom_may_contain(b, 999_999)
 
 
 def test_bloom_probe_type_mismatch_no_false_negative():
     from apacheorcdotnet_ray.predicate import Term
-    from apacheorcdotnet_ray.stripe import bloom as bloom_mod
+    from apacheorcdotnet_ray.stripe.container import (bloom_may_contain,
+                                                      build_bloom)
 
     def probe(lit, t):
         return Term("c", "==", lit, t).probe
 
-    b_int = bloom_mod.build(pa.array([577, 1000], type=pa.int64()))
+    b_int = build_bloom(pa.array([577, 1000], type=pa.int64()))
     # float literal against int64 column: must cast-and-match, never prune
-    assert bloom_mod.might_contain(b_int, probe(577.0, pa.int64()))
-    assert not bloom_mod.might_contain(b_int, probe(9999, pa.int64()))
+    assert bloom_may_contain(b_int, probe(577.0, pa.int64()))
+    assert not bloom_may_contain(b_int, probe(9999, pa.int64()))
     assert probe(577.9, pa.int64()) is None  # lossy → no probe, keep
     assert probe(0.1, pa.float32()) is None  # 0.1 has no exact float32
-    b_f32 = bloom_mod.build(pa.array([1.5, 2.5], type=pa.float32()))
-    assert bloom_mod.might_contain(b_f32, probe(1.5, pa.float32()))
+    b_f32 = build_bloom(pa.array([1.5, 2.5], type=pa.float32()))
+    assert bloom_may_contain(b_f32, probe(1.5, pa.float32()))
 
 
 def test_merge_stats_mixed_timestamp_forms():
