@@ -15,8 +15,9 @@ source:
   ``repeated uint32 [packed=true]`` so real writers emit it as ONE
   length-delimited blob of varints — ``pb_repeated_uint`` unpacks both the
   packed and the unpacked dialect;
-- ORC compressed-stream framing (3-byte little-endian chunk headers,
-  ``(len << 1) | is_original``; raw-deflate bodies for ZLIB);
+- compressed chunks through ``stripe/framing.py``, the codec named once
+  from the PostScript at open; a row-group seek inflates from its chunk to
+  the stream end, each chunk once per stream for all selected groups;
 - one tail parser (``OrcFile.__init__``; ``read_file_stats`` goes through
   it) that checks the ORC magic (in the PostScript, or in the file header
   for Hive 0.11 files, which wrote none there) and every length and stripe
@@ -46,13 +47,15 @@ source:
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..codecs import byte_rle, rlev1, rlev2
+from ..codecs.bitpack import zigzag_decode_scalar
 from ..predicate import bind, normalize_predicate
+from ..stripe import framing
+from ..stripe.columns import build_string_array, scatter_valid
 
 # --- minimal protobuf wire-format reader -----------------------------------
 
@@ -111,9 +114,12 @@ def pb_repeated_uint(values: list) -> list[int]:
     for v in values:
         if isinstance(v, (bytes, bytearray, memoryview)):
             pos = 0
-            while pos < len(v):
-                x, pos = _read_varint(v, pos)
-                out.append(x)
+            try:
+                while pos < len(v):
+                    x, pos = _read_varint(v, pos)
+                    out.append(x)
+            except IndexError:
+                raise ValueError("packed field ends inside a varint") from None
         else:
             out.append(int(v))
     return out
@@ -125,6 +131,8 @@ _KIND_PRESENT, _KIND_DATA, _KIND_LENGTH = 0, 1, 2
 _KIND_DICTIONARY_DATA, _KIND_SECONDARY, _KIND_ROW_INDEX = 3, 5, 6
 _KIND_BLOOM_FILTER_UTF8 = 8
 _ENC_DIRECT, _ENC_DICTIONARY, _ENC_DIRECT_V2, _ENC_DICTIONARY_V2 = 0, 1, 2, 3
+# PostScript compression kind → stripe/framing.py block codec
+_CODECS = {0: "none", 1: "zlib", 5: "zstd_frame"}
 
 
 def _tail_field(msg: dict[int, list], tag: int, repeated: bool = False):
@@ -143,83 +151,6 @@ class _Stripe:
     data_length: int
     footer_length: int
     number_of_rows: int
-
-
-def _zstd_content_size(frame: bytes) -> int:
-    """Frame_Content_Size from a zstd frame header (RFC 8878 §3.1.1)."""
-    if frame[:4] != b"\x28\xb5\x2f\xfd":
-        raise ValueError("not a zstd frame")
-    fhd = frame[4]
-    single_segment = (fhd >> 5) & 1
-    fcs_flag = fhd >> 6
-    pos = 5 + (0 if single_segment else 1)  # skip window descriptor
-    pos += (0, 1, 2, 4)[fhd & 3]            # skip dictionary id
-    if fcs_flag == 0:
-        if not single_segment:
-            raise ValueError("zstd frame without content size")
-        return frame[pos]
-    if fcs_flag == 1:
-        return int.from_bytes(frame[pos:pos + 2], "little") + 256
-    if fcs_flag == 2:
-        return int.from_bytes(frame[pos:pos + 4], "little")
-    return int.from_bytes(frame[pos:pos + 8], "little")
-
-
-def _decompress(buf: bytes, compression: int) -> bytes:
-    """ORC stream: concatenation of [3-byte LE header][chunk] blocks;
-    header = (chunk_len << 1) | is_original. compression 0 = NONE."""
-    if compression == 0:
-        return buf
-    out = bytearray()
-    pos = 0
-    while pos < len(buf):
-        hdr = int.from_bytes(buf[pos:pos + 3], "little")
-        pos += 3
-        ln, original = hdr >> 1, hdr & 1
-        if pos + ln > len(buf):
-            raise ValueError("compressed chunk runs past the end of its stream")
-        chunk = buf[pos:pos + ln]
-        pos += ln
-        if original:
-            out += chunk
-        elif compression == 1:  # ZLIB = raw deflate
-            try:
-                out += zlib.decompress(chunk, -15)
-            except zlib.error as e:
-                raise ValueError(f"corrupt zlib chunk: {e}") from None
-        elif compression == 5:  # ZSTD frames
-            import pyarrow as _pa
-
-            # pyarrow needs the exact decompressed size — read it from the
-            # zstd frame header (Frame_Content_Size; our writer's frames
-            # always carry it)
-            out += _pa.Codec("zstd").decompress(
-                chunk, decompressed_size=_zstd_content_size(chunk))
-        else:
-            raise ValueError(f"ORC compression kind {compression} is not "
-                             "supported")
-    return bytes(out)
-
-
-def _strings_from_blob(blob: bytes, lengths: np.ndarray, binary: bool = False):
-    """Zero-copy Arrow string/binary array from a packed blob + per-value
-    lengths (the LENGTH stream already IS the vectorized offsets source —
-    no per-row Python slicing/decoding)."""
-    import pyarrow as pa
-
-    n = len(lengths)
-    if n and int(lengths.sum()) > 2**31 - 8:  # pragma: no cover - huge blob
-        offs = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offs[1:])
-        return pa.Array.from_buffers(
-            pa.large_binary() if binary else pa.large_utf8(), n,
-            [None, pa.py_buffer(offs.tobytes()), pa.py_buffer(blob)])
-    offs = np.zeros(n + 1, dtype=np.int32)
-    if n:
-        np.cumsum(lengths, out=offs[1:])
-    return pa.Array.from_buffers(
-        pa.binary() if binary else pa.utf8(), n,
-        [None, pa.py_buffer(offs.tobytes()), pa.py_buffer(blob)])
 
 
 def _decimals_from_parts(mant: np.ndarray, scale: np.ndarray,
@@ -269,6 +200,7 @@ class OrcFile:
         self._sf_cache: dict[int, dict[int, list]] = {}
         self._span_cache: dict[int, dict[tuple[int, int], tuple[int, int]]] = {}
         self._dict_cache: dict[tuple[int, int], "pa.Array"] = {}  # noqa: F821
+        self._index_cache: dict[tuple[int, int, int], list | None] = {}
         try:
             self._parse_tail()
         except ValueError as e:
@@ -291,13 +223,17 @@ class OrcFile:
             raise ValueError("no ORC magic in the PostScript or header")
         footer_len, meta_len = _tail_field(ps, 1), _tail_field(ps, 5)
         self.compression = _tail_field(ps, 2)
+        self.codec = _CODECS.get(self.compression)
+        if self.codec is None:
+            raise ValueError(f"ORC compression kind {self.compression} is "
+                             "not supported")
         data_end = size - 1 - ps_len - footer_len - meta_len
         if data_end < 3:  # the file opens with 3 magic bytes
             raise ValueError(f"footer ({footer_len} B) and metadata "
                              f"({meta_len} B) exceed the file")
         self._metadata_span = (data_end, meta_len)
-        footer = pb_parse(_decompress(
-            buf[data_end + meta_len:size - 1 - ps_len], self.compression))
+        footer = pb_parse(framing.decompress(
+            buf[data_end + meta_len:size - 1 - ps_len], self.codec))
         self.number_of_rows = _tail_field(footer, 6)
         self.stripes = [_Stripe(*(_tail_field(s, t) for t in range(1, 6)))
                         for s in map(pb_parse, _tail_field(footer, 3, True))]
@@ -325,6 +261,7 @@ class OrcFile:
             buf.close()
         self._f.close()
         self._dict_cache.clear()
+        self._index_cache.clear()
 
     def __del__(self):  # pragma: no cover - GC timing
         try:
@@ -350,7 +287,7 @@ class OrcFile:
             start = st.offset + st.index_length + st.data_length
             raw = self._buf[start:start + st.footer_length]
             sf = self._sf_cache[st.offset] = pb_parse(
-                _decompress(raw, self.compression))
+                framing.decompress(raw, self.codec))
         return sf
 
     def _streams(self, st: _Stripe) -> dict[tuple[int, int], tuple[int, int]]:
@@ -379,7 +316,7 @@ class OrcFile:
         if span is None:
             return None
         off, ln = span
-        return _decompress(self._buf[off:off + ln], self.compression)
+        return framing.decompress(self._buf[off:off + ln], self.codec)
 
     def _stripe_encoding(self, st: _Stripe, column: int) -> int:
         enc = self._stripe_footer(st).get(2, [])
@@ -388,20 +325,26 @@ class OrcFile:
     def column_encoding(self, column: int) -> int:
         return self._stripe_encoding(self.stripes[0], column)
 
+    def _index(self, st: _Stripe, column: int, kind: int, entry):
+        """``entry`` of each message in one index-region stream of one
+        stripe, or None when the stream is absent or empty. Parsed once per
+        open file: stripe pruning, the row-group plan and the seek share it."""
+        key = (st.offset, column, kind)
+        if key not in self._index_cache:
+            raw = self._stream(st, column, kind)
+            self._index_cache[key] = None if raw is None else [
+                entry(pb_parse(e)) for e in pb_parse(raw).get(1, [])] or None
+        return self._index_cache[key]
+
     def _row_index(self, st: _Stripe,
                    column: int) -> list[tuple[list[int], dict]] | None:
         """Parsed ROW_INDEX for one column of one stripe: one
         (positions, stats-rec) per row group, or None when absent."""
-        raw = self._stream(st, column, _KIND_ROW_INDEX)
-        if raw is None:
-            return None
-        out = []
-        for raw_entry in pb_parse(raw).get(1, []):
-            e = pb_parse(raw_entry)
+        def entry(e):
             stat_raw = e.get(2, [None])[0]
-            out.append((pb_repeated_uint(e.get(1, [])),
-                        _stats_rec(pb_parse(stat_raw)) if stat_raw else {}))
-        return out or None
+            return (pb_repeated_uint(e.get(1, [])),
+                    _stats_rec(pb_parse(stat_raw)) if stat_raw else {})
+        return self._index(st, column, _KIND_ROW_INDEX, entry)
 
     def bloom_filters(self, st: _Stripe,
                       column: int) -> list[tuple[int, bytes]] | None:
@@ -410,14 +353,8 @@ class OrcFile:
         None when the stripe carries no bloom for that column. Kind 7
         (pre-ORC-101 blooms, different string/double hashing) is ignored
         — never pruned on, only a missed optimization."""
-        raw = self._stream(st, column, _KIND_BLOOM_FILTER_UTF8)
-        if raw is None:
-            return None
-        out = []
-        for b in pb_parse(raw).get(1, []):
-            bd = pb_parse(b)
-            out.append((int(bd.get(1, [1])[0]), bd.get(3, [b""])[0]))
-        return out or None
+        return self._index(st, column, _KIND_BLOOM_FILTER_UTF8, lambda bd: (
+            int(bd.get(1, [1])[0]), bd.get(3, [b""])[0]))
 
     def _bloom_may_match(self, st: _Stripe, column: int, h: int) -> bool:
         """False only when the column's blooms PROVE no row group of this
@@ -486,8 +423,8 @@ class OrcFile:
         off, ln = self._metadata_span
         if not ln:
             return []
-        meta = pb_parse(_decompress(self._buf[off:off + ln],
-                                    self.compression))
+        meta = pb_parse(framing.decompress(self._buf[off:off + ln],
+                                           self.codec))
         top = self._top_columns()
         out = []
         for raw in meta.get(1, []):  # StripeStatistics
@@ -581,15 +518,15 @@ class OrcFile:
             cache = self._dict_cache if seeking else {}
             entries = cache.get(key)
             if entries is None:
-                entries = cache[key] = _strings_from_blob(
-                    self._stream(st, column, _KIND_DICTIONARY_DATA),
-                    rle.decode(self._stream(st, column, _KIND_LENGTH),
-                               False))
+                entries = cache[key] = build_string_array(
+                    pa.utf8(), rle.decode(
+                        self._stream(st, column, _KIND_LENGTH), False),
+                    self._stream(st, column, _KIND_DICTIONARY_DATA))
             arr = entries.take(pa.array(ints(_KIND_DATA, n, False)))
         elif kind in (7, 8, 16, 17):  # direct strings, BINARY
             lengths = ints(_KIND_LENGTH, n, False)
-            arr = _strings_from_blob(blob(int(lengths.sum())), lengths,
-                                     binary=kind == 8)
+            arr = build_string_array(pa.binary() if kind == 8 else pa.utf8(),
+                                     lengths, blob(int(lengths.sum())))
         elif kind == 9:  # TIMESTAMP (two-stream ORC layout)
             from ..stripe.columns import _decode_orc_nanos, _ORC_EPOCH_S
 
@@ -640,12 +577,7 @@ class OrcFile:
                     pa.array(offs.astype(np.int32)), kids[0], kids[1])
         else:  # pragma: no cover
             raise NotImplementedError(f"ORC type kind {kind}")
-        if present is not None:
-            # expand dense values to row slots: take with NULL indices at
-            # absent rows (works for every type, nested included)
-            idx = np.maximum(np.cumsum(present) - 1, 0)
-            arr = arr.take(pa.array(idx, mask=~present))
-        return arr
+        return arr if present is None else scatter_valid(arr, present)
 
     # --- row-group (ROW_INDEX-seek) decode -------------------------------
 
@@ -659,12 +591,10 @@ class OrcFile:
         for this stream (spec: stream seek base — 1 uncompressed, 2
         compressed — plus codec state), or None for streams that carry no
         row positions (dictionary blobs)."""
-        base = 1 if self.compression == 0 else 2
+        base = 1 if self.codec == "none" else 2
         dictionary = enc in (_ENC_DICTIONARY_V2, _ENC_DICTIONARY)
         if stream_kind == _KIND_PRESENT:
             return base + 2                      # byte-RLE run + bit
-        if stream_kind in (_KIND_DICTIONARY_DATA,):
-            return None
         if stream_kind == _KIND_LENGTH:
             return None if dictionary else base + 1
         if stream_kind == _KIND_DATA:
@@ -729,21 +659,24 @@ class OrcFile:
                 at += a
         if any(len(p) != at for p, _ in ri):
             return None   # layout mismatch — never guess on foreign files
-        base_n = 1 if self.compression == 0 else 2
+        base_n = 1 if self.codec == "none" else 2
+        # one chunk cache per stream: the selected groups share chunks
+        caches = {k: {} for k in layout}
+        bufs = {k: self._buf[off:off + ln]
+                for k, ((off, ln), _) in layout.items()}
 
         def seek(g):
             def at(k):
                 if k not in layout:
                     return None
-                (off, ln), sl = layout[k]
-                p = ri[g][0][sl]
+                p = ri[g][0][layout[k][1]]
                 state = p[base_n:]
-                if self.compression == 0:
-                    return self._buf[off:off + ln], p[0], state
-                # decompress from the position's chunk to the stream end:
+                if self.codec == "none":
+                    return bufs[k], p[0], state
+                # inflate from the position's chunk to the stream end:
                 # chunks BEFORE the seek point are never touched
-                return (_decompress(self._buf[off + p[0]:off + ln],
-                                    self.compression), p[1], state)
+                return (framing.decompress(bufs[k], self.codec, p[0],
+                                           caches[k]), p[1], state)
             return at
 
         parts = [self._decode_rows(
@@ -852,18 +785,14 @@ class OrcFile:
         return pa.table(cols)
 
 
-def _unzz(v: int) -> int:
-    return (v >> 1) ^ -(v & 1)
-
-
 def _stats_rec(st: dict[int, list]) -> dict:
     """{n, min, max} from one parsed ColumnStatistics message (int stats
     are sint64 zigzag; string stats UTF-8)."""
     rec: dict = {"n": st.get(1, [None])[0]}
     if 2 in st:  # intStatistics
         ist = pb_parse(st[2][0])
-        rec["min"] = _unzz(ist.get(1, [0])[0])
-        rec["max"] = _unzz(ist.get(2, [0])[0])
+        rec["min"] = zigzag_decode_scalar(ist.get(1, [0])[0])
+        rec["max"] = zigzag_decode_scalar(ist.get(2, [0])[0])
     elif 4 in st:  # stringStatistics
         sst = pb_parse(st[4][0])
         rec["min"] = sst.get(1, [b""])[0].decode("utf-8")

@@ -7,8 +7,9 @@ Ray engine: integer columns go through ``codecs.rlev2`` (the byte-faithful
 reimplementation of the reference's writer), strings through DIRECT_V2 /
 DICTIONARY_V2, doubles as IEEE-LE, nulls through ``codecs.bool_rle``
 PRESENT streams — all laid out per the public ORC spec (magic, stripes,
-protobuf StripeFooter/Metadata/Footer/PostScript, ZLIB or ZSTD chunk
-framing). Conformance check: ``tests/test_orc_conformance.py`` round-trips
+protobuf StripeFooter/Metadata/Footer/PostScript), each stream ZLIB or
+ZSTD chunks through ``stripe/framing.py`` (an empty stream is 0 bytes).
+Conformance check: ``tests/test_orc_conformance.py`` round-trips
 files through BOTH pyarrow's independent C++ ORC reader and this repo's
 ``orc_reader``.
 
@@ -40,18 +41,21 @@ bool → BOOLEAN, timestamp → TIMESTAMP, date32 → DATE, decimal(≤18 digits
 from __future__ import annotations
 
 import struct
-import zlib
-from bisect import bisect_right
 
 import numpy as np
 import pyarrow as pa
 
-from ..codecs import bool_rle, rlev2, varint
+from ..codecs import bool_rle, byte_rle, rlev2, varint
+from ..codecs.bitpack import zigzag_encode_scalar as _zz
+from ..stripe import framing
+from ..stripe.columns import string_parts
 
 # --- minimal protobuf wire-format writer ------------------------------------
 
 
 def _vint(n: int) -> bytes:
+    if n < 0:
+        raise ValueError(f"protobuf varint of a negative value {n}")
     out = bytearray()
     while True:
         b = n & 0x7F
@@ -80,11 +84,6 @@ def pb_msg(*fields: bytes) -> bytes:
     return b"".join(fields)
 
 
-def _zz(v: int) -> int:
-    """zigzag for proto sint64 fields (ORC statistics use sint64)."""
-    return (v << 1) ^ (v >> 63)  # Python's arithmetic shift: -1 for v<0
-
-
 # --- constants ---------------------------------------------------------------
 
 _KIND = {"PRESENT": 0, "DATA": 1, "LENGTH": 2, "DICTIONARY_DATA": 3,
@@ -97,6 +96,10 @@ _ENC_DIRECT, _ENC_DIRECT_V2, _ENC_DICTIONARY_V2 = 0, 2, 3
 
 _DEFAULT_STRIPE_BYTES = 64 * 2**20   # the reference's WriterConfiguration
 _DEFAULT_STRIDE = 10_000
+_BLOCK = 256 * 1024                  # compression chunk (PostScript field 3)
+# write_orc's compression → (PostScript kind, framing codec, level)
+_COMPRESSION = {"none": (0, "none", 0), "zlib": (1, "zlib", 6),
+                "zstd": (5, "zstd_frame", 1)}
 
 
 # --- schema walk (type tree is data-independent) -----------------------------
@@ -141,6 +144,8 @@ def _build_node(t: pa.DataType, next_id: list[int]) -> _Node:
     if pa.types.is_date(t):
         return _Node(nid, t, _TYPE_DATE, [])
     if pa.types.is_decimal(t):
+        if t.scale < 0:
+            raise ValueError(f"{t} has a negative scale; ORC's is unsigned")
         return _Node(nid, t, _TYPE_DECIMAL, [])
     if pa.types.is_string(t) or pa.types.is_large_string(t):
         return _Node(nid, t, _TYPE_STRING, [])
@@ -177,28 +182,20 @@ def _type_msgs(node: _Node) -> list[bytes]:
 # --- segmented stream builders (encoder restarts at row-group bounds) --------
 
 
+def _seg(encode, vals: np.ndarray, bounds, state=(0,)) -> tuple[bytes, list]:
+    """``encode`` restarted at each row-group bound: the stream, and per
+    group [stream offset, *state] (run offset 0; varints have no state)."""
+    parts, poss, off = [], [], 0
+    ends = list(bounds[1:]) + [len(vals)]
+    for a, b in zip(bounds, ends):
+        poss.append([off, *state])
+        parts.append(encode(np.ascontiguousarray(vals[int(a):int(b)])))
+        off += len(parts[-1])
+    return b"".join(parts), poss
+
+
 def _seg_rle(vals: np.ndarray, signed: bool, bounds) -> tuple[bytes, list]:
-    parts, poss, off = [], [], 0
-    ends = list(bounds[1:]) + [len(vals)]
-    for a, b in zip(bounds, ends):
-        poss.append([off, 0])
-        seg = rlev2.encode(np.ascontiguousarray(vals[int(a):int(b)]),
-                           signed=signed)
-        parts.append(seg)
-        off += len(seg)
-    return b"".join(parts), poss
-
-
-def _seg_varint(vals: np.ndarray, signed: bool, bounds) -> tuple[bytes, list]:
-    parts, poss, off = [], [], 0
-    ends = list(bounds[1:]) + [len(vals)]
-    for a, b in zip(bounds, ends):
-        poss.append([off])
-        seg = varint.encode(np.ascontiguousarray(vals[int(a):int(b)]),
-                            signed=signed)
-        parts.append(seg)
-        off += len(seg)
-    return b"".join(parts), poss
+    return _seg(lambda v: rlev2.encode(v, signed=signed), vals, bounds)
 
 
 def _seg_bool(bits: np.ndarray, bounds) -> tuple[bytes, list]:
@@ -335,17 +332,8 @@ def _encode_node_stripe(node: _Node, arr, row_bounds: np.ndarray,
         raw, poss = _seg_rle(vals, True, dense_bounds)
         streams.append(("DATA", raw, poss))
     elif node.kind == _TYPE_BYTE:  # tinyint: byte-RLE DATA
-        from ..codecs import byte_rle as _brle
-
         bv = d.to_numpy(zero_copy_only=False).astype(np.int8).view(np.uint8)
-        parts, poss, off = [], [], 0
-        ends = list(dense_bounds[1:]) + [len(bv)]
-        for a, b in zip(dense_bounds, ends):
-            poss.append([off, 0])
-            seg = _brle.encode(np.ascontiguousarray(bv[int(a):int(b)]))
-            parts.append(seg)
-            off += len(seg)
-        streams.append(("DATA", b"".join(parts), poss))
+        streams.append(("DATA", *_seg(byte_rle.encode, bv, dense_bounds)))
         enc_msg = pb_msg(pb_field(1, _ENC_DIRECT))
     elif node.kind == _TYPE_BOOLEAN:
         bits = d.to_numpy(zero_copy_only=False).astype(bool)
@@ -363,17 +351,7 @@ def _encode_node_stripe(node: _Node, arr, row_bounds: np.ndarray,
                         [[4 * int(b)] for b in dense_bounds]))
         enc_msg = pb_msg(pb_field(1, _ENC_DIRECT))
     elif node.kind == _TYPE_BINARY:
-        sa = d.cast(pa.large_binary())
-        offs = np.frombuffer(sa.buffers()[1], dtype=np.int64,
-                             count=len(sa) + 1, offset=8 * sa.offset)
-        lengths = np.diff(offs)
-        buf = sa.buffers()[2]
-        data = buf.to_pybytes()[offs[0]:offs[-1]] if buf is not None else b""
-        streams.append(("DATA", data,
-                        [[int(offs[int(b)] - offs[0])]
-                         for b in dense_bounds]))
-        raw, poss = _seg_rle(lengths, False, dense_bounds)
-        streams.append(("LENGTH", raw, poss))
+        streams.extend(_direct_strings(d, dense_bounds))
     elif node.kind == _TYPE_TIMESTAMP:
         # C++ ORC dialect: seconds truncated toward ZERO, SIGNED scaled
         # nanos for pre-1970 fractions (pyarrow writes -0.5s as secs=0,
@@ -409,7 +387,8 @@ def _encode_node_stripe(node: _Node, arr, row_bounds: np.ndarray,
         if not (lanes[:, 1] == mant >> 63).all():
             raise NotImplementedError(
                 f"ORC writer: {t} mantissa wider than 64 bits")
-        raw, poss = _seg_varint(mant, True, dense_bounds)
+        raw, poss = _seg(lambda v: varint.encode(v, signed=True), mant,
+                         dense_bounds, ())
         streams.append(("DATA", raw, poss))
         raw, poss = _seg_rle(np.full(len(d), t.scale, dtype=np.int64),
                              True, dense_bounds)
@@ -424,37 +403,29 @@ def _encode_node_stripe(node: _Node, arr, row_bounds: np.ndarray,
             dct = uniq.sort()
             ids = pc.index_in(d, value_set=dct).cast(pa.int64()) \
                 .to_numpy(zero_copy_only=False)
-            entries = dct.cast(pa.large_string())
-            offs = np.frombuffer(entries.buffers()[1], dtype=np.int64,
-                                 count=len(entries) + 1)
-            blob_buf = entries.buffers()[2]
-            blob = blob_buf.to_pybytes()[offs[0]:offs[-1]] \
-                if blob_buf is not None else b""
-            dlens = np.diff(offs)
+            offs, blob = string_parts(dct)
             raw, poss = _seg_rle(ids, False, dense_bounds)
             streams.append(("DATA", raw, poss))
             streams.append(("DICTIONARY_DATA", blob, None))
             streams.append(("LENGTH",
-                            rlev2.encode(dlens, signed=False), None))
+                            rlev2.encode(np.diff(offs), signed=False), None))
             enc_msg = pb_msg(pb_field(1, _ENC_DICTIONARY_V2),
-                             pb_field(2, len(entries)))
+                             pb_field(2, len(dct)))
         else:
-            sa = d.cast(pa.large_string())
-            offs = np.frombuffer(sa.buffers()[1], dtype=np.int64,
-                                 count=len(sa) + 1, offset=8 * sa.offset)
-            lengths = np.diff(offs)
-            buf = sa.buffers()[2]
-            data = buf.to_pybytes()[offs[0]:offs[-1]] \
-                if buf is not None else b""
-            streams.append(("DATA", data,
-                            [[int(offs[int(b)] - offs[0])]
-                             for b in dense_bounds]))
-            raw, poss = _seg_rle(lengths, False, dense_bounds)
-            streams.append(("LENGTH", raw, poss))
+            streams.extend(_direct_strings(d, dense_bounds))
     else:  # pragma: no cover
         raise NotImplementedError(f"ORC writer: node kind {node.kind}")
     encs[node.id] = enc_msg
     recs.extend((_KIND[n], node.id, r, p) for n, r, p in streams)
+
+
+def _direct_strings(d, dense_bounds) -> list[tuple[str, bytes, list]]:
+    """DATA (the bytes) and LENGTH streams of a direct string/binary node."""
+    offs, data = string_parts(d)
+    raw, poss = _seg_rle(np.diff(offs), False, dense_bounds)
+    return [("DATA", data, [[int(offs[int(b)] - offs[0])]
+                            for b in dense_bounds]),
+            ("LENGTH", raw, poss)]
 
 
 def _collect_node_arrays(node: _Node, arr, out: dict) -> None:
@@ -477,48 +448,19 @@ def _collect_node_arrays(node: _Node, arr, out: dict) -> None:
             _collect_node_arrays(child, d.field(fi), out)
 
 
-# --- framing with chunk table (for compressed position conversion) ----------
+# --- compressed positions -----------------------------------------------------
 
 
-def _frame_chunks(raw: bytes, compression: str,
-                  block: int = 256 * 1024) -> tuple[bytes, list | None]:
-    """ORC compressed-stream framing: 3-byte LE header per chunk,
-    (len << 1) | is_original; compressed body, stored when bigger.
-    Returns (framed bytes, [(decompressed offset, compressed offset)] per
-    chunk — None when compression is 'none')."""
-    if compression == "none":
-        return raw, None
-    out = bytearray()
-    table: list[tuple[int, int]] = []
-    for i in range(0, max(len(raw), 1), block):
-        chunk = raw[i:i + block]
-        table.append((i, len(out)))
-        if compression == "zlib":
-            comp = zlib.compress(chunk, 6)[2:-4]  # raw deflate body
-        else:  # zstd frame (ORC compression kind 5)
-            comp = bytes(pa.Codec("zstd").compress(chunk))
-        if len(comp) < len(chunk):
-            out += int.to_bytes(len(comp) << 1, 3, "little") + comp
-        else:
-            out += int.to_bytes((len(chunk) << 1) | 1, 3, "little") + chunk
-    return bytes(out), table
-
-
-def _frame(raw: bytes, compression: str, block: int = 256 * 1024) -> bytes:
-    return _frame_chunks(raw, compression, block)[0]
-
-
-def _conv_positions(poss: list | None, table: list | None) -> list | None:
-    """Raw-domain positions → file positions: with compression the stream
-    offset becomes (compressed chunk offset, offset in decompressed
-    chunk); RLE-state values pass through."""
-    if poss is None or table is None:
-        return poss
-    decomps = [t[0] for t in table]
+def _conv_positions(poss: list, framed: bytes) -> list:
+    """Raw-domain positions → positions in a compressed stream: the stream
+    offset becomes (its chunk's header offset, offset in the inflated
+    chunk); RLE-state values pass through. ``framing.compress`` cuts chunks
+    of exactly ``_BLOCK`` raw bytes; an empty stream has no chunk."""
+    heads = framing.block_offsets(framed) or [0]
     out = []
     for p in poss:
-        k = bisect_right(decomps, p[0]) - 1
-        out.append([table[k][1], p[0] - table[k][0]] + p[1:])
+        k = min(p[0] // _BLOCK, len(heads) - 1)
+        out.append([heads[k], p[0] - k * _BLOCK] + p[1:])
     return out
 
 
@@ -547,7 +489,11 @@ def write_orc(table: pa.Table, path: str, compression: str = "zlib",
     implemented bloom filters."""
     from ..codecs import orc_bloom
 
-    comp_enum = {"none": 0, "zlib": 1, "zstd": 5}[compression]
+    comp_enum, codec, level = _COMPRESSION[compression]
+
+    def frame(raw: bytes) -> bytes:
+        return framing.compress(raw, _BLOCK, level, codec)
+
     n_rows = table.num_rows
     if bloom_columns and not row_index_stride:
         raise ValueError("bloom_columns require row_index_stride > 0")
@@ -556,8 +502,12 @@ def write_orc(table: pa.Table, path: str, compression: str = "zlib",
         raise ValueError(f"bloom_columns not in table: {missing}")
 
     next_id = [1]  # 0 = root struct
-    roots = [_build_node(table.column(i).type, next_id)
-             for i in range(table.num_columns)]
+    roots = []
+    for name, col in zip(table.column_names, table.columns):
+        try:
+            roots.append(_build_node(col.type, next_id))
+        except ValueError as e:
+            raise ValueError(f"column {name!r}: {e}") from None
     bloom_ids = {}
     for ci, name in enumerate(table.column_names):
         if name in bloom_columns:
@@ -600,8 +550,10 @@ def write_orc(table: pa.Table, path: str, compression: str = "zlib",
                     f"column {sl.column_names[ci]!r}: {e}") from e
         framed = []
         for kind, cid, raw, poss in recs:
-            fb, chtable = _frame_chunks(raw, compression)
-            framed.append((kind, cid, fb, _conv_positions(poss, chtable)))
+            fb = frame(raw)
+            if poss is not None and codec != "none":
+                poss = _conv_positions(poss, fb)
+            framed.append((kind, cid, fb, poss))
         stats_by_id = {nid: (a, rb) for nid, a, rb in stats_rows}
         # ROW_INDEX streams (index region, one per column id)
         index_recs: list[tuple[int, int, bytes]] = []
@@ -633,7 +585,7 @@ def write_orc(table: pa.Table, path: str, compression: str = "zlib",
                     entries.append(pb_msg(*fields))
                 ri = pb_msg(*[pb_field(1, e) for e in entries])
                 index_recs.append((_KIND["ROW_INDEX"], nid,
-                                   _frame(ri, compression)))
+                                   frame(ri)))
                 if nid in bloom_ids:
                     # BLOOM_FILTER_UTF8: one spec bloom per row group over
                     # the group's non-null values (liborc stream order:
@@ -652,7 +604,7 @@ def write_orc(table: pa.Table, path: str, compression: str = "zlib",
                         blooms.append(pb_msg(pb_field(1, nh),
                                              pb_field(3, bits)))
                     bfi = pb_msg(*[pb_field(1, b) for b in blooms])
-                    index_recs.append((8, nid, _frame(bfi, compression)))
+                    index_recs.append((8, nid, frame(bfi)))
         index_bytes = b"".join(fb for _, _, fb in index_recs)
         data_bytes = b"".join(fb for _, _, fb, _ in framed)
         stripe_footer = pb_msg(
@@ -665,7 +617,7 @@ def write_orc(table: pa.Table, path: str, compression: str = "zlib",
             *[pb_field(2, encs[i]) for i in range(n_ids)],
             pb_field(3, "UTC"),  # writerTimezone (UTC-normalized)
         )
-        sff = _frame(stripe_footer, compression)
+        sff = frame(stripe_footer)
         stripe_info_msgs.append(pb_msg(
             pb_field(1, len(body)), pb_field(2, len(index_bytes)),
             pb_field(3, len(data_bytes)), pb_field(4, len(sff)),
@@ -678,7 +630,7 @@ def write_orc(table: pa.Table, path: str, compression: str = "zlib",
     # Metadata: per-stripe column statistics
     metadata = pb_msg(*[pb_field(1, pb_msg(*[pb_field(1, cs) for cs in ss]))
                         for ss in stripe_stats_msgs])
-    metadata_framed = _frame(metadata, compression)
+    metadata_framed = frame(metadata)
     # file-level statistics from the full table (true per-node counts)
     file_arrays: dict[int, pa.Array] = {}
     for ci, rnode in enumerate(roots):
@@ -698,11 +650,11 @@ def write_orc(table: pa.Table, path: str, compression: str = "zlib",
         # disambiguates (Java hashes doubles differently)
         pb_field(9, 1),
     )
-    footer_framed = _frame(footer, compression)
+    footer_framed = frame(footer)
     postscript = pb_msg(
         pb_field(1, len(footer_framed)),
         pb_field(2, comp_enum),
-        pb_field(3, 256 * 1024),
+        pb_field(3, _BLOCK),
         pb_field(4, 0), pb_field(4, 12),                  # version 0.12
         pb_field(5, len(metadata_framed)),
         pb_field(6, 6),     # writerVersion ORC_135 (≥ ORC_101, so

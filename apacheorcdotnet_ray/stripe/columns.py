@@ -256,13 +256,11 @@ def _encode_values(name: str, valid: pa.Array, config: EncodeConfig,
                 and config.compression != "none"):
             from .framing import compress as _fcompress
 
-            level = (config.zlib_level if config.compression == "zlib"
-                     else config.zstd_level)
             sample = vals_np[: config.selector_sample_size]
-            raw_c = len(_fcompress(sample.tobytes(), config.compression_block_size,
-                                   level, codec=config.compression))
-            bss_c = len(_fcompress(bss.encode(sample), config.compression_block_size,
-                                   level, codec=config.compression))
+            raw_c, bss_c = (len(_fcompress(b, config.compression_block_size,
+                                           config.compression_level,
+                                           config.compression))
+                            for b in (sample.tobytes(), bss.encode(sample)))
             if bss_c < 0.98 * raw_c:
                 streams.append(Stream(name, DATA, "bss", bss.encode(vals_np),
                                       nv, {"dtype": str(valid.type)}))
@@ -338,16 +336,19 @@ def _encode_values(name: str, valid: pa.Array, config: EncodeConfig,
     raise NotImplementedError(f"unsupported Arrow type for column {name}: {t}")
 
 
-def _string_bytes(valid: pa.Array) -> tuple[np.ndarray, bytes]:
-    """(lengths, concatenated utf8/binary bytes) for a no-null string array."""
-    if pa.types.is_large_string(valid.type):
-        valid = valid.cast(pa.string())
-    offsets = np.frombuffer(valid.buffers()[1], dtype=np.int32,
-                            count=len(valid) + 1, offset=valid.offset * 4).astype(np.int64)
+def string_parts(valid: pa.Array) -> tuple[np.ndarray, bytes]:
+    """(offsets, bytes) of a no-null string/binary array, shared by the
+    ``.oray`` and ORC writers: the offsets in the array's own width (int32,
+    int64 for large types), absolute into its data buffer (so
+    ``offsets[0]`` is not 0 on a slice), and the bytes they span."""
+    large = pa.types.is_large_string(valid.type) or pa.types.is_large_binary(valid.type)
+    width = 8 if large else 4
+    offsets = np.frombuffer(valid.buffers()[1], dtype=np.int64 if large else np.int32,
+                            count=len(valid) + 1, offset=valid.offset * width)
     data_buf = valid.buffers()[2]
-    data = data_buf.to_pybytes()[offsets[0]: offsets[-1]] if data_buf is not None else b""
-    lengths = np.diff(offsets)
-    return lengths, data
+    lo, hi = int(offsets[0]), int(offsets[-1])
+    data = data_buf.slice(lo, hi - lo).to_pybytes() if data_buf is not None else b""
+    return offsets, data
 
 
 def _encode_string(name: str, valid: pa.Array, config: EncodeConfig,
@@ -375,18 +376,18 @@ def _encode_string(name: str, valid: pa.Array, config: EncodeConfig,
         remap = np.empty(len(dictionary), dtype=np.int64)
         remap[order.to_numpy(zero_copy_only=False)] = np.arange(len(dictionary))
         ids = remap[denc.indices.to_numpy(zero_copy_only=False)]
-        dlens, dbytes = _string_bytes(sorted_dict)
+        doffs, dbytes = string_parts(sorted_dict)
         streams.append(Stream(name, DICT_DATA, "raw", dbytes, len(sorted_dict), {"dtype": "bytes"}))
         streams.append(Stream(name, DICT_LENGTH, "rlev2",
-                              rlev2.encode(dlens, False, config.aligned_bit_widths),
+                              rlev2.encode(np.diff(doffs), False, config.aligned_bit_widths),
                               len(sorted_dict), {"signed": False}))
         streams.append(Stream(name, DATA, "rlev2",
                               rlev2.encode(ids, False, config.aligned_bit_widths),
                               nv, {"signed": False}))
         return "dict"
 
-    lengths, data = _string_bytes(valid)
-    len_codec, len_enc = _encode_int_data(lengths, config, signed=False)
+    offsets, data = string_parts(valid)
+    len_codec, len_enc = _encode_int_data(np.diff(offsets), config, signed=False)
     streams.append(Stream(name, LENGTH, len_codec, len_enc, nv, {"signed": False}))
 
     if config.enable_fsst and "fsst" in config.string_codecs and len(data) > 0:
@@ -437,7 +438,7 @@ def decode_column(field_: pa.Field, streams: list[Stream], n_rows: int) -> pa.Ar
     values = _decode_values(field_.name, field_.type, by_kind, child_streams, n_valid)
     if mask is None:
         return values
-    return _scatter_valid(values, mask, field_.type)
+    return scatter_valid(values, mask)
 
 
 def _decode_values(name: str, t: pa.DataType, by_kind: dict, child_streams: list[Stream], nv: int) -> pa.Array:
@@ -537,7 +538,7 @@ def _decode_string(t: pa.DataType, by_kind: dict, nv: int) -> pa.Array:
     if DICT_DATA in by_kind:
         dstream = by_kind[DICT_DATA]
         dlens = rlev2.decode(by_kind[DICT_LENGTH].data, False, dstream.n)
-        dictionary = _build_string_array(pa.string(), dlens, dstream.data)
+        dictionary = build_string_array(pa.string(), dlens, dstream.data)
         ids = rlev2.decode(by_kind[DATA].data, False, nv)
         return dictionary.take(pa.array(ids, type=pa.int64())).cast(t)
 
@@ -547,7 +548,7 @@ def _decode_string(t: pa.DataType, by_kind: dict, nv: int) -> pa.Array:
         data = fsst.decode_chunk(data_stream.data)
     else:
         data = data_stream.data
-    return _build_string_array(t, lengths, data)
+    return build_string_array(t, lengths, data)
 
 
 def column_predicate_mask(field_: pa.Field, streams: list[Stream], n_rows: int,
@@ -567,7 +568,7 @@ def column_predicate_mask(field_: pa.Field, streams: list[Stream], n_rows: int,
         return None
     dstream = by_kind[DICT_DATA]
     dlens = rlev2.decode(by_kind[DICT_LENGTH].data, False, dstream.n)
-    dmask = term.mask(_build_string_array(t, dlens, dstream.data))
+    dmask = term.mask(build_string_array(t, dlens, dstream.data))
     dmask_np = dmask.to_numpy(zero_copy_only=False).astype(bool)
     present = by_kind.get(PRESENT)
     if present is None:
@@ -575,23 +576,32 @@ def column_predicate_mask(field_: pa.Field, streams: list[Stream], n_rows: int,
         return pa.array(dmask_np[ids])
     mask = bool_rle.decode(present.data, n_rows)
     ids = rlev2.decode(by_kind[DATA].data, False, int(mask.sum()))
-    return _scatter_valid(pa.array(dmask_np[ids]), mask, pa.bool_())
+    return scatter_valid(pa.array(dmask_np[ids]), mask)
 
 
-def _build_string_array(t: pa.DataType, lengths: np.ndarray, data: bytes) -> pa.Array:
-    offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int32)
+def build_string_array(t: pa.DataType, lengths: np.ndarray, data: bytes) -> pa.Array:
+    """Zero-copy string/binary array of type ``t`` from per-value lengths
+    and their concatenated bytes (``.oray`` and ORC reads). Bytes past
+    int32 offsets give the large counterpart of ``t``."""
     n = len(lengths)
-    storage = pa.binary() if pa.types.is_binary(t) else pa.string()
-    arr = pa.Array.from_buffers(
-        storage, n, [None, pa.py_buffer(offsets.tobytes()), pa.py_buffer(data)])
-    return arr if t == storage else arr.cast(t)
+    total = int(lengths.sum()) if n else 0
+    if total > len(data) or (n and int(lengths.min()) < 0):
+        raise ValueError(f"string lengths sum to {total} B, but the data "
+                         f"holds {len(data)} B")
+    binary = pa.types.is_binary(t) or pa.types.is_large_binary(t)
+    large = (pa.types.is_large_string(t) or pa.types.is_large_binary(t)
+             or total > 2**31 - 1)
+    storage = ((pa.large_binary() if large else pa.binary()) if binary
+               else pa.large_utf8() if large else pa.utf8())
+    offsets = np.zeros(n + 1, dtype=np.int64 if large else np.int32)
+    np.cumsum(lengths, out=offsets[1:])
+    return pa.Array.from_buffers(
+        storage, n, [None, pa.py_buffer(offsets), pa.py_buffer(data)])
 
 
-def _scatter_valid(values: pa.Array, mask: np.ndarray, t: pa.DataType) -> pa.Array:
-    """Spread non-null values back to full length: take() with null indices
-    yields nulls, which works uniformly for primitives, strings and lists."""
-    n = len(mask)
-    idx = np.zeros(n, dtype=np.int64)
-    idx[mask] = np.arange(int(mask.sum()))
-    take_idx = pa.array(idx, mask=~mask)
-    return values.take(take_idx)
+def scatter_valid(values: pa.Array, mask: np.ndarray) -> pa.Array:
+    """Spread the non-null values back to one slot per row (``mask`` True
+    where a row is valid), for ``.oray`` and ORC reads: take() with null
+    indices yields nulls, for primitives, strings and nested types alike."""
+    idx = np.maximum(np.cumsum(mask) - 1, 0)
+    return values.take(pa.array(idx, mask=~mask))

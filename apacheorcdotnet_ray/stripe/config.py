@@ -62,3 +62,8 @@ class EncodeConfig:
 
     # output
     magic: bytes = b"ORAY1"
+
+    @property
+    def compression_level(self) -> int:
+        """The level ``compression``'s block codec runs at."""
+        return self.zstd_level if self.compression == "zstd" else self.zlib_level

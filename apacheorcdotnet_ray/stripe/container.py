@@ -22,6 +22,7 @@ import bisect
 import json
 import struct
 import zlib
+from itertools import accumulate
 
 import numpy as np
 import pyarrow as pa
@@ -72,13 +73,8 @@ def encode_stripe(
 
     def emit(streams: list[Stream]) -> None:
         for s in streams:
-            if config.compression == "zlib":
-                payload = compress(s.data, config.compression_block_size, config.zlib_level)
-            elif config.compression == "zstd":
-                payload = compress(s.data, config.compression_block_size,
-                                   config.zstd_level, codec="zstd")
-            else:
-                payload = s.data
+            payload = compress(s.data, config.compression_block_size,
+                               config.compression_level, config.compression)
             entry = {
                 "col": s.col,
                 "kind": s.kind,
@@ -144,12 +140,8 @@ def encode_stripe(
                 avg = (sum(nonzero) // len(nonzero)) if nonzero else 1
                 bs = min(config.compression_block_size,
                          max(4096, 1 << (max(avg, 1) - 1).bit_length()))
-                if config.compression == "zlib":
-                    payload = compress(raw, bs, config.zlib_level)
-                elif config.compression == "zstd":
-                    payload = compress(raw, bs, config.zstd_level, codec="zstd")
-                else:
-                    payload = raw
+                payload = compress(raw, bs, config.compression_level,
+                                   config.compression)
                 base_codec = next(c for c in codecs if c is not None)
                 base_params = next(s.params for _, s in items)
                 entry = {
@@ -308,8 +300,7 @@ def decode_stripe(
     if bound is not None and bound.empty:
         return out_schema.empty_table()  # a term's column is not in this stripe
     n_rows = footer["rows"]
-    codec = footer.get("compression")
-    framed = codec in ("zlib", "zstd")
+    codec = footer.get("compression") or "none"
 
     range_slice = None  # (local offset into the decoded strides, length)
     range_sel = None    # stride indexes the range overlaps
@@ -342,7 +333,7 @@ def decode_stripe(
             raise ValueError(
                 f"stripe stream corrupt: col={meta['col']} kind={meta['kind']}"
                 f" (crc mismatch at offset {meta['offset']})")
-        data = decompress(payload, codec) if framed else payload
+        data = decompress(payload, codec)
         if io_stats is not None:
             io_stats["bytes_read"] += meta["length"]
             io_stats["bytes_decompressed"] += meta["raw_length"]
@@ -369,33 +360,23 @@ def decode_stripe(
             ln = m["pos_len"][si]
             if ln == 0:
                 return None
-            if "pos_off" not in state:  # raw offsets = cumsum of pos_len
-                offs, acc = [], 0
-                for l_ in m["pos_len"]:
-                    offs.append(acc)
-                    acc += l_
-                state["pos_off"] = offs
-            pos_off = state["pos_off"][si]
-            if framed:
-                seg = buf[m["offset"] : m["offset"] + m["length"]]
-                if "offsets" not in state:
-                    state["offsets"] = block_offsets(seg)
-                    state["cache"] = {}
+            corrupt = (f"stripe stream corrupt: col={m['col']} "
+                       f"kind={m['kind']} stride={si}")
+            try:
+                if "seg" not in state:  # raw offsets = cumsum of pos_len
+                    seg = buf[m["offset"] : m["offset"] + m["length"]]
+                    state.update(seg=seg, cache={},
+                                 pos_off=list(accumulate(m["pos_len"], initial=0)),
+                                 offsets=(block_offsets(seg)
+                                          if codec != "none" else None))
                 data = decompress_range(
-                    seg, pos_off, ln, codec,
-                    m.get("bs", block_size),
-                    cache=state["cache"], io_stats=io_stats,
-                    offsets=state["offsets"])
-            else:
-                data = buf[m["offset"] + pos_off
-                           : m["offset"] + pos_off + ln]
-                if io_stats is not None:
-                    io_stats["bytes_read"] += ln
-                    io_stats["bytes_decompressed"] += ln
+                    state["seg"], state["pos_off"][si], ln, codec,
+                    m.get("bs", block_size), cache=state["cache"],
+                    io_stats=io_stats, offsets=state["offsets"])
+            except ValueError as e:
+                raise ValueError(f"{corrupt} ({e})") from None
             if zlib.crc32(data) != m["pos_crc"][si]:
-                raise ValueError(
-                    f"stripe stream corrupt: col={m['col']} kind={m['kind']}"
-                    f" stride={si} (crc mismatch)")
+                raise ValueError(f"{corrupt} (crc mismatch)")
             cdc = m["pos_codec"][si] if "pos_codec" in m else m["codec"]
             prm = m["pos_params"][si] if "pos_params" in m else m["params"]
             return Stream(m["col"], m["kind"], cdc, data, m["pos_n"][si], prm)

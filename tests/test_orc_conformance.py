@@ -256,6 +256,58 @@ def test_write_orc_rejects_wide_decimal(tmp_path):
         narrow.column(0).to_pylist()
 
 
+def test_write_orc_rejects_negative_decimal_scale(tmp_path):
+    """ORC's decimal scale is unsigned: a negative Arrow scale is refused,
+    naming the column, and the protobuf varint writer refuses a negative
+    value instead of looping forever."""
+    from decimal import Decimal
+
+    import pyarrow as pa
+
+    from apacheorcdotnet_ray.sources.orc_writer import _vint, write_orc
+
+    t = pa.table({"k": [1, 2],
+                  "hundreds": pa.array([Decimal("1E+2"), None],
+                                       type=pa.decimal128(5, -2))})
+    with pytest.raises(ValueError, match="'hundreds'.*negative scale"):
+        write_orc(t, str(tmp_path / "neg.orc"))
+    with pytest.raises(ValueError, match="negative"):
+        _vint(-2)
+    assert _vint(300) == b"\xac\x02"
+
+
+@pytest.mark.parametrize("compression", ["zlib", "zstd"])
+def test_empty_streams_are_zero_bytes(tmp_path, compression):
+    """A stream with no bytes (all-null, all-"" and all-[] columns) is
+    written as 0 bytes, not as one empty chunk, and both readers read the
+    file, full and through a ROW_INDEX seek."""
+    import pyarrow as pa
+
+    from apacheorcdotnet_ray.sources.orc_reader import OrcFile, pb_parse
+    from apacheorcdotnet_ray.sources.orc_writer import write_orc
+
+    po = pytest.importorskip("pyarrow.orc")
+    n = 25_000
+    t = pa.table({"k": pa.array(np.arange(n, dtype=np.int64)),
+                  "nul": pa.array([None] * n, type=pa.int64()),
+                  "snul": pa.array([None] * n, type=pa.string()),
+                  "e": pa.array([""] * n),
+                  "b": pa.array([b""] * n),
+                  "l": pa.array([[]] * n, type=pa.large_list(pa.int32()))})
+    p = str(tmp_path / "empty.orc")
+    write_orc(t, p, compression=compression, row_index_stride=10_000)
+    assert po.ORCFile(p).read().cast(t.schema).equals(t)
+    f = OrcFile(p)
+    assert f.read_table().equals(t)
+    flat = ["k", "nul", "snul", "e", "b"]
+    part = f.read_table(columns=flat, predicate=("k", "==", 15_000))
+    assert part.equals(t.select(flat).slice(10_000, 10_000))
+    lens = [pb_parse(r).get(3, [0])[0]
+            for r in f._stripe_footer(f.stripes[0]).get(1, [])]
+    assert lens.count(0) == 6  # nul, snul x2, e dictionary, b, l child
+    f.close()
+
+
 def test_read_table_full_stack(tmp_path):
     """write_orc → OrcFile.read_table: every supported type incl. nulls,
     NaN, pre-epoch timestamps — both ends of this repo's ORC stack."""
@@ -511,10 +563,10 @@ def test_row_index_positions_seek_exact(tmp_path):
     import pyarrow as pa
 
     from apacheorcdotnet_ray.codecs import rlev2
-    from apacheorcdotnet_ray.sources.orc_reader import (OrcFile, _decompress,
-                                                        pb_parse,
+    from apacheorcdotnet_ray.sources.orc_reader import (OrcFile, pb_parse,
                                                         pb_repeated_uint)
     from apacheorcdotnet_ray.sources.orc_writer import write_orc
+    from apacheorcdotnet_ray.stripe import framing
 
     n = 45_000
     vals = (np.arange(n, dtype=np.int64) * 13) % 100000
@@ -528,7 +580,7 @@ def test_row_index_positions_seek_exact(tmp_path):
     for s in streams:
         kind, col, ln = s.get(1, [0])[0], s.get(2, [0])[0], s.get(3, [0])[0]
         if kind == 6 and col == 1:
-            ri_raw = _decompress(f._buf[pos:pos + ln], f.compression)
+            ri_raw = framing.decompress(f._buf[pos:pos + ln], f.codec)
         if kind == 1 and col == 1:
             data_off, data_len = pos, ln
         pos += ln
@@ -536,8 +588,8 @@ def test_row_index_positions_seek_exact(tmp_path):
     assert len(entries) == 5  # 45k rows / 10k stride
     comp_off, in_chunk, run_off = pb_repeated_uint(entries[3].get(1, []))
     assert run_off == 0  # encoder restarts at every stride
-    dec = _decompress(f._buf[data_off + comp_off:data_off + data_len],
-                      f.compression)[in_chunk:]
+    dec = framing.decompress(f._buf[data_off + comp_off:data_off + data_len],
+                             f.codec)[in_chunk:]
     got = rlev2.decode(dec, signed=True)[:10_000]
     assert (got == vals[30_000:40_000]).all()
     stm = pb_parse(entries[3][2][0])
@@ -554,9 +606,9 @@ def test_nested_stats_true_counts(tmp_path):
     sum of list lengths; masked values excluded) and the hasNull flag."""
     import pyarrow as pa
 
-    from apacheorcdotnet_ray.sources.orc_reader import (OrcFile, _decompress,
-                                                        pb_parse)
+    from apacheorcdotnet_ray.sources.orc_reader import OrcFile, pb_parse
     from apacheorcdotnet_ray.sources.orc_writer import write_orc
+    from apacheorcdotnet_ray.stripe import framing
 
     n = 1_000
     toks = pa.array([None if i % 10 == 0 else list(range(i % 4))
@@ -568,8 +620,8 @@ def test_nested_stats_true_counts(tmp_path):
     buf = open(p, "rb").read()
     ps_len = buf[-1]
     ps = pb_parse(buf[-1 - ps_len:-1])
-    footer = pb_parse(_decompress(
-        buf[-1 - ps_len - ps[1][0]:-1 - ps_len], ps.get(2, [0])[0]))
+    footer = pb_parse(framing.decompress(
+        buf[-1 - ps_len - ps[1][0]:-1 - ps_len], "zlib"))
     stats = [pb_parse(raw) for raw in footer.get(7, [])]
     n_lists = sum(1 for i in range(n) if i % 10 != 0)
     n_child = sum(i % 4 for i in range(n) if i % 10 != 0)
@@ -582,9 +634,9 @@ def test_nested_stats_true_counts(tmp_path):
     meta_len = ps.get(5, [0])[0]
     assert meta_len > 0
     foot_len = ps[1][0]
-    meta = pb_parse(_decompress(
+    meta = pb_parse(framing.decompress(
         buf[-1 - ps_len - foot_len - meta_len:-1 - ps_len - foot_len],
-        ps.get(2, [0])[0]))
+        "zlib"))
     assert len(meta.get(1, [])) == 1    # one StripeStatistics per stripe
 
 

@@ -10,7 +10,8 @@ import pyarrow as pa
 import pyarrow.orc as pa_orc
 import pytest
 
-from apacheorcdotnet_ray.sources.orc_reader import OrcFile, read_file_stats
+from apacheorcdotnet_ray.sources.orc_reader import (OrcFile, pb_repeated_uint,
+                                                    read_file_stats)
 from apacheorcdotnet_ray.sources.orc_writer import write_orc
 
 N = 25
@@ -132,3 +133,20 @@ def test_stream_holding_fewer_values_than_rows_raises(tmp_path):
     with pytest.raises(ValueError, match="short.orc.*100 values, expected 101"):
         f.read_table()
     f.close()
+
+
+def test_packed_field_ending_inside_a_varint_raises():
+    """A packed repeated field (Type.subtypes, ROW_INDEX positions) whose
+    last varint is cut raises ValueError, as pb_parse does."""
+    assert pb_repeated_uint([b"\x05\x85\x01", 7]) == [5, 133, 7]
+    with pytest.raises(ValueError, match="inside a varint"):
+        pb_repeated_uint([b"\x05\x85"])
+
+
+def test_unsupported_compression_raises_naming_the_file(tmp_path):
+    """A compression kind with no framing codec (SNAPPY = 2) is refused at
+    open, naming the file, before any stream is read."""
+    p = str(tmp_path / "snappy.orc")
+    pa_orc.write_table(pa.table({"a": [1, 2, 3]}), p, compression="snappy")
+    with pytest.raises(ValueError, match="snappy.orc.*kind 2"):
+        OrcFile(p)

@@ -163,3 +163,35 @@ def test_read_row_range_multi_stripe(ray_session, tmp_path):
     got = read_row_range(str(tmp_path), 890, 100, columns=["doc_id"])
     assert got.schema().names == ["doc_id"] and got.count() == 10
     assert read_row_range(str(tmp_path), 900, 10).count() == 0
+
+
+@pytest.fixture(scope="module")
+def flip_stripes():
+    n = 200_000
+    rng = np.random.default_rng(5)
+    t = pa.table({"x": pa.array(rng.integers(0, 2**40, n), type=pa.int64()),
+                  "s": pa.array([f"v{i % 977}-{i}" for i in range(n)])})
+    return {stride: encode_stripe(t, EncodeConfig(row_index_stride=stride))
+            for stride in (10_000, None)}
+
+
+@pytest.mark.parametrize("stride", [10_000, None])
+@pytest.mark.parametrize("row_range", [None, (150_000, 150_010)])
+def test_chunk_header_flip_raises_naming_the_stream(flip_stripes, stride,
+                                                     row_range):
+    """A flipped byte in a stream's first chunk header either raises a
+    ValueError naming the column and stream kind, or the read never
+    touches it and returns the clean table: never IndexError, never
+    zlib.error, never different rows."""
+    buf, footer = flip_stripes[stride]
+    clean = decode_stripe(buf, row_range=row_range)
+    for m in footer["streams"]:
+        for i in range(3):
+            bad = bytearray(buf)
+            bad[m["offset"] + i] ^= 0xFF
+            try:
+                got = decode_stripe(bytes(bad), row_range=row_range)
+            except ValueError as e:
+                assert f"col={m['col']} kind={m['kind']}" in str(e)
+            else:
+                assert got.equals(clean)
