@@ -1,6 +1,6 @@
 """Compressed-chunk framing, the one reader and writer of the reference's
 compressed-buffer format for ``.oray`` stripes and ORC files alike
-(/root/reference/src/ApacheOrcDotNet/Compression/OrcCompressedStream.cs:49-107,
+(ApacheOrcDotNet Compression/OrcCompressedStream.cs:49-107,
 OrcCompressedBuffer.cs:35-59): data is cut into ``block_size`` raw chunks,
 each compressed and preceded by a 3-byte little-endian header
 ``(len << 1) | is_original``, where is_original=1 means stored raw
