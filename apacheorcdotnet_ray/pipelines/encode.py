@@ -277,12 +277,13 @@ def enumerate_partitions(paths: list[str], row_groups_per_partition: int = 4) ->
 
 
 def encode_num_blocks(n_parts: int, est_bytes: int, cpus: int, ctx) -> int:
-    """Blocks for ``n_parts`` partition descriptors holding ``est_bytes`` of
-    parquet data, chosen as Ray Data chooses a read's block count: up to
+    """Blocks for ``n_parts`` descriptors holding ``est_bytes`` of data,
+    chosen as Ray Data chooses a read's block count: up to
     ``ctx.read_op_min_num_blocks`` while blocks stay above
     ``ctx.target_min_block_size``, at least enough to keep them under
     ``ctx.target_max_block_size``, and two per CPU; never more than one per
-    partition."""
+    descriptor. It sizes the encode tasks (parquet partitions) and every
+    ``.oray`` read's decode tasks (stripe files, ``sources.stripes.decode_paths``)."""
     n = max(min(ctx.read_op_min_num_blocks, est_bytes // ctx.target_min_block_size),
             est_bytes // ctx.target_max_block_size, 2 * cpus)
     return max(1, min(n_parts, n))

@@ -179,19 +179,17 @@ def iter_shuffled_batches(stripe_dir: str, epoch: int, seq_len: int = 2048,
 
     import numpy as np
 
-    from ..sources.stripes import stripe_paths
+    from ..sources.stripes import decode_paths, stripe_paths
     from ..stages.decode import StripeDecoder
     import os
-    import ray.data as rd
 
     paths = stripe_paths(stripe_dir)
     if not paths:
         raise FileNotFoundError(f"no .oray stripes under {stripe_dir}")
     order = sorted(paths, key=lambda p: _z.crc32(
         f"{os.path.basename(p)}#{epoch}".encode()))
-    ds = rd.read_binary_files(order, include_paths=True).map_batches(
-        StripeDecoder(columns=[id_col, tokens_col]).__call__,
-        batch_format="pyarrow", batch_size=None)
+    ds = decode_paths([{"path": p} for p in order],
+                      StripeDecoder(columns=[id_col, tokens_col]))
 
     def permute(batch: pa.Table) -> pa.Table:
         # deterministic local permutation: rank = crc-free integer hash of

@@ -47,6 +47,7 @@ source:
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,6 +134,7 @@ _KIND_BLOOM_FILTER_UTF8 = 8
 _ENC_DIRECT, _ENC_DICTIONARY, _ENC_DIRECT_V2, _ENC_DICTIONARY_V2 = 0, 1, 2, 3
 # PostScript compression kind → stripe/framing.py block codec
 _CODECS = {0: "none", 1: "zlib", 5: "zstd_frame"}
+log = logging.getLogger(__name__)
 
 
 def _tail_field(msg: dict[int, list], tag: int, repeated: bool = False):
@@ -857,8 +859,8 @@ def read_orc_files(paths, columns: list[str] | None = None,
                 f.close()
         pruned = len(paths) - len(kept)
         if pruned:
-            print(f"read_orc_files: footer stats pruned {pruned}/"
-                  f"{len(paths)} files")
+            log.info("read_orc_files: footer stats pruned %d/%d files "
+                     "(predicate %s)", pruned, len(paths), preds)
         paths = kept
         if not paths:
             raise FileNotFoundError(

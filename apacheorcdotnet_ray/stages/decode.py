@@ -1,16 +1,23 @@
 """StripeDecoder — stateless decode stage for `map_batches`.
 
-Input batches carry stripe file contents (from ``ray.data.read_binary_files``)
-or paths; output is the decoded Arrow table. The analog of the reference's
-read path (OrcReader.cs:18-47) except we never materialize rows — streams
-decode straight into Arrow arrays (values+offsets+validity), cf. SURVEY.md §2.4 T5.
+Input batches carry one row per stripe file: its ``path`` and, for a slice,
+a stripe-local ``row_range`` (``sources.stripes.decode_paths`` builds them).
+Each task reads and decodes its stripes one at a time; output is the decoded
+Arrow table. The analog of the reference's read path (OrcReader.cs:18-47)
+except we never materialize rows — streams decode straight into Arrow arrays
+(values+offsets+validity), cf. SURVEY.md §2.4 T5.
 """
 
 from __future__ import annotations
 
+import logging
+
 import pyarrow as pa
 
 from ..stripe.container import decode_stripe
+from ..stripe.deletes import read_delete_mask
+
+log = logging.getLogger(__name__)
 
 
 class StripeDecoder:
@@ -18,8 +25,7 @@ class StripeDecoder:
                  predicate: tuple | None = None,
                  schema: pa.Schema | None = None,
                  on_error: str = "raise",
-                 fallback_schema: pa.Schema | None = None,
-                 apply_deletes: bool = True):
+                 fallback_schema: pa.Schema | None = None):
         self.columns = columns
         # (col, op, lit) or a list of them: only matching rows leave the
         # task; row-indexed stripes skip non-qualifying strides first
@@ -40,11 +46,6 @@ class StripeDecoder:
         # makes downstream blocks heterogeneous and column refs fail) —
         # read_stripes derives this from the first readable footer
         self.fallback_schema = fallback_schema
-        # merge-on-read delete vectors (stripe/deletes.py): when input
-        # batches carry paths, each stripe's <file>.del sidecar (if any) is
-        # applied as a final row filter. Requires read_binary_files(...,
-        # include_paths=True); bytes-only input decodes without deletes.
-        self.apply_deletes = apply_deletes
 
     def _conform(self, table: pa.Table) -> pa.Table:
         cols = {}
@@ -56,40 +57,33 @@ class StripeDecoder:
         return pa.table(cols).cast(self.schema)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        paths = (batch.column("path").to_pylist()
-                 if "path" in batch.column_names else None)
-        if "bytes" not in batch.column_names and paths is None:
-            raise ValueError(
-                "StripeDecoder input must carry a 'bytes' or 'path' column "
-                f"(got {batch.column_names})")
-        if "bytes" in batch.column_names:
-            blobs = batch.column("bytes").to_pylist()
-        else:  # paths only
-            blobs = []
-            for p in paths:
-                with open(p, "rb") as f:
-                    blobs.append(f.read())
-        masks = [None] * len(blobs)
-        if self.apply_deletes and paths is not None:
-            from ..stripe.deletes import read_delete_mask
-
-            masks = [read_delete_mask(p) for p in paths]
+        paths = batch.column("path").to_pylist()
+        ranges = (batch.column("row_range").to_pylist()
+                  if "row_range" in batch.column_names else [None] * len(paths))
         tables = []
         skipped = 0
-        for b, dm in zip(blobs, masks):
+        for path, rr in zip(paths, ranges):
             try:
-                tables.append(decode_stripe(b, columns=self.columns,
-                                            predicate=self.predicate,
-                                            delete_mask=dm))
-            except Exception as e:  # noqa: BLE001 — skip means skip: footer
-                # corruption raises zlib.error/json errors, stream corruption
-                # ValueError; all of them must not kill a skip-mode job
+                with open(path, "rb") as f:
+                    buf = f.read()
+                # merge-on-read deletes (stripe/deletes.py): the stripe's
+                # <file>.del sidecar, if any, is the final row filter
+                tables.append(decode_stripe(
+                    buf, columns=self.columns, predicate=self.predicate,
+                    row_range=rr,
+                    delete_mask=read_delete_mask(path)))
+            except Exception as e:  # noqa: BLE001 — skip means skip: a
+                # missing file raises OSError, a corrupt footer or stream
+                # ValueError; none of them may kill a skip-mode job
                 if self.on_error != "skip":
+                    e.add_note(f"stripe file: {path}")
                     raise
                 skipped += 1
-                print(f"StripeDecoder: skipping corrupt stripe ({e})")
+                log.warning("StripeDecoder: skipping unreadable stripe %s (%s)",
+                            path, e)
         if skipped:
-            print(f"StripeDecoder: skipped {skipped}/{len(blobs)} stripes in batch")
+            log.warning("StripeDecoder: skipped %d/%d stripes in batch",
+                        skipped, len(paths))
         if self.schema is not None:
             tables = [self._conform(t) for t in tables]
         if not tables:

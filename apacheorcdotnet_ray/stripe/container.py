@@ -229,13 +229,34 @@ def bloom_may_contain(bloom: dict, probe) -> bool:
         bloom["k"], base64.b64decode(bloom["bits"]), h)[0])
 
 
+def parse_footer(read_tail, name: str) -> dict:
+    """The one footer parse (FileTail.cs:22-54) of a whole buffer or a file's
+    tail. ``read_tail(n)`` returns the stripe's last ``n`` bytes, or all of
+    them when it is shorter. Raises ``ValueError`` naming ``name`` when the
+    stripe is shorter than its tail or its footer, the tail magic is wrong,
+    or the footer does not inflate to a JSON object."""
+    tail = read_tail(8)
+    if len(tail) < 8 or tail[4:] != TAIL_MAGIC:
+        raise ValueError(f"{name}: not an ORAY1 stripe file")
+    (footer_len,) = struct.unpack("<I", tail[:4])
+    footer_bytes = read_tail(footer_len + 8)[:-8]
+    if len(footer_bytes) != footer_len:
+        raise ValueError(f"{name}: footer length {footer_len} exceeds the "
+                         f"{len(footer_bytes)} bytes before the tail")
+    try:
+        footer = json.loads(zlib.decompress(footer_bytes))
+    except (zlib.error, ValueError) as e:  # JSON and UTF-8 errors are ValueErrors
+        raise ValueError(f"{name}: corrupt stripe footer ({e})") from None
+    if not isinstance(footer, dict):
+        raise ValueError(f"{name}: corrupt stripe footer (not a JSON object)")
+    return footer
+
+
 def read_footer(buf: bytes) -> dict:
-    """FileTail analog: parse the footer from the stripe tail (FileTail.cs:22-54)."""
-    if buf[:5] != MAGIC or buf[-4:] != TAIL_MAGIC:
-        raise ValueError("not an ORAY1 stripe file")
-    (footer_len,) = struct.unpack("<I", buf[-8:-4])
-    footer_bytes = buf[-8 - footer_len : -8]
-    return json.loads(zlib.decompress(footer_bytes))
+    """The footer of a whole stripe buffer."""
+    if buf[:5] != MAGIC:
+        raise ValueError("stripe buffer: not an ORAY1 stripe file")
+    return parse_footer(lambda n: buf[-n:], "stripe buffer")
 
 
 def footer_schema(footer: dict) -> pa.Schema:
