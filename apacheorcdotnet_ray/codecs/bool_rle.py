@@ -21,12 +21,14 @@ def encode(values: np.ndarray) -> bytes:
 
 def decode(buf: bytes, count: int) -> np.ndarray:
     """Decode exactly `count` bools (up to 7 trailing pad bits are discarded)."""
-    nbytes = (count + 7) // 8
-    packed = byte_rle.decode(buf, expected_count=nbytes)
-    return np.unpackbits(packed[:nbytes])[:count].astype(bool)
+    return decode_from(buf, 0, count)[0]
 
 
-def decode_from(buf: bytes, pos: int, count: int) -> tuple[np.ndarray, int]:
-    nbytes = (count + 7) // 8
-    packed, pos = byte_rle.decode_from(buf, pos, expected_count=nbytes)
-    return np.unpackbits(packed[:nbytes])[:count].astype(bool), pos
+def decode_from(buf: bytes, pos: int, count: int, byte_skip: int = 0,
+                bit_offset: int = 0) -> tuple[np.ndarray, int]:
+    """``count`` bools from ``pos``, starting ``byte_skip`` decoded bytes and
+    then ``bit_offset`` bits in (an ORC ROW_INDEX seek's codec state)."""
+    end = byte_skip + (bit_offset + count + 7) // 8
+    packed, pos = byte_rle.decode_from(buf, pos, expected_count=end)
+    bits = np.unpackbits(packed[byte_skip:end])
+    return bits[bit_offset:bit_offset + count].astype(bool), pos

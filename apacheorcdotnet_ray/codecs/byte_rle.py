@@ -85,6 +85,8 @@ def decode_from(
         first = buf[pos]
         pos += 1
         if first < 0x80:  # a run
+            if pos == end:
+                raise ValueError("ByteRLE stream ends inside a run")
             count = first + 3
             chunks.append(np.full(count, buf[pos], dtype=np.uint8))
             pos += 1

@@ -59,30 +59,33 @@ def decode(buf: bytes, signed: bool, expected_count: int | None = None) -> np.nd
     out: list[np.ndarray] = []
     pos = 0
     n = len(buf)
-    while pos < n:
-        ctrl = buf[pos]
-        pos += 1
-        if ctrl < 0x80:  # run: delta applies to the zigzag-DECODED base
-            length = ctrl + 3
-            delta = (buf[pos] ^ 0x80) - 0x80  # signed int8
+    try:
+        while pos < n:
+            ctrl = buf[pos]
             pos += 1
-            raw, pos = _read_varint_u64(buf, pos)
-            if signed:
-                base = zigzag_decode_scalar(raw)
-            else:
-                base = raw - (1 << 64) if raw >> 63 else raw
-            with np.errstate(over="ignore"):
-                vals = (np.arange(length, dtype=I64) * np.int64(delta)
-                        + np.int64(base))
-            out.append(vals)
-        else:  # literals: each varint zigzagged independently
-            count = 256 - ctrl
-            vals = np.empty(count, dtype=np.uint64)
-            for i in range(count):
-                v, pos = _read_varint_u64(buf, pos)
-                vals[i] = v
-            out.append(zigzag_decode(vals.view(I64)) if signed
-                       else vals.view(I64))
+            if ctrl < 0x80:  # run: delta applies to the zigzag-DECODED base
+                length = ctrl + 3
+                delta = (buf[pos] ^ 0x80) - 0x80  # signed int8
+                pos += 1
+                raw, pos = _read_varint_u64(buf, pos)
+                if signed:
+                    base = zigzag_decode_scalar(raw)
+                else:
+                    base = raw - (1 << 64) if raw >> 63 else raw
+                with np.errstate(over="ignore"):
+                    vals = (np.arange(length, dtype=I64) * np.int64(delta)
+                            + np.int64(base))
+                out.append(vals)
+            else:  # literals: each varint zigzagged independently
+                count = 256 - ctrl
+                vals = np.empty(count, dtype=np.uint64)
+                for i in range(count):
+                    v, pos = _read_varint_u64(buf, pos)
+                    vals[i] = v
+                out.append(zigzag_decode(vals.view(I64)) if signed
+                           else vals.view(I64))
+    except IndexError:
+        raise ValueError("RLEv1 stream ends inside a run") from None
     flat = np.concatenate(out) if out else np.empty(0, dtype=I64)
     if expected_count is not None and len(flat) != expected_count:
         raise ValueError(

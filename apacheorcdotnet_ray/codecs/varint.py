@@ -33,17 +33,44 @@ def encode(values: np.ndarray, signed: bool = True) -> bytes:
     return out.tobytes()
 
 
-def decode(buf: bytes, count: int | None = None, signed: bool = True) -> np.ndarray:
+def _groups(buf: bytes, count: int | None) -> tuple[np.ndarray, ...]:
+    """Each byte's 7-bit group, its bit shift within its value, and the
+    index of each value's first byte."""
     b = np.frombuffer(buf, dtype=np.uint8)
-    if len(b) == 0:
-        return np.empty(0, dtype=I64)
     term = (b & 0x80) == 0
-    starts = np.concatenate([[0], np.nonzero(term)[0][:-1] + 1])
-    n = len(starts)
-    if count is not None and n != count:
-        raise ValueError(f"varint stream has {n} values, expected {count}")
+    if len(b) and not term[-1]:
+        raise ValueError("varint stream ends inside a value")
+    starts = np.concatenate([[0], np.nonzero(term)[0][:-1] + 1])[:len(b)]
+    if count is not None and len(starts) != count:
+        raise ValueError(f"varint stream has {len(starts)} values, expected {count}")
     vidx = np.cumsum(term) - term  # value index per byte
-    shift = np.arange(len(b), dtype=np.int64) - starts[vidx]
-    contrib = (b & 0x7F).astype(U64) << (np.uint64(7) * shift.astype(U64))
-    vals = np.add.reduceat(contrib, starts)
+    shift = 7 * (np.arange(len(b), dtype=I64) - starts[vidx])
+    return (b & 0x7F).astype(U64), shift, starts
+
+
+def decode(buf: bytes, count: int | None = None, signed: bool = True) -> np.ndarray:
+    g, shift, starts = _groups(buf, count)
+    if len(starts) == 0:
+        return np.empty(0, dtype=I64)
+    vals = np.add.reduceat(g << shift.astype(U64), starts)
     return zigzag_decode(vals.view(I64)) if signed else vals.view(I64)
+
+
+def decode128(buf: bytes, count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Zigzag varints of up to 128 bits (ORC decimal mantissas) → the low
+    and high int64 words of each value, vectorized like ``decode``. A
+    varint longer than 19 bytes (133 bits) raises ``ValueError``."""
+    g, shift, starts = _groups(buf, count)
+    if len(starts) == 0:
+        return np.empty(0, dtype=I64), np.empty(0, dtype=I64)
+    if shift.max() > 126:
+        raise ValueError("a varint longer than 19 bytes: 128-bit values "
+                         "take at most 19")
+    low = np.where(shift < 64, g << np.minimum(shift, 63).astype(U64), 0)
+    up = shift - 64  # the byte at bit 63 straddles both words
+    high = np.where(up >= 0, g << np.clip(up, 0, 63).astype(U64),
+                    g >> np.clip(-up, 0, 63).astype(U64))
+    lo, hi = np.add.reduceat(low, starts), np.add.reduceat(high, starts)
+    sign = np.uint64(0) - (lo & np.uint64(1))  # zigzag: all ones when odd
+    lo = ((lo >> np.uint64(1)) | (hi << np.uint64(63))) ^ sign
+    return lo.view(I64), ((hi >> np.uint64(1)) ^ sign).view(I64)

@@ -23,18 +23,10 @@ source:
   for Hive 0.11 files, which wrote none there) and every length and stripe
   span against the file size, so a truncated file raises ``ValueError``
   naming the path instead of reading short;
-- one column decoder, ``OrcFile._decode_rows``: each ORC type kind becomes
-  an Arrow array in exactly one place, for full-stripe reads and ROW_INDEX
-  seeks alike. Ints, DICTIONARY/DIRECT strings and binary (zero-copy
-  ``pa.Array.from_buffers``, no per-row Python), doubles/floats, booleans,
-  bytes, two-stream timestamps (both nano dialects: C++ signed-negative
-  nanos AND the Java/Hive positive-nanos one-second adjustment), dates,
-  decimals (``varint`` mantissas, vectorized to ``decimal128`` for
-  precision ≤ 18), PRESENT null masks, STRUCT, LIST and MAP. Every integer
-  stream is RLEv1 or RLEv2 by its column's encoding (pre-Hive-0.12
-  DIRECT/DICTIONARY vs the v2 encodings). Nested children decode the
-  number of values they hold: a STRUCT child the parent's non-null rows,
-  a LIST/MAP child the summed lengths;
+- columns decode through the shared ``stripe/columns.decode_array``,
+  driven by ``OrcFile.arrow_type``; ``_OrcSource`` holds ORC's dialects:
+  RLEv1 or RLEv2 by column encoding, the Java/Hive timestamp second and
+  128-bit decimal varints with a scale stream;
 - predicate reads seek by ROW_INDEX positions into the surviving row
   groups for scalar kinds with v2 encodings; nested kinds and RLEv1
   columns decode whole stripes;
@@ -52,11 +44,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..codecs import byte_rle, rlev1, rlev2
+from ..codecs import rlev1, rlev2, varint
 from ..codecs.bitpack import zigzag_decode_scalar
 from ..predicate import bind, normalize_predicate
 from ..stripe import framing
-from ..stripe.columns import build_string_array, scatter_valid
+from ..stripe.columns import (_ABSENT, DATA, LENGTH, PRESENT, SECONDARY,
+                              build_string_array, decode_array)
 
 # --- minimal protobuf wire-format reader -----------------------------------
 
@@ -77,6 +70,8 @@ def pb_parse(buf: bytes) -> dict[int, list]:
     """Tag → list of raw values (int for varint/fixed, bytes for
     length-delimited). Enough of proto2 for ORC's PostScript / Footer /
     StripeFooter messages."""
+    if isinstance(buf, int):
+        raise ValueError("protobuf field holds a number, not a message")
     out: dict[int, list] = {}
     pos = 0
     end = len(buf)
@@ -134,6 +129,7 @@ _KIND_BLOOM_FILTER_UTF8 = 8
 _ENC_DIRECT, _ENC_DICTIONARY, _ENC_DIRECT_V2, _ENC_DICTIONARY_V2 = 0, 1, 2, 3
 # PostScript compression kind → stripe/framing.py block codec
 _CODECS = {0: "none", 1: "zlib", 5: "zstd_frame"}
+_MASK64 = (1 << 64) - 1
 log = logging.getLogger(__name__)
 
 
@@ -153,32 +149,6 @@ class _Stripe:
     data_length: int
     footer_length: int
     number_of_rows: int
-
-
-def _decimals_from_parts(mant: np.ndarray, scale: np.ndarray,
-                         prec: int, scl: int):
-    """Vectorized decimal128 construction: rescale int64 mantissas to the
-    column scale, then build the 16-byte two's-complement buffer directly
-    (low word = mantissa, high word = sign extension). Falls back to
-    per-value ``Decimal`` only for precision > 18 (mantissas that overflow
-    int64 — the varint decoder already wrapped those)."""
-    import pyarrow as pa
-
-    if prec <= 18:
-        adj = scl - scale.astype(np.int64)
-        if ((adj >= 0) & (adj <= 18)).all():
-            m = mant.astype(np.int64) * 10 ** adj
-            buf = np.empty((len(m), 2), dtype=np.int64)
-            buf[:, 0] = m
-            buf[:, 1] = m >> 63  # sign extension
-            return pa.Array.from_buffers(
-                pa.decimal128(prec, scl), len(m),
-                [None, pa.py_buffer(buf.tobytes())])
-    from decimal import Decimal  # pragma: no cover - prec>18 foreign files
-
-    return pa.array([Decimal(int(m)).scaleb(-int(s))
-                     for m, s in zip(mant, scale)],
-                    type=pa.decimal128(prec, scl))
 
 
 class OrcFile:
@@ -272,7 +242,10 @@ class OrcFile:
             pass
 
     def subtypes(self, column: int) -> list[int]:
-        return pb_repeated_uint(self.types[column].get(2, []))
+        subs = pb_repeated_uint(self.types[column].get(2, []))
+        if not all(column < c < len(self.types) for c in subs):  # pre-order
+            raise ValueError(f"{self.path}: column {column} has children {subs}")
+        return subs
 
     def field_names(self) -> list[str]:
         return [v.decode("utf-8") for v in self.types[0].get(3, [])]
@@ -382,13 +355,16 @@ class OrcFile:
                             dialect={0: "java", 1: "cpp"}.get(self.writer_impl))
 
     def arrow_type(self, column: int) -> "pa.DataType":  # noqa: F821
-        """The Arrow type ``_decode_rows`` gives this column."""
+        """The Arrow type a read gives this column: ``decode_array`` decodes
+        by it."""
         import pyarrow as pa
 
         kind = self.types[column].get(1, [0])[0]
         if kind in (10, 11):
             subs = [self.arrow_type(c)
                     for c in self.subtypes(column) or [column + 1]]
+            if len(subs) != kind - 9:  # LIST: 1, MAP: 2
+                raise ValueError(f"{self.path}: column {column} has {subs}")
             return pa.large_list(subs[0]) if kind == 10 else pa.map_(*subs)
         if kind == 12:
             names = [v.decode("utf-8") for v in self.types[column].get(3, [])]
@@ -397,10 +373,13 @@ class OrcFile:
         if kind == 14:
             return pa.decimal128(self.types[column].get(5, [38])[0],
                                  self.types[column].get(6, [0])[0])
-        return {0: pa.bool_(), 1: pa.int8(), 2: pa.int16(), 3: pa.int32(),
-                4: pa.int64(), 5: pa.float32(), 6: pa.float64(),
-                7: pa.string(), 8: pa.binary(), 9: pa.timestamp("us"),
-                15: pa.date32(), 16: pa.string(), 17: pa.string()}[kind]
+        t = {0: pa.bool_(), 1: pa.int8(), 2: pa.int16(), 3: pa.int32(),
+             4: pa.int64(), 5: pa.float32(), 6: pa.float64(),
+             7: pa.string(), 8: pa.binary(), 9: pa.timestamp("us"),
+             15: pa.date32(), 16: pa.string(), 17: pa.string()}.get(kind)
+        if t is None:
+            raise ValueError(f"{self.path}: ORC type kind {kind} is unsupported")
+        return t
 
     @property
     def schema(self) -> "pa.Schema":  # noqa: F821
@@ -437,149 +416,9 @@ class OrcFile:
 
     # --- column decode ---------------------------------------------------
 
-    def _whole(self, st: _Stripe, column: int):
-        """``at`` for a full-stripe read: each stream's whole decompressed
-        bytes from offset 0, with no codec state to skip."""
-        def at(kind):
-            buf = self._stream(st, column, kind)
-            return None if buf is None else (buf, 0, (0, 0))
-        return at
-
     def _read_stripe(self, st: _Stripe, column: int):
-        return self._decode_rows(st, column, st.number_of_rows,
-                                 self._whole(st, column), False)
-
-    def _decode_rows(self, st: _Stripe, column: int, n_rows: int, at,
-                     seeking: bool):
-        """``n_rows`` rows of one column of one stripe → Arrow array: the
-        one place each ORC type kind is decoded. ``at(kind)`` gives a
-        stream's (bytes, byte offset, codec state), or None when the
-        column has no such stream: the whole stream for a full-stripe
-        read, the row group's ROW_INDEX position when ``seeking`` (scalar
-        kinds with v2 encodings only; see ``_read_groups``). Nested
-        children decode whole-stripe with the number of values they hold."""
-        import pyarrow as pa
-
-        kind = self.types[column].get(1, [0])[0]
-        enc = self._stripe_encoding(st, column)
-        dictionary = enc in (_ENC_DICTIONARY, _ENC_DICTIONARY_V2)
-        # pre-Hive-0.12 files: DIRECT(0)/DICTIONARY(1) encodings carry
-        # RLEv1 integer streams; v2 encodings carry RLEv2
-        rle = rlev1 if enc in (_ENC_DIRECT, _ENC_DICTIONARY) else rlev2
-
-        def ints(stream, n, signed):
-            """Every integer stream of this column. A whole stream decodes
-            strictly to its end; a seek decodes past the run skip."""
-            if seeking:
-                buf, off, (skip, *_) = at(stream)
-                vals, _ = rlev2.decode_from(buf, off, signed,
-                                            expected_count=skip + n,
-                                            allow_overshoot=True)
-                return vals[skip:skip + n]
-            vals = rle.decode(at(stream)[0], signed)
-            if len(vals) != n:
-                raise ValueError(f"{self.path}: column {column} stream "
-                                 f"{stream}: {len(vals)} values, expected {n}")
-            return vals
-
-        def bits(src, n):
-            """Boolean / PRESENT bits: byte-RLE run skip + bit offset."""
-            buf, off, (byte_skip, bit_off) = src
-            end = byte_skip + (bit_off + n + 7) // 8
-            packed, _ = byte_rle.decode_from(buf, off, expected_count=end)
-            return np.unpackbits(packed[byte_skip:end])[
-                bit_off:bit_off + n].astype(bool)
-
-        def blob(n_bytes):
-            buf, off, _ = at(_KIND_DATA)
-            out = buf[off:off + n_bytes]
-            if len(out) < n_bytes:
-                raise ValueError(f"{self.path}: column {column} DATA holds "
-                                 f"{len(out)} of {n_bytes} bytes")
-            return out
-
-        src = at(_KIND_PRESENT)
-        present = None if src is None else bits(src, n_rows)
-        n = n_rows if present is None else int(present.sum())
-        if kind in (2, 3, 4):  # SHORT / INT / LONG — width-faithful
-            dt = {2: np.int16, 3: np.int32, 4: np.int64}[kind]
-            arr = pa.array(ints(_KIND_DATA, n, True).astype(dt))
-        elif kind == 1:  # BYTE (tinyint): byte-RLE DATA
-            buf, off, (skip, *_) = at(_KIND_DATA)
-            vals, _ = byte_rle.decode_from(buf, off, expected_count=skip + n)
-            arr = pa.array(vals[skip:skip + n].view(np.int8))
-        elif kind == 0:  # BOOLEAN
-            arr = pa.array(bits(at(_KIND_DATA), n))
-        elif kind in (5, 6):  # FLOAT / DOUBLE
-            w = 4 if kind == 5 else 8
-            arr = pa.array(np.frombuffer(blob(w * n), f"<f{w}"))
-        elif kind in (7, 16, 17) and dictionary:  # STRING / VARCHAR / CHAR
-            # stripe-wide: read whole even when seeking, and cached only
-            # then, for the stripe's other row groups
-            key = (st.offset, column)
-            cache = self._dict_cache if seeking else {}
-            entries = cache.get(key)
-            if entries is None:
-                entries = cache[key] = build_string_array(
-                    pa.utf8(), rle.decode(
-                        self._stream(st, column, _KIND_LENGTH), False),
-                    self._stream(st, column, _KIND_DICTIONARY_DATA))
-            arr = entries.take(pa.array(ints(_KIND_DATA, n, False)))
-        elif kind in (7, 8, 16, 17):  # direct strings, BINARY
-            lengths = ints(_KIND_LENGTH, n, False)
-            arr = build_string_array(pa.binary() if kind == 8 else pa.utf8(),
-                                     lengths, blob(int(lengths.sum())))
-        elif kind == 9:  # TIMESTAMP (two-stream ORC layout)
-            from ..stripe.columns import _decode_orc_nanos, _ORC_EPOCH_S
-
-            secs = ints(_KIND_DATA, n, True)
-            # arithmetic shift keeps the C++ writer's SIGNED nanos dialect
-            # (pre-1970 fractions stored as negative scaled nanos)
-            nanos = _decode_orc_nanos(
-                ints(_KIND_SECONDARY, n, False).astype(np.int64))
-            unix_secs = secs + _ORC_EPOCH_S
-            # Java/Hive dialect: positive nanos with truncated-toward-zero
-            # seconds — readers subtract one second when writerTime < 0
-            adj = ((unix_secs < 0) & (nanos > 999_999)).astype(np.int64)
-            us = (unix_secs - adj) * 1_000_000 + nanos // 1_000
-            arr = pa.array(us).cast(pa.timestamp("us"))
-        elif kind == 15:  # DATE
-            days = ints(_KIND_DATA, n, True)
-            arr = pa.array(days.astype(np.int32)).cast(pa.date32())
-        elif kind == 14:  # DECIMAL: varint mantissas + SECONDARY scales
-            from ..codecs import varint
-
-            buf, off, _ = at(_KIND_DATA)
-            # varints are self-delimiting: a seek decodes from its point
-            # and keeps the group's first n values
-            mant = varint.decode(buf[off:], None if seeking else n,
-                                 signed=True)[:n]
-            scale = ints(_KIND_SECONDARY, n, True)
-            prec = self.types[column].get(5, [38])[0]
-            scl = self.types[column].get(6, [0])[0]
-            arr = _decimals_from_parts(mant, scale, prec, scl)
-        elif kind == 12:  # STRUCT: children hold the non-null rows
-            names = [v.decode("utf-8")
-                     for v in self.types[column].get(3, [])]
-            arr = pa.StructArray.from_arrays(
-                [self._decode_rows(st, c, n, self._whole(st, c), False)
-                 for c in self.subtypes(column)], names)
-        elif kind in (10, 11):  # LIST / MAP: children hold sum(lengths)
-            lengths = ints(_KIND_LENGTH, n, False)
-            offs = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(lengths, out=offs[1:])
-            m = int(offs[-1])
-            subs = self.subtypes(column) or [column + 1]
-            kids = [self._decode_rows(st, c, m, self._whole(st, c), False)
-                    for c in subs]
-            if kind == 10:
-                arr = pa.LargeListArray.from_arrays(pa.array(offs), kids[0])
-            else:
-                arr = pa.MapArray.from_arrays(
-                    pa.array(offs.astype(np.int32)), kids[0], kids[1])
-        else:  # pragma: no cover
-            raise NotImplementedError(f"ORC type kind {kind}")
-        return arr if present is None else scatter_valid(arr, present)
+        return decode_array(self.arrow_type(column), st.number_of_rows,
+                            _OrcSource(self, st, column))
 
     # --- row-group (ROW_INDEX-seek) decode -------------------------------
 
@@ -681,9 +520,10 @@ class OrcFile:
                                            caches[k]), p[1], state)
             return at
 
-        parts = [self._decode_rows(
-            st, column, min(stride, st.number_of_rows - g * stride),
-            seek(g), True) for g in groups]
+        t = self.arrow_type(column)
+        parts = [decode_array(t, min(stride, st.number_of_rows - g * stride),
+                              _OrcSource(self, st, column, enc, seek(g)))
+                 for g in groups]
         # callers skip stripes whose keep-set is empty
         return pa.concat_arrays(parts) if parts else None
 
@@ -781,10 +621,90 @@ class OrcFile:
         for ci, name in want:
             parts = per_col[name]
             if not parts:  # every stripe pruned: typed empty column
-                parts = [self._read_stripe(self.stripes[0], ci).slice(0, 0)] \
-                    if self.stripes else [pa.array([])]
+                parts = [pa.array([], type=self.arrow_type(ci))]
             cols[name] = pa.concat_arrays(parts)
         return pa.table(cols)
+
+
+_KINDS = {PRESENT: _KIND_PRESENT, DATA: _KIND_DATA, LENGTH: _KIND_LENGTH,
+          SECONDARY: _KIND_SECONDARY}
+
+
+class _OrcSource:
+    """``decode_array``'s source over one ORC column of one stripe: whole
+    decompressed streams, or with ``seek`` a row group's streams from its
+    ROW_INDEX positions (``OrcFile._read_groups``). Integer streams are
+    RLEv1 or RLEv2 by the column encoding; strings may index the stripe's
+    DICTIONARY_DATA; decimals are 128-bit varints plus a scale stream."""
+
+    java_seconds = True
+
+    def __init__(self, f: OrcFile, st: _Stripe, column: int,
+                 enc: int | None = None, seek=None):
+        self.f, self.st, self.column, self.seek = f, st, column, seek
+        self.name = f"{f.path}: column {column}"
+        if enc is None:
+            enc = f._stripe_encoding(st, column)
+        self.dict_enc = enc in (_ENC_DICTIONARY, _ENC_DICTIONARY_V2)
+        # pre-Hive-0.12 files: DIRECT(0)/DICTIONARY(1) encodings carry
+        # RLEv1 integer streams; v2 encodings carry RLEv2
+        self.rle = rlev1 if enc in (_ENC_DIRECT, _ENC_DICTIONARY) else rlev2
+
+    def at(self, kind: str):
+        if self.seek is not None:
+            return self.seek(_KINDS[kind])
+        buf = self.f._stream(self.st, self.column, _KINDS[kind])
+        return None if buf is None else (buf, 0, (0, 0))
+
+    def child(self, i: int, path: str) -> _OrcSource:
+        """Children, addressed by column id, decode whole-stripe."""
+        return _OrcSource(self.f, self.st,
+                          (self.f.subtypes(self.column) or [self.column + 1])[i])
+
+    def ints(self, kind: str, n: int, signed: bool) -> np.ndarray:
+        """A whole stream decodes strictly to its end; a seek decodes past
+        the run skip."""
+        buf, off, (skip, *_) = self.at(kind) or _ABSENT
+        if self.seek is None:
+            return self.rle.decode(buf, signed)
+        vals, _ = rlev2.decode_from(buf, off, signed, expected_count=skip + n,
+                                    allow_overshoot=True)
+        return vals[skip:skip + n]
+
+    def dictionary(self, t: "pa.DataType") -> "pa.Array | None":  # noqa: F821
+        if not self.dict_enc:
+            return None
+        # stripe-wide: read whole even when seeking, and cached only then,
+        # for the stripe's other row groups
+        f, st, key = self.f, self.st, (self.st.offset, self.column)
+        cache = f._dict_cache if self.seek is not None else {}
+        if key not in cache:
+            lengths = self.rle.decode(f._stream(st, key[1], _KIND_LENGTH) or b"",
+                                      False)
+            cache[key] = build_string_array(t, lengths, f._stream(
+                st, key[1], _KIND_DICTIONARY_DATA) or b"")
+        return cache[key]
+
+    def decimal_lanes(self, n: int, t: "pa.DataType"):  # noqa: F821
+        buf, off, _ = self.at(DATA) or _ABSENT
+        # varints are self-delimiting: a seek decodes from its point and
+        # keeps the group's first n values
+        lo, hi = varint.decode128(buf[off:], n if self.seek is None else None)
+        lo, hi = lo[:n], hi[:n]
+        scale = self.ints(SECONDARY, n, True)
+        if len(lo) < n or len(scale) != n:
+            raise ValueError(f"{self.name} stream {DATA}: {len(lo)} values "
+                             f"and {len(scale)} scales, expected {n}")
+        for i in np.flatnonzero(scale != t.scale):  # per value, rarely
+            adj = t.scale - int(scale[i])
+            v, rem = divmod((int(hi[i]) << 64 | int(lo[i]) & _MASK64)
+                            * 10 ** min(max(adj, 0), 38),
+                            10 ** min(max(-adj, 0), 38))
+            if rem or abs(adj) > 38 or not -(1 << 127) <= v < 1 << 127:
+                raise ValueError(f"{self.name} stream {SECONDARY}: a value at "
+                                 f"scale {scale[i]} does not fit {t}")
+            lo[i], hi[i] = (v & _MASK64) - ((v & 1 << 63) << 1), v >> 64
+        return lo, hi
 
 
 def _stats_rec(st: dict[int, list]) -> dict:

@@ -13,7 +13,8 @@ decompose into a LENGTH stream plus recursively-encoded flattened child values
 Codec selection samples each chunk (generalizing the reference's
 dictionary-vs-direct sample decision, ``ColumnTypes/StringWriter.cs:83-96``)
 and competes the allow-listed codecs on actual encoded size, with RLEv2 as the
-parity floor for integers.
+parity floor for integers. Reads go back through ``decode_array``, the one
+streams → Arrow decoder of ``.oray`` and ORC, driven by the Arrow type.
 """
 
 from __future__ import annotations
@@ -414,141 +415,176 @@ def _encode_string(name: str, valid: pa.Array, config: EncodeConfig,
 
 
 # ---------------------------------------------------------------------------
-# column decode
+# column decode: one decoder for .oray and ORC, driven by the Arrow type
+
+_ABSENT = (b"", 0, (0, 0))  # a stream a column lacks holds no values
+
+
+def decode_array(t: pa.DataType, n_rows: int, src, values=None) -> pa.Array:
+    """``n_rows`` rows of Arrow type ``t``: the one place stream values
+    become Arrow arrays, for ``.oray`` and ORC alike. ``src`` (this module's
+    ``_OraySource``, ``orc_reader._OrcSource``) hides the format's codecs:
+    ``at(kind)`` gives a stream's (bytes, offset, seek state) or None,
+    ``ints``/``dictionary``/``decimal_lanes`` its decoded values, ``child``
+    a child column's source, ``name`` the column for errors, and
+    ``java_seconds`` ORC's Java timestamp dialect. ``values(n)``, when
+    given, stands in for the decode of the ``n`` non-null rows. Every array
+    must hold exactly its rows, and every dictionary id name an entry, or
+    ``ValueError`` names the stream."""
+    present = src.at(PRESENT)
+    mask = None if present is None else _bits(present, n_rows)
+    n = n_rows if mask is None else int(np.count_nonzero(mask))
+    arr = _values(t, n, src) if values is None else values(n)
+    if len(arr) != n:
+        raise _error(src, DATA, f"{len(arr)} values decoded for {n} rows")
+    return arr if mask is None else scatter_valid(arr, mask)
+
+
+def _error(src, kind: str, msg: str) -> ValueError:
+    return ValueError(f"{src.name} stream {kind}: {msg}")
+
+
+def _bits(at: tuple, n: int) -> np.ndarray:
+    buf, off, (byte_skip, bit_offset) = at
+    return bool_rle.decode_from(buf, off, n, byte_skip, bit_offset)[0]
+
+
+def _ints(src, kind: str, n: int, signed: bool) -> np.ndarray:
+    vals = src.ints(kind, n, signed)
+    if len(vals) != n:
+        raise _error(src, kind, f"{len(vals)} values, expected {n}")
+    return vals
+
+
+def _blob(src, n_bytes: int) -> memoryview:
+    buf, off, _ = src.at(DATA) or _ABSENT
+    out = memoryview(buf)[off:off + n_bytes]
+    if len(out) < n_bytes:
+        raise _error(src, DATA, f"holds {len(out)} of {n_bytes} bytes")
+    return out
+
+
+def _dict_ids(src, size: int, n: int) -> np.ndarray:
+    ids = _ints(src, DATA, n, False)
+    if n and not (ids.min() >= 0 and ids.max() < size):
+        raise _error(src, DATA, f"dictionary id outside its {size} entries")
+    return ids
+
+
+def _fixed(t: pa.DataType, vals: np.ndarray) -> pa.Array:
+    """Zero-copy array of a fixed-width type over values in its storage."""
+    vals = np.ascontiguousarray(vals)
+    return pa.Array.from_buffers(t, len(vals), [None, pa.py_buffer(vals)])
+
+
+def _values(t: pa.DataType, n: int, src) -> pa.Array:
+    """The ``n`` non-null values of type ``t``."""
+    if pa.types.is_boolean(t):
+        return pa.array(_bits(src.at(DATA) or _ABSENT, n))
+    if pa.types.is_integer(t) and t.bit_width == 8:  # byte-RLE
+        buf, off, (skip, *_) = src.at(DATA) or _ABSENT
+        vals, _ = byte_rle.decode_from(buf, off, expected_count=skip + n)
+        return _fixed(t, vals[skip:skip + n].view(t.to_pandas_dtype()))
+    if pa.types.is_integer(t):  # unsigned values travel as int64 bits
+        return _fixed(t, _ints(src, DATA, n, True).astype(t.to_pandas_dtype(),
+                                                           copy=False))
+    if pa.types.is_floating(t):
+        w = t.bit_width // 8
+        return _fixed(t, np.frombuffer(_blob(src, w * n), dtype=f"<f{w}"))
+    if pa.types.is_date(t):
+        return _fixed(t, _ints(src, DATA, n, True).astype(f"<i{t.bit_width // 8}",
+                                                           copy=False))
+    if pa.types.is_timestamp(t):
+        # ORC layout: DATA = seconds since the ORC epoch, SECONDARY = nanos
+        secs = _ints(src, DATA, n, True) + _ORC_EPOCH_S
+        nanos = _decode_orc_nanos(_ints(src, SECONDARY, n, False))
+        if src.java_seconds:  # positive nanos, seconds truncated toward 0
+            secs -= (secs < 0) & (nanos > 999_999)
+        factor = _UNIT_FACTOR[t.unit]
+        return _fixed(t, secs * factor + nanos // (1_000_000_000 // factor))
+    if pa.types.is_decimal128(t):
+        lanes = np.empty((n, 2), dtype=np.int64)
+        lanes[:, 0], lanes[:, 1] = src.decimal_lanes(n, t)
+        return _fixed(t, lanes)
+    if (pa.types.is_string(t) or pa.types.is_large_string(t)
+            or pa.types.is_binary(t) or pa.types.is_large_binary(t)):
+        d = src.dictionary(t)
+        if d is not None:
+            return d.take(pa.array(_dict_ids(src, len(d), n)))
+        lengths = _ints(src, LENGTH, n, False)
+        return build_string_array(t, lengths, _blob(src, int(lengths.sum())))
+    if pa.types.is_list(t) or pa.types.is_large_list(t) or pa.types.is_map(t):
+        large = pa.types.is_large_list(t)
+        lengths = _ints(src, LENGTH, n, False)
+        offs = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offs[1:])
+        m = int(offs[-1])
+        if n and (lengths.min() < 0 or not large and m >= 2**31):
+            raise _error(src, LENGTH, "list lengths out of range")
+        offs = pa.array(offs if large else offs.astype(np.int32))
+        if pa.types.is_map(t):  # .oray spells its children as entries' fields
+            return pa.MapArray.from_arrays(
+                offs, decode_array(t.key_type, m, src.child(0, "entries.key")),
+                decode_array(t.item_type, m, src.child(1, "entries.value")))
+        child = decode_array(t.value_type, m, src.child(0, "item"))
+        return (pa.LargeListArray if large else pa.ListArray).from_arrays(offs, child)
+    if pa.types.is_fixed_size_list(t):
+        child = decode_array(t.value_type, n * t.list_size, src.child(0, "item"))
+        return pa.FixedSizeListArray.from_arrays(child, t.list_size)
+    if pa.types.is_struct(t):  # children hold the struct's non-null rows
+        kids = [decode_array(t.field(i).type, n, src.child(i, t.field(i).name))
+                for i in range(t.num_fields)]
+        return pa.Array.from_buffers(t, n, [None], children=kids)
+    if pa.types.is_dictionary(t):
+        values = decode_array(t.value_type, n, src.child(0, "values"))
+        return values.dictionary_encode().cast(t)
+    raise NotImplementedError(f"unsupported Arrow type for decode: {t}")
+
+
+class _OraySource:
+    """``decode_array``'s source over one ``.oray`` column chunk: streams by
+    (column path, kind), each decoded by its own codec. Timestamps are
+    floor seconds; decimals one signed varint lane (precision ≤ 18) or two."""
+
+    java_seconds = False
+
+    def __init__(self, streams: dict, path: str):
+        self.streams, self.name = streams, path
+
+    def child(self, i: int, path: str) -> _OraySource:
+        return _OraySource(self.streams, f"{self.name}.{path}")
+
+    def at(self, kind: str):
+        s = self.streams.get((self.name, kind))
+        if s is None:
+            return None
+        if s.codec == "fsst":
+            return fsst.decode_chunk(s.data), 0, (0, 0)
+        if s.codec == "bss":  # a byte transpose of len // n byte values
+            w = len(s.data) // max(s.n, 1)
+            return bss.decode(s.data, s.n, f"<f{w}").view(np.uint8), 0, (0, 0)
+        return s.data, 0, (0, 0)
+
+    def ints(self, kind: str, n: int, signed: bool) -> np.ndarray:
+        s = self.streams.get((self.name, kind))  # signed per its params
+        return np.empty(0, dtype=np.int64) if s is None else _decode_int_data(s)
+
+    def dictionary(self, t: pa.DataType) -> pa.Array | None:
+        d = self.streams.get((self.name, DICT_DATA))
+        return None if d is None else build_string_array(
+            t, _ints(self, DICT_LENGTH, d.n, False), d.data)
+
+    def decimal_lanes(self, n: int, t: pa.DataType):
+        lo = _ints(self, DATA, n, True)
+        if (self.name, SECONDARY) not in self.streams:
+            return lo, lo >> 63
+        return lo, _ints(self, SECONDARY, n, True)
 
 
 def decode_column(field_: pa.Field, streams: list[Stream], n_rows: int) -> pa.Array:
     """Rebuild one top-level Arrow column from its streams (zero row objects)."""
-    by_kind = {}
-    child_streams = []
-    for s in streams:
-        if s.col == field_.name:
-            by_kind[s.kind] = s
-        else:
-            child_streams.append(s)
-
-    present = by_kind.get(PRESENT)
-    if present is not None:
-        mask = bool_rle.decode(present.data, n_rows)
-        n_valid = int(mask.sum())
-    else:
-        mask = None
-        n_valid = n_rows
-
-    values = _decode_values(field_.name, field_.type, by_kind, child_streams, n_valid)
-    if mask is None:
-        return values
-    return scatter_valid(values, mask)
-
-
-def _decode_values(name: str, t: pa.DataType, by_kind: dict, child_streams: list[Stream], nv: int) -> pa.Array:
-    if pa.types.is_integer(t):
-        if t.bit_width == 8:
-            raw = byte_rle.decode(by_kind[DATA].data, nv)
-            return pa.array(raw.view(np.int8 if pa.types.is_signed_integer(t) else np.uint8), type=t)
-        vals = _decode_int_data(by_kind[DATA])
-        return pa.array(vals, type=pa.int64()).cast(t)
-
-    if pa.types.is_decimal(t):
-        if SECONDARY in by_kind:  # two-lane path: precision > 18
-            lo = varint.decode(by_kind[DATA].data, nv, False)
-            hi = varint.decode(by_kind[SECONDARY].data, nv, True)
-        else:
-            lo = varint.decode(by_kind[DATA].data, nv, True)
-            hi = lo >> 63
-        lanes = np.empty(2 * nv, dtype=np.int64)
-        lanes[0::2], lanes[1::2] = lo, hi
-        return pa.Array.from_buffers(t, nv, [None, pa.py_buffer(lanes.tobytes())])
-
-    if pa.types.is_timestamp(t):
-        secs = _decode_int_data(by_kind[DATA])
-        frac = _decode_int_data(by_kind[SECONDARY])
-        nanos = _decode_orc_nanos(frac)
-        factor = _UNIT_FACTOR[t.unit]
-        v = (secs + _ORC_EPOCH_S) * factor + nanos // (1_000_000_000 // factor)
-        return pa.array(v, type=pa.int64()).cast(t)
-
-    if pa.types.is_date(t):
-        vals = _decode_int_data(by_kind[DATA])
-        arr = pa.array(vals, type=pa.int64())
-        if t == pa.date32():
-            arr = arr.cast(pa.int32())
-        return arr.cast(t)
-
-    if pa.types.is_boolean(t):
-        return pa.array(bool_rle.decode(by_kind[DATA].data, nv))
-
-    if pa.types.is_floating(t):
-        dtype = np.float32 if pa.types.is_float32(t) else np.float64
-        s = by_kind[DATA]
-        if s.codec == "bss":
-            return pa.array(bss.decode(s.data, nv, dtype), type=t)
-        return pa.array(np.frombuffer(s.data, dtype=dtype, count=nv), type=t)
-
-    if pa.types.is_string(t) or pa.types.is_large_string(t) or pa.types.is_binary(t):
-        return _decode_string(t, by_kind, nv)
-
-    if pa.types.is_list(t) or pa.types.is_large_list(t):
-        lengths = _decode_int_data(by_kind[LENGTH])
-        n_child = int(lengths.sum())
-        child_field = pa.field(f"{name}.item", t.value_type)
-        child = decode_column(child_field, child_streams, n_child)
-        offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(
-            np.int64 if pa.types.is_large_list(t) else np.int32)
-        cls = pa.LargeListArray if pa.types.is_large_list(t) else pa.ListArray
-        return cls.from_arrays(pa.array(offsets), child)
-
-    if pa.types.is_dictionary(t):
-        values = decode_column(pa.field(f"{name}.values", t.value_type),
-                               child_streams, nv)
-        return values.dictionary_encode().cast(t)
-
-    if pa.types.is_fixed_size_list(t):
-        child = decode_column(pa.field(f"{name}.item", t.value_type),
-                              child_streams, nv * t.list_size)
-        return pa.FixedSizeListArray.from_arrays(child, t.list_size)
-
-    if pa.types.is_map(t):
-        lengths = _decode_int_data(by_kind[LENGTH])
-        n_child = int(lengths.sum())
-        entries = decode_column(
-            pa.field(f"{name}.entries",
-                     pa.struct([("key", t.key_type), ("value", t.item_type)])),
-            child_streams, n_child)
-        offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int32)
-        return pa.MapArray.from_arrays(
-            pa.array(offsets, type=pa.int32()),
-            entries.field(0), entries.field(1))
-
-    if pa.types.is_struct(t):
-        children = []
-        for i in range(t.num_fields):
-            f_ = t.field(i)
-            path = f"{name}.{f_.name}"
-            mine = [s for s in child_streams
-                    if s.col == path or s.col.startswith(path + ".")]
-            children.append(decode_column(pa.field(path, f_.type), mine, nv))
-        return pa.StructArray.from_arrays(
-            children, fields=[t.field(i) for i in range(t.num_fields)])
-
-    raise NotImplementedError(f"unsupported Arrow type for decode: {t}")
-
-
-def _decode_string(t: pa.DataType, by_kind: dict, nv: int) -> pa.Array:
-    if DICT_DATA in by_kind:
-        dstream = by_kind[DICT_DATA]
-        dlens = rlev2.decode(by_kind[DICT_LENGTH].data, False, dstream.n)
-        dictionary = build_string_array(pa.string(), dlens, dstream.data)
-        ids = rlev2.decode(by_kind[DATA].data, False, nv)
-        return dictionary.take(pa.array(ids, type=pa.int64())).cast(t)
-
-    data_stream = by_kind[DATA]
-    lengths = _decode_int_data(by_kind[LENGTH]) if nv else np.zeros(0, np.int64)
-    if data_stream.codec == "fsst":
-        data = fsst.decode_chunk(data_stream.data)
-    else:
-        data = data_stream.data
-    return build_string_array(t, lengths, data)
+    src = _OraySource({(s.col, s.kind): s for s in streams}, field_.name)
+    return decode_array(field_.type, n_rows, src)
 
 
 def column_predicate_mask(field_: pa.Field, streams: list[Stream], n_rows: int,
@@ -560,23 +596,13 @@ def column_predicate_mask(field_: pa.Field, streams: list[Stream], n_rows: int,
     low-cardinality columns). Returns None when the column isn't
     dict-encoded; the caller then decodes + compares normally. Null rows
     yield null (Kleene), matching ``term.mask`` on a decoded column."""
-    by_kind = {s.kind: s for s in streams if s.col == field_.name}
-    t = field_.type
-    if DICT_DATA not in by_kind or not (
-            pa.types.is_string(t) or pa.types.is_large_string(t)
-            or pa.types.is_binary(t)):
+    src = _OraySource({(s.col, s.kind): s for s in streams}, field_.name)
+    d = src.dictionary(field_.type)  # only strings have a DICT_DATA stream
+    if d is None:
         return None
-    dstream = by_kind[DICT_DATA]
-    dlens = rlev2.decode(by_kind[DICT_LENGTH].data, False, dstream.n)
-    dmask = term.mask(build_string_array(t, dlens, dstream.data))
-    dmask_np = dmask.to_numpy(zero_copy_only=False).astype(bool)
-    present = by_kind.get(PRESENT)
-    if present is None:
-        ids = rlev2.decode(by_kind[DATA].data, False, n_rows)
-        return pa.array(dmask_np[ids])
-    mask = bool_rle.decode(present.data, n_rows)
-    ids = rlev2.decode(by_kind[DATA].data, False, int(mask.sum()))
-    return scatter_valid(pa.array(dmask_np[ids]), mask)
+    dmask = term.mask(d).to_numpy(zero_copy_only=False).astype(bool)
+    return decode_array(pa.bool_(), n_rows, src,
+                        lambda n: pa.array(dmask[_dict_ids(src, len(d), n)]))
 
 
 def build_string_array(t: pa.DataType, lengths: np.ndarray, data: bytes) -> pa.Array:

@@ -1,0 +1,122 @@
+"""Seeded mutation contract for both readers: a bit flip, a random byte or
+a 1-15 byte zero-fill anywhere in a file must give back a table or a
+``ValueError`` raised by the reader, never another exception and never a
+hang.
+
+- ``.oray``: every stream carries a CRC32, so a mutated stripe must decode
+  to exactly the input table or raise.
+- ORC carries no checksum over stream payloads, so a mutated file may read
+  back as different rows with no error; only the kind of outcome is
+  checked. A pyarrow error type (``ArrowInvalid`` is a ``ValueError``)
+  escaping the reader counts as a breach: the reader checks its input
+  itself and names the file, column and stream.
+"""
+
+import signal
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.orc as pa_orc
+import pytest
+
+from apacheorcdotnet_ray.sources.orc_reader import OrcFile
+from apacheorcdotnet_ray.sources.orc_writer import write_orc
+from apacheorcdotnet_ray.stripe import EncodeConfig, decode_stripe, encode_stripe
+
+N_ROWS = 3_000
+CASES = 400
+
+
+def _table(timestamps: bool) -> pa.Table:
+    rng = np.random.default_rng(5)
+    cols = {
+        "k": pa.array(np.arange(N_ROWS, dtype=np.int64)),
+        "r": pa.array(rng.integers(-1000, 1000, N_ROWS)),
+        "s": pa.array([None if i % 3 == 0 else f"s{rng.integers(100)}"
+                       for i in range(N_ROWS)]),
+        "d": pa.array(rng.random(N_ROWS)),
+        "l": pa.array([list(rng.integers(0, 100, i % 4)) for i in range(N_ROWS)],
+                      type=pa.list_(pa.int32())),
+    }
+    if timestamps:
+        us = 1_600_000_000_000_000 + rng.integers(-10**15, 10**15, N_ROWS)
+        cols["t"] = pa.array(us, type=pa.timestamp("us"))
+    return pa.table(cols)
+
+
+def _mutations(data: bytes):
+    rng = np.random.default_rng(5)
+    for _ in range(CASES):
+        b = bytearray(data)
+        pos = int(rng.integers(len(b)))
+        how = int(rng.integers(3))
+        if how == 0:
+            b[pos] ^= 1 << int(rng.integers(8))
+        elif how == 1:
+            b[pos] = int(rng.integers(256))
+        else:
+            n = min(int(rng.integers(1, 16)), len(b) - pos)
+            b[pos:pos + n] = bytes(n)
+        yield bytes(b)
+
+
+def _reader_error(e: Exception) -> bool:
+    return isinstance(e, ValueError) and not isinstance(e, pa.ArrowException)
+
+
+@pytest.mark.parametrize("stride", [None, 500])
+def test_oray_mutations_decode_exactly_or_raise(stride):
+    t = _table(timestamps=True)
+    buf, _ = encode_stripe(t, EncodeConfig(row_index_stride=stride))
+    assert decode_stripe(buf).equals(t)
+    outcomes = {"equal": 0, "ValueError": 0}
+    for mutated in _mutations(buf):
+        try:
+            got = decode_stripe(mutated)
+        except Exception as e:  # noqa: BLE001 - the contract is the type
+            assert _reader_error(e), f"{type(e).__name__}: {e}"
+            outcomes["ValueError"] += 1
+            continue
+        assert got.equals(t), "a mutated stripe decoded to other rows"
+        outcomes["equal"] += 1
+    assert sum(outcomes.values()) == CASES
+
+
+def _timeout(signum, frame):
+    raise TimeoutError("an ORC read ran past 10 s")
+
+
+@pytest.mark.parametrize("writer", ["write_orc", "pyarrow"])
+def test_orc_mutations_read_or_raise(tmp_path, writer):
+    t = _table(timestamps=False)
+    src = str(tmp_path / "src.orc")
+    if writer == "pyarrow":
+        pa_orc.write_table(t, src)
+    else:
+        write_orc(t, src)
+    with open(src, "rb") as fh:
+        data = fh.read()
+    path = str(tmp_path / "mutated.orc")
+    old = signal.signal(signal.SIGALRM, _timeout)
+    outcomes = {"table": 0, "ValueError": 0}
+    try:
+        for mutated in _mutations(data):
+            with open(path, "wb") as fh:
+                fh.write(mutated)
+            signal.alarm(10)
+            try:
+                f = OrcFile(path)
+                try:
+                    got = f.read_table()
+                finally:
+                    f.close()
+            except Exception as e:  # noqa: BLE001 - the contract is the type
+                assert _reader_error(e), f"{type(e).__name__}: {e}"
+                outcomes["ValueError"] += 1
+                continue
+            finally:
+                signal.alarm(0)
+            outcomes["table"] += 1
+    finally:
+        signal.signal(signal.SIGALRM, old)
+    assert sum(outcomes.values()) == CASES
