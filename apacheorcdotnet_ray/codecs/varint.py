@@ -4,8 +4,9 @@ The Ray-native analog of the reference's decimal-mantissa stream codec
 (``/root/reference/src/ApacheOrcDotNet/Encodings/VarIntWriter.cs:18-32`` /
 ``VarIntReader.cs:19-29``): one zigzag varint per value, concatenated.
 Encode scatters each value's 7-bit groups with one vector op per group
-position (<=10); decode reconstructs values with one ``np.add.reduceat``
-over shifted 7-bit contributions — no per-value Python loops.
+position (<=10; <=19 for 128-bit values); decode reconstructs values with
+one ``np.add.reduceat`` over shifted 7-bit contributions — no per-value
+Python loops.
 """
 
 from __future__ import annotations
@@ -19,15 +20,43 @@ def encode(values: np.ndarray, signed: bool = True) -> bytes:
     v = np.ascontiguousarray(values, dtype=I64)
     if len(v) == 0:
         return b""
-    zz = (zigzag_encode(v) if signed else v).view(U64)
-    nbytes = np.maximum((bit_widths(zz) + 6) // 7, 1)
+    return _varints((zigzag_encode(v) if signed else v).view(U64))
+
+
+def encode128(lo: np.ndarray, hi: np.ndarray) -> bytes:
+    """Zigzag varints of 128-bit values given as their low and high int64
+    words (ORC decimal mantissas): the inverse of ``decode128``. A value
+    that fits int64 takes the bytes ``encode`` gives it."""
+    lo = np.ascontiguousarray(lo, dtype=I64)
+    hi = np.ascontiguousarray(hi, dtype=I64)
+    if (hi == lo >> 63).all():
+        return encode(lo, True)
+    sign = (hi >> 63).view(U64)  # zigzag: (v << 1) ^ (v >> 127)
+    zlo = (lo.view(U64) << np.uint64(1)) ^ sign
+    zhi = ((hi.view(U64) << np.uint64(1)) | (lo.view(U64) >> np.uint64(63))) ^ sign
+    return _varints(zlo, zhi)
+
+
+def _varints(lo: np.ndarray, hi: np.ndarray | None = None) -> bytes:
+    """Unsigned values (uint64 words, with ``hi`` for 128 bits) as varints,
+    with one vector op per 7-bit group position."""
+    width = bit_widths(lo) if hi is None else \
+        np.where(hi != 0, 64 + bit_widths(hi), bit_widths(lo))
+    nbytes = np.maximum((width + 6) // 7, 1)
     starts = np.concatenate([[0], np.cumsum(nbytes)])
     out = np.empty(int(starts[-1]), dtype=np.uint8)
-    for g in range(10):
+    for g in range(19):
         mask = nbytes > g
         if not mask.any():
             break
-        group = ((zz[mask] >> np.uint64(7 * g)) & np.uint64(0x7F)).astype(np.uint8)
+        s = 7 * g
+        if s < 64:
+            word = lo[mask] >> np.uint64(s)
+            if hi is not None and s + 7 > 64:  # straddles the two words
+                word |= hi[mask] << np.uint64(64 - s)
+        else:
+            word = hi[mask] >> np.uint64(s - 64)
+        group = (word & np.uint64(0x7F)).astype(np.uint8)
         cont = (nbytes[mask] - 1 > g).astype(np.uint8) << 7
         out[starts[:-1][mask] + g] = group | cont
     return out.tobytes()

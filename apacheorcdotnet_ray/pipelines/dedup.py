@@ -9,6 +9,8 @@ documents), candidate verification per group, tiny driver-side merge.
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 
 # polars imports at module level: its lazy submodule init is not
@@ -19,6 +21,8 @@ import polars  # noqa: F401
 import pandas as pd
 import pyarrow as pa
 import ray.data as rd
+
+log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +684,7 @@ def dedup_ngram_jaccard(
 
     Skew bound: a shingle appearing in f docs emits O(f^2) pairs; with
     ``df_cap`` set, shingles with in-partition document frequency > df_cap
-    are dropped (logged per partition via Ray's stdout capture). That makes
+    are dropped (a warning per partition names how many). That makes
     the intersection count a LOWER bound, i.e. recall can drop for pairs
     whose overlap is concentrated in stop-shingles — the standard corpus-
     scale trade. The oracle query runs with df_cap=None (exact)."""
@@ -703,8 +707,8 @@ def dedup_ngram_jaccard(
             hot = f > df_cap
             if hot.any():
                 n_hot = dup.loc[hot, "sh"].nunique()
-                print(f"dedup_ngram_jaccard: dropped {n_hot} shingles "
-                      f"with df > {df_cap}")
+                log.warning("dedup_ngram_jaccard: dropped %d shingles with "
+                            "df > %d", n_hot, df_cap)
                 dup = dup[~hot]
         if dup.empty:
             return pd.DataFrame({"doc_a": pd.Series(dtype=df["doc"].dtype),

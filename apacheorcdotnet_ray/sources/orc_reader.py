@@ -687,8 +687,10 @@ class _OrcSource:
 
     def decimal_lanes(self, n: int, t: "pa.DataType"):  # noqa: F821
         buf, off, _ = self.at(DATA) or _ABSENT
-        # varints are self-delimiting: a seek decodes from its point and
-        # keeps the group's first n values
+        if self.seek is not None:  # varints self-delimit: cut the group's n
+            head = np.frombuffer(buf, dtype=np.uint8, offset=off)[:19 * n]
+            ends = np.flatnonzero(head < 0x80)
+            buf, off = head[:ends[n - 1] + 1 if n and len(ends) >= n else len(head)], 0
         lo, hi = varint.decode128(buf[off:], n if self.seek is None else None)
         lo, hi = lo[:n], hi[:n]
         scale = self.ints(SECONDARY, n, True)

@@ -3,12 +3,15 @@
 The reference's headline capability is writing ORC files other engines can
 read (``/root/reference/src/ApacheOrcDotNet/OrcWriter.cs``,
 ``Stripes/StripeWriter.cs:241-333``). This module closes that gap for the
-Ray engine: integer columns go through ``codecs.rlev2`` (the byte-faithful
-reimplementation of the reference's writer), strings through DIRECT_V2 /
-DICTIONARY_V2, doubles as IEEE-LE, nulls through ``codecs.bool_rle``
-PRESENT streams — all laid out per the public ORC spec (magic, stripes,
-protobuf StripeFooter/Metadata/Footer/PostScript), each stream ZLIB or
-ZSTD chunks through ``stripe/framing.py`` (an empty stream is 0 bytes).
+Ray engine. Columns go through ``stripe/columns.encode_array``, the one
+Arrow → streams walk it shares with ``.oray``; ``_OrcSink`` is ORC's side
+of it: integers through ``codecs.rlev2`` (the byte-faithful
+reimplementation of the reference's writer), strings as DIRECT_V2 or
+DICTIONARY_V2, floats as IEEE-LE, decimals as 128-bit zigzag varints plus a
+scale stream, nulls as ``codecs.bool_rle`` PRESENT streams — all laid out
+per the public ORC spec (magic, stripes, protobuf
+StripeFooter/Metadata/Footer/PostScript), each stream ZLIB or ZSTD chunks
+through ``stripe/framing.py`` (an empty stream is 0 bytes).
 Conformance check: ``tests/test_orc_conformance.py`` round-trips
 files through BOTH pyarrow's independent C++ ORC reader and this repo's
 ``orc_reader``.
@@ -32,10 +35,12 @@ ROW_INDEX every 10k rows — ``StripeWriter.cs:116-191``,
   SIGNED scaled nanos for pre-1970 fractional values (cross-checked
   byte-level against pyarrow's writer on 1969-12-31 23:59:59.5).
 
-Supported column types: int8/16/32/64 → SHORT/INT/LONG, string (dictionary
-or direct per the reference's 0.8 distinct-ratio rule), float64 → DOUBLE,
-bool → BOOLEAN, timestamp → TIMESTAMP, date32 → DATE, decimal(≤18 digits)
-→ DECIMAL, struct → STRUCT, list → LIST; nullable throughout.
+Supported column types: int8 → BYTE, int16/32/64 → SHORT/INT/LONG, string
+→ STRING (dictionary or direct per the reference's distinct-ratio rule,
+``EncodeConfig``'s default threshold), binary → BINARY, float32/64 →
+FLOAT/DOUBLE, bool → BOOLEAN, timestamp → TIMESTAMP, date32 → DATE,
+decimal128 (up to 38 digits) → DECIMAL, struct → STRUCT, list → LIST,
+map → MAP; nullable throughout.
 """
 
 from __future__ import annotations
@@ -48,7 +53,8 @@ import pyarrow as pa
 from ..codecs import bool_rle, byte_rle, rlev2, varint
 from ..codecs.bitpack import zigzag_encode_scalar as _zz
 from ..stripe import framing
-from ..stripe.columns import string_parts
+from ..stripe.columns import encode_array, low_cardinality, string_parts
+from ..stripe.config import EncodeConfig
 
 # --- minimal protobuf wire-format writer ------------------------------------
 
@@ -141,7 +147,7 @@ def _build_node(t: pa.DataType, next_id: list[int]) -> _Node:
         return _Node(nid, t, _TYPE_BINARY, [])
     if pa.types.is_timestamp(t):
         return _Node(nid, t, _TYPE_TIMESTAMP, [])
-    if pa.types.is_date(t):
+    if pa.types.is_date32(t):  # date64 holds milliseconds, not days
         return _Node(nid, t, _TYPE_DATE, [])
     if pa.types.is_decimal(t):
         if t.scale < 0:
@@ -177,44 +183,6 @@ def _type_msgs(node: _Node) -> list[bytes]:
                        pb_field(5, node.type.precision),
                        pb_field(6, node.type.scale))]
     return [pb_msg(pb_field(1, node.kind))]
-
-
-# --- segmented stream builders (encoder restarts at row-group bounds) --------
-
-
-def _seg(encode, vals: np.ndarray, bounds, state=(0,)) -> tuple[bytes, list]:
-    """``encode`` restarted at each row-group bound: the stream, and per
-    group [stream offset, *state] (run offset 0; varints have no state)."""
-    parts, poss, off = [], [], 0
-    ends = list(bounds[1:]) + [len(vals)]
-    for a, b in zip(bounds, ends):
-        poss.append([off, *state])
-        parts.append(encode(np.ascontiguousarray(vals[int(a):int(b)])))
-        off += len(parts[-1])
-    return b"".join(parts), poss
-
-
-def _seg_rle(vals: np.ndarray, signed: bool, bounds) -> tuple[bytes, list]:
-    return _seg(lambda v: rlev2.encode(v, signed=signed), vals, bounds)
-
-
-def _seg_bool(bits: np.ndarray, bounds) -> tuple[bytes, list]:
-    """Boolean / PRESENT stream restarted at each row group's byte; the
-    position triple is [stream offset, byte-RLE run offset (0 — restart),
-    bit offset within the byte]."""
-    n_bytes = (len(bits) + 7) // 8
-    byte_starts = sorted({int(b) // 8 for b in bounds} | {0})
-    seg_off: dict[int, int] = {}
-    parts, off = [], 0
-    for i, bs in enumerate(byte_starts):
-        be = byte_starts[i + 1] if i + 1 < len(byte_starts) else n_bytes
-        seg = bool_rle.encode(
-            np.ascontiguousarray(bits[bs * 8:min(be * 8, len(bits))]))
-        seg_off[bs] = off
-        parts.append(seg)
-        off += len(seg)
-    poss = [[seg_off[int(b) // 8], 0, int(b) % 8] for b in bounds]
-    return b"".join(parts), poss
 
 
 # --- per-node column statistics ----------------------------------------------
@@ -258,194 +226,134 @@ def _stats_msg(arr: pa.Array | None, n_rows: int = 0) -> bytes:
     return pb_msg(msg)
 
 
+# --- segmented stream builders (encoder restarts at row-group bounds) --------
+
+
+def _seg(encode, vals: np.ndarray, bounds, state=(0,)) -> tuple[bytes, list]:
+    """``encode`` restarted at each row-group bound: the stream, and per
+    group [stream offset, *state] (run offset 0; varints have no state)."""
+    parts, poss, off = [], [], 0
+    ends = list(bounds[1:]) + [len(vals)]
+    for a, b in zip(bounds, ends):
+        poss.append([off, *state])
+        parts.append(encode(np.ascontiguousarray(vals[int(a):int(b)])))
+        off += len(parts[-1])
+    return b"".join(parts), poss
+
+
+def _seg_bool(bits: np.ndarray, bounds) -> tuple[bytes, list]:
+    """Boolean / PRESENT stream restarted at each row group's byte; the
+    position triple is [stream offset, byte-RLE run offset (0 — restart),
+    bit offset within the byte]."""
+    n_bytes = (len(bits) + 7) // 8
+    byte_starts = sorted({int(b) // 8 for b in bounds} | {0})
+    seg_off: dict[int, int] = {}
+    parts, off = [], 0
+    for i, bs in enumerate(byte_starts):
+        be = byte_starts[i + 1] if i + 1 < len(byte_starts) else n_bytes
+        seg = bool_rle.encode(
+            np.ascontiguousarray(bits[bs * 8:min(be * 8, len(bits))]))
+        seg_off[bs] = off
+        parts.append(seg)
+        off += len(seg)
+    poss = [[seg_off[int(b) // 8], 0, int(b) % 8] for b in bounds]
+    return b"".join(parts), poss
+
+
+def _through(counts: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Row-group starts carried into the next row space by the running sum
+    of ``counts`` (PRESENT bits into non-null values, LENGTH values into
+    child rows)."""
+    cs = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=cs[1:])
+    return cs[bounds]
+
+
 # --- per-stripe node encode ----------------------------------------------
 
-
-def _encode_node_stripe(node: _Node, arr, row_bounds: np.ndarray,
-                        recs: list, encs: dict, stats_rows: list) -> None:
-    """Encode one column subtree for ONE stripe. ``row_bounds`` are the
-    row-group start indices in this node's own row space; they propagate
-    to children through PRESENT densification and LIST lengths so every
-    stream's per-group restart offsets line up with the same top-level
-    row groups."""
-    import pyarrow.compute as pc
-
-    a = arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr
-    stats_rows.append((node.id, a, row_bounds))
-    streams: list[tuple[str, bytes, list | None]] = []
-    if a.null_count:
-        present = np.invert(np.asarray(a.is_null()))
-        cp = np.zeros(len(a) + 1, dtype=np.int64)
-        np.cumsum(present, out=cp[1:])
-        dense_bounds = cp[row_bounds]
-        raw, poss = _seg_bool(present, row_bounds)
-        streams.append(("PRESENT", raw, poss))
-        d = a.drop_null()
-    else:
-        dense_bounds = row_bounds
-        d = a
-    t = node.type
-    if node.kind == _TYPE_LIST:
-        lengths = pc.list_value_length(d).to_numpy(zero_copy_only=False) \
-            .astype(np.int64) if len(d) else np.empty(0, np.int64)
-        raw, poss = _seg_rle(lengths, False, dense_bounds)
-        streams.append(("LENGTH", raw, poss))
-        encs[node.id] = pb_msg(pb_field(1, _ENC_DIRECT_V2))
-        recs.extend((_KIND[n], node.id, r, p) for n, r, p in streams)
-        cl = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=cl[1:])
-        child_bounds = cl[dense_bounds]
-        _encode_node_stripe(node.children[0], d.flatten(), child_bounds,
-                            recs, encs, stats_rows)
-        return
-    if node.kind == _TYPE_MAP:
-        # NOTE: MapArray.keys/.items ignore slices — slice them by the
-        # absolute offsets window instead (offsets ARE slice-aware)
-        off = np.asarray(d.offsets, dtype=np.int64) if len(d) \
-            else np.zeros(1, dtype=np.int64)
-        lengths = np.diff(off)
-        raw, poss = _seg_rle(lengths, False, dense_bounds)
-        streams.append(("LENGTH", raw, poss))
-        encs[node.id] = pb_msg(pb_field(1, _ENC_DIRECT_V2))
-        recs.extend((_KIND[n], node.id, r, p) for n, r, p in streams)
-        cl = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=cl[1:])
-        child_bounds = cl[dense_bounds]
-        keys = d.keys.slice(int(off[0]), int(off[-1] - off[0]))
-        items = d.items.slice(int(off[0]), int(off[-1] - off[0]))
-        _encode_node_stripe(node.children[0], keys, child_bounds,
-                            recs, encs, stats_rows)
-        _encode_node_stripe(node.children[1], items, child_bounds,
-                            recs, encs, stats_rows)
-        return
-    if node.kind == _TYPE_STRUCT:
-        encs[node.id] = pb_msg(pb_field(1, _ENC_DIRECT))
-        recs.extend((_KIND[n], node.id, r, p) for n, r, p in streams)
-        for fi, child in enumerate(node.children):
-            _encode_node_stripe(child, d.field(fi), dense_bounds,
-                                recs, encs, stats_rows)
-        return
-    # --- scalar leaves ---
-    enc_msg = pb_msg(pb_field(1, _ENC_DIRECT_V2))
-    if node.kind in (_TYPE_SHORT, _TYPE_INT, _TYPE_LONG):
-        vals = d.to_numpy(zero_copy_only=False).astype(np.int64)
-        raw, poss = _seg_rle(vals, True, dense_bounds)
-        streams.append(("DATA", raw, poss))
-    elif node.kind == _TYPE_BYTE:  # tinyint: byte-RLE DATA
-        bv = d.to_numpy(zero_copy_only=False).astype(np.int8).view(np.uint8)
-        streams.append(("DATA", *_seg(byte_rle.encode, bv, dense_bounds)))
-        enc_msg = pb_msg(pb_field(1, _ENC_DIRECT))
-    elif node.kind == _TYPE_BOOLEAN:
-        bits = d.to_numpy(zero_copy_only=False).astype(bool)
-        raw, poss = _seg_bool(bits, dense_bounds)
-        streams.append(("DATA", raw, poss))
-        enc_msg = pb_msg(pb_field(1, _ENC_DIRECT))
-    elif node.kind == _TYPE_DOUBLE:
-        vals = d.to_numpy(zero_copy_only=False).astype("<f8")
-        streams.append(("DATA", vals.tobytes(),
-                        [[8 * int(b)] for b in dense_bounds]))
-        enc_msg = pb_msg(pb_field(1, _ENC_DIRECT))
-    elif node.kind == _TYPE_FLOAT:
-        vals = d.to_numpy(zero_copy_only=False).astype("<f4")
-        streams.append(("DATA", vals.tobytes(),
-                        [[4 * int(b)] for b in dense_bounds]))
-        enc_msg = pb_msg(pb_field(1, _ENC_DIRECT))
-    elif node.kind == _TYPE_BINARY:
-        streams.extend(_direct_strings(d, dense_bounds))
-    elif node.kind == _TYPE_TIMESTAMP:
-        # C++ ORC dialect: seconds truncated toward ZERO, SIGNED scaled
-        # nanos for pre-1970 fractions (pyarrow writes -0.5s as secs=0,
-        # nanos=-5e8 → frac -33); readers apply the Java positive-nanos
-        # adjustment only when nanos > 999999, which signed nanos dodge.
-        from ..stripe.columns import (_ORC_EPOCH_S, _UNIT_FACTOR,
-                                      _encode_orc_nanos)
-
-        factor = _UNIT_FACTOR[t.unit]
-        v = d.cast(pa.int64()).to_numpy(zero_copy_only=False)
-        secs = v // factor
-        rem = v - secs * factor            # in [0, factor)
-        negfrac = ((v < 0) & (rem != 0)).astype(np.int64)
-        secs = secs + negfrac              # truncate toward zero
-        nanos = (rem - negfrac * factor) * (1_000_000_000 // factor)
-        raw, poss = _seg_rle(secs - _ORC_EPOCH_S, True, dense_bounds)
-        streams.append(("DATA", raw, poss))
-        raw, poss = _seg_rle(_encode_orc_nanos(nanos), False, dense_bounds)
-        streams.append(("SECONDARY", raw, poss))
-    elif node.kind == _TYPE_DATE:
-        days = d.cast(pa.int32()).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        raw, poss = _seg_rle(days, True, dense_bounds)
-        streams.append(("DATA", raw, poss))
-    elif node.kind == _TYPE_DECIMAL:
-        buf = d.buffers()[1]
-        pairs = np.frombuffer(buf, dtype=np.int64,
-                              count=2 * (d.offset + len(d)))
-        lanes = pairs.reshape(-1, 2)[d.offset:d.offset + len(d)]
-        mant = lanes[:, 0].copy()
-        # DATA is a signed varint of the low lane only: a mantissa that does
-        # not fit int64 would be written wrong
-        if not (lanes[:, 1] == mant >> 63).all():
-            raise NotImplementedError(
-                f"ORC writer: {t} mantissa wider than 64 bits")
-        raw, poss = _seg(lambda v: varint.encode(v, signed=True), mant,
-                         dense_bounds, ())
-        streams.append(("DATA", raw, poss))
-        raw, poss = _seg_rle(np.full(len(d), t.scale, dtype=np.int64),
-                             True, dense_bounds)
-        streams.append(("SECONDARY", raw, poss))
-    elif node.kind == _TYPE_STRING:
-        import pyarrow.compute as pc
-
-        uniq = pc.unique(d)
-        if len(d) and len(uniq) / len(d) <= 0.8:
-            # the reference's dictionary-vs-direct decision (StringWriter
-            # .cs:89-92, 155-249): sorted dictionary, unsigned id stream
-            dct = uniq.sort()
-            ids = pc.index_in(d, value_set=dct).cast(pa.int64()) \
-                .to_numpy(zero_copy_only=False)
-            offs, blob = string_parts(dct)
-            raw, poss = _seg_rle(ids, False, dense_bounds)
-            streams.append(("DATA", raw, poss))
-            streams.append(("DICTIONARY_DATA", blob, None))
-            streams.append(("LENGTH",
-                            rlev2.encode(np.diff(offs), signed=False), None))
-            enc_msg = pb_msg(pb_field(1, _ENC_DICTIONARY_V2),
-                             pb_field(2, len(dct)))
-        else:
-            streams.extend(_direct_strings(d, dense_bounds))
-    else:  # pragma: no cover
-        raise NotImplementedError(f"ORC writer: node kind {node.kind}")
-    encs[node.id] = enc_msg
-    recs.extend((_KIND[n], node.id, r, p) for n, r, p in streams)
+_DIRECT_KINDS = (_TYPE_BYTE, _TYPE_BOOLEAN, _TYPE_FLOAT, _TYPE_DOUBLE, _TYPE_STRUCT)
+_DICTIONARY_THRESHOLD = EncodeConfig.dictionary_threshold
 
 
-def _direct_strings(d, dense_bounds) -> list[tuple[str, bytes, list]]:
-    """DATA (the bytes) and LENGTH streams of a direct string/binary node."""
-    offs, data = string_parts(d)
-    raw, poss = _seg_rle(np.diff(offs), False, dense_bounds)
-    return [("DATA", data, [[int(offs[int(b)] - offs[0])]
-                            for b in dense_bounds]),
-            ("LENGTH", raw, poss)]
+class _OrcSink:
+    """``columns.encode_array``'s sink for one ORC column node of one
+    stripe. Every RLE, bool and raw stream restarts at each row-group start
+    (``bounds``, in this node's rows; a child's come from the PRESENT and
+    LENGTH cumsums), so ROW_INDEX positions are exact. It holds ORC's
+    stream kinds and ColumnEncoding messages, the C++ timestamp dialect,
+    the DECIMAL scale stream, and, in ``arrays``, each node's array and
+    row-group starts for ``_stats_msg`` and the blooms."""
 
+    # C++ ORC dialect: seconds truncated toward zero, SIGNED scaled nanos
+    # for pre-1970 fractions (pyarrow writes -0.5 s as secs=0, nanos=-5e8 →
+    # frac -33); readers apply the Java positive-nanos adjustment only when
+    # nanos > 999999, which signed nanos dodge
+    truncate_seconds = True
 
-def _collect_node_arrays(node: _Node, arr, out: dict) -> None:
-    """Full-table row-space array per node id (for file-level stats)."""
-    a = arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr
-    out[node.id] = a
-    if node.kind == _TYPE_MAP:
-        d = a.drop_null() if a.null_count else a
-        off = np.asarray(d.offsets, dtype=np.int64) if len(d) \
-            else np.zeros(1, dtype=np.int64)
-        keys = d.keys.slice(int(off[0]), int(off[-1] - off[0]))
-        items = d.items.slice(int(off[0]), int(off[-1] - off[0]))
-        _collect_node_arrays(node.children[0], keys, out)
-        _collect_node_arrays(node.children[1], items, out)
-    elif node.kind == _TYPE_LIST:
-        _collect_node_arrays(node.children[0], a.drop_null().flatten(), out)
-    elif node.kind == _TYPE_STRUCT:
-        d = a.drop_null() if a.null_count else a
-        for fi, child in enumerate(node.children):
-            _collect_node_arrays(child, d.field(fi), out)
+    def __init__(self, node: _Node, arr: pa.Array, bounds: np.ndarray,
+                 recs: list, encs: dict, arrays: dict):
+        self.node, self.bounds, self.kid_bounds = node, bounds, bounds
+        self.recs, self.encs, self.arrays = recs, encs, arrays
+        arrays[node.id] = (arr, bounds)
+        encs[node.id] = pb_msg(pb_field(
+            1, _ENC_DIRECT if node.kind in _DIRECT_KINDS else _ENC_DIRECT_V2))
+
+    def child(self, i: int, path: str, arr: pa.Array) -> _OrcSink:
+        return _OrcSink(self.node.children[i], arr, self.kid_bounds,
+                        self.recs, self.encs, self.arrays)
+
+    def nested(self, form: str, kids: list) -> None:
+        pass  # the node's type message was written from the schema
+
+    def _put(self, kind: str, raw: bytes, poss: list | None) -> None:
+        self.recs.append((_KIND[kind], self.node.id, raw, poss))
+
+    def present(self, bits: np.ndarray) -> None:
+        self._put("PRESENT", *_seg_bool(bits, self.bounds))
+        self.bounds = self.kid_bounds = _through(bits, self.bounds)
+
+    def ints(self, kind: str, vals: np.ndarray, signed: bool) -> None:
+        self._put(kind, *_seg(lambda v: rlev2.encode(v, signed=signed), vals,
+                              self.bounds))
+        if kind == "LENGTH":
+            self.kid_bounds = _through(vals, self.bounds)
+
+    def bytes(self, vals: np.ndarray) -> None:
+        self._put("DATA", *_seg(byte_rle.encode, vals, self.bounds))
+
+    def bools(self, bits: np.ndarray) -> None:
+        self._put("DATA", *_seg_bool(bits, self.bounds))
+
+    def floats(self, vals: np.ndarray) -> None:
+        w = 4 if self.node.kind == _TYPE_FLOAT else 8
+        self._put("DATA", vals.astype(f"<f{w}").tobytes(),
+                  [[w * int(b)] for b in self.bounds])
+
+    def timestamps(self, secs: np.ndarray, frac: np.ndarray) -> None:
+        self.ints("DATA", secs, True)
+        self.ints("SECONDARY", frac, False)
+
+    def decimals(self, lanes: np.ndarray, t: pa.DataType) -> None:
+        self._put("DATA", *_seg(lambda v: varint.encode128(v[:, 0], v[:, 1]),
+                                lanes, self.bounds, ()))
+        self.ints("SECONDARY", np.full(len(lanes), t.scale, dtype=np.int64), True)
+
+    def wants_dictionary(self, valid: pa.Array) -> bool:
+        return self.node.kind == _TYPE_STRING and low_cardinality(
+            valid, len(valid), _DICTIONARY_THRESHOLD)
+
+    def dictionary(self, values: pa.Array, ids: np.ndarray) -> None:
+        offsets, blob = string_parts(values)
+        self.ints("DATA", ids, False)
+        self._put("DICTIONARY_DATA", blob, None)
+        self._put("LENGTH", rlev2.encode(np.diff(offsets), signed=False), None)
+        self.encs[self.node.id] = pb_msg(pb_field(1, _ENC_DICTIONARY_V2),
+                                         pb_field(2, len(values)))
+
+    def strings(self, offsets: np.ndarray, data: bytes) -> None:
+        self._put("DATA", data, [[int(offsets[int(b)] - offsets[0])]
+                                 for b in self.bounds])
+        self.ints("LENGTH", np.diff(offsets), False)
 
 
 # --- compressed positions -----------------------------------------------------
@@ -534,27 +442,30 @@ def write_orc(table: pa.Table, path: str, compression: str = "zlib",
     body = bytearray(b"ORC")
     stripe_info_msgs: list[bytes] = []
     stripe_stats_msgs: list[list[bytes]] = []
+    node_parts: dict[int, list] = {}  # node id → its array in each stripe
     for sl in slices:
         k_rows = sl.num_rows
         stride = row_index_stride if row_index_stride else max(k_rows, 1)
         bounds = np.arange(0, max(k_rows, 1), stride, dtype=np.int64)
         recs: list = []
         encs: dict[int, bytes] = {0: pb_msg(pb_field(1, _ENC_DIRECT))}
-        stats_rows: list = []
+        stats_by_id: dict[int, tuple] = {}  # node id → (array, group starts)
         for ci, rnode in enumerate(roots):
+            col = sl.column(ci).combine_chunks()
             try:
-                _encode_node_stripe(rnode, sl.column(ci), bounds,
-                                    recs, encs, stats_rows)
+                encode_array(col, _OrcSink(rnode, col, bounds, recs, encs,
+                                           stats_by_id))
             except NotImplementedError as e:
                 raise NotImplementedError(
                     f"column {sl.column_names[ci]!r}: {e}") from e
+        for nid, (a, _) in stats_by_id.items():
+            node_parts.setdefault(nid, []).append(a)
         framed = []
         for kind, cid, raw, poss in recs:
             fb = frame(raw)
             if poss is not None and codec != "none":
                 poss = _conv_positions(poss, fb)
             framed.append((kind, cid, fb, poss))
-        stats_by_id = {nid: (a, rb) for nid, a, rb in stats_rows}
         # ROW_INDEX streams (index region, one per column id)
         index_recs: list[tuple[int, int, bytes]] = []
         if row_index_stride:
@@ -590,8 +501,6 @@ def write_orc(table: pa.Table, path: str, compression: str = "zlib",
                     # BLOOM_FILTER_UTF8: one spec bloom per row group over
                     # the group's non-null values (liborc stream order:
                     # right after the column's ROW_INDEX)
-                    from ..codecs import orc_bloom
-
                     a, rb = stats_by_id[nid]
                     blooms = []
                     for k in range(K):
@@ -631,12 +540,10 @@ def write_orc(table: pa.Table, path: str, compression: str = "zlib",
     metadata = pb_msg(*[pb_field(1, pb_msg(*[pb_field(1, cs) for cs in ss]))
                         for ss in stripe_stats_msgs])
     metadata_framed = frame(metadata)
-    # file-level statistics from the full table (true per-node counts)
-    file_arrays: dict[int, pa.Array] = {}
-    for ci, rnode in enumerate(roots):
-        _collect_node_arrays(rnode, table.column(ci), file_arrays)
+    # file-level statistics over each node's arrays of all stripes
     file_stats = [_stats_msg(None, n_rows) if nid == 0
-                  else _stats_msg(file_arrays[nid]) for nid in range(n_ids)]
+                  else _stats_msg(pa.concat_arrays(node_parts[nid]))
+                  for nid in range(n_ids)]
     footer = pb_msg(
         pb_field(1, 3),                                   # headerLength
         pb_field(2, len(body)),                           # contentLength

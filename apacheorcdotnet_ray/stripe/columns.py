@@ -10,11 +10,16 @@ decompose into a LENGTH stream plus recursively-encoded flattened child values
 (the reference's Binary/String writer shape, ``ColumnTypes/BinaryWriter.cs:49-82``
 — the central mapping for the ``tokens: list<int32>`` column).
 
-Codec selection samples each chunk (generalizing the reference's
-dictionary-vs-direct sample decision, ``ColumnTypes/StringWriter.cs:83-96``)
-and competes the allow-listed codecs on actual encoded size, with RLEv2 as the
-parity floor for integers. Reads go back through ``decode_array``, the one
-streams → Arrow decoder of ``.oray`` and ORC, driven by the Arrow type.
+Both directions have one core for ``.oray`` and ORC, driven by the Arrow
+type. ``encode_array`` is the one Arrow → streams walk: it peels nulls,
+extracts values, splits timestamps, reads decimal lanes, builds the sorted
+string dictionary and windows list/map children, and hands each stream to a
+sink. ``_OraySink`` competes the allow-listed codecs on actual encoded size
+(RLEv2 as the parity floor for integers; FSST and BSS trials) on a sample of
+each chunk, generalizing the reference's dictionary-vs-direct sample
+decision (``ColumnTypes/StringWriter.cs:83-96``); ``orc_writer._OrcSink``
+writes ORC's streams with per-row-group restarts. ``decode_array`` is the
+one streams → Arrow decoder, over a format's stream source.
 """
 
 from __future__ import annotations
@@ -135,7 +140,7 @@ def _decode_orc_nanos(frac: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# column encode
+# column encode: one walk for .oray and ORC, driven by the Arrow type
 
 
 def encode_column(
@@ -159,182 +164,89 @@ def encode_column(
             config = replace(config, **ov, column_overrides={})
     stats = column_stats(arr)
     streams: list[Stream] = []
-    n = len(arr)
-
-    if arr.null_count > 0:
-        mask = np.invert(arr.is_null().to_numpy(zero_copy_only=False))
-        streams.append(Stream(name, PRESENT, "boolrle", bool_rle.encode(mask), n))
-        valid = arr.drop_null()
-    else:
-        valid = arr
-
-    enc_name = _encode_values(name, valid, config, streams, fsst_tables)
-    return enc_name, streams, stats
+    sink = _OraySink(name, config, {} if fsst_tables is None else fsst_tables, streams)
+    try:
+        return encode_array(arr, sink).enc, streams, stats
+    except NotImplementedError as e:
+        raise NotImplementedError(f"column {name!r}: {e}") from None
 
 
-def _encode_values(name: str, valid: pa.Array, config: EncodeConfig,
-                   streams: list[Stream], fsst_tables: dict | None = None) -> str:
-    """Encode the non-null values of a column into DATA/LENGTH/... streams."""
-    t = valid.type
-    nv = len(valid)
-
+def encode_array(arr: pa.Array, sink):
+    """The one walk from an Arrow array to streams, for ``.oray`` and ORC
+    alike: the mirror of ``decode_array``. Nulls become PRESENT bits and the
+    non-null values go to ``sink`` (this module's ``_OraySink``,
+    ``orc_writer._OrcSink``), which hides the format's codecs: ``present``
+    bits, 8-bit ``bytes``, ``bools``, ``ints`` of one stream kind (DATA, or
+    the LENGTH of lists and maps), ``floats``, ``timestamps`` (ORC-epoch
+    seconds, floored or, with ``truncate_seconds``, truncated toward zero,
+    and ``_encode_orc_nanos`` fractions), ``decimals`` (decimal128 lo/hi
+    lanes), ``strings`` (``string_parts``), or a sorted ``dictionary`` and
+    ids where ``wants_dictionary``. A nested value opens one ``child(i,
+    path, array)`` sink per child and ends with ``nested(form, kids)``.
+    Returns ``sink``."""
+    if arr.null_count:
+        sink.present(np.invert(arr.is_null().to_numpy(zero_copy_only=False)))
+        arr = arr.drop_null()
+    t, kids = arr.type, None
     if pa.types.is_integer(t):
-        if t.bit_width == 8:
-            # 8-bit columns take the reference's ByteRLE path
-            # (ColumnTypes/ByteWriter.cs; sbyte is viewed as its byte pattern)
-            raw = valid.to_numpy(zero_copy_only=False).astype(
-                np.int8 if pa.types.is_signed_integer(t) else np.uint8, copy=False
-            ).view(np.uint8)
-            streams.append(Stream(name, DATA, "byterle", byte_rle.encode(raw), nv))
-            return "byterle"
-        vals = valid.to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
-        codec, enc = _encode_int_data(vals, config, signed=True)
-        streams.append(Stream(name, DATA, codec, enc, nv, {"signed": True}))
-        return codec
-
-    if pa.types.is_decimal(t):
-        if not pa.types.is_decimal128(t):
-            raise NotImplementedError(
-                f"decimal column {name}: only decimal128 (precision<=38) is supported")
-        # decimal128 mantissas: the common case (precision <= 18, like the
-        # reference, ColumnTypes/DecimalWriter.cs:30-31) fits int64 and takes
-        # a single zigzag-varint DATA stream; wider mantissas (precision up
-        # to 38) split into low-64 (unsigned varint DATA) + high-64 (zigzag
-        # varint SECONDARY) lanes — the analog of the reference reader's
-        # BigInteger varint path (Encodings/BitManipulation.cs:313-425).
-        # Arrow's scale is per-type, so no scale stream is needed.
-        lanes = np.frombuffer(
-            valid.buffers()[1], dtype=np.int64, count=2 * nv, offset=valid.offset * 16
-        )
-        lo, hi = lanes[0::2], lanes[1::2]
-        if (hi == (lo >> 63)).all():
-            streams.append(Stream(name, DATA, "varint", varint.encode(lo, True), nv,
-                                  {"signed": True}))
-            return "varint"
-        streams.append(Stream(name, DATA, "varint", varint.encode(lo, False), nv,
-                              {"signed": False}))
-        streams.append(Stream(name, SECONDARY, "varint", varint.encode(hi, True), nv,
-                              {"signed": True}))
-        return "varint2"
-
-    if pa.types.is_timestamp(t):
-        # ORC-layout two-stream timestamps (TimestampWriter.cs:111-161):
-        # DATA = signed seconds since the ORC epoch (2015-01-01 UTC),
-        # SECONDARY = nanos with trailing decimal zeros stripped, encoded
-        # (scaled << 3) | zeros_removed. We use floor division so pre-2015
-        # values round-trip exactly (the C# writer truncates toward zero and
-        # abs()es the remainder, which is lossy there — deliberate fix).
-        factor = _UNIT_FACTOR[t.unit]
-        v = valid.cast(pa.int64()).to_numpy(zero_copy_only=False)
-        secs = v // factor - _ORC_EPOCH_S
-        nanos = (v % factor) * (1_000_000_000 // factor)
-        codec_s, enc_s = _encode_int_data(secs, config, signed=True)
-        streams.append(Stream(name, DATA, codec_s, enc_s, nv, {"signed": True}))
-        frac = _encode_orc_nanos(nanos)
-        codec_f, enc_f = _encode_int_data(frac, config, signed=False)
-        streams.append(Stream(name, SECONDARY, codec_f, enc_f, nv, {"signed": False}))
-        return "timestamp2"
-
-    if pa.types.is_date(t):
+        vals = arr.to_numpy(zero_copy_only=False)
+        if t.bit_width == 8:  # the reference's ByteRLE (ColumnTypes/ByteWriter.cs)
+            sink.bytes(vals.view(np.uint8))
+        else:  # unsigned values travel as their int64 bit pattern
+            sink.ints(DATA, vals.astype(np.int64, copy=False), True)
+    elif pa.types.is_date(t):
         # date32 has no direct int64 cast; bridge through its storage width
-        via = valid.cast(pa.int32()) if t == pa.date32() else valid
-        vals = via.cast(pa.int64()).to_numpy(zero_copy_only=False)
-        codec, enc = _encode_int_data(vals, config, signed=True)
-        streams.append(Stream(name, DATA, codec, enc, nv, {"signed": True}))
-        return codec
-
-    if pa.types.is_boolean(t):
-        b = valid.to_numpy(zero_copy_only=False)
-        streams.append(Stream(name, DATA, "boolrle", bool_rle.encode(b), nv))
-        return "boolrle"
-
-    if pa.types.is_floating(t):
-        # raw IEEE-754 LE, like the reference (ColumnTypes/FloatWriter.cs),
-        # vs byte-stream-split — competed on a zlib'd sample, since BSS only
-        # pays off through the downstream block compression
-        vals_np = valid.to_numpy(zero_copy_only=False)
-        if ("bss" in config.float_codecs and nv
-                and config.compression != "none"):
-            from .framing import compress as _fcompress
-
-            sample = vals_np[: config.selector_sample_size]
-            raw_c, bss_c = (len(_fcompress(b, config.compression_block_size,
-                                           config.compression_level,
-                                           config.compression))
-                            for b in (sample.tobytes(), bss.encode(sample)))
-            if bss_c < 0.98 * raw_c:
-                streams.append(Stream(name, DATA, "bss", bss.encode(vals_np),
-                                      nv, {"dtype": str(valid.type)}))
-                return "bss"
-        streams.append(Stream(name, DATA, "raw", vals_np.tobytes(), nv,
-                              {"dtype": str(valid.type)}))
-        return "raw"
-
-    if pa.types.is_string(t) or pa.types.is_large_string(t) or pa.types.is_binary(t):
-        return _encode_string(name, valid, config, streams, fsst_tables)
-
-    if pa.types.is_list(t) or pa.types.is_large_list(t):
-        offsets = valid.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-        lengths = np.diff(offsets)
-        codec, enc = _encode_int_data(lengths, config, signed=False)
-        streams.append(Stream(name, LENGTH, codec, enc, nv, {"signed": False}))
-        child = valid.flatten()
-        child_enc, child_streams, _ = encode_column(f"{name}.item", child, config, fsst_tables)
-        streams.extend(child_streams)
-        return f"list[{child_enc}]"
-
-    if pa.types.is_dictionary(t):
-        # dictionary-typed (categorical) input: encode the logical values —
-        # the string/int dict codecs re-discover the dictionary anyway, and
-        # decode rebuilds the categorical type from the stored schema
-        child_enc, child_streams, _ = encode_column(
-            f"{name}.values", valid.cast(t.value_type), config, fsst_tables)
-        streams.extend(child_streams)
-        return f"cat[{child_enc}]"
-
-    if pa.types.is_fixed_size_list(t):
-        # fixed-size list (embedding vectors): no LENGTH stream needed —
-        # the width lives in the type; child values encode flattened
-        child = valid.flatten()
-        child_enc, child_streams, _ = encode_column(
-            f"{name}.item", child, config, fsst_tables)
-        streams.extend(child_streams)
-        return f"flist[{child_enc}]"
-
-    if pa.types.is_map(t):
-        # map<k,v> is physically list<struct<key,value>> — reuse the list
-        # LENGTH stream + recursive struct child encode
-        offsets = valid.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-        lengths = np.diff(offsets)
-        codec, enc = _encode_int_data(lengths, config, signed=False)
-        streams.append(Stream(name, LENGTH, codec, enc, nv, {"signed": False}))
-        # .keys/.items return the FULL child arrays with absolute offsets —
-        # slice to this array's window
-        lo, hi = int(offsets[0]), int(offsets[-1])
-        kv = pa.StructArray.from_arrays(
-            [valid.keys.slice(lo, hi - lo), valid.items.slice(lo, hi - lo)],
-            names=["key", "value"])
-        child_enc, child_streams, _ = encode_column(
-            f"{name}.entries", kv, config, fsst_tables)
-        streams.extend(child_streams)
-        return f"map[{child_enc}]"
-
-    if pa.types.is_struct(t):
-        # struct: no DATA stream of its own (nulls already peeled into the
-        # struct-level PRESENT stream); each child field encodes recursively
-        # under the dotted path "name.field" — the reference's (root-only)
-        # StructWriter shape (ColumnTypes/StructWriter.cs:33-41), generalized
-        # to arbitrary nesting because paths compose.
-        child_names = []
-        for i in range(t.num_fields):
-            f_ = t.field(i)
-            child_enc, child_streams, _ = encode_column(
-                f"{name}.{f_.name}", valid.field(i), config, fsst_tables)
-            streams.extend(child_streams)
-            child_names.append(child_enc)
-        return f"struct[{','.join(child_names)}]"
-
-    raise NotImplementedError(f"unsupported Arrow type for column {name}: {t}")
+        via = arr.cast(pa.int32()) if t == pa.date32() else arr
+        sink.ints(DATA, via.cast(pa.int64()).to_numpy(zero_copy_only=False), True)
+    elif pa.types.is_boolean(t):
+        sink.bools(arr.to_numpy(zero_copy_only=False))
+    elif pa.types.is_floating(t):
+        sink.floats(arr.to_numpy(zero_copy_only=False))
+    elif pa.types.is_timestamp(t):
+        # ORC layout (TimestampWriter.cs:111-161): seconds since the ORC
+        # epoch, and nanos with trailing decimal zeros stripped. Floor
+        # seconds round-trip exactly before 1970; the C# writer truncates
+        # toward zero and abs()es the remainder, which is lossy there.
+        factor = _UNIT_FACTOR[t.unit]
+        secs, rem = np.divmod(arr.cast(pa.int64()).to_numpy(zero_copy_only=False), factor)
+        if sink.truncate_seconds:  # and the fraction keeps the sign
+            back = (secs < 0) & (rem != 0)
+            secs, rem = secs + back, rem - back * factor
+        sink.timestamps(secs - _ORC_EPOCH_S,
+                        _encode_orc_nanos(rem * (1_000_000_000 // factor)))
+    elif pa.types.is_decimal128(t):
+        sink.decimals(np.frombuffer(arr.buffers()[1], dtype=np.int64, count=2 * len(arr),
+                                    offset=arr.offset * 16).reshape(-1, 2), t)
+    elif (pa.types.is_string(t) or pa.types.is_large_string(t)
+          or pa.types.is_binary(t) or pa.types.is_large_binary(t)):
+        if len(arr) and sink.wants_dictionary(arr):
+            sink.dictionary(*_sorted_dictionary(arr))
+        else:
+            sink.strings(*string_parts(arr))
+    elif pa.types.is_list(t) or pa.types.is_large_list(t) or pa.types.is_map(t):
+        offsets = arr.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
+        sink.ints(LENGTH, np.diff(offsets), False)
+        if pa.types.is_map(t):
+            # .keys/.items are the whole child arrays, whatever the slice:
+            # window them by the offsets, which are slice-aware and absolute
+            lo, m = int(offsets[0]), int(offsets[-1] - offsets[0])
+            form, kids = "map", [("entries.key", arr.keys.slice(lo, m)),
+                                 ("entries.value", arr.items.slice(lo, m))]
+        else:
+            form, kids = "list", [("item", arr.flatten())]
+    elif pa.types.is_fixed_size_list(t):  # no LENGTH: the width is in the type
+        form, kids = "flist", [("item", arr.flatten())]
+    elif pa.types.is_struct(t):  # children hold the struct's non-null rows
+        form, kids = "struct", [(t.field(i).name, arr.field(i))
+                                for i in range(t.num_fields)]
+    elif pa.types.is_dictionary(t):  # categoricals encode their logical values
+        form, kids = "cat", [("values", arr.cast(t.value_type))]
+    else:
+        raise NotImplementedError(f"unsupported Arrow type for encode: {t}")
+    if kids is not None:
+        sink.nested(form, [encode_array(c, sink.child(i, path, c))
+                           for i, (path, c) in enumerate(kids)])
+    return sink
 
 
 def string_parts(valid: pa.Array) -> tuple[np.ndarray, bytes]:
@@ -352,66 +264,138 @@ def string_parts(valid: pa.Array) -> tuple[np.ndarray, bytes]:
     return offsets, data
 
 
-def _encode_string(name: str, valid: pa.Array, config: EncodeConfig,
-                   streams: list[Stream], fsst_tables: dict | None = None) -> str:
-    nv = len(valid)
-    if nv == 0:
-        streams.append(Stream(name, DATA, "raw", b"", 0, {"dtype": "bytes"}))
-        streams.append(Stream(name, LENGTH, "rlev2", b"", 0, {"signed": False}))
-        return "direct"
+def low_cardinality(valid: pa.Array, sample_n: int, threshold: float) -> bool:
+    """The reference's dictionary-vs-direct rule (StringWriter.cs:83-96): at
+    most ``threshold`` distinct values per value among the first
+    ``sample_n`` of a non-empty array. ``.oray`` samples; ORC counts all."""
+    return pc.count_distinct(valid.slice(0, sample_n)).as_py() / sample_n <= threshold
 
-    sample_n = min(nv, config.selector_sample_size)
-    sample = valid.slice(0, sample_n)
-    distinct = pc.count_distinct(sample).as_py()
-    use_dict = (
-        "dict" in config.string_codecs
-        and distinct / sample_n <= config.dictionary_threshold
-    )
-    if use_dict:
-        # dictionary encoding with ordinally-sorted dictionary
-        # (StringWriter.cs:155-249; sort at :187-191)
-        denc = valid.dictionary_encode()
-        dictionary = denc.dictionary
-        order = pc.array_sort_indices(dictionary)
-        sorted_dict = dictionary.take(order)
-        remap = np.empty(len(dictionary), dtype=np.int64)
-        remap[order.to_numpy(zero_copy_only=False)] = np.arange(len(dictionary))
-        ids = remap[denc.indices.to_numpy(zero_copy_only=False)]
-        doffs, dbytes = string_parts(sorted_dict)
-        streams.append(Stream(name, DICT_DATA, "raw", dbytes, len(sorted_dict), {"dtype": "bytes"}))
-        streams.append(Stream(name, DICT_LENGTH, "rlev2",
-                              rlev2.encode(np.diff(doffs), False, config.aligned_bit_widths),
-                              len(sorted_dict), {"signed": False}))
-        streams.append(Stream(name, DATA, "rlev2",
-                              rlev2.encode(ids, False, config.aligned_bit_widths),
-                              nv, {"signed": False}))
-        return "dict"
 
-    offsets, data = string_parts(valid)
-    len_codec, len_enc = _encode_int_data(np.diff(offsets), config, signed=False)
-    streams.append(Stream(name, LENGTH, len_codec, len_enc, nv, {"signed": False}))
+def _sorted_dictionary(valid: pa.Array) -> tuple[pa.Array, np.ndarray]:
+    """The distinct values in byte order, and each value's id into them
+    (StringWriter.cs:155-249; sort at :187-191)."""
+    enc = valid.dictionary_encode()
+    order = pc.array_sort_indices(enc.dictionary)
+    remap = np.empty(len(order), dtype=np.int64)
+    remap[order.to_numpy(zero_copy_only=False)] = np.arange(len(order))
+    return enc.dictionary.take(order), remap[enc.indices.to_numpy(zero_copy_only=False)]
 
-    if config.enable_fsst and "fsst" in config.string_codecs and len(data) > 0:
-        import zlib
 
-        sample_bytes = data[: 1 << 15]
-        table = fsst_tables.get(name) if fsst_tables is not None else None
-        if table is None:
-            table = fsst.train(sample_bytes)
-            if fsst_tables is not None:
-                fsst_tables[name] = table
-        fsst_sample = fsst.encode_chunk(sample_bytes, table=table)
-        # compare post-zlib sizes — both streams get block-compressed later
-        z_direct = len(zlib.compress(sample_bytes, 1))
-        z_fsst = len(zlib.compress(fsst_sample, 1))
-        if z_fsst < 0.9 * z_direct:
-            if len(sample_bytes) < len(data):
-                fsst_sample = fsst.encode_chunk(data, table=table)
-            streams.append(Stream(name, DATA, "fsst", fsst_sample, nv))
-            return "fsst"
+class _OraySink:
+    """``encode_array``'s sink for one ``.oray`` column path: every stream
+    competes its codecs on a sample (``_encode_int_data``; FSST and BSS
+    trials), decimals take one signed varint lane or two, and ``enc`` is
+    the encoding name the footer records (``list[…]``, ``map[struct[…]]``,
+    ``cat[…]``, …). Children append to the same stream list."""
 
-    streams.append(Stream(name, DATA, "raw", data, nv, {"dtype": "bytes"}))
-    return "direct"
+    truncate_seconds = False
+
+    def __init__(self, name: str, config: EncodeConfig, fsst_tables: dict,
+                 streams: list[Stream]):
+        self.name, self.config, self.fsst_tables = name, config, fsst_tables
+        self.streams, self.enc = streams, None
+
+    def child(self, i: int, path: str, arr: pa.Array) -> _OraySink:
+        return _OraySink(f"{self.name}.{path}", self.config, self.fsst_tables, self.streams)
+
+    def nested(self, form: str, kids: list[_OraySink]) -> None:
+        inner = ",".join(k.enc for k in kids)
+        self.enc = f"map[struct[{inner}]]" if form == "map" else f"{form}[{inner}]"
+
+    def _add(self, kind: str, codec: str, data: bytes, n: int, params=None) -> str:
+        self.streams.append(Stream(self.name, kind, codec, data, n, params or {}))
+        return codec
+
+    def present(self, bits: np.ndarray) -> None:
+        self._add(PRESENT, "boolrle", bool_rle.encode(bits), len(bits))
+
+    def bytes(self, vals: np.ndarray) -> None:
+        self.enc = self._add(DATA, "byterle", byte_rle.encode(vals), len(vals))
+
+    def bools(self, bits: np.ndarray) -> None:
+        self.enc = self._add(DATA, "boolrle", bool_rle.encode(bits), len(bits))
+
+    def ints(self, kind: str, vals: np.ndarray, signed: bool) -> None:
+        codec, data = _encode_int_data(vals, self.config, signed)
+        self.enc = self._add(kind, codec, data, len(vals), {"signed": signed})
+
+    def timestamps(self, secs: np.ndarray, frac: np.ndarray) -> None:
+        self.ints(DATA, secs, True)
+        self.ints(SECONDARY, frac, False)
+        self.enc = "timestamp2"
+
+    def floats(self, vals: np.ndarray) -> None:
+        # raw IEEE-754 LE, like the reference (ColumnTypes/FloatWriter.cs),
+        # vs byte-stream-split — competed on a compressed sample, since BSS
+        # only pays off through the downstream block compression
+        c = self.config
+        params = {"dtype": str(pa.from_numpy_dtype(vals.dtype))}
+        if "bss" in c.float_codecs and len(vals) and c.compression != "none":
+            from .framing import compress
+
+            sample = vals[: c.selector_sample_size]
+            raw_c, bss_c = (len(compress(b, c.compression_block_size,
+                                         c.compression_level, c.compression))
+                            for b in (sample.tobytes(), bss.encode(sample)))
+            if bss_c < 0.98 * raw_c:
+                self.enc = self._add(DATA, "bss", bss.encode(vals), len(vals), params)
+                return
+        self.enc = self._add(DATA, "raw", vals.tobytes(), len(vals), params)
+
+    def decimals(self, lanes: np.ndarray, t: pa.DataType) -> None:
+        # mantissas that fit int64 (precision ≤ 18, like the reference,
+        # ColumnTypes/DecimalWriter.cs:30-31) take one zigzag varint lane;
+        # wider ones an unsigned low lane and a zigzag high lane in
+        # SECONDARY (cf. the reader's BigInteger varints,
+        # Encodings/BitManipulation.cs:313-425). The scale is in the type.
+        lo, hi = lanes[:, 0], lanes[:, 1]
+        if (hi == lo >> 63).all():
+            self.enc = self._add(DATA, "varint", varint.encode(lo, True), len(lo),
+                                 {"signed": True})
+            return
+        self._add(DATA, "varint", varint.encode(lo, False), len(lo), {"signed": False})
+        self._add(SECONDARY, "varint", varint.encode(hi, True), len(lo), {"signed": True})
+        self.enc = "varint2"
+
+    def wants_dictionary(self, valid: pa.Array) -> bool:
+        c = self.config
+        return "dict" in c.string_codecs and low_cardinality(
+            valid, min(len(valid), c.selector_sample_size), c.dictionary_threshold)
+
+    def dictionary(self, values: pa.Array, ids: np.ndarray) -> None:
+        aligned = self.config.aligned_bit_widths
+        offsets, data = string_parts(values)
+        self._add(DICT_DATA, "raw", data, len(values), {"dtype": "bytes"})
+        self._add(DICT_LENGTH, "rlev2", rlev2.encode(np.diff(offsets), False, aligned),
+                  len(values), {"signed": False})
+        self._add(DATA, "rlev2", rlev2.encode(ids, False, aligned), len(ids),
+                  {"signed": False})
+        self.enc = "dict"
+
+    def strings(self, offsets: np.ndarray, data: bytes) -> None:
+        n, c = len(offsets) - 1, self.config
+        if n == 0:  # no values: DATA before LENGTH, as the format has it
+            self._add(DATA, "raw", b"", 0, {"dtype": "bytes"})
+            self._add(LENGTH, "rlev2", b"", 0, {"signed": False})
+            self.enc = "direct"
+            return
+        self.ints(LENGTH, np.diff(offsets), False)
+        if c.enable_fsst and "fsst" in c.string_codecs and data:
+            import zlib
+
+            sample = data[: 1 << 15]
+            table = self.fsst_tables.get(self.name)
+            if table is None:
+                table = self.fsst_tables[self.name] = fsst.train(sample)
+            encoded = fsst.encode_chunk(sample, table=table)
+            # compare post-zlib sizes — both streams get block-compressed later
+            if len(zlib.compress(encoded, 1)) < 0.9 * len(zlib.compress(sample, 1)):
+                if len(sample) < len(data):
+                    encoded = fsst.encode_chunk(data, table=table)
+                self.enc = self._add(DATA, "fsst", encoded, n)
+                return
+        self._add(DATA, "raw", data, n, {"dtype": "bytes"})
+        self.enc = "direct"
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,50 @@ def _wide_decimal_table(n: int) -> pa.Table:
                      "d20": pa.array(narrow, type=pa.decimal128(20, 2))})
 
 
+def test_encode128_inverts_decode128_around_int64_edges():
+    """128-bit zigzag varints round-trip around ±2^63 and at the 128-bit
+    ends, byte-equal to the Python reference; int64-wide values take the
+    bytes ``varint.encode`` gives them."""
+    edges = [0, 1, -1, 2**63 - 1, 2**63, 2**63 + 1, -2**63, -2**63 - 1, -2**63 + 1,
+             2**64 - 1, 2**64, -(2**64), 10**38 - 1, -(10**38 - 1), 2**127 - 1, -(2**127)]
+    lo = np.array([(v & (2**64 - 1)) - (v & 2**63) * 2 for v in edges], dtype=np.int64)
+    hi = np.array([v >> 64 for v in edges], dtype=np.int64)
+    buf = varint.encode128(lo, hi)
+    assert buf == b"".join(map(_zigzag_varint, edges))
+    back_lo, back_hi = varint.decode128(buf, len(edges))
+    assert np.array_equal(back_lo, lo) and np.array_equal(back_hi, hi)
+    narrow = np.array([0, -1, 2**63 - 1, -2**63, 12345], dtype=np.int64)
+    assert varint.encode128(narrow, narrow >> 63) == varint.encode(narrow, True)
+    assert varint.encode128(np.empty(0, np.int64), np.empty(0, np.int64)) == b""
+
+
+def test_orc_decimal_seek_decodes_only_its_group(tmp_path, monkeypatch):
+    """A row-group seek into a DECIMAL stream decodes the group's varints,
+    not every varint to the end of the stream (a predicate read returns
+    the rows of the groups it selects)."""
+    n = 100_000
+    t = pa.table({"k": pa.array(np.arange(n, dtype=np.int64)),
+                  "d": pa.array([Decimal(f"{i * 7919 - 10**9}E-2") for i in range(n)],
+                                type=pa.decimal128(20, 2))})
+    p = str(tmp_path / "dec.orc")
+    pa_orc.write_table(t, p, row_index_stride=10_000)
+    decoded = []
+    decode128 = varint.decode128
+
+    def counting(buf, count=None):
+        lo, hi = decode128(buf, count)
+        decoded.append(len(lo))
+        return lo, hi
+    monkeypatch.setattr(varint, "decode128", counting)
+    f = OrcFile(p)
+    assert f.read_table(predicate=("k", "==", 5)).equals(t.slice(0, 10_000))
+    assert decoded == [10_000]
+    decoded.clear()
+    assert f.read_table(predicate=("k", "==", 55_000)).equals(t.slice(50_000, 10_000))
+    assert decoded == [10_000]
+    f.close()
+
+
 def test_orc_wide_decimals_match_pyarrow(tmp_path, monkeypatch):
     t = _wide_decimal_table(5_000)
     p = str(tmp_path / "wide.orc")

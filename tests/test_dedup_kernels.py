@@ -147,3 +147,28 @@ def test_verify_pairs_jaccard_join_path_matches_broadcast(ray_session):
     # end-to-end LSH agrees with the exact dup
     full = dedup_minhash_lsh(ds, jaccard_threshold=1.0).to_pandas()
     assert set(zip(full["doc_a"], full["doc_b"])) == {(1, 3)}
+
+
+def test_ngram_jaccard_logs_dropped_shingles(monkeypatch, caplog):
+    """Shingles over ``df_cap`` are dropped with a logged warning (run in
+    process: the grouped stage's function is called directly)."""
+    import logging
+
+    import pandas as pd
+
+    from apacheorcdotnet_ray.pipelines import dedup
+
+    class _Plan:  # stands in for the Dataset: every stage returns itself
+        def map_batches(self, *a, **k):
+            return self
+
+    stages = []
+    monkeypatch.setattr(dedup, "_grouped_map",
+                        lambda ds, keys, fn: stages.append(fn) or ds)
+    dedup.dedup_ngram_jaccard(_Plan(), df_cap=2)
+    postings = pd.DataFrame({"sh": [7, 7, 7, 8, 8], "doc": [1, 2, 3, 1, 2],
+                             "n": [2, 3, 1, 2, 3]})
+    with caplog.at_level(logging.WARNING, logger=dedup.__name__):
+        pairs = stages[0](postings)
+    assert "dropped 1 shingles with df > 2" in caplog.text
+    assert pairs.to_dict("list") == {"doc_a": [1], "doc_b": [2], "n_a": [2], "n_b": [3]}

@@ -234,26 +234,31 @@ def test_write_orc_temporal_decimal(tmp_path):
         assert got == t.column(c).to_pylist(), c
 
 
-def test_write_orc_rejects_wide_decimal(tmp_path):
-    """A decimal128 mantissa beyond int64 is refused, naming the column,
-    rather than written as its low 64 bits."""
+def test_write_orc_wide_decimal_round_trips(tmp_path):
+    """decimal128 mantissas beyond int64, up to ±(10^38 − 1), write as
+    128-bit varints and read back exactly through pyarrow's reader and
+    ours, row-group seeks included."""
     from decimal import Decimal
 
     import pyarrow as pa
 
+    from apacheorcdotnet_ray.sources.orc_reader import OrcFile
     from apacheorcdotnet_ray.sources.orc_writer import write_orc
 
-    t = pa.table({"k": [1, 2],
-                  "amount": pa.array([Decimal("1.000"), Decimal("12345678901234567890.123")],
-                                     type=pa.decimal128(38, 3))})
-    with pytest.raises(NotImplementedError, match="'amount'"):
-        write_orc(t, str(tmp_path / "wide.orc"))
-    narrow = pa.table({"amount": pa.array([Decimal("-9223372036854775.808"), None],
-                                          type=pa.decimal128(38, 3))})
-    write_orc(narrow, str(tmp_path / "narrow.orc"))
     po = pytest.importorskip("pyarrow.orc")
-    assert po.ORCFile(str(tmp_path / "narrow.orc")).read().column(0).to_pylist() == \
-        narrow.column(0).to_pylist()
+    top = "9" * 35 + ".999"  # 10^38 - 1 at scale 3; Decimal's unary minus rounds
+    vals = [Decimal("1.000"), Decimal("12345678901234567890.123"), None,
+            Decimal(top), Decimal("-" + top),
+            Decimal("-9223372036854775.808"), Decimal("9223372036854775.808")]
+    t = pa.table({"k": list(range(len(vals) * 3)),
+                  "amount": pa.array(vals * 3, type=pa.decimal128(38, 3))})
+    p = str(tmp_path / "wide.orc")
+    write_orc(t, p, row_index_stride=4)
+    assert po.ORCFile(p).read().equals(t)
+    f = OrcFile(p)
+    assert f.read_table().equals(t)
+    assert f.read_table(predicate=("k", ">=", 9)).equals(t.slice(8))
+    f.close()
 
 
 def test_write_orc_rejects_negative_decimal_scale(tmp_path):

@@ -643,9 +643,9 @@ def test_selector_reuses_whole_stream_trials(monkeypatch):
     words = np.asarray(["".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz"), rng.integers(2, 9)))
                         for _ in range(21)], dtype=object)
     text = [" ".join(words[rng.integers(0, len(words), 20)]) for _ in range(200)]
-    streams = []
-    assert columns._encode_string("s", pa.array(text), EncodeConfig(dictionary_threshold=0.0),
-                                  streams) == "fsst"
+    enc, streams, _ = columns.encode_column("s", pa.array(text),
+                                            EncodeConfig(dictionary_threshold=0.0))
+    assert enc == "fsst"
     assert calls["fsst"] == 1
     data = "".join(text).encode()
     assert streams[-1].data == fsst.encode_chunk(data, table=fsst.train(data))
