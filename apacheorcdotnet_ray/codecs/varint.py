@@ -29,8 +29,6 @@ def encode128(lo: np.ndarray, hi: np.ndarray) -> bytes:
     that fits int64 takes the bytes ``encode`` gives it."""
     lo = np.ascontiguousarray(lo, dtype=I64)
     hi = np.ascontiguousarray(hi, dtype=I64)
-    if (hi == lo >> 63).all():
-        return encode(lo, True)
     sign = (hi >> 63).view(U64)  # zigzag: (v << 1) ^ (v >> 127)
     zlo = (lo.view(U64) << np.uint64(1)) ^ sign
     zhi = ((hi.view(U64) << np.uint64(1)) | (lo.view(U64) >> np.uint64(63))) ^ sign

@@ -687,16 +687,16 @@ class _OrcSource:
 
     def decimal_lanes(self, n: int, t: "pa.DataType"):  # noqa: F821
         buf, off, _ = self.at(DATA) or _ABSENT
+        data = np.frombuffer(buf, dtype=np.uint8)[off:]
         if self.seek is not None:  # varints self-delimit: cut the group's n
-            head = np.frombuffer(buf, dtype=np.uint8, offset=off)[:19 * n]
-            ends = np.flatnonzero(head < 0x80)
-            buf, off = head[:ends[n - 1] + 1 if n and len(ends) >= n else len(head)], 0
-        lo, hi = varint.decode128(buf[off:], n if self.seek is None else None)
-        lo, hi = lo[:n], hi[:n]
+            ends = np.flatnonzero(data[:19 * n] < 0x80)
+            cut = ends[n - 1] + 1 if n and len(ends) >= n else 19 * n
+            data = data[:cut]
+        lo, hi = varint.decode128(data, n)
         scale = self.ints(SECONDARY, n, True)
-        if len(lo) < n or len(scale) != n:
-            raise ValueError(f"{self.name} stream {DATA}: {len(lo)} values "
-                             f"and {len(scale)} scales, expected {n}")
+        if len(scale) != n:
+            raise ValueError(f"{self.name} stream {SECONDARY}: {len(scale)} "
+                             f"scales, expected {n}")
         for i in np.flatnonzero(scale != t.scale):  # per value, rarely
             adj = t.scale - int(scale[i])
             v, rem = divmod((int(hi[i]) << 64 | int(lo[i]) & _MASK64)
