@@ -96,7 +96,7 @@ class SymbolTable:
         return cls(symbols), pos
 
 
-def train(sample: bytes, iterations: int = 3) -> SymbolTable:
+def train(sample: bytes) -> SymbolTable:
     """Iterative greedy symbol-table construction on a bounded sample
     (gain = frequency x length over current-parse tokens and adjacent-token
     concatenations, per the FSST paper's scheme).
@@ -107,7 +107,7 @@ def train(sample: bytes, iterations: int = 3) -> SymbolTable:
     table = SymbolTable([])
     if not sample:
         return table
-    for _ in range(iterations):
+    for _ in range(3):
         table = SymbolTable(_rank(_parse(sample, table), table))
     return table
 

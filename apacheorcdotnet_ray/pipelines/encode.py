@@ -34,24 +34,27 @@ from ..state.manifest import Manifest
 from ..stripe import EncodeConfig, encode_stripe
 from ..stripe.stats import merge_stats
 
+_STRIPE_ROWS = 100_000  # stripe rows where no value count sizes a stripe
+_ROW_GROUPS = 4  # parquet row groups per encode_corpus partition
+
 
 def encode_dataset(
     ds: rd.Dataset,
     out_dir: str,
     config: EncodeConfig | None = None,
     batch_size: int | None = None,
-    concurrency=None,
+    concurrency=(1, 16),
 ) -> rd.Dataset:
     """Streaming encode: Dataset → stripe files under out_dir + metrics Dataset."""
-    config = config or EncodeConfig()
-    kwargs = dict(
-        fn_constructor_kwargs={"out_dir": out_dir, "config": config, "key_column": "doc_id"},
+    return ds.map_batches(
+        StripeEncoder,
+        fn_constructor_kwargs={"out_dir": out_dir, "config": config or EncodeConfig(),
+                               "key_column": "doc_id"},
         batch_format="pyarrow",
-        batch_size=batch_size or config.target_stripe_rows,
+        batch_size=batch_size or _STRIPE_ROWS,
         zero_copy_batch=True,
+        concurrency=concurrency,
     )
-    kwargs["concurrency"] = concurrency if concurrency is not None else (1, 16)
-    return ds.map_batches(StripeEncoder, **kwargs)
 
 
 def decode_dataset(
@@ -105,7 +108,7 @@ def encode_grouped(
         ).take_all()  # tiny: one row per source
     else:
         # no flattened-value weight column → budget by row count instead
-        budget = stripe_value_budget or config.target_stripe_rows
+        budget = stripe_value_budget or _STRIPE_ROWS
         from ray.data.aggregate import Count
 
         totals = [
@@ -237,13 +240,13 @@ def compact_stripes(
 # resumable partition-mapped job
 
 
-def _file_partitions(path: str, row_groups_per_partition: int) -> list[dict]:
+def _file_partitions(path: str) -> list[dict]:
     md = pq.ParquetFile(path).metadata
     n_rg = md.num_row_groups
     size = os.path.getsize(path)
     parts = []
-    for start in range(0, n_rg, row_groups_per_partition):
-        end = min(start + row_groups_per_partition, n_rg)
+    for start in range(0, n_rg, _ROW_GROUPS):
+        end = min(start + _ROW_GROUPS, n_rg)
         rgs = [md.row_group(i) for i in range(start, end)]
         parts.append(
             {
@@ -259,7 +262,7 @@ def _file_partitions(path: str, row_groups_per_partition: int) -> list[dict]:
     return parts
 
 
-def enumerate_partitions(paths: list[str], row_groups_per_partition: int = 4) -> list[dict]:
+def enumerate_partitions(paths: list[str]) -> list[dict]:
     """Deterministic (file, row-group range) partitions from parquet metadata
     — the analog of the reader's FileTail/stripe-directory scan
     (FileTail.cs:22-54). Footer reads are cheap but serial; above a few
@@ -267,13 +270,10 @@ def enumerate_partitions(paths: list[str], row_groups_per_partition: int = 4) ->
     files — a serial driver scan would dominate job startup)."""
     paths = sorted(paths)
     if len(paths) > 256:
-        @ray.remote(num_cpus=0.25)
-        def scan(p: str) -> list[dict]:
-            return _file_partitions(p, row_groups_per_partition)
-
+        scan = ray.remote(num_cpus=0.25)(_file_partitions)
         nested = ray.get([scan.remote(p) for p in paths])
         return [part for sub in nested for part in sub]
-    return [part for p in paths for part in _file_partitions(p, row_groups_per_partition)]
+    return [part for p in paths for part in _file_partitions(p)]
 
 
 def encode_num_blocks(n_parts: int, est_bytes: int, cpus: int, ctx) -> int:
@@ -382,14 +382,12 @@ def encode_corpus(
     config: EncodeConfig | None = None,
     columns: list[str] | None = None,
     resume: bool = True,
-    row_groups_per_partition: int = 4,
-    concurrency=None,
 ) -> dict:
     """Resumable encode job. Returns the job summary (also written to out_dir)."""
     config = config or EncodeConfig()
     os.makedirs(out_dir, exist_ok=True)
     manifest = Manifest(out_dir)
-    parts = enumerate_partitions(paths, row_groups_per_partition)
+    parts = enumerate_partitions(paths)
     done = manifest.completed_partitions() if resume else {}
     todo = [
         p for p in parts
@@ -401,34 +399,27 @@ def encode_corpus(
         n_blocks = encode_num_blocks(
             len(todo), sum(p["byte_size"] for p in todo),
             int(ray.cluster_resources().get("CPU", 1)), rd.DataContext.get_current())
-        ds = rd.from_items(todo, override_num_blocks=n_blocks)
-        if concurrency is None:
-            # stateless task pool: Ray reuses warm workers, no actor startup
-            # latency, and scheduling load-balances across the whole cluster
-            fn = _EncodePartition(out_dir=out_dir, config=config, columns=columns)
-            records_ds = ds.map_batches(fn.__call__, batch_format="pyarrow", batch_size=1)
-        else:
-            records_ds = ds.map_batches(
-                _EncodePartition,
-                fn_constructor_kwargs={"out_dir": out_dir, "config": config, "columns": columns},
-                batch_format="pyarrow",
-                batch_size=1,
-                concurrency=concurrency,
-            )
-        records = records_ds.take_all()  # small: one record per partition
+        # stateless task pool: Ray reuses warm workers, no actor startup
+        # latency, and scheduling load-balances across the whole cluster
+        fn = _EncodePartition(out_dir=out_dir, config=config, columns=columns)
+        records = rd.from_items(todo, override_num_blocks=n_blocks).map_batches(
+            fn.__call__, batch_format="pyarrow", batch_size=1,
+        ).take_all()  # small: one record per partition
         manifest.append(records)
         manifest.rewrite_sorted()
 
     # file-level roll-up (tiny driver reduce over per-partition records)
     all_records = manifest.completed_partitions()
     file_stats: dict[str, dict] = {}
-    totals = {"rows": 0, "encoded_bytes": 0, "raw_bytes": 0, "n_values": 0, "partitions": 0}
+    totals = {"rows": 0, "encoded_bytes": 0, "raw_bytes": 0, "n_values": 0,
+              "partitions": 0, "stripes": 0}
     for rec in all_records.values():
         totals["rows"] += rec["rows"]
         totals["encoded_bytes"] += rec["encoded_bytes"]
         totals["raw_bytes"] += rec["raw_bytes"]
         totals["n_values"] += rec["n_values"]
         totals["partitions"] += 1
+        totals["stripes"] += len(json.loads(rec["outputs_json"]))
         for cname, cstats in json.loads(rec["column_stats_json"]).items():
             file_stats[cname] = merge_stats(file_stats.get(cname), cstats)
     summary = {**totals, "column_stats": file_stats}

@@ -40,7 +40,9 @@ source:
 from __future__ import annotations
 
 import logging
+import struct
 from dataclasses import dataclass
+from datetime import date, timedelta
 
 import numpy as np
 
@@ -391,16 +393,16 @@ class OrcFile:
 
     def file_stats(self) -> dict[str, dict]:
         """Footer column statistics: name → {n, min, max} for top-level
-        int/string columns (tail-only)."""
+        int/double/string/date columns (tail-only)."""
         stats = self._file_stats
         return {name: _stats_rec(pb_parse(stats[cid]))
                 for name, cid in self._top_columns() if cid < len(stats)}
 
     def stripe_stats(self) -> list[dict[str, dict]]:
         """Per-stripe column statistics from the Metadata section (one
-        {name: {n, min, max}} per stripe for top-level int/string columns);
-        empty list when the writer emitted no Metadata. Tail-only — no
-        stream bytes are touched."""
+        {name: {n, min, max}} per stripe for top-level int/double/string/
+        date columns); empty list when the writer emitted no Metadata.
+        Tail-only — no stream bytes are touched."""
         off, ln = self._metadata_span
         if not ln:
             return []
@@ -709,26 +711,46 @@ class _OrcSource:
         return lo, hi
 
 
+_EPOCH_DATE = date(1970, 1, 1)
+
+
 def _stats_rec(st: dict[int, list]) -> dict:
-    """{n, min, max} from one parsed ColumnStatistics message (int stats
-    are sint64 zigzag; string stats UTF-8)."""
+    """{n, min, max} from one parsed ColumnStatistics message, in the forms
+    ``.oray`` footers use: int stats are sint64 zigzag, double stats IEEE
+    bits (a NaN bound is no bound), string stats UTF-8, and date stats
+    sint32 days, which become ISO dates."""
     rec: dict = {"n": st.get(1, [None])[0]}
     if 2 in st:  # intStatistics
         ist = pb_parse(st[2][0])
         rec["min"] = zigzag_decode_scalar(ist.get(1, [0])[0])
         rec["max"] = zigzag_decode_scalar(ist.get(2, [0])[0])
+    elif 3 in st:  # doubleStatistics
+        dst = pb_parse(st[3][0])
+        if 1 in dst and 2 in dst:
+            lo, hi = struct.unpack("<2d", struct.pack("<2Q", dst[1][0], dst[2][0]))
+            if lo == lo and hi == hi:
+                rec["min"], rec["max"] = lo, hi
     elif 4 in st:  # stringStatistics
         sst = pb_parse(st[4][0])
         rec["min"] = sst.get(1, [b""])[0].decode("utf-8")
         rec["max"] = sst.get(2, [b""])[0].decode("utf-8")
+    elif 7 in st:  # dateStatistics
+        dst = pb_parse(st[7][0])
+        if 1 in dst and 2 in dst:
+            try:
+                rec["min"], rec["max"] = (
+                    str(_EPOCH_DATE + timedelta(days=zigzag_decode_scalar(dst[k][0])))
+                    for k in (1, 2))
+            except OverflowError:  # outside datetime's years: no bound
+                pass
     return rec
 
 
 def read_file_stats(path: str) -> dict[str, dict]:
     """Footer column statistics through ``OrcFile``'s tail parse (no
-    stream bytes touched): name → {n, min, max} for top-level int/string
-    columns. The file-level analog of the container's footer-stats
-    pruning."""
+    stream bytes touched): name → {n, min, max} for top-level
+    int/double/string/date columns. The file-level analog of the
+    container's footer-stats pruning."""
     f = OrcFile(path)
     try:
         return f.file_stats()

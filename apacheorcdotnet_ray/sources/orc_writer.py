@@ -55,6 +55,7 @@ from ..codecs.bitpack import zigzag_encode_scalar as _zz
 from ..stripe import framing
 from ..stripe.columns import encode_array, low_cardinality, string_parts
 from ..stripe.config import EncodeConfig
+from ..stripe.stats import int_sum
 
 # --- minimal protobuf wire-format writer ------------------------------------
 
@@ -102,7 +103,6 @@ _ENC_DIRECT, _ENC_DIRECT_V2, _ENC_DICTIONARY_V2 = 0, 2, 3
 
 _DEFAULT_STRIPE_BYTES = 64 * 2**20   # the reference's WriterConfiguration
 _DEFAULT_STRIDE = 10_000
-_BLOCK = 256 * 1024                  # compression chunk (PostScript field 3)
 # write_orc's compression → (PostScript kind, framing codec, level)
 _COMPRESSION = {"none": (0, "none", 0), "zlib": (1, "zlib", 6),
                 "zstd": (5, "zstd_frame", 1)}
@@ -201,12 +201,11 @@ def _stats_msg(arr: pa.Array | None, n_rows: int = 0) -> bytes:
     if nn:
         if pa.types.is_integer(t):
             mm = pc.min_max(arr)
-            sub = pb_msg(pb_field(1, _zz(int(mm["min"].as_py()))),
-                         pb_field(2, _zz(int(mm["max"].as_py()))))
-            try:
-                sub += pb_field(3, _zz(int(pc.sum(arr).as_py())))
-            except pa.ArrowInvalid:  # pragma: no cover - int64 overflow
-                pass
+            lo, hi = mm["min"].as_py(), mm["max"].as_py()
+            sub = pb_msg(pb_field(1, _zz(lo)), pb_field(2, _zz(hi)))
+            total = int_sum(arr, lo, hi)
+            if total is not None:  # ORC leaves out a sum that overflowed
+                sub += pb_field(3, _zz(total))
             msg += pb_field(2, sub)
         elif pa.types.is_floating(t):
             mm = pc.min_max(arr)
@@ -362,13 +361,13 @@ class _OrcSink:
 def _conv_positions(poss: list, framed: bytes) -> list:
     """Raw-domain positions → positions in a compressed stream: the stream
     offset becomes (its chunk's header offset, offset in the inflated
-    chunk); RLE-state values pass through. ``framing.compress`` cuts chunks
-    of exactly ``_BLOCK`` raw bytes; an empty stream has no chunk."""
+    chunk); RLE-state values pass through. ``framing.compress`` cuts
+    ``framing.BLOCK_SIZE``-byte raw chunks; an empty stream has no chunk."""
     heads = framing.block_offsets(framed) or [0]
     out = []
     for p in poss:
-        k = min(p[0] // _BLOCK, len(heads) - 1)
-        out.append([heads[k], p[0] - k * _BLOCK] + p[1:])
+        k = min(p[0] // framing.BLOCK_SIZE, len(heads) - 1)
+        out.append([heads[k], p[0] - k * framing.BLOCK_SIZE] + p[1:])
     return out
 
 
@@ -400,7 +399,7 @@ def write_orc(table: pa.Table, path: str, compression: str = "zlib",
     comp_enum, codec, level = _COMPRESSION[compression]
 
     def frame(raw: bytes) -> bytes:
-        return framing.compress(raw, _BLOCK, level, codec)
+        return framing.compress(raw, level=level, codec=codec)
 
     n_rows = table.num_rows
     if bloom_columns and not row_index_stride:
@@ -561,7 +560,7 @@ def write_orc(table: pa.Table, path: str, compression: str = "zlib",
     postscript = pb_msg(
         pb_field(1, len(footer_framed)),
         pb_field(2, comp_enum),
-        pb_field(3, _BLOCK),
+        pb_field(3, framing.BLOCK_SIZE),
         pb_field(4, 0), pb_field(4, 12),                  # version 0.12
         pb_field(5, len(metadata_framed)),
         pb_field(6, 6),     # writerVersion ORC_135 (≥ ORC_101, so

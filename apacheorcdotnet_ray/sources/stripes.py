@@ -93,20 +93,19 @@ def stripe_may_match(footer: dict, predicate) -> bool:
     return True
 
 
-def map_footers(paths: list[str], fn, chunk_size: int = 64,
-                fan_out_threshold: int = 256) -> list:
+def map_footers(paths: list[str], fn) -> list:
     """Apply ``fn(path)`` per stripe (tail-only footer work), fanning out as
-    Ray tasks above the threshold — a big corpus has far more stripes than
-    a serial driver scan should touch. The single shared implementation for
-    pruning, schema unification, and footer-stat aggregation."""
-    if len(paths) > fan_out_threshold:
+    64-stripe Ray tasks above 256 stripes — a big corpus has far more
+    stripes than a serial driver scan should touch. The single shared
+    implementation for pruning, schema unification, and footer stats."""
+    if len(paths) > 256:
         import ray
 
         @ray.remote(num_cpus=0.25)
         def run(chunk: list[str]) -> list:
             return [fn(p) for p in chunk]
 
-        chunks = [paths[i : i + chunk_size] for i in range(0, len(paths), chunk_size)]
+        chunks = [paths[i : i + 64] for i in range(0, len(paths), 64)]
         return [r for sub in ray.get([run.remote(c) for c in chunks]) for r in sub]
     return [fn(p) for p in paths]
 

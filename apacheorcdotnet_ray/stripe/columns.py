@@ -40,6 +40,8 @@ LENGTH = "LENGTH"
 DICT_DATA = "DICT_DATA"
 DICT_LENGTH = "DICT_LENGTH"
 SECONDARY = "SECONDARY"
+_SAMPLE = 4096           # values sampled per chunk for codec choice
+_INTDICT_MAX_CARD = 0.5  # try intdict only if the sample's unique ratio is below
 
 
 @dataclass
@@ -67,15 +69,14 @@ def _encode_int_data(vals: np.ndarray, config: EncodeConfig, signed: bool = True
     When the sample is the whole stream, the winner's trial output is the
     stream."""
     vals = np.ascontiguousarray(vals, dtype=np.int64)
-    sample = vals[: config.selector_sample_size]
-    aligned = config.aligned_bit_widths
+    sample = vals[:_SAMPLE]
     trials: dict[str, bytes] = {}
-    trials["rlev2"] = rlev2.encode(sample, signed, aligned)
+    trials["rlev2"] = rlev2.encode(sample, signed)
     if "for" in config.int_codecs:
         f = for_.encode(sample)
         if f is not None:
             trials["for"] = f
-    if "intdict" in config.int_codecs and _unique_ratio(sample) <= config.intdict_max_card_ratio:
+    if "intdict" in config.int_codecs and _unique_ratio(sample) <= _INTDICT_MAX_CARD:
         d = intdict.encode(sample)
         if d is not None:
             trials["intdict"] = d
@@ -93,7 +94,7 @@ def _encode_int_data(vals: np.ndarray, config: EncodeConfig, signed: bool = True
         enc = intdict.encode(vals)
         if enc is not None:
             return "intdict", enc
-    return "rlev2", rlev2.encode(vals, signed, aligned)
+    return "rlev2", rlev2.encode(vals, signed)
 
 
 def _decode_int_data(stream: Stream) -> np.ndarray:
@@ -333,9 +334,9 @@ class _OraySink:
         if "bss" in c.float_codecs and len(vals) and c.compression != "none":
             from .framing import compress
 
-            sample = vals[: c.selector_sample_size]
-            raw_c, bss_c = (len(compress(b, c.compression_block_size,
-                                         c.compression_level, c.compression))
+            sample = vals[:_SAMPLE]
+            raw_c, bss_c = (len(compress(b, level=c.compression_level,
+                                         codec=c.compression))
                             for b in (sample.tobytes(), bss.encode(sample)))
             if bss_c < 0.98 * raw_c:
                 self.enc = self._add(DATA, "bss", bss.encode(vals), len(vals), params)
@@ -360,15 +361,14 @@ class _OraySink:
     def wants_dictionary(self, valid: pa.Array) -> bool:
         c = self.config
         return "dict" in c.string_codecs and low_cardinality(
-            valid, min(len(valid), c.selector_sample_size), c.dictionary_threshold)
+            valid, min(len(valid), _SAMPLE), c.dictionary_threshold)
 
     def dictionary(self, values: pa.Array, ids: np.ndarray) -> None:
-        aligned = self.config.aligned_bit_widths
         offsets, data = string_parts(values)
         self._add(DICT_DATA, "raw", data, len(values), {"dtype": "bytes"})
-        self._add(DICT_LENGTH, "rlev2", rlev2.encode(np.diff(offsets), False, aligned),
+        self._add(DICT_LENGTH, "rlev2", rlev2.encode(np.diff(offsets), False),
                   len(values), {"signed": False})
-        self._add(DATA, "rlev2", rlev2.encode(ids, False, aligned), len(ids),
+        self._add(DATA, "rlev2", rlev2.encode(ids, False), len(ids),
                   {"signed": False})
         self.enc = "dict"
 
@@ -380,7 +380,7 @@ class _OraySink:
             self.enc = "direct"
             return
         self.ints(LENGTH, np.diff(offsets), False)
-        if c.enable_fsst and "fsst" in c.string_codecs and data:
+        if "fsst" in c.string_codecs and data:
             import zlib
 
             sample = data[: 1 << 15]

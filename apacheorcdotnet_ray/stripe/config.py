@@ -1,6 +1,6 @@
 """Encode configuration — analog of the reference's WriterConfiguration
 (/root/reference/src/ApacheOrcDotNet/WriterConfiguration.cs:14-77) plus the
-north-star extensions (codec allow-list, FSST toggle)."""
+north-star extensions (codec allow-lists, row index, blooms, overrides)."""
 
 from __future__ import annotations
 
@@ -11,22 +11,15 @@ from dataclasses import dataclass, field
 class EncodeConfig:
     # compression framing (WriterConfiguration.cs:34,54: 256 KiB blocks, Deflate/Fastest)
     compression: str = "zlib"           # "zlib" (reference parity) | "zstd" | "none"
-    compression_block_size: int = 256 * 1024
-    zlib_level: int = 1                 # Deflate "Fastest"
-    zstd_level: int = 3                 # strict win over zlib-1 (smaller AND faster)
 
     # codec selection
-    aligned_bit_widths: bool = False    # EncodingStrategy Speed→aligned, Size→exact
     dictionary_threshold: float = 0.8   # unique/total ≤ threshold → dict (cs:64)
-    selector_sample_size: int = 4096    # values sampled per chunk for codec choice
     int_codecs: tuple[str, ...] = ("rlev2", "for", "intdict")
     string_codecs: tuple[str, ...] = ("direct", "dict", "fsst")
     # float columns: "raw" IEEE (reference parity, DoubleWriter.cs) vs "bss"
     # byte-stream-split (Parquet-spec encoding; wins after block compression
     # on embedding-style data) — chosen by compressed-sample compete
     float_codecs: tuple[str, ...] = ("raw", "bss")
-    enable_fsst: bool = True
-    intdict_max_card_ratio: float = 0.5  # try intdict only if sample uniq ratio below
 
     # row index: when set, every column encodes in independent `stride`-row
     # segments with per-stride min/max stats in the footer (the reference's
@@ -48,10 +41,8 @@ class EncodeConfig:
     # no global shuffle; combine with an upstream ds.sort for total order.
     sort_within_stripe: str | None = None
 
-    # stripe sizing: encode tasks get one Arrow batch per stripe; these bound
-    # how pipelines pick map_batches(batch_size=...) for list-heavy schemas
-    target_stripe_values: int = 4_000_000   # flattened values (e.g. tokens) per stripe
-    target_stripe_rows: int = 100_000
+    # stripe sizing: flattened values (e.g. tokens) per stripe
+    target_stripe_values: int = 4_000_000
 
     # per-column overrides — the FluentSerialization per-property analog
     # (reference FluentSerialization/*.cs, used at StripeWriter.cs:229-238):
@@ -60,10 +51,7 @@ class EncodeConfig:
     # {"doc_id": {"string_codecs": ("direct",)}, "value": {"int_codecs": ("rlev2",)}}
     column_overrides: dict = field(default_factory=dict)
 
-    # output
-    magic: bytes = b"ORAY1"
-
     @property
     def compression_level(self) -> int:
-        """The level ``compression``'s block codec runs at."""
-        return self.zstd_level if self.compression == "zstd" else self.zlib_level
+        """Deflate "Fastest" (cs:54); zstd 3, smaller AND faster than it."""
+        return 3 if self.compression == "zstd" else 1

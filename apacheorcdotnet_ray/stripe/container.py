@@ -33,7 +33,7 @@ from ..predicate import bind, normalize_predicate
 from .columns import (Stream, column_predicate_mask, decode_column,
                       encode_column)
 from .config import EncodeConfig
-from .framing import compress, decompress
+from .framing import BLOCK_SIZE, compress, decompress
 from .stats import merge_stats
 
 MAGIC = b"ORAY1"
@@ -73,8 +73,7 @@ def encode_stripe(
 
     def emit(streams: list[Stream]) -> None:
         for s in streams:
-            payload = compress(s.data, config.compression_block_size,
-                               config.compression_level, config.compression)
+            payload = compress(s.data, level=config.compression_level, codec=config.compression)
             entry = {
                 "col": s.col,
                 "kind": s.kind,
@@ -138,8 +137,7 @@ def encode_stripe(
                 # ~1-2 blocks, never the whole stream)
                 nonzero = [ln for ln in pos_len if ln]
                 avg = (sum(nonzero) // len(nonzero)) if nonzero else 1
-                bs = min(config.compression_block_size,
-                         max(4096, 1 << (max(avg, 1) - 1).bit_length()))
+                bs = min(BLOCK_SIZE, max(4096, 1 << (max(avg, 1) - 1).bit_length()))
                 payload = compress(raw, bs, config.compression_level,
                                    config.compression)
                 base_codec = next(c for c in codecs if c is not None)
@@ -186,7 +184,7 @@ def encode_stripe(
         "version": FORMAT_VERSION,
         "rows": table.num_rows,
         "compression": config.compression,
-        "block_size": config.compression_block_size,
+        "block_size": BLOCK_SIZE,
         "schema": base64.b64encode(table.schema.serialize().to_pybytes()).decode(),
         "columns": columns_meta,
         "streams": stream_dir,
@@ -374,7 +372,7 @@ def decode_stripe(
         if io_stats is not None:
             io_stats["strides_total"] = len(stride_rows)
             io_stats["strides_read"] = len(sel)
-        block_size = footer.get("block_size", 256 * 1024)
+        block_size = footer.get("block_size", BLOCK_SIZE)
         from .framing import block_offsets, decompress_range
 
         def stride_stream(m: dict, si: int, state: dict) -> Stream | None:

@@ -22,6 +22,7 @@ import zlib
 import pyarrow as pa
 
 _MAX_BLOCK = 0x7FFFFF
+BLOCK_SIZE = 256 * 1024  # raw bytes per chunk (WriterConfiguration.cs:34)
 
 
 def _zstd_content_size(frame: bytes) -> int:
@@ -73,7 +74,7 @@ def _codec(table: dict, codec: str):
     return table[codec]
 
 
-def compress(data: bytes, block_size: int = 256 * 1024, level: int = 1,
+def compress(data: bytes, block_size: int = BLOCK_SIZE, level: int = 1,
              codec: str = "zlib") -> bytes:
     if codec in ("none", None):
         return data
@@ -164,7 +165,7 @@ def decompress(data: bytes, codec: str = "zlib", start: int = 0,
 
 def decompress_range(
     data: bytes, raw_start: int, raw_len: int, codec: str = "zlib",
-    block_size: int = 256 * 1024, cache: dict | None = None,
+    block_size: int = BLOCK_SIZE, cache: dict | None = None,
     io_stats: dict | None = None, offsets: list[int] | None = None,
 ) -> bytes:
     """Decompress only the chunks covering raw bytes

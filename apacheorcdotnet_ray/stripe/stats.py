@@ -16,6 +16,22 @@ _I64_MAX = 2**63 - 1
 _I64_MIN = -(2**63)
 
 
+def int_sum(arr: pa.Array, lo: int, hi: int) -> int | None:
+    """Exact sum of an integer array with non-null values in [lo, hi], or
+    None when it does not fit int64 (LongWriterStatistics.cs:32-56).
+    ``pc.sum`` wraps silently on 64-bit columns, so an int64/uint64 column
+    whose sum could leave int64 adds its high and low 32-bit halves as two
+    lanes, which cannot overflow below 2^31 values."""
+    n = len(arr) - arr.null_count
+    if arr.type.bit_width < 64 or n * max(-lo, hi) <= _I64_MAX:
+        total = pc.sum(arr).as_py()
+    else:
+        v = arr.drop_null().to_numpy()
+        k = v.dtype.type
+        total = (int((v >> k(32)).sum()) << 32) + int((v & k(0xFFFFFFFF)).sum())
+    return total if _I64_MIN <= total <= _I64_MAX else None
+
+
 def column_stats(arr: pa.ChunkedArray | pa.Array) -> dict:
     """JSON-safe partial stats for one column chunk."""
     if isinstance(arr, pa.ChunkedArray):
@@ -31,11 +47,8 @@ def column_stats(arr: pa.ChunkedArray | pa.Array) -> dict:
         mm = pc.min_max(arr)
         stats["min"] = mm["min"].as_py()
         stats["max"] = mm["max"].as_py()
-        s = pc.sum(arr)
-        total = s.as_py()
-        if pa.types.is_integer(t) and total is not None and not (_I64_MIN <= total <= _I64_MAX):
-            total = None  # overflow → null, like the reference
-        stats["sum"] = total
+        stats["sum"] = (int_sum(arr, stats["min"], stats["max"])
+                        if pa.types.is_integer(t) else pc.sum(arr).as_py())
     elif pa.types.is_boolean(t):
         stats["true_count"] = pc.sum(arr.cast(pa.int64())).as_py() or 0
     elif pa.types.is_string(t) or pa.types.is_large_string(t):

@@ -207,3 +207,43 @@ def test_pruned_reads_equal_filtered_full_reads(tmp_path):
                            bloom_filter_columns=[0, 2])
         cases += _orc_cases(lib, preds)
     assert cases >= 1_000
+
+
+def test_orc_float_and_date_stats_prune(tmp_path):
+    """DoubleStatistics and DateStatistics prune ORC stripes and row groups
+    as IntegerStatistics do: each predicate below keeps one 1,000-row group
+    of 8,000, on both writers' files (this writer writes no date stats)."""
+    k = np.arange(8_000)
+    table = pa.table({"k": k, "f": k.astype(np.float64),
+                      "d": pa.array(k.astype(np.int32), pa.date32())})
+    own, lib = str(tmp_path / "own.orc"), str(tmp_path / "lib.orc")
+    write_orc(table, own, stripe_rows=4_000, row_index_stride=1_000)
+    pa_orc.write_table(table, lib, stripe_size=16 << 10,
+                       compression="zlib", row_index_stride=1_000)
+    num = [("k", ">", 7500), ("f", ">", 7500.0), ("f", "<=", 10.0)]
+    dates = [("d", "<", dt.date(1970, 1, 3)), ("d", ">=", "1991-09-01")]
+    for path, preds in ((own, num), (lib, num + dates)):
+        f = OrcFile(path)
+        try:
+            for pred in preds:
+                got = f.read_table(predicate=pred)
+                assert got.num_rows == 1_000, (path, pred)
+                assert bind(pred, f.schema).filter(got).equals(
+                    _expected(table, [pred])), (path, pred)
+        finally:
+            f.close()
+
+
+def test_orc_nan_double_bound_is_no_bound():
+    from apacheorcdotnet_ray.sources.orc_reader import _stats_rec, pb_parse
+    from apacheorcdotnet_ray.sources.orc_writer import (pb_field,
+                                                        pb_field_double,
+                                                        pb_msg)
+
+    def rec(lo, hi):
+        return _stats_rec(pb_parse(pb_msg(pb_field(1, 3), pb_field(3, pb_msg(
+            pb_field_double(1, lo), pb_field_double(2, hi))))))
+
+    assert rec(1.5, 2.5) == {"n": 3, "min": 1.5, "max": 2.5}
+    assert rec(float("nan"), 2.5) == {"n": 3}
+    assert rec(1.5, float("nan")) == {"n": 3}

@@ -483,7 +483,7 @@ def test_schema_evolution_unify(ray_session, tmp_path):
     assert df3["id"].tolist() == [5]
 
 
-def test_cli_encode_inspect_decode(ray_session, tmp_path):
+def test_cli_encode_inspect_decode(ray_session, tmp_path, capsys):
     """python -m apacheorcdotnet_ray encode/inspect/decode round-trip."""
     import json
 
@@ -492,6 +492,9 @@ def test_cli_encode_inspect_decode(ray_session, tmp_path):
     stripes = str(tmp_path / "stripes")
     out = str(tmp_path / "out.parquet")
     assert main(["encode", "/root/testdata/sf0.001/region.parquet", stripes]) == 0
+    printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert sorted(printed) == ["encoded_bytes", "raw_bytes", "rows", "stripes"]
+    assert (printed["rows"], printed["stripes"]) == (5, 1)
     assert main(["inspect", stripes]) == 0
     assert main(["decode", stripes, out]) == 0
     import pyarrow.parquet as pq

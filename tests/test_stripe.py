@@ -5,6 +5,8 @@ Analog of the reference's column-level + end-to-end round-trip layers
 re-expressed as Arrow-table round-trips.
 """
 
+import dataclasses
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -410,8 +412,7 @@ def test_per_column_config_overrides():
     buf_d, f_d = encode_stripe(t)
     assert f_d["columns"][0]["encoding"] == "dict"
     cfg = EncodeConfig(column_overrides={
-        "s": {"string_codecs": ("direct",), "enable_fsst": False,
-              "dictionary_threshold": 0.0},
+        "s": {"string_codecs": ("direct",), "dictionary_threshold": 0.0},
         "i": {"int_codecs": ("rlev2",)},
     })
     buf_o, f_o = encode_stripe(t, cfg)
@@ -650,3 +651,114 @@ def test_selector_reuses_whole_stream_trials(monkeypatch):
     data = "".join(text).encode()
     assert streams[-1].data == fsst.encode_chunk(data, table=fsst.train(data))
     roundtrip_table(pa.table({"s": text}), EncodeConfig(dictionary_threshold=0.0))
+
+
+def _knob_table() -> pa.Table:
+    rng = np.random.default_rng(7)
+    n = 2000
+    words = np.asarray(["".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz"), rng.integers(2, 9)))
+                        for _ in range(21)], dtype=object)
+    return pa.table({
+        "k": pa.array(rng.permutation(n), pa.int64()),
+        "i": pa.array(rng.choice([10**9, 3 * 10**9, 7 * 10**9], n), pa.int64()),
+        "s": pa.array([f"v{int(x)}" for x in rng.integers(0, 700, n)]),
+        "doc": pa.array([" ".join(words[rng.integers(0, len(words), 20)]) for _ in range(n)]),
+        "f": pa.array(rng.uniform(1, 2, n).astype(np.float32)),
+        "tok": pa.array([list(range(int(m))) for m in rng.integers(0, 20, n)],
+                        pa.list_(pa.int32())),
+    })
+
+
+# one non-default value per EncodeConfig field, each of which must change
+# what _knob_table encodes to
+_KNOB_CASES = {
+    "compression": "zstd",
+    "dictionary_threshold": 0.1,                 # s: dict → direct
+    "int_codecs": ("rlev2",),                    # i: intdict → rlev2
+    "string_codecs": ("direct", "dict"),         # doc: fsst → direct
+    "float_codecs": ("raw",),                    # f: bss → raw
+    "row_index_stride": 500,
+    "bloom_columns": ("k",),
+    "sort_within_stripe": "k",
+    "target_stripe_values": 10_000,              # more stripes per split
+    "column_overrides": {"i": {"int_codecs": ("rlev2",)}},
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(EncodeConfig)])
+def test_every_encode_config_field_changes_output(name):
+    """A setting that changes nothing is not a setting: every field's
+    non-default value changes the stripe bytes or footer of one fixed
+    table (``target_stripe_values``: the stripe split of it)."""
+    if name not in _KNOB_CASES:
+        pytest.fail(f"EncodeConfig.{name} has no case: give it one, or remove it")
+    from apacheorcdotnet_ray.pipelines.encode import split_for_stripes
+
+    t = _knob_table()
+    base, knob = EncodeConfig(), EncodeConfig(**{name: _KNOB_CASES[name]})
+    assert getattr(base, name) != getattr(knob, name)
+    if name == "target_stripe_values":
+        assert len(split_for_stripes(t, knob)) > len(split_for_stripes(t, base))
+        return
+    buf0, footer0 = encode_stripe(t, base)
+    buf1, footer1 = encode_stripe(t, knob)
+    assert buf1 != buf0 or footer1 != footer0
+    assert decode_stripe(buf1).equals(t if name != "sort_within_stripe" else t.sort_by("k"))
+
+
+@pytest.mark.parametrize("removed", [
+    "magic", "enable_fsst", "compression_block_size", "zlib_level", "zstd_level",
+    "aligned_bit_widths", "selector_sample_size", "intdict_max_card_ratio",
+    "target_stripe_rows"])
+def test_removed_encode_config_fields_raise(removed):
+    with pytest.raises(TypeError):
+        EncodeConfig(**{removed: None})
+    cfg = EncodeConfig(column_overrides={"k": {removed: None}})
+    with pytest.raises(TypeError):
+        encode_stripe(pa.table({"k": [1, 2, 3]}), cfg)
+
+
+@pytest.mark.parametrize("arr,want", [
+    (pa.array([2**62] * 3), None),                                 # wraps to -2^62
+    (pa.array([2**63 + 5, 2**63 + 7], pa.uint64()), None),         # wraps to 12
+    (pa.array([-(2**62), -(2**62), 2**62, None, 5]), -(2**62) + 5),  # fits
+    (pa.array([2**63 - 1, -(2**63)]), -1),
+    (pa.array([2**40, 3], pa.uint64()), 2**40 + 3),
+])
+def test_integer_sum_is_exact_or_none(arr, want):
+    """A 64-bit sum that leaves int64 is None in the footer stats and in
+    ORC's IntegerStatistics, never the wrapped value."""
+    from apacheorcdotnet_ray.codecs.bitpack import zigzag_decode_scalar
+    from apacheorcdotnet_ray.sources.orc_reader import pb_parse
+    from apacheorcdotnet_ray.sources.orc_writer import _stats_msg
+    from apacheorcdotnet_ray.stripe.stats import column_stats
+
+    assert column_stats(arr)["sum"] == want
+    ist = pb_parse(pb_parse(_stats_msg(arr))[2][0])
+    assert 1 in ist and 2 in ist
+    if want is None:
+        assert 3 not in ist
+    else:
+        assert zigzag_decode_scalar(ist[3][0]) == want
+
+
+def test_int_sum_matches_python_sum():
+    from apacheorcdotnet_ray.stripe.stats import int_sum
+
+    rng = np.random.default_rng(11)
+    for t, lo, hi in ((pa.int64(), -(2**63), 2**63 - 1), (pa.uint64(), 0, 2**64 - 1)):
+        for scale in (2**40, 2**61, 2**63):
+            vals = rng.integers(max(lo, -scale), min(hi, scale), 500, dtype=t.to_pandas_dtype())
+            arr = pa.array(vals, t)
+            py = sum(int(v) for v in vals)
+            want = py if -(2**63) <= py < 2**63 else None
+            assert int_sum(arr, int(vals.min()), int(vals.max())) == want, (t, scale)
+
+
+def test_merged_sum_overflow_is_none():
+    from apacheorcdotnet_ray.stripe.stats import column_stats, merge_stats
+
+    half = column_stats(pa.array([2**62, 2**62 - 1]))
+    assert half["sum"] == 2**63 - 1
+    assert merge_stats(half, column_stats(pa.array([1])))["sum"] is None
+    assert merge_stats(half, column_stats(pa.array([-1])))["sum"] == 2**63 - 2
