@@ -829,8 +829,8 @@ def _grouped_source_scan(sf_dir: str):
 def entry() -> Any:
     """Flagship pipeline, the north-star shape end-to-end: documents →
     tokenize (vectorized map_batches) → source-keyed skew-split stripe
-    packing through the actor-pool encoder (per-source FSST state, lineage
-    per stripe) → decode back to the input_hint schema."""
+    packing through the task-pool encoder (each stripe trains its own FSST
+    table; lineage per stripe) → decode back to the input_hint schema."""
     sf_dir = "/root/testdata/sf0.001"
     from apacheorcdotnet_ray.pipelines.encode import decode_dataset, encode_grouped
     from apacheorcdotnet_ray.pipelines.text import tokenize_documents

@@ -217,25 +217,42 @@ def write_varint_signed(out: bytearray, value: int) -> None:
 
 
 def read_varint_unsigned(buf, pos: int) -> tuple[int, int]:
-    """Returns (value as signed int64 per C# semantics, new position)."""
-    result = 0
-    bit_count = 0
-    while True:
+    """The uint64 varint at ``buf[pos]`` → (value, position after it). The
+    one scalar varint reader: a varint that runs past the end of ``buf`` or
+    past 10 bytes raises ``ValueError``, so a run of continuation bytes
+    costs at most 10 steps."""
+    try:
         b = buf[pos]
-        pos += 1
-        result |= (b & 0x7F) << bit_count
-        bit_count += 7
         if b < 0x80:
-            break
-    result &= _MASK64
-    if result >> 63:
-        result -= 1 << 64
-    return result, pos
+            return b, pos + 1
+        result = b & 0x7F
+        shift = 7
+        while shift < 63:
+            pos += 1
+            b = buf[pos]
+            result |= (b & 0x7F) << shift
+            if b < 0x80:
+                return result, pos + 1
+            shift += 7
+        pos += 1
+        b = buf[pos]  # the 10th byte: only its low bit fits in 64
+        if b < 0x80:
+            return (result | b << 63) & _MASK64, pos + 1
+    except IndexError:
+        raise ValueError("the buffer ends inside a varint") from None
+    raise ValueError("a varint longer than 10 bytes")
+
+
+def read_varint_int64(buf, pos: int) -> tuple[int, int]:
+    """The uint64 varint as the int64 it wraps to, as the reference's
+    ``long``-returning reader gives it."""
+    v, pos = read_varint_unsigned(buf, pos)
+    return (v - (1 << 64) if v >> 63 else v), pos
 
 
 def read_varint_signed(buf, pos: int) -> tuple[int, int]:
     v, pos = read_varint_unsigned(buf, pos)
-    return zigzag_decode_scalar(v & _MASK64), pos
+    return zigzag_decode_scalar(v), pos
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ exercise an actual byte-format parse instead of only the synthetic stub:
 - WAV: RIFF container, PCM16 mono/stereo.
 
 Encoders exist so tests/benches can synthesize valid payloads; decoders
-are the product path (MediaDecoder dispatches on magic bytes).
+are the product path (`pipelines.multimodal.decode_payload` dispatches on
+magic bytes).
 """
 
 from __future__ import annotations

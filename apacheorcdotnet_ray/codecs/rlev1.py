@@ -27,38 +27,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bitpack import (I64, U64, zigzag_decode, zigzag_encode_scalar,
-                      zigzag_decode_scalar)
-
-
-def _read_varint_u64(buf: bytes, pos: int) -> tuple[int, int]:
-    result = 0
-    shift = 0
-    while True:
-        b = buf[pos]
-        pos += 1
-        result |= (b & 0x7F) << shift
-        if not b & 0x80:
-            return result & 0xFFFFFFFFFFFFFFFF, pos
-        shift += 7
-
-
-def _write_varint_u64(out: bytearray, v: int) -> None:
-    v &= 0xFFFFFFFFFFFFFFFF
-    while True:
-        b = v & 0x7F
-        v >>= 7
-        if v:
-            out.append(b | 0x80)
-        else:
-            out.append(b)
-            return
+from .bitpack import (I64, U64, read_varint_int64, read_varint_signed,
+                      read_varint_unsigned, write_varint_unsigned, zigzag_decode,
+                      zigzag_encode_scalar)
 
 
 def decode(buf: bytes, signed: bool, expected_count: int | None = None) -> np.ndarray:
     out: list[np.ndarray] = []
     pos = 0
     n = len(buf)
+    read_base = read_varint_signed if signed else read_varint_int64
     try:
         while pos < n:
             ctrl = buf[pos]
@@ -67,11 +45,7 @@ def decode(buf: bytes, signed: bool, expected_count: int | None = None) -> np.nd
                 length = ctrl + 3
                 delta = (buf[pos] ^ 0x80) - 0x80  # signed int8
                 pos += 1
-                raw, pos = _read_varint_u64(buf, pos)
-                if signed:
-                    base = zigzag_decode_scalar(raw)
-                else:
-                    base = raw - (1 << 64) if raw >> 63 else raw
+                base, pos = read_base(buf, pos)
                 with np.errstate(over="ignore"):
                     vals = (np.arange(length, dtype=I64) * np.int64(delta)
                             + np.int64(base))
@@ -80,7 +54,7 @@ def decode(buf: bytes, signed: bool, expected_count: int | None = None) -> np.nd
                 count = 256 - ctrl
                 vals = np.empty(count, dtype=np.uint64)
                 for i in range(count):
-                    v, pos = _read_varint_u64(buf, pos)
+                    v, pos = read_varint_unsigned(buf, pos)
                     vals[i] = v
                 out.append(zigzag_decode(vals.view(I64)) if signed
                            else vals.view(I64))
@@ -107,8 +81,7 @@ def encode(values: np.ndarray, signed: bool) -> bytes:
     lit_start = 0
 
     def emit(x: int) -> None:
-        _write_varint_u64(out, zigzag_encode_scalar(x) if signed
-                          else x & 0xFFFFFFFFFFFFFFFF)
+        write_varint_unsigned(out, zigzag_encode_scalar(x) if signed else x)
 
     def flush_literals(upto: int) -> None:
         nonlocal lit_start

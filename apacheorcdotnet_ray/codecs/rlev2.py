@@ -50,8 +50,8 @@ from .bitpack import (
     num_bits,
     pack_bits,
     percentile_widths,
+    read_varint_int64,
     read_varint_signed,
-    read_varint_unsigned,
     subtraction_would_overflow,
     unpack_bits,
     write_long_be,
@@ -525,7 +525,7 @@ def decode_from(
                 if signed:
                     base, pos = read_varint_signed(buf, pos)
                 else:
-                    base, pos = read_varint_unsigned(buf, pos)
+                    base, pos = read_varint_int64(buf, pos)
                 step, pos = read_varint_signed(buf, pos)
                 at = 0
                 if w:

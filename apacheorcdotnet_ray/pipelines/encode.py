@@ -4,8 +4,8 @@ Two write paths, mirroring how the reference separates streaming ingest from
 its stripe/file bookkeeping (OrcWriter.cs:57-104):
 
 - ``encode_dataset``: streaming Dataset-native path — any ``ray.data.Dataset``
-  flows through an actor-pool ``map_batches(StripeEncoder)``; one stripe per
-  batch; returns the metrics Dataset (one small row per stripe).
+  flows through a task-pool ``map_batches`` of ``StripeEncoder``; one stripe
+  per batch; returns the metrics Dataset (one small row per stripe).
 - ``encode_corpus``: the resumable job path for parquet corpora. Input is
   deterministically partitioned by (file, row-group range) from parquet
   metadata; Ray tasks take contiguous runs of partitions, sized the way Ray
@@ -19,7 +19,6 @@ its stripe/file bookkeeping (OrcWriter.cs:57-104):
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 
@@ -29,9 +28,9 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from ..stages.encode import StripeEncoder
+from ..stages.encode import StripeEncoder, write_stripe_file
 from ..state.manifest import Manifest
-from ..stripe import EncodeConfig, encode_stripe
+from ..stripe import EncodeConfig
 from ..stripe.stats import merge_stats
 
 _STRIPE_ROWS = 100_000  # stripe rows where no value count sizes a stripe
@@ -43,17 +42,14 @@ def encode_dataset(
     out_dir: str,
     config: EncodeConfig | None = None,
     batch_size: int | None = None,
-    concurrency=(1, 16),
 ) -> rd.Dataset:
     """Streaming encode: Dataset → stripe files under out_dir + metrics Dataset."""
+    enc = StripeEncoder(out_dir=out_dir, config=config, key_column="doc_id")
     return ds.map_batches(
-        StripeEncoder,
-        fn_constructor_kwargs={"out_dir": out_dir, "config": config or EncodeConfig(),
-                               "key_column": "doc_id"},
+        enc.__call__,
         batch_format="pyarrow",
         batch_size=batch_size or _STRIPE_ROWS,
         zero_copy_batch=True,
-        concurrency=concurrency,
     )
 
 
@@ -139,7 +135,7 @@ def encode_grouped(
         return batch.append_column("_stripe_key", sk)
 
     enc = StripeEncoder(out_dir=out_dir, config=config, key_column=id_col,
-                        lineage_columns=(key,), adaptive_fsst_by=key)
+                        lineage_columns=(key,))
 
     def encode_group(group: pa.Table) -> pa.Table:
         return enc(group.drop_columns(["_stripe_key"]))
@@ -351,17 +347,12 @@ class _EncodePartition:
                 "stripe_index": k,
                 "fingerprint": part["fingerprint"],
             }
-            buf, footer = encode_stripe(stripe_tbl, self.config, lineage=lineage)
-            h = hashlib.sha256(buf).hexdigest()[:16]
-            name = f"{safe_pid}-s{k:04d}-{h}.oray"
-            path = os.path.join(self.out_dir, name)
-            tmp = path + f".tmp.{os.getpid()}"
-            with open(tmp, "wb") as f:
-                f.write(buf)
-            os.replace(tmp, path)
-            outputs.append({"path": name, "hash": h, "rows": stripe_tbl.num_rows})
-            total_encoded += len(buf)
-            total_values += sum(s["n"] for s in footer["streams"] if s["kind"] == "DATA")
+            path, h, nbytes, n_values, footer = write_stripe_file(
+                stripe_tbl, self.config, lineage, self.out_dir, f"{safe_pid}-s{k:04d}")
+            outputs.append({"path": os.path.basename(path), "hash": h,
+                            "rows": stripe_tbl.num_rows})
+            total_encoded += nbytes
+            total_values += n_values
             for cmeta in footer["columns"]:
                 col_stats[cmeta["name"]] = merge_stats(col_stats.get(cmeta["name"]), cmeta["stats"])
         return {

@@ -1,17 +1,15 @@
 """Multimodal columns: image/audio/video as opaque ``binary`` payloads with
-typed metadata, processed by actor-pool ``map_batches`` stages.
+typed metadata, processed by task-pool ``map_batches`` stages.
 
 Three REAL byte formats decode with pure NumPy (codecs/media.py): PPM (P6),
 24-bit uncompressed BMP, and RIFF/WAV PCM16 — so the decode stages parse
 actual on-disk formats, not only the synthetic stub. Compressed formats
-(JPEG/PNG/MP4) would need PIL/pyav, which this container lacks: their import
-is attempted once per actor and the path degrades cleanly. The synthetic
-header format (FIMG/FVID + seeded PRNG pixels) remains the multi-frame
-video stand-in.
+(JPEG/PNG/MP4) would need PIL/pyav, which the package does not use: such a
+payload raises ``ValueError``. The synthetic header format (FIMG/FVID +
+seeded PRNG pixels) remains the multi-frame video stand-in.
 
-Stage pattern (the reference's stateful-stage analog, StripeWriter's
-dictionary state held per actor): the codec/"model" is constructed once per
-actor in ``__init__`` and reused across batches; payloads are large, so
+Stage pattern: every stage is a plain function of its batch, holding no
+state between batches, so it runs on Ray's task pool; payloads are large, so
 ``batch_size`` stays small and blocks stream with backpressure.
 """
 
@@ -20,6 +18,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import ray.data as rd
+
+from ..codecs import media as mcodec
 
 MAGIC_IMG = b"FIMG"
 MAGIC_VID = b"FVID"
@@ -31,8 +31,6 @@ _HDR = np.dtype([("w", "<u2"), ("h", "<u2"), ("frames", "<u2")])
 
 
 def _payload(media_id: int, w: int, h: int, frames: int, fmt: str = "synthetic") -> bytes:
-    from ..codecs import media as mcodec
-
     rng = np.random.default_rng(media_id)
     if fmt == "ppm":
         return mcodec.encode_ppm(rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8))
@@ -83,142 +81,115 @@ def synthesize_media(
 
 
 # ---------------------------------------------------------------------------
-# decode (actor-pool stage, stubbed codec)
+# decode
 
 
-class MediaDecoder:
-    """Actor-pool callable: decodes binary payloads to per-frame grayscale
-    pixel arrays, dispatching on magic bytes. PPM (P6) and 24-bit BMP decode
-    for real via the pure-NumPy parsers in codecs/media.py; compressed
-    formats (JPEG/PNG/...) would need PIL, whose import is attempted once
-    per ACTOR (not per batch) and falls back cleanly when absent. The
-    synthetic header format remains the video stand-in."""
-
-    def __init__(self):
-        from ..codecs import media as mcodec
-
-        self.mcodec = mcodec
-        try:  # pragma: no cover - not present in this container
-            import PIL.Image  # noqa: F401
-
-            self.pil = True
-        except ImportError:
-            self.pil = False
-
-    def decode_one(self, buf: bytes) -> tuple[np.ndarray, int, int, int]:
-        """(flat grayscale pixels uint8, w, h, frames)."""
-        magic = buf[:4]
-        if magic[:2] == b"P6":
-            img = self.mcodec.decode_ppm(buf)
-            return self.mcodec.rgb_to_gray(img).ravel(), img.shape[1], img.shape[0], 1
-        if magic[:2] == b"BM":
-            img = self.mcodec.decode_bmp(buf)
-            return self.mcodec.rgb_to_gray(img).ravel(), img.shape[1], img.shape[0], 1
-        if magic in (MAGIC_IMG, MAGIC_VID):
-            rest = buf[4:]
-            hdr = np.frombuffer(rest[: _HDR.itemsize], dtype=_HDR)[0]
-            w, h, frames = int(hdr["w"]), int(hdr["h"]), int(hdr["frames"])
-            pixels = np.frombuffer(rest[_HDR.itemsize :], dtype=np.uint8)
-            return pixels, w, h, frames
-        if self.pil:  # pragma: no cover
-            raise NotImplementedError(
-                "compressed image decode via PIL not wired in this container")
-        raise ValueError(f"unknown media payload magic {magic!r}")
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        pixel_lists, ws, hs, fs = [], [], [], []
-        for buf in batch.column("payload"):
-            px, w, h, fr = self.decode_one(buf.as_py())
-            pixel_lists.append(px)
-            ws.append(w)
-            hs.append(h)
-            fs.append(fr)
-        # int32 offsets bound one decoded block to <2 GiB of pixels — hold by
-        # keeping batch_size small for large payloads
-        offsets = np.concatenate([[0], np.cumsum([len(p) for p in pixel_lists])]).astype(np.int32)
-        flat = np.concatenate(pixel_lists) if pixel_lists else np.empty(0, np.uint8)
-        pixels = pa.ListArray.from_arrays(
-            pa.array(offsets), pa.array(flat, type=pa.uint8())
-        )
-        return pa.table({
-            "media_id": batch.column("media_id"),
-            "width": pa.array(np.asarray(ws, dtype=np.int32)),
-            "height": pa.array(np.asarray(hs, dtype=np.int32)),
-            "n_frames": pa.array(np.asarray(fs, dtype=np.int32)),
-            "pixels": pixels,
-        })
+def decode_payload(buf: bytes) -> tuple[np.ndarray, int, int, int]:
+    """One binary payload → (flat grayscale pixels uint8, w, h, frames),
+    dispatching on magic bytes. PPM (P6) and 24-bit BMP decode for real via
+    the pure-NumPy parsers in codecs/media.py; the synthetic header format
+    remains the video stand-in."""
+    magic = buf[:4]
+    if magic[:2] == b"P6":
+        img = mcodec.decode_ppm(buf)
+        return mcodec.rgb_to_gray(img).ravel(), img.shape[1], img.shape[0], 1
+    if magic[:2] == b"BM":
+        img = mcodec.decode_bmp(buf)
+        return mcodec.rgb_to_gray(img).ravel(), img.shape[1], img.shape[0], 1
+    if magic in (MAGIC_IMG, MAGIC_VID):
+        rest = buf[4:]
+        hdr = np.frombuffer(rest[: _HDR.itemsize], dtype=_HDR)[0]
+        w, h, frames = int(hdr["w"]), int(hdr["h"]), int(hdr["frames"])
+        pixels = np.frombuffer(rest[_HDR.itemsize :], dtype=np.uint8)
+        return pixels, w, h, frames
+    raise ValueError(f"unknown media payload magic {magic!r}")
 
 
-def decode_media(ds: rd.Dataset, concurrency=(1, 8), batch_size: int = 64) -> rd.Dataset:
-    """Large binary payloads → small batches + actor pool (codec state is
-    per-actor; object store spills rather than worker heaps filling)."""
-    return ds.map_batches(
-        MediaDecoder, batch_format="pyarrow",
-        batch_size=batch_size, concurrency=concurrency,
+def decode_media_batch(batch: pa.Table) -> pa.Table:
+    """``payload`` column → per-item grayscale ``pixels`` lists + dims."""
+    pixel_lists, ws, hs, fs = [], [], [], []
+    for buf in batch.column("payload"):
+        px, w, h, fr = decode_payload(buf.as_py())
+        pixel_lists.append(px)
+        ws.append(w)
+        hs.append(h)
+        fs.append(fr)
+    # int32 offsets bound one decoded block to <2 GiB of pixels — hold by
+    # keeping batch_size small for large payloads
+    offsets = np.concatenate([[0], np.cumsum([len(p) for p in pixel_lists])]).astype(np.int32)
+    flat = np.concatenate(pixel_lists) if pixel_lists else np.empty(0, np.uint8)
+    pixels = pa.ListArray.from_arrays(
+        pa.array(offsets), pa.array(flat, type=pa.uint8())
     )
+    return pa.table({
+        "media_id": batch.column("media_id"),
+        "width": pa.array(np.asarray(ws, dtype=np.int32)),
+        "height": pa.array(np.asarray(hs, dtype=np.int32)),
+        "n_frames": pa.array(np.asarray(fs, dtype=np.int32)),
+        "pixels": pixels,
+    })
+
+
+def decode_media(ds: rd.Dataset, batch_size: int = 64) -> rd.Dataset:
+    """Large binary payloads → small batches (the object store spills
+    rather than worker heaps filling)."""
+    return ds.map_batches(decode_media_batch, batch_format="pyarrow",
+                          batch_size=batch_size)
 
 
 # ---------------------------------------------------------------------------
 # feature extraction / resize / frame sampling (vectorized over decoded pixels)
 
+_BINS = 16  # histogram bins; divides 256, so a pixel's bin is one floor-divide
 
-class FeatureExtractor:
-    """Actor-pool callable: 16-bin byte histogram + mean/std per item — the
-    deterministic stand-in for batched model inference (the 'model' here is
-    the bin shift, fixed once per actor). Fully vectorized over the flat
+
+def pixel_features(batch: pa.Table) -> pa.Table:
+    """16-bin byte histogram + mean/std per item — the deterministic
+    stand-in for batched model inference. Fully vectorized over the flat
     pixel stream: one bincount over (item_index * bins + pixel_bin) builds
     every item's histogram, one add.reduceat pair gives mean/std — no
     per-item Python loop."""
-
-    def __init__(self, bins: int = 16):
-        assert 256 % bins == 0, "bins must divide 256 for the shift kernel"
-        self.bins = bins
-        self.div = 256 // bins
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        col = batch.column("pixels")
-        arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-        flat = arr.flatten().to_numpy(zero_copy_only=False)
-        offs = arr.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-        n = len(arr)
-        counts = np.diff(offs)
-        safe = np.maximum(counts, 1).astype(np.float64)
-        item_of = np.repeat(np.arange(n, dtype=np.int64), counts)
-        hist = np.bincount(item_of * self.bins + flat // self.div,
-                           minlength=n * self.bins).reshape(n, self.bins)
-        feats = (hist / safe[:, None]).astype(np.float32)
-        # reduceat only over NONEMPTY segments: their starts are strictly
-        # increasing and < len(flat), and the span from one nonempty start
-        # to the next covers exactly that segment (empty segments in
-        # between contribute zero length). Clamping starts instead would
-        # corrupt the last nonempty segment when trailing items are empty.
-        fl = flat.astype(np.float64)
-        nonempty = counts > 0
-        sums = np.zeros(n)
-        sqs = np.zeros(n)
-        if nonempty.any():
-            starts_ne = offs[:-1][nonempty]
-            sums[nonempty] = np.add.reduceat(fl, starts_ne)
-            sqs[nonempty] = np.add.reduceat(fl * fl, starts_ne)
-        means = sums / safe
-        stds = np.sqrt(np.maximum(sqs / safe - means * means, 0.0))
-        emb = pa.ListArray.from_arrays(
-            pa.array(np.arange(n + 1, dtype=np.int32) * self.bins),
-            pa.array(feats.ravel(), type=pa.float32()),
-        )
-        return pa.table({
-            "media_id": batch.column("media_id"),
-            "feature": emb,
-            "mean_pixel": pa.array(means, type=pa.float64()),
-            "std_pixel": pa.array(stds, type=pa.float64()),
-        })
-
-
-def extract_features(ds: rd.Dataset, concurrency=(1, 8), batch_size: int = 64) -> rd.Dataset:
-    return ds.map_batches(
-        FeatureExtractor, batch_format="pyarrow",
-        batch_size=batch_size, concurrency=concurrency,
+    col = batch.column("pixels")
+    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    flat = arr.flatten().to_numpy(zero_copy_only=False)
+    offs = arr.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
+    n = len(arr)
+    counts = np.diff(offs)
+    safe = np.maximum(counts, 1).astype(np.float64)
+    item_of = np.repeat(np.arange(n, dtype=np.int64), counts)
+    hist = np.bincount(item_of * _BINS + flat // (256 // _BINS),
+                       minlength=n * _BINS).reshape(n, _BINS)
+    feats = (hist / safe[:, None]).astype(np.float32)
+    # reduceat only over NONEMPTY segments: their starts are strictly
+    # increasing and < len(flat), and the span from one nonempty start
+    # to the next covers exactly that segment (empty segments in
+    # between contribute zero length). Clamping starts instead would
+    # corrupt the last nonempty segment when trailing items are empty.
+    fl = flat.astype(np.float64)
+    nonempty = counts > 0
+    sums = np.zeros(n)
+    sqs = np.zeros(n)
+    if nonempty.any():
+        starts_ne = offs[:-1][nonempty]
+        sums[nonempty] = np.add.reduceat(fl, starts_ne)
+        sqs[nonempty] = np.add.reduceat(fl * fl, starts_ne)
+    means = sums / safe
+    stds = np.sqrt(np.maximum(sqs / safe - means * means, 0.0))
+    emb = pa.ListArray.from_arrays(
+        pa.array(np.arange(n + 1, dtype=np.int32) * _BINS),
+        pa.array(feats.ravel(), type=pa.float32()),
     )
+    return pa.table({
+        "media_id": batch.column("media_id"),
+        "feature": emb,
+        "mean_pixel": pa.array(means, type=pa.float64()),
+        "std_pixel": pa.array(stds, type=pa.float64()),
+    })
+
+
+def extract_features(ds: rd.Dataset, batch_size: int = 64) -> rd.Dataset:
+    return ds.map_batches(pixel_features, batch_format="pyarrow",
+                          batch_size=batch_size)
 
 
 def resize_images(ds: rd.Dataset, out_w: int = 8, out_h: int = 8) -> rd.Dataset:
@@ -304,8 +275,6 @@ def synthesize_audio(
     RIFF files decodable by any WAV reader)."""
 
     def fn(batch: pa.Table) -> pa.Table:
-        from ..codecs import media as mcodec
-
         ids = batch.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
         payloads = []
         for i in ids:
@@ -324,38 +293,29 @@ def synthesize_audio(
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
-class AudioDecoder:
-    """Actor-pool callable: RIFF/WAV PCM16 → flat int16 samples + rate."""
-
-    def __init__(self):
-        from ..codecs import media as mcodec
-
-        self.mcodec = mcodec
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        samples, rates, chans = [], [], []
-        for buf in batch.column("payload"):
-            s, rate = self.mcodec.decode_wav(buf.as_py())
-            samples.append(s.mean(axis=1).astype(np.int16) if s.shape[1] > 1
-                           else s[:, 0])
-            rates.append(rate)
-            chans.append(s.shape[1])
-        offsets = np.concatenate([[0], np.cumsum([len(s) for s in samples])]).astype(np.int32)
-        flat = np.concatenate(samples) if samples else np.empty(0, np.int16)
-        return pa.table({
-            "media_id": batch.column("media_id"),
-            "sample_rate": pa.array(np.asarray(rates, dtype=np.int32)),
-            "n_channels": pa.array(np.asarray(chans, dtype=np.int32)),
-            "samples": pa.ListArray.from_arrays(
-                pa.array(offsets), pa.array(flat, type=pa.int16())),
-        })
+def decode_audio_batch(batch: pa.Table) -> pa.Table:
+    """RIFF/WAV PCM16 ``payload`` → flat int16 ``samples`` lists + rate."""
+    samples, rates, chans = [], [], []
+    for buf in batch.column("payload"):
+        s, rate = mcodec.decode_wav(buf.as_py())
+        samples.append(s.mean(axis=1).astype(np.int16) if s.shape[1] > 1
+                       else s[:, 0])
+        rates.append(rate)
+        chans.append(s.shape[1])
+    offsets = np.concatenate([[0], np.cumsum([len(s) for s in samples])]).astype(np.int32)
+    flat = np.concatenate(samples) if samples else np.empty(0, np.int16)
+    return pa.table({
+        "media_id": batch.column("media_id"),
+        "sample_rate": pa.array(np.asarray(rates, dtype=np.int32)),
+        "n_channels": pa.array(np.asarray(chans, dtype=np.int32)),
+        "samples": pa.ListArray.from_arrays(
+            pa.array(offsets), pa.array(flat, type=pa.int16())),
+    })
 
 
-def decode_audio(ds: rd.Dataset, concurrency=(1, 8), batch_size: int = 64) -> rd.Dataset:
-    return ds.map_batches(
-        AudioDecoder, batch_format="pyarrow",
-        batch_size=batch_size, concurrency=concurrency,
-    )
+def decode_audio(ds: rd.Dataset, batch_size: int = 64) -> rd.Dataset:
+    return ds.map_batches(decode_audio_batch, batch_format="pyarrow",
+                          batch_size=batch_size)
 
 
 def audio_features(ds: rd.Dataset, batch_size: int = 64) -> rd.Dataset:

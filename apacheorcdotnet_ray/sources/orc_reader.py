@@ -47,25 +47,13 @@ from datetime import date, timedelta
 import numpy as np
 
 from ..codecs import rlev1, rlev2, varint
-from ..codecs.bitpack import zigzag_decode_scalar
+from ..codecs.bitpack import read_varint_unsigned, zigzag_decode_scalar
 from ..predicate import bind, normalize_predicate
 from ..stripe import framing
 from ..stripe.columns import (_ABSENT, DATA, LENGTH, PRESENT, SECONDARY,
                               build_string_array, decode_array)
 
 # --- minimal protobuf wire-format reader -----------------------------------
-
-
-def _read_varint(buf: bytes, pos: int) -> tuple[int, int]:
-    result = 0
-    shift = 0
-    while True:
-        b = buf[pos]
-        pos += 1
-        result |= (b & 0x7F) << shift
-        if not b & 0x80:
-            return result, pos
-        shift += 7
 
 
 def pb_parse(buf: bytes) -> dict[int, list]:
@@ -77,27 +65,24 @@ def pb_parse(buf: bytes) -> dict[int, list]:
     out: dict[int, list] = {}
     pos = 0
     end = len(buf)
-    try:
-        while pos < end:
-            key, pos = _read_varint(buf, pos)
-            tag, wire = key >> 3, key & 7
-            if wire == 0:
-                val, pos = _read_varint(buf, pos)
-            elif wire == 2:
-                ln, pos = _read_varint(buf, pos)
-                val = buf[pos:pos + ln]
-                pos += ln
-            elif wire == 5:
-                val = int.from_bytes(buf[pos:pos + 4], "little")
-                pos += 4
-            elif wire == 1:
-                val = int.from_bytes(buf[pos:pos + 8], "little")
-                pos += 8
-            else:
-                raise ValueError(f"unsupported protobuf wire type {wire}")
-            out.setdefault(tag, []).append(val)
-    except IndexError:
-        raise ValueError("protobuf message ends inside a varint") from None
+    while pos < end:
+        key, pos = read_varint_unsigned(buf, pos)
+        tag, wire = key >> 3, key & 7
+        if wire == 0:
+            val, pos = read_varint_unsigned(buf, pos)
+        elif wire == 2:
+            ln, pos = read_varint_unsigned(buf, pos)
+            val = buf[pos:pos + ln]
+            pos += ln
+        elif wire == 5:
+            val = int.from_bytes(buf[pos:pos + 4], "little")
+            pos += 4
+        elif wire == 1:
+            val = int.from_bytes(buf[pos:pos + 8], "little")
+            pos += 8
+        else:
+            raise ValueError(f"unsupported protobuf wire type {wire}")
+        out.setdefault(tag, []).append(val)
     if pos > end:
         raise ValueError("protobuf field runs past the end of its message")
     return out
@@ -112,12 +97,9 @@ def pb_repeated_uint(values: list) -> list[int]:
     for v in values:
         if isinstance(v, (bytes, bytearray, memoryview)):
             pos = 0
-            try:
-                while pos < len(v):
-                    x, pos = _read_varint(v, pos)
-                    out.append(x)
-            except IndexError:
-                raise ValueError("packed field ends inside a varint") from None
+            while pos < len(v):
+                x, pos = read_varint_unsigned(v, pos)
+                out.append(x)
         else:
             out.append(int(v))
     return out

@@ -39,7 +39,9 @@ class StripeDecoder:
         # "skip" (log + drop the stripe — the operational mode for huge
         # corpora where one rotten file must not kill a day-long job; the
         # skip count is visible in Ray's captured task logs)
-        assert on_error in ("raise", "skip")
+        if on_error not in ("raise", "skip"):
+            raise ValueError(
+                f"on_error must be 'raise' or 'skip', not {on_error!r}")
         self.on_error = on_error
         # skip-mode safety net: when EVERY stripe of a task is corrupt, the
         # empty output still needs a schema (a schema-less pa.table({})

@@ -1,18 +1,18 @@
-"""StripeEncoder — the stateful encode stage (actor-pool `map_batches` callable).
+"""StripeEncoder — the encode stage, a task-pool `map_batches` callable.
 
 One Arrow batch in → one stripe file out + one metrics row back. The analog of
 the reference's StripeWriter+OrcWriter write path
 (``/root/reference/src/ApacheOrcDotNet/Stripes/StripeWriter.cs:123-191``) with
 the state discipline inverted to fit Ray: all dictionary/symbol-table/stats
 state is stripe-local (the reference resets it per stripe anyway,
-``StripeWriter.cs:186-190``), so the stage is a pure function of its batch —
-which makes Ray task retries idempotent: output names are content-hashed, a
-retried task rewrites the same file.
+``StripeWriter.cs:186-190``), so a stripe's bytes and its content-hashed
+name depend only on its own rows — which makes Ray task retries idempotent:
+a retried task rewrites the same file.
 
 Use as::
 
-    ds.map_batches(StripeEncoder, fn_constructor_kwargs=dict(out_dir=...),
-                   batch_format="pyarrow", batch_size=..., concurrency=N)
+    ds.map_batches(StripeEncoder(out_dir).__call__, batch_format="pyarrow",
+                   batch_size=...)
 """
 
 from __future__ import annotations
@@ -42,6 +42,22 @@ METRICS_SCHEMA = pa.schema(
 )
 
 
+def write_stripe_file(table: pa.Table, config: EncodeConfig, lineage: dict,
+                      out_dir: str, stem: str) -> tuple[str, str, int, int, dict]:
+    """Encode ``table`` as one stripe to ``out_dir/<stem>-<content hash>.oray``.
+
+    Returns (path, content hash, encoded bytes, DATA values, footer)."""
+    buf, footer = encode_stripe(table, config, lineage=lineage)
+    content_hash = hashlib.sha256(buf).hexdigest()[:16]
+    path = os.path.join(out_dir, f"{stem}-{content_hash}.oray")
+    tmp = path + f".tmp.{os.getpid()}"
+    with open(tmp, "wb") as f:
+        f.write(buf)
+    os.replace(tmp, path)  # atomic; a retried task overwrites identically
+    n_values = sum(s["n"] for s in footer["streams"] if s["kind"] == "DATA")
+    return path, content_hash, len(buf), n_values, footer
+
+
 class StripeEncoder:
     def __init__(
         self,
@@ -49,60 +65,30 @@ class StripeEncoder:
         config: EncodeConfig | None = None,
         key_column: str | None = None,
         lineage_columns: tuple[str, ...] = (),
-        adaptive_fsst_by: str | None = None,
     ):
         self.out_dir = out_dir
         self.config = config or EncodeConfig()
         self.key_column = key_column
         self.lineage_columns = lineage_columns
-        # per-ACTOR adaptive state: source value → {column: FSST symbol table}.
-        # Symbol tables are re-used across stripes of the same source (they
-        # are still serialized into every stripe, so stripes stay
-        # self-describing and independently decodable).
-        self.adaptive_fsst_by = adaptive_fsst_by
-        self._fsst_cache: dict = {}
         os.makedirs(out_dir, exist_ok=True)
-
-    def _fsst_tables_for(self, batch: pa.Table) -> dict | None:
-        if not self.adaptive_fsst_by or self.adaptive_fsst_by not in batch.column_names:
-            return None
-        if batch.num_rows == 0:
-            return None
-        col = batch.column(self.adaptive_fsst_by)
-        src = col[0].as_py()
-        if pc.count_distinct(col).as_py() != 1:
-            return None  # cache only applies to source-pure stripes
-        if len(self._fsst_cache) > 1024:
-            self._fsst_cache.clear()  # bound actor memory
-        return self._fsst_cache.setdefault(src, {})
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         t0 = time.perf_counter()
         lineage = self._lineage(batch)
-        buf, footer = encode_stripe(batch, self.config, lineage=lineage,
-                                    fsst_tables=self._fsst_tables_for(batch))
-        content_hash = hashlib.sha256(buf).hexdigest()[:16]
-        name = f"stripe-{batch.num_rows}-{content_hash}.oray"
-        path = os.path.join(self.out_dir, name)
-        tmp = path + f".tmp.{os.getpid()}"
-        with open(tmp, "wb") as f:
-            f.write(buf)
-        os.replace(tmp, path)  # atomic; a retried task overwrites identically
-        dt = time.perf_counter() - t0
-
-        n_values = sum(s["n"] for s in footer["streams"] if s["kind"] == "DATA")
+        path, content_hash, encoded_bytes, n_values, footer = write_stripe_file(
+            batch, self.config, lineage, self.out_dir, f"stripe-{batch.num_rows}")
         return pa.Table.from_pylist(
             [
                 {
                     "path": path,
                     "rows": batch.num_rows,
                     "raw_bytes": batch.nbytes,
-                    "encoded_bytes": len(buf),
+                    "encoded_bytes": encoded_bytes,
                     "n_values": n_values,
-                    "encode_seconds": dt,
+                    "encode_seconds": time.perf_counter() - t0,
                     "columns_json": json.dumps(footer["columns"]),
                     "content_hash": content_hash,
-                    "lineage_json": json.dumps(lineage or {}),
+                    "lineage_json": json.dumps(lineage),
                 }
             ],
             schema=METRICS_SCHEMA,

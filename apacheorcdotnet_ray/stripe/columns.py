@@ -146,15 +146,8 @@ def _decode_orc_nanos(frac: np.ndarray) -> np.ndarray:
 
 def encode_column(
     name: str, arr: pa.Array | pa.ChunkedArray, config: EncodeConfig,
-    fsst_tables: dict | None = None,
 ) -> tuple[str, list[Stream], dict]:
-    """Returns (encoding_name, streams, stats) for one top-level column chunk.
-
-    ``fsst_tables`` is an optional mutable per-actor cache (column name →
-    trained FSST symbol table): pass the same dict across stripes of one
-    ``source`` to amortize symbol-table training (the north-star stateful
-    actor-pool pattern; cf. the reference's per-stripe dictionary state,
-    StringWriter.cs:155-175)."""
+    """Returns (encoding_name, streams, stats) for one top-level column chunk."""
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
     if config.column_overrides:
@@ -165,7 +158,7 @@ def encode_column(
             config = replace(config, **ov, column_overrides={})
     stats = column_stats(arr)
     streams: list[Stream] = []
-    sink = _OraySink(name, config, {} if fsst_tables is None else fsst_tables, streams)
+    sink = _OraySink(name, config, streams)
     try:
         return encode_array(arr, sink).enc, streams, stats
     except NotImplementedError as e:
@@ -291,13 +284,12 @@ class _OraySink:
 
     truncate_seconds = False
 
-    def __init__(self, name: str, config: EncodeConfig, fsst_tables: dict,
-                 streams: list[Stream]):
-        self.name, self.config, self.fsst_tables = name, config, fsst_tables
+    def __init__(self, name: str, config: EncodeConfig, streams: list[Stream]):
+        self.name, self.config = name, config
         self.streams, self.enc = streams, None
 
     def child(self, i: int, path: str, arr: pa.Array) -> _OraySink:
-        return _OraySink(f"{self.name}.{path}", self.config, self.fsst_tables, self.streams)
+        return _OraySink(f"{self.name}.{path}", self.config, self.streams)
 
     def nested(self, form: str, kids: list[_OraySink]) -> None:
         inner = ",".join(k.enc for k in kids)
@@ -384,9 +376,7 @@ class _OraySink:
             import zlib
 
             sample = data[: 1 << 15]
-            table = self.fsst_tables.get(self.name)
-            if table is None:
-                table = self.fsst_tables[self.name] = fsst.train(sample)
+            table = fsst.train(sample)
             encoded = fsst.encode_chunk(sample, table=table)
             # compare post-zlib sizes — both streams get block-compressed later
             if len(zlib.compress(encoded, 1)) < 0.9 * len(zlib.compress(sample, 1)):

@@ -54,12 +54,8 @@ BLOOM_MAX_ENTRIES = 4558
 
 def encode_stripe(
     table: pa.Table, config: EncodeConfig | None = None, lineage: dict | None = None,
-    fsst_tables: dict | None = None,
 ) -> tuple[bytes, dict]:
-    """Encode one Arrow table (= one stripe) to container bytes + footer dict.
-
-    ``fsst_tables``: optional per-actor symbol-table cache shared across
-    stripes of the same source (see encode_column)."""
+    """Encode one Arrow table (= one stripe) to container bytes + footer dict."""
     config = config or EncodeConfig()
     if table.schema.metadata is not None or any(f.metadata for f in table.schema):
         # schemas with metadata are unhashable (breaks Ray's block-schema
@@ -112,7 +108,7 @@ def encode_stripe(
             by_kind: dict[tuple, list] = {}  # (subcol, kind) → [(si, Stream)]
             for si in range(n_strides):
                 sl = col.slice(bounds[si], stride_rows[si])
-                enc_name, streams, st = encode_column(name, sl, config, fsst_tables)
+                enc_name, streams, st = encode_column(name, sl, config)
                 row_index.append(st)
                 for s in streams:
                     by_kind.setdefault((s.col, s.kind), []).append((si, s))
@@ -169,7 +165,7 @@ def encode_stripe(
         stride_rows = None
         for name in table.column_names:
             col = table.column(name)
-            enc_name, streams, stats = encode_column(name, col, config, fsst_tables)
+            enc_name, streams, stats = encode_column(name, col, config)
             columns_meta.append({"name": name, "encoding": enc_name, "stats": stats})
             emit(streams)
 

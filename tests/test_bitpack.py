@@ -108,3 +108,54 @@ def test_subtraction_overflow():
     assert bitpack.subtraction_would_overflow(2**63 - 1, -2) is True
     assert bitpack.subtraction_would_overflow(-(2**63), 1) is True
     assert bitpack.subtraction_would_overflow(100, 50) is False
+
+
+_LONG_VARINT = b"\xff" * 10 + b"\x01"  # 11 bytes: past any uint64
+
+
+def test_varint_reader_bounds():
+    """One reader for every scalar varint: a uint64 of 10 bytes reads, an
+    11th byte or a buffer that ends inside the varint raises ValueError."""
+    out = bytearray()
+    bitpack.write_varint_unsigned(out, 2**64 - 1)
+    assert bitpack.read_varint_unsigned(bytes(out), 0) == (2**64 - 1, 10)
+    assert bitpack.read_varint_int64(bytes(out), 0) == (-1, 10)
+    with pytest.raises(ValueError, match="longer than 10 bytes"):
+        bitpack.read_varint_unsigned(_LONG_VARINT, 0)
+    with pytest.raises(ValueError, match="inside a varint"):
+        bitpack.read_varint_unsigned(b"\x80\x80", 0)
+
+
+def test_long_varint_raises_through_every_caller():
+    from apacheorcdotnet_ray.codecs import intdict, rlev1, rlev2
+    from apacheorcdotnet_ray.sources.orc_reader import pb_parse
+
+    assert pb_parse(b"\x08\x96\x01") == {1: [150]}
+    with pytest.raises(ValueError, match="longer than 10 bytes"):
+        pb_parse(b"\x08" + _LONG_VARINT)
+    # RLEv1 literal run of one value
+    assert rlev1.decode(b"\xff\x96\x01", False).tolist() == [150]
+    with pytest.raises(ValueError, match="longer than 10 bytes"):
+        rlev1.decode(b"\xff" + _LONG_VARINT, False)
+    # RLEv2 DELTA run of 34 values: base varint, then delta varint
+    assert rlev2.decode(b"\xc0\x21\x00\x06", False).tolist() == list(range(0, 100, 3))
+    with pytest.raises(ValueError, match="longer than 10 bytes"):
+        rlev2.decode(b"\xc0\x21" + _LONG_VARINT + b"\x06", False)
+    with pytest.raises(ValueError, match="longer than 10 bytes"):
+        intdict.decode(_LONG_VARINT + b"\x00\x00")
+
+
+def test_varint_run_of_continuation_bytes_raises_fast():
+    """1 MiB of 0xFF stops after 10 bytes instead of shifting one big int."""
+    import time
+
+    from apacheorcdotnet_ray.codecs import rlev1
+    from apacheorcdotnet_ray.sources.orc_reader import pb_parse
+
+    buf = b"\xff" * (1 << 20)
+    t0 = time.perf_counter()
+    for read in (lambda: bitpack.read_varint_unsigned(buf, 0),
+                 lambda: pb_parse(buf), lambda: rlev1.decode(buf, False)):
+        with pytest.raises(ValueError):
+            read()
+    assert time.perf_counter() - t0 < 1.0

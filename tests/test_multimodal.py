@@ -1,7 +1,7 @@
 """Multimodal pipeline: synthetic binary payloads through decode /
-feature-extract / resize / frame-sample actor-pool stages. The codec is a
-deterministic stub (no media libs in this container); the Ray plumbing —
-schema, batch flow, actor signature, list-column output — is real."""
+feature-extract / resize / frame-sample task-pool stages. The codec is a
+deterministic stub (no media libs); the Ray plumbing — schema, batch flow,
+list-column output — is real."""
 
 import numpy as np
 import pyarrow as pa
@@ -26,7 +26,7 @@ def test_synthesize_deterministic(ray_session):
 
 
 def test_decode_roundtrip(media_ds):
-    dec = mm.decode_media(media_ds, concurrency=2, batch_size=16).to_pandas()
+    dec = mm.decode_media(media_ds, batch_size=16).to_pandas()
     src = media_ds.to_pandas().set_index("media_id")
     assert len(dec) == len(src)
     for _, row in dec.iterrows():
@@ -38,9 +38,8 @@ def test_decode_roundtrip(media_ds):
 
 
 def test_decoder_rejects_garbage():
-    d = mm.MediaDecoder()
     with pytest.raises(ValueError):
-        d.decode_one(b"NOTAMEDIAFILE")
+        mm.decode_payload(b"NOTAMEDIAFILE")
 
 
 def test_features(media_ds):
@@ -130,14 +129,13 @@ def test_feature_stats_with_trailing_empty_item(ray_session):
     import numpy as np
     import pyarrow as pa
 
-    from apacheorcdotnet_ray.pipelines.multimodal import FeatureExtractor
+    from apacheorcdotnet_ray.pipelines.multimodal import pixel_features
 
-    fx = FeatureExtractor()
     batch = pa.table({
         "media_id": pa.array([1, 2], type=pa.int64()),
         "pixels": pa.array([list(range(10)), []], type=pa.list_(pa.uint8())),
     })
-    out = fx(batch)
+    out = pixel_features(batch)
     assert abs(out.column("mean_pixel")[0].as_py() - 4.5) < 1e-12
     assert out.column("mean_pixel")[1].as_py() == 0.0
 

@@ -214,43 +214,38 @@ def test_stripe_encoder_lineage_key_range_unsorted(tmp_path):
     assert footer["lineage"] == lineage
 
 
-def test_stripe_encoder_adaptive_fsst_cache(tmp_path):
-    """The encoder actor caches FSST symbol tables per source and reuses them
-    across stripes of the same source; output stripes stay self-describing."""
-    import numpy as np
+def test_stripe_bytes_depend_only_on_its_rows(tmp_path):
+    """A stripe's name and bytes are a function of its own rows: batch B
+    written after batch A of the same source (as ``encode_grouped`` does)
+    equals B written alone, on a prose column where FSST wins."""
     import pyarrow as pa
 
     from apacheorcdotnet_ray.stages.encode import StripeEncoder
-    from apacheorcdotnet_ray.stripe import EncodeConfig
-    from apacheorcdotnet_ray.stripe.container import decode_stripe
 
-    rng = np.random.default_rng(4)
-    words = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot"]
-    def mk_batch(n):
-        texts = [" ".join(rng.choice(words, 40)) + f" tail{i}" for i in range(n)]
+    def mk_batch(seed):
+        rng = np.random.default_rng(seed)
+        words = ["".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz"),
+                                    rng.integers(2, 9))) for _ in range(21)]
         return pa.table({
-            "doc_id": pa.array([f"d{i}" for i in range(n)]),
-            "body": pa.array(texts),
-            "source": pa.array(["s1"] * n),
+            "doc_id": pa.array(np.arange(300, dtype=np.int64) + seed * 1000),
+            "body": pa.array([" ".join(rng.choice(words, 20)) + f" tail{i}"
+                              for i in range(300)]),
+            "source": pa.array(["s1"] * 300),
         })
 
-    enc = StripeEncoder(out_dir=str(tmp_path), config=EncodeConfig(),
-                        adaptive_fsst_by="source")
-    b1, b2 = mk_batch(300), mk_batch(300)
-    enc(b1)
-    cached = enc._fsst_cache.get("s1")
-    if cached:  # fsst won the selector competition → table must be reused
-        t1 = dict(cached)
-        enc(b2)
-        assert enc._fsst_cache["s1"] is cached
-        for col, tbl in t1.items():
-            assert cached[col] is tbl
+    a, b = mk_batch(1), mk_batch(2)
 
-    # both stripes decode standalone
-    import glob
-    for p in glob.glob(str(tmp_path / "*.oray")):
-        t = decode_stripe(open(p, "rb").read())
-        assert t.num_rows == 300
+    def write(out, batches):
+        enc = StripeEncoder(out_dir=str(out), key_column="doc_id",
+                            lineage_columns=("source",))
+        path = [enc(t)["path"][0].as_py() for t in batches][-1]
+        return os.path.basename(path), open(path, "rb").read()
+
+    after_a = write(tmp_path / "after_a", [a, b])
+    alone = write(tmp_path / "alone", [b])
+    body = next(c for c in read_footer(alone[1])["columns"] if c["name"] == "body")
+    assert body["encoding"] == "fsst"
+    assert after_a == alone
 
 
 def test_distinct_count_and_hll(ray_session):
@@ -299,7 +294,7 @@ def test_predicate_pushdown_prunes_stripes(ray_session, tmp_path):
         "v": pa.array(np.arange(4000, dtype=np.float64) * 0.5),
     })
     out = str(tmp_path / "stripes")
-    encode_dataset(rd.from_arrow(t), out, batch_size=1000, concurrency=1).materialize()
+    encode_dataset(rd.from_arrow(t), out, batch_size=1000).materialize()
     paths = stripe_paths(out)
     assert len(paths) >= 4
 
@@ -328,7 +323,7 @@ def test_compact_stripes(ray_session, tmp_path):
         "k": pa.array(np.arange(2000, dtype=np.int64)),
     })
     small = str(tmp_path / "small")
-    encode_dataset(rd.from_arrow(t), small, batch_size=100, concurrency=1).materialize()
+    encode_dataset(rd.from_arrow(t), small, batch_size=100).materialize()
     n_small = len(stripe_paths(small))
     assert n_small >= 20
 

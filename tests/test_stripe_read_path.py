@@ -100,6 +100,14 @@ def test_skip_stripe_vanished_after_listing(ray_session, tmp_path):
     assert sorted(ds.to_pandas()["k"]) == list(range(10)) + list(range(20, 30))
 
 
+def test_unknown_on_error_raises_value_error(tmp_path):
+    """on_error is checked with a ValueError naming the allowed values,
+    not an assert that ``python -O`` strips."""
+    d = _tiny_stripes(tmp_path / "s", n_stripes=1)
+    with pytest.raises(ValueError, match="'raise' or 'skip'"):
+        read_stripes(d, on_error="ignore")
+
+
 @pytest.fixture(scope="module")
 def stripe_1000():
     rng = np.random.default_rng(5)
