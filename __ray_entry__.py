@@ -15,6 +15,7 @@ calls ray.init()/ray.shutdown().
 
 from __future__ import annotations
 
+import glob
 import hashlib
 import os
 from collections.abc import Callable
@@ -43,13 +44,30 @@ def _read(sf_dir: str, table: str, columns=None):
     return read_parquet_clean(_table_path(sf_dir, table), columns=columns)
 
 
+def _source_digest(pkg_dir: str) -> str:
+    """sha256 of a package's ``*.py`` sources: sorted relative paths and
+    their bytes."""
+    h = hashlib.sha256()
+    for path in sorted(glob.glob(os.path.join(pkg_dir, "**", "*.py"),
+                                 recursive=True)):
+        h.update(os.path.relpath(path, pkg_dir).encode() + b"\0")
+        with open(path, "rb") as f:
+            h.update(f.read())
+    return h.hexdigest()
+
+
 def _out_dir(sf_dir: str, tag: str) -> str:
+    """The query scratch directory of ``tag``, keyed on the inputs, the
+    format, the bloom scheme and the package's sources: outputs that
+    another checkout wrote are never reused."""
+    import apacheorcdotnet_ray
     from apacheorcdotnet_ray.stripe.container import BLOOM_HASH, FORMAT_VERSION
 
     paths = [_table_path(sf_dir, t) for t in
              ("lineitem", "documents", "embeddings")]
     fp = "|".join(f"{p}:{os.path.getsize(p)}" for p in paths if os.path.exists(p))
-    h = hashlib.sha256(f"{sf_dir}{fp}v{FORMAT_VERSION}{BLOOM_HASH}"
+    src = _source_digest(os.path.dirname(apacheorcdotnet_ray.__file__))
+    h = hashlib.sha256(f"{sf_dir}{fp}v{FORMAT_VERSION}{BLOOM_HASH}{src}"
                        .encode()).hexdigest()[:12]
     return os.path.join(_SCRATCH, f"{tag}-{h}")
 

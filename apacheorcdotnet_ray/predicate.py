@@ -6,10 +6,12 @@ stripe footer's, or an ORC file's) once, and each bound term then answers
 the three questions a reader asks at every prune level:
 
 - ``Term.may_match(stats)``: may any value in the stats' ``[min, max]``
-  satisfy the term? (stripe/stride footer stats, ORC file/stripe/row-group
-  statistics);
+  satisfy the term?
 - ``Term.probe``: the value a bloom filter may be probed with, or None;
 - ``Term.mask(array)`` / ``Bound.mask(table)``: which rows match exactly.
+
+``Bound.may_match`` is the one walk over the terms at every prune level:
+``.oray`` stripe and stride, ORC file, stripe and row group.
 
 The rule:
 
@@ -142,10 +144,13 @@ class Bound:
     def __init__(self, terms: list[Term], empty: bool):
         self.terms, self.empty = terms, empty
 
-    def may_match(self, stats_of) -> bool:
-        """``stats_of(col)`` → that column's stats dict (or None)."""
-        return not self.empty and all(t.may_match(stats_of(t.col))
-                                      for t in self.terms)
+    def may_match(self, stats_of, may_contain=lambda term: True) -> bool:
+        """May a unit (file, stripe, stride, row group) hold a match, by
+        ``stats_of(col)`` (that column's stats dict, or None) and then, for
+        terms with a ``probe``, by ``may_contain(term)`` (a bloom probe)?"""
+        return not self.empty \
+            and all(t.may_match(stats_of(t.col)) for t in self.terms) \
+            and all(may_contain(t) for t in self.terms if t.probe is not None)
 
     def mask(self, table: pa.Table):
         if self.empty:

@@ -27,9 +27,12 @@ source:
   driven by ``OrcFile.arrow_type``; ``_OrcSource`` holds ORC's dialects:
   RLEv1 or RLEv2 by column encoding, the Java/Hive timestamp second and
   128-bit decimal varints with a scale stream;
-- predicate reads seek by ROW_INDEX positions into the surviving row
-  groups for scalar kinds with v2 encodings; nested kinds and RLEv1
-  columns decode whole stripes;
+- predicate reads prune files, stripes and row groups through
+  ``predicate.Bound.may_match`` and read the kept units through
+  ``stripe/columns.read_units``, as ``.oray`` reads do: predicate columns
+  first, the rest only for units with a match. A unit is a row group,
+  sought by ROW_INDEX positions, when every column read is scalar with v2
+  encodings, else a whole stripe (nested kinds, RLEv1 columns);
 - the file is ``mmap``-ed, not slurped: only the tail plus the streams a
   read actually touches are ever paged in / copied;
 - ``read_table(columns=...)`` prunes at the decode (unrequested streams
@@ -51,7 +54,8 @@ from ..codecs.bitpack import read_varint_unsigned, zigzag_decode_scalar
 from ..predicate import bind, normalize_predicate
 from ..stripe import framing
 from ..stripe.columns import (_ABSENT, DATA, LENGTH, PRESENT, SECONDARY,
-                              build_string_array, decode_array)
+                              build_string_array, column_predicate_mask,
+                              decode_array, read_units)
 
 # --- minimal protobuf wire-format reader -----------------------------------
 
@@ -315,28 +319,21 @@ class OrcFile:
         return self._index(st, column, _KIND_BLOOM_FILTER_UTF8, lambda bd: (
             int(bd.get(1, [1])[0]), bd.get(3, [b""])[0]))
 
-    def _bloom_may_match(self, st: _Stripe, column: int, h: int) -> bool:
-        """False only when the column's blooms PROVE no row group of this
-        stripe holds the value of bloom hash ``h`` (equality terms).
-        Advisory: a stripe without blooms returns True."""
+    def _may_contain(self, st: _Stripe, column: int, h: int | None,
+                     g: int | None = None) -> bool:
+        """False only when the column's blooms PROVE that row group ``g``
+        (with ``g`` None, every row group) of this stripe lacks the value
+        of bloom hash ``h``; True without a hash or blooms."""
         from ..codecs.orc_bloom import bloom_might_contain
 
-        blooms = self.bloom_filters(st, column)
-        if blooms is None:
+        blooms = None if h is None else self.bloom_filters(st, column)
+        if not blooms:
             return True
-        return any(bool(bloom_might_contain(k, bits, h).all())
-                   for k, bits in blooms)
-
-    def _probe_hash(self, term) -> int | None:
-        """The ORC bloom hash of an equality term's ``probe`` (the literal
-        cast exactly to the column's type), or None: no probe, or a type
-        without a bloom hash here (numeric hashes need a known writer)."""
-        from ..codecs.orc_bloom import hash_literal
-
-        if term.probe is None:
-            return None
-        return hash_literal(term.probe.as_py(),
-                            dialect={0: "java", 1: "cpp"}.get(self.writer_impl))
+        if g is None:
+            return any(bool(bloom_might_contain(k, bits, h).all())
+                       for k, bits in blooms)
+        return len(blooms) != self._groups(st) \
+            or bool(bloom_might_contain(*blooms[g], h).all())
 
     def arrow_type(self, column: int) -> "pa.DataType":  # noqa: F821
         """The Arrow type a read gives this column: ``decode_array`` decodes
@@ -437,16 +434,18 @@ class OrcFile:
             return base + 1                      # ts nanos / decimal scale
         return None
 
-    def _read_groups(self, st: _Stripe, column: int, groups: list[int]):
-        """Decode ONLY the given row groups of one scalar column via
-        ROW_INDEX positions (works on foreign files too: seeks land on
-        run headers, the skip count crosses into mid-run group starts).
-        Returns the concatenated Arrow array, or None when this column
-        cannot group-decode (nested type, RLEv1 int encoding, missing or
-        unexpected index layout) — callers fall back to the full-stripe
-        decode."""
-        import pyarrow as pa
+    def _groups(self, st: _Stripe) -> int:
+        """The stripe's row-group count (0 without a row index stride)."""
+        stride = self.row_index_stride
+        return -(-st.number_of_rows // stride) if stride else 0
 
+    def _seek(self, st: _Stripe, column: int):
+        """``seek(g)`` → row group g's ``_OrcSource`` for one scalar column
+        of one stripe, through ROW_INDEX positions (works on foreign files
+        too: seeks land on run headers, the skip count crosses into mid-run
+        group starts); the groups share one chunk cache per stream. None
+        when this column cannot seek: nested type, RLEv1 int encoding, or a
+        missing or unexpected index layout."""
         kind = self.types[column].get(1, [0])[0]
         if kind not in self._GROUP_KINDS:
             return None
@@ -457,8 +456,7 @@ class OrcFile:
             # lengths, scales) is RLEv1, which has no seek decoder here
             return None
         ri = self._row_index(st, column)
-        stride = self.row_index_stride
-        if not ri or not stride:
+        if not ri or len(ri) != self._groups(st):
             return None
         spans = self._streams(st)
         # RowIndexEntry positions follow the LOGICAL stream order
@@ -485,16 +483,17 @@ class OrcFile:
         if any(len(p) != at for p, _ in ri):
             return None   # layout mismatch — never guess on foreign files
         base_n = 1 if self.codec == "none" else 2
-        # one chunk cache per stream: the selected groups share chunks
-        caches = {k: {} for k in layout}
-        bufs = {k: self._buf[off:off + ln]
-                for k, ((off, ln), _) in layout.items()}
+        caches = {k: {} for k in layout}  # chunk index → inflated bytes
+        bufs = {}  # a stream's bytes, copied out of the map on first use
 
         def seek(g):
             def at(k):
                 if k not in layout:
                     return None
-                p = ri[g][0][layout[k][1]]
+                (off, ln), sl = layout[k]
+                if k not in bufs:
+                    bufs[k] = self._buf[off:off + ln]
+                p = ri[g][0][sl]
                 state = p[base_n:]
                 if self.codec == "none":
                     return bufs[k], p[0], state
@@ -502,14 +501,55 @@ class OrcFile:
                 # chunks BEFORE the seek point are never touched
                 return (framing.decompress(bufs[k], self.codec, p[0],
                                            caches[k]), p[1], state)
-            return at
+            return _OrcSource(self, st, column, enc, at)
+        return seek
 
-        t = self.arrow_type(column)
-        parts = [decode_array(t, min(stride, st.number_of_rows - g * stride),
-                              _OrcSource(self, st, column, enc, seek(g)))
-                 for g in groups]
-        # callers skip stripes whose keep-set is empty
-        return pa.concat_arrays(parts) if parts else None
+    def _units(self, bound, stripes: list[_Stripe],
+               need: set[int]) -> list[tuple[_Stripe, int | None]]:
+        """The read's units, (stripe, row group), or (stripe, None) for a
+        whole stripe, each kept by ``bound.may_match``: a stripe by its
+        Metadata stats and any row group's bloom, then its row groups by
+        their ROW_INDEX stats and bloom. Row groups are the units only
+        where the plan drops one and every ``need``-ed column can seek."""
+        if bound is None:
+            return [(st, None) for st in stripes]
+        if bound.empty:
+            return []  # a term's column is not in this file
+        from ..codecs.orc_bloom import hash_literal
+
+        cid = dict(self._top_columns())
+        # each equality term's bloom hash (numeric hashes need the writer)
+        dialect = {0: "java", 1: "cpp"}.get(self.writer_impl)
+        h = {t: None if t.probe is None
+             else hash_literal(t.probe.as_py(), dialect=dialect)
+             for t in bound.terms}
+        meta = self.stripe_stats()
+        meta = (dict(zip(map(id, self.stripes), meta))
+                if len(meta) == len(self.stripes) else {})
+        units = []
+        for st in stripes:
+            n = self._groups(st)
+
+            def stats_of(g):  # a term column's ROW_INDEX stats of group g
+                def stats(c):
+                    ri = self._row_index(st, cid[c])
+                    return ri[g][1] if ri and len(ri) == n else None
+                return stats
+
+            def may_contain(g):
+                return lambda t: self._may_contain(st, cid[t.col], h[t], g)
+            if not bound.may_match(meta.get(id(st), {}).get,
+                                   may_contain(None)):
+                continue
+            keep = [g for g in range(n)
+                    if bound.may_match(stats_of(g), may_contain(g))]
+            if n and not keep:
+                continue  # every row group pruned
+            if len(keep) < n and all(self._seek(st, c) for c in need):
+                units += [(st, g) for g in keep]
+            else:
+                units.append((st, None))
+        return units
 
     def read_table(self, columns: list[str] | None = None,
                    predicate: tuple | None = None,
@@ -518,96 +558,53 @@ class OrcFile:
         FLOAT, BOOLEAN, TIMESTAMP, DATE, DECIMAL, STRUCT, LIST, MAP — nulls
         via PRESENT) into one Arrow table, entirely through this repo's
         codecs. ``columns`` prunes at the decode: unrequested columns'
-        streams are never decompressed. ``predicate`` = one (col, op, lit)
-        triple or a list of them (a conjunction): stripes are pruned by
-        the Metadata per-stripe statistics (+ bloom probes for equality
-        terms) before any stream is read, then row groups by ROW_INDEX
-        stats/blooms, all through ``predicate.py``. The result holds every
-        row of the surviving row groups: ``predicate.bind(...).filter``
-        keeps the matching ones (``read_orc_files`` does). Multi-stripe
-        files decode
-        stripe-by-stripe (nested types included) with one concat per
-        column at the top. ``stripe_indices`` restricts the decode to a
-        subset of stripes (the per-stripe Ray task unit)."""
+        streams are never decompressed. ``stripe_indices`` restricts the
+        decode to a subset of stripes (the per-stripe Ray task unit).
+
+        ``predicate`` = one (col, op, lit) triple or a list of them (a
+        conjunction): stripes are pruned by the Metadata per-stripe
+        statistics (+ bloom probes for equality terms) before any stream is
+        read, then row groups by ROW_INDEX stats/blooms, all through
+        ``predicate.py``; the kept units read through
+        ``columns.read_units``, predicate columns first. The result holds
+        every row of each kept row group that holds a match (a whole stripe
+        where a column cannot seek): ``predicate.bind(...).filter`` keeps
+        the matching ones (``read_orc_files`` does)."""
         import pyarrow as pa
 
         preds = normalize_predicate(predicate)
         bound = bind(preds, self.schema) if preds else None
-        stripes = self.stripes if stripe_indices is None \
-            else [self.stripes[i] for i in stripe_indices]
-        top = self._top_columns()
-        by_name = dict(top)
-        terms = []  # (term, column id, bloom hash or None)
-        if bound is not None:
-            if bound.empty:
-                stripes = []  # a term's column is not in this file
-            terms = [(t, by_name[t.col], self._probe_hash(t))
-                     for t in bound.terms]
-            per_stripe = self.stripe_stats()
-            if len(per_stripe) == len(self.stripes):
-                keep = {id(st) for st, ss in zip(self.stripes, per_stripe)
-                        if bound.may_match(ss.get)}
-                stripes = [st for st in stripes if id(st) in keep]
-            # equality: additionally probe BLOOM_FILTER_UTF8 streams
-            # (prunes stripes whose [min, max] matches but which cannot
-            # contain the literal)
-            for _, cid, h in terms:
-                if h is not None:
-                    stripes = [st for st in stripes
-                               if self._bloom_may_match(st, cid, h)]
-        want = [(ci, name) for name, ci in top
-                if columns is None or name in columns]
+        cid = dict(self._top_columns())
+        schema = pa.schema([(name, self.arrow_type(ci)) for name, ci
+                            in cid.items() if columns is None or name in columns])
+        need = {cid[n] for n in schema.names} \
+            | {cid[t.col] for t in (bound.terms if bound is not None else ())}
+        units = self._units(bound, self.stripes if stripe_indices is None
+                            else [self.stripes[i] for i in stripe_indices], need)
+        stride = self.row_index_stride
+        rows = [st.number_of_rows if g is None
+                else min(stride, st.number_of_rows - g * stride)
+                for st, g in units]
 
-        # row-group plan: inside each surviving stripe, keep only groups
-        # whose ROW_INDEX stats (and bloom, for equality) may match — the
-        # ORC seek-skip a production reader does. Kicks in only when every
-        # requested column can seek-decode (scalar, RLEv2-family).
-        plan: dict[int, list[int]] = {}
-        if terms and self.row_index_stride and stripes:
-            from ..codecs.orc_bloom import bloom_might_contain
+        def column(field_):
+            c, seekers = cid[field_.name], {}  # stripe → this pass's seek
 
-            stride = self.row_index_stride
-            for st in stripes:
-                K = -(-st.number_of_rows // stride)
-                keep = list(range(K))
-                for term, cid, h in terms:
-                    ri = self._row_index(st, cid)
-                    if not ri or len(ri) != K:
-                        continue  # this term can't narrow — stay safe
-                    keep = [g for g in keep if term.may_match(ri[g][1])]
-                    if h is not None and keep:
-                        blooms = self.bloom_filters(st, cid)
-                        if blooms and len(blooms) == K:
-                            keep = [g for g in keep if bool(
-                                bloom_might_contain(*blooms[g], h).all())]
-                if len(keep) < K:
-                    plan[id(st)] = keep
+            def source(i):
+                st, g = units[i]
+                if g is None:
+                    return _OrcSource(self, st, c)
+                if id(st) not in seekers:
+                    seekers[id(st)] = self._seek(st, c)
+                return seekers[id(st)](g)
 
-        per_col: dict[str, list] = {name: [] for _, name in want}
-        for st in stripes:
-            keep = plan.get(id(st))
-            done = None
-            if keep is not None:
-                if not keep:
-                    continue  # every row group pruned
-                done = {}
-                for ci, name in want:
-                    arr = self._read_groups(st, ci, keep)
-                    if arr is None:  # some column can't seek-decode
-                        done = None
-                        break
-                    done[name] = arr
-            if done is None:
-                done = {name: self._read_stripe(st, ci) for ci, name in want}
-            for _, name in want:
-                per_col[name].append(done[name])
-        cols = {}
-        for ci, name in want:
-            parts = per_col[name]
-            if not parts:  # every stripe pruned: typed empty column
-                parts = [pa.array([], type=self.arrow_type(ci))]
-            cols[name] = pa.concat_arrays(parts)
-        return pa.table(cols)
+            def decode(i):
+                st, g = units[i]
+                if g is None:
+                    return self._read_stripe(st, c)
+                return decode_array(field_.type, rows[i], source(i))
+            return decode, lambda i, t: column_predicate_mask(
+                field_, source(i), rows[i], t)
+        return read_units(schema, bound, rows, column)[0]
 
 
 _KINDS = {PRESENT: _KIND_PRESENT, DATA: _KIND_DATA, LENGTH: _KIND_LENGTH,
@@ -617,7 +614,7 @@ _KINDS = {PRESENT: _KIND_PRESENT, DATA: _KIND_DATA, LENGTH: _KIND_LENGTH,
 class _OrcSource:
     """``decode_array``'s source over one ORC column of one stripe: whole
     decompressed streams, or with ``seek`` a row group's streams from its
-    ROW_INDEX positions (``OrcFile._read_groups``). Integer streams are
+    ROW_INDEX positions (``OrcFile._seek``). Integer streams are
     RLEv1 or RLEv2 by the column encoding; strings may index the stripe's
     DICTIONARY_DATA; decimals are 128-bit varints plus a scale stream."""
 
@@ -752,8 +749,10 @@ def read_orc_files(paths, columns: list[str] | None = None,
     any term, or that lack a term's column, are never read beyond the tail
     (``OrcFile``'s checked tail parse on an mmap of the file; no stream
     is touched), surviving files prune STRIPES by Metadata stripe stats
-    (+ blooms) and ROW GROUPS by ROW_INDEX, and surviving rows are
-    filtered exactly on every term.
+    (+ blooms) and ROW GROUPS by ROW_INDEX, ``read_table`` drops the kept
+    units with no match, and surviving rows are filtered exactly on every
+    term. When every file is pruned, the result is an empty dataset of the
+    first file's schema, projected to ``columns``.
 
     Task granularity: one decode task per FILE by default;
     ``split_stripes=True`` makes it one task per STRIPE (a driver-side
@@ -775,10 +774,11 @@ def read_orc_files(paths, columns: list[str] | None = None,
     if not paths:
         raise FileNotFoundError("no .orc files matched")
     if preds:
-        kept = []
+        kept, schema = [], None
         for p in paths:
             f = OrcFile(p)  # tail only: schema and footer stats
             try:
+                schema = f.schema if schema is None else schema
                 if bind(preds, f.schema).may_match(f.file_stats().get):
                     kept.append(p)
             finally:
@@ -787,11 +787,14 @@ def read_orc_files(paths, columns: list[str] | None = None,
         if pruned:
             log.info("read_orc_files: footer stats pruned %d/%d files "
                      "(predicate %s)", pruned, len(paths), preds)
+        if not kept:
+            # a TYPED empty dataset, projected like a read: the first
+            # file's schema, as read_stripes gives the first footer's
+            if columns is not None:
+                schema = pa.schema([schema.field(c) for c in columns
+                                    if c in schema.names])
+            return rd.from_arrow(schema.empty_table())
         paths = kept
-        if not paths:
-            raise FileNotFoundError(
-                "every .orc file pruned by the predicate — no schema "
-                "available for an empty result")
 
     items = [{"path": p, "stripe": -1} for p in paths]
     if split_stripes:
@@ -804,14 +807,10 @@ def read_orc_files(paths, columns: list[str] | None = None,
 
     # the exact row filter needs every predicate column even when the
     # caller's projection excludes them — read them, filter, then drop
-    read_cols = columns
-    drop_after = []
-    if columns is not None and preds:
-        extra = [t[0] for t in preds if t[0] not in columns]
-        extra = list(dict.fromkeys(extra))
-        if extra:
-            read_cols = list(columns) + extra
-            drop_after = extra
+    read_cols = columns if columns is None else list(dict.fromkeys(
+        [*columns, *(col for col, _, _ in preds)]))
+    drop_after = [] if columns is None else [c for c in read_cols
+                                             if c not in columns]
 
     def decode(batch: pa.Table) -> pa.Table:
         tables = []
@@ -825,10 +824,7 @@ def read_orc_files(paths, columns: list[str] | None = None,
                 t = bind(preds, f.schema).filter(t)
             tables.append(t)
             f.close()
-        t = pa.concat_tables(tables)
-        if drop_after:
-            t = t.drop_columns(drop_after)
-        return t
+        return pa.concat_tables(tables).drop_columns(drop_after)
 
     return rd.from_items(items, override_num_blocks=len(items)) \
         .map_batches(decode, batch_format="pyarrow", batch_size=1)

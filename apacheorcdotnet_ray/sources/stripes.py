@@ -14,7 +14,7 @@ ColumnTypes/ColumnWriterStatistics.cs:12-33): stripe footers carry per-column
 min/max stats, so whole stripe files whose stat range cannot satisfy the
 predicate are pruned driver-side by a cheap tail read — only surviving
 stripes are scheduled, and each decode task returns only the matching rows.
-Every level evaluates the predicate through ``predicate.py``.
+Every level evaluates the predicate through ``predicate.Bound.may_match``.
 """
 
 from __future__ import annotations
@@ -74,23 +74,18 @@ def decode_paths(rows: list[dict], decoder: StripeDecoder) -> rd.Dataset:
 
 def stripe_may_match(footer: dict, predicate) -> bool:
     """May this stripe hold a row matching ``predicate``? Its footer stats,
-    and for equality terms its bloom (when hashed under ``BLOOM_HASH``),
-    decide; a term on a column the stripe lacks prunes it. Binding raises
-    ``ValueError`` for a literal the column cannot take."""
-    bound = bind(predicate, footer_schema(footer))
-    if bound.empty:
-        return False
+    and for equality terms its bloom (when hashed under ``BLOOM_HASH``;
+    the bloom prunes point lookups on unclustered keys that min/max
+    cannot), decide; a term on a column the stripe lacks prunes it.
+    Binding raises ``ValueError`` for a literal the column cannot take."""
     bloom_ok = footer.get("bloom_hash") == BLOOM_HASH
-    for term in bound.terms:
-        meta = column_meta(footer, term.col)
-        if not term.may_match(meta.get("stats")):
-            return False
-        # equality: the bloom prunes point lookups on unclustered keys
-        # that min/max cannot
-        if bloom_ok and term.probe is not None and "bloom" in meta \
-                and not bloom_may_contain(meta["bloom"], term.probe):
-            return False
-    return True
+
+    def may_contain(term) -> bool:
+        bloom = column_meta(footer, term.col).get("bloom")
+        return not bloom_ok or bloom is None \
+            or bloom_may_contain(bloom, term.probe)
+    return bind(predicate, footer_schema(footer)).may_match(
+        lambda c: column_meta(footer, c).get("stats"), may_contain)
 
 
 def map_footers(paths: list[str], fn) -> list:
@@ -154,12 +149,14 @@ def read_stripes(
     conjunction; ops and literal casts per ``predicate.py``, checked here
     before any task runs); stripes whose footer stats or blooms exclude any
     term are never read, row-indexed stripes additionally skip
-    non-qualifying strides, and the decode task late-materializes: the
-    predicate columns decode first, and only matching rows, projected to
-    ``columns``, leave the task. unify_schema=True tolerates schema-evolved
-    stripe sets: every batch conforms to the union of all footers' schemas,
-    with columns missing from a stripe decoded as typed nulls; a stripe
-    that lacks a predicate column holds no matching row."""
+    non-qualifying strides, and the decode task late-materializes
+    (``columns.read_units``): each stride's predicate columns decode
+    first, a stride with no match decodes nothing else, and only matching
+    rows, projected to ``columns``, leave the task. unify_schema=True
+    tolerates schema-evolved stripe sets: every batch conforms to the union
+    of all footers' schemas, with columns missing from a stripe decoded as
+    typed nulls; a stripe that lacks a predicate column holds no matching
+    row."""
     preds = normalize_predicate(predicate)
     paths = stripe_paths(stripe_dir)
     if not paths:

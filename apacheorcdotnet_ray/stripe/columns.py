@@ -19,7 +19,10 @@ sink. ``_OraySink`` competes the allow-listed codecs on actual encoded size
 each chunk, generalizing the reference's dictionary-vs-direct sample
 decision (``ColumnTypes/StringWriter.cs:83-96``); ``orc_writer._OrcSink``
 writes ORC's streams with per-row-group restarts. ``decode_array`` is the
-one streams → Arrow decoder, over a format's stream source.
+one streams → Arrow decoder, over a format's stream source, and
+``read_units`` the one selective-read driver above it: predicate columns
+first, the rest only for the units (``.oray`` strides, ORC row groups,
+whole stripes) that hold a match.
 """
 
 from __future__ import annotations
@@ -211,8 +214,7 @@ def encode_array(arr: pa.Array, sink):
     elif pa.types.is_decimal128(t):
         sink.decimals(np.frombuffer(arr.buffers()[1], dtype=np.int64, count=2 * len(arr),
                                     offset=arr.offset * 16).reshape(-1, 2), t)
-    elif (pa.types.is_string(t) or pa.types.is_large_string(t)
-          or pa.types.is_binary(t) or pa.types.is_large_binary(t)):
+    elif _is_text(t):
         if len(arr) and sink.wants_dictionary(arr):
             sink.dictionary(*_sorted_dictionary(arr))
         else:
@@ -241,6 +243,11 @@ def encode_array(arr: pa.Array, sink):
         sink.nested(form, [encode_array(c, sink.child(i, path, c))
                            for i, (path, c) in enumerate(kids)])
     return sink
+
+
+def _is_text(t: pa.DataType) -> bool:
+    return (pa.types.is_string(t) or pa.types.is_large_string(t)
+            or pa.types.is_binary(t) or pa.types.is_large_binary(t))
 
 
 def string_parts(valid: pa.Array) -> tuple[np.ndarray, bytes]:
@@ -414,6 +421,37 @@ def decode_array(t: pa.DataType, n_rows: int, src, values=None) -> pa.Array:
     return arr if mask is None else scatter_valid(arr, mask)
 
 
+def read_units(schema: pa.Schema, bound, rows: list[int], column):
+    """The one selective-read driver of ``.oray`` and ORC, over the units
+    (strides, row groups, stripes) a reader kept by ``bound.may_match``;
+    ``rows[i]`` is unit i's row count. ``column(field)`` opens one pass
+    over the units, whose caches live as long as the pass, and gives
+    ``decode(i)`` and ``mask(i, term)``: the term's mask on unit i's
+    encoded column, or None. Predicate columns decode first, units with no
+    match drop out, and ``schema``'s columns decode for the rest
+    (CompressDB's late materialization, SIGMOD 2022). Returns their rows,
+    match mask (None without ``bound``) and indexes."""
+    live, masks, got = range(len(rows)), {}, {}
+    for t in bound.terms if bound is not None else ():
+        decode, mask = column(pa.field(t.col, t.type))
+        arrs = got.setdefault(t.col, {})
+        for i in live:
+            m = None if i in arrs else mask(i, t)
+            if m is None:
+                arrs[i] = arrs[i] if i in arrs else decode(i)
+                m = t.mask(arrs[i])
+            masks[i] = pc.and_kleene(masks[i], m) if i in masks else m
+        live = [i for i in live if pc.any(masks[i]).as_py()]
+    cols = []
+    for f in schema:
+        arrs, decode = got.get(f.name, {}), column(f)[0] if live else None
+        cols.append(pa.chunked_array(
+            [arrs[i] if i in arrs else decode(i) for i in live], type=f.type))
+    mask = None if bound is None else pa.chunked_array(
+        [masks[i] for i in live], type=pa.bool_())
+    return pa.table(cols, schema=schema), mask, list(live)
+
+
 def _error(src, kind: str, msg: str) -> ValueError:
     return ValueError(f"{src.name} stream {kind}: {msg}")
 
@@ -480,8 +518,7 @@ def _values(t: pa.DataType, n: int, src) -> pa.Array:
         lanes = np.empty((n, 2), dtype=np.int64)
         lanes[:, 0], lanes[:, 1] = src.decimal_lanes(n, t)
         return _fixed(t, lanes)
-    if (pa.types.is_string(t) or pa.types.is_large_string(t)
-            or pa.types.is_binary(t) or pa.types.is_large_binary(t)):
+    if _is_text(t):
         d = src.dictionary(t)
         if d is not None:
             return d.take(pa.array(_dict_ids(src, len(d), n)))
@@ -561,17 +598,20 @@ def decode_column(field_: pa.Field, streams: list[Stream], n_rows: int) -> pa.Ar
     return decode_array(field_.type, n_rows, src)
 
 
-def column_predicate_mask(field_: pa.Field, streams: list[Stream], n_rows: int,
+def column_predicate_mask(field_: pa.Field, streams, n_rows: int,
                           term) -> pa.Array | None:
     """Evaluate a bound ``predicate.Term`` directly on a dict-encoded
-    string/binary column: ONE comparison over the (tiny) sorted dictionary,
-    then a fancy-index over the id stream — row strings never materialize
-    for the predicate (the classic predicate-on-encoded-data win for
-    low-cardinality columns). Returns None when the column isn't
-    dict-encoded; the caller then decodes + compares normally. Null rows
-    yield null (Kleene), matching ``term.mask`` on a decoded column."""
-    src = _OraySource({(s.col, s.kind): s for s in streams}, field_.name)
-    d = src.dictionary(field_.type)  # only strings have a DICT_DATA stream
+    string/binary column (``.oray`` streams, or a ``decode_array`` source):
+    ONE comparison over the (tiny) sorted dictionary, then a fancy-index
+    over the id stream — row strings never materialize for the predicate.
+    Returns None when the column isn't dict-encoded; the caller then
+    decodes + compares normally. Null rows yield null (Kleene), matching
+    ``term.mask`` on a decoded column."""
+    if not _is_text(field_.type):
+        return None
+    src = (_OraySource({(s.col, s.kind): s for s in streams}, field_.name)
+           if isinstance(streams, list) else streams)
+    d = src.dictionary(field_.type)
     if d is None:
         return None
     dmask = term.mask(d).to_numpy(zero_copy_only=False).astype(bool)

@@ -26,14 +26,16 @@ from itertools import accumulate
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..codecs.orc_bloom import (bloom_build, bloom_might_contain,
                                 hash_arrow_values)
 from ..predicate import bind, normalize_predicate
 from .columns import (Stream, column_predicate_mask, decode_column,
-                      encode_column)
+                      encode_column, read_units)
 from .config import EncodeConfig
-from .framing import BLOCK_SIZE, compress, decompress
+from .framing import (BLOCK_SIZE, block_offsets, compress, decompress,
+                      decompress_range)
 from .stats import merge_stats
 
 MAGIC = b"ORAY1"
@@ -267,12 +269,9 @@ def qualifying_strides(footer: dict, predicate) -> list[int]:
     """Stride indexes whose per-stride [min, max] may satisfy every term of
     ``predicate`` (a ``predicate.Bound``). Columns without a row index
     qualify every stride (conservative)."""
-    keep = list(range(len(footer.get("stride_rows", []))))
-    for term in predicate.terms:
-        ri = column_meta(footer, term.col).get("row_index")
-        if ri:
-            keep = [i for i in keep if term.may_match(ri[i])]
-    return keep
+    ris = {c["name"]: c.get("row_index") for c in footer["columns"]}
+    return [i for i in range(len(footer.get("stride_rows", [])))
+            if predicate.may_match(lambda c: ris[c][i] if ris.get(c) else None)]
 
 
 def decode_stripe(
@@ -287,20 +286,24 @@ def decode_stripe(
 
     Column pruning here is the analog of ORC's per-stream reads
     (Stripes/StripeStreamReader.cs:33-39): untouched columns' segments are
-    never decompressed. ``predicate`` = one (col, op, lit) term or a list
-    of them (see ``predicate.py``): only the matching rows are returned,
-    and predicate columns outside ``columns`` are read for the mask and
-    dropped. On stripes written with ``row_index_stride`` it first skips
-    whole strides whose footer row-index range excludes it — the ROW_INDEX
-    seek analog (ColumnWriterStatistics.cs:12-33). ``row_range`` = stripe-local
-    ``(start, stop)`` row positions: on strided stripes only the
+    never decompressed. The stripe reads as units, one per stride on
+    stripes written with ``row_index_stride`` and else the whole stripe,
+    through ``columns.read_units``. ``predicate`` = one (col, op, lit) term
+    or a list of them (see ``predicate.py``): strides whose footer
+    row-index range excludes it are skipped (``qualifying_strides``, the
+    ROW_INDEX seek analog, ColumnWriterStatistics.cs:12-33), the predicate
+    columns of each unit decode first, the other columns only for units
+    with a match, and only the matching rows are returned; predicate
+    columns outside ``columns`` are read for the mask and dropped.
+    ``row_range`` = stripe-local ``(start, stop)`` row positions: only the
     overlapping strides decompress (the ORC seek-to-row analog), then the
     exact slice is taken — the trainer fast-forward path. ``io_stats``,
     when passed, is filled with {bytes_read, bytes_decompressed,
-    strides_total, strides_read}. ``delete_mask`` (bool array over the
-    stripe's PHYSICAL rows, True = deleted; see stripe/deletes.py) is
-    applied as the final filter — with ``row_range`` the range addresses
-    physical rows and deleted rows are dropped from the slice after.
+    strides_total, strides_read, dict_masked_cols}. ``delete_mask`` (bool
+    array over the stripe's PHYSICAL rows, True = deleted; see
+    stripe/deletes.py) is applied as the final filter — with ``row_range``
+    the range addresses physical rows and deleted rows are dropped from the
+    slice after.
     """
     footer = read_footer(buf)
     if footer.get("version", 1) != FORMAT_VERSION:
@@ -308,40 +311,44 @@ def decode_stripe(
             f"stripe format v{footer.get('version', 1)} != reader v{FORMAT_VERSION};"
             " re-encode the input")
     schema = footer_schema(footer)
-    proj = [f for f in schema if columns is None or f.name in columns]
-    out_schema = pa.schema(proj)
+    out_schema = pa.schema([f for f in schema
+                            if columns is None or f.name in columns])
     preds = normalize_predicate(predicate)
     bound = bind(preds, schema) if preds else None
     if bound is not None and bound.empty:
         return out_schema.empty_table()  # a term's column is not in this stripe
     n_rows = footer["rows"]
     codec = footer.get("compression") or "none"
-
-    range_slice = None  # (local offset into the decoded strides, length)
-    range_sel = None    # stride indexes the range overlaps
+    stride_rows = footer.get("stride_rows")
+    # unit i spans rows [starts[i], starts[i + 1]): a stride, or the stripe
+    starts = list(accumulate(stride_rows if stride_rows is not None
+                             else [n_rows], initial=0))
+    sel = range(len(starts) - 1)  # the units read
+    range_slice = None  # (offset into the units read, length)
     if row_range is not None:
         if bound is not None:
             raise ValueError("row_range and predicate are mutually exclusive")
         r0, r1 = max(0, int(row_range[0])), min(int(row_range[1]), n_rows)
         if r0 >= r1:
             return out_schema.empty_table()
-        srs = footer.get("stride_rows")
-        if srs:
-            bounds = [0]
-            for sr in srs:
-                bounds.append(bounds[-1] + sr)
-            i0 = bisect.bisect_right(bounds, r0) - 1
-            i1 = bisect.bisect_left(bounds, r1)
-            range_sel = list(range(i0, i1))
-            range_slice = (r0 - bounds[i0], r1 - r0)
-        else:
-            range_slice = (r0, r1 - r0)
-
+        i0 = bisect.bisect_right(starts, r0) - 1
+        sel = range(i0, bisect.bisect_left(starts, r1))
+        range_slice = (r0 - starts[i0], r1 - r0)
+    elif bound is not None and stride_rows is not None:
+        sel = qualifying_strides(footer, bound)
+    if delete_mask is not None:
+        dm = np.asarray(delete_mask, dtype=bool)
+        if len(dm) != n_rows:
+            raise ValueError(
+                f"delete mask length {len(dm)} != stripe rows {n_rows}")
     if io_stats is not None:
         io_stats.setdefault("bytes_read", 0)
         io_stats.setdefault("bytes_decompressed", 0)
+        if stride_rows is not None:
+            io_stats["strides_total"] = len(stride_rows)
+            io_stats["strides_read"] = len(sel)
 
-    def make_stream(meta: dict) -> Stream:
+    def make_stream(meta: dict, si: int, state: dict) -> Stream:
         payload = buf[meta["offset"] : meta["offset"] + meta["length"]]
         expected = meta.get("crc32")
         if expected is not None and zlib.crc32(payload) != expected:
@@ -355,131 +362,70 @@ def decode_stripe(
         return Stream(meta["col"], meta["kind"], meta["codec"], data, meta["n"],
                       meta["params"])
 
-    def col_metas(name: str) -> list[dict]:
-        return [m for m in footer["streams"]
-                if m["col"] == name or m["col"].startswith(name + ".")]
+    def stride_stream(m: dict, si: int, state: dict) -> Stream | None:
+        ln = m["pos_len"][si]
+        if ln == 0:
+            return None
+        corrupt = (f"stripe stream corrupt: col={m['col']} "
+                   f"kind={m['kind']} stride={si}")
+        try:
+            if "seg" not in state:  # raw offsets = cumsum of pos_len
+                seg = buf[m["offset"] : m["offset"] + m["length"]]
+                state.update(seg=seg, cache={},
+                             pos_off=list(accumulate(m["pos_len"], initial=0)),
+                             offsets=(block_offsets(seg)
+                                      if codec != "none" else None))
+            data = decompress_range(
+                state["seg"], state["pos_off"][si], ln, codec,
+                m.get("bs", footer.get("block_size", BLOCK_SIZE)),
+                cache=state["cache"], io_stats=io_stats,
+                offsets=state["offsets"])
+        except ValueError as e:
+            raise ValueError(f"{corrupt} ({e})") from None
+        if zlib.crc32(data) != m["pos_crc"][si]:
+            raise ValueError(f"{corrupt} (crc mismatch)")
+        cdc = m["pos_codec"][si] if "pos_codec" in m else m["codec"]
+        prm = m["pos_params"][si] if "pos_params" in m else m["params"]
+        return Stream(m["col"], m["kind"], cdc, data, m["pos_n"][si], prm)
 
-    stride_rows = footer.get("stride_rows")
-    if stride_rows is not None:
-        sel = (range_sel if range_sel is not None
-               else qualifying_strides(footer, bound)
-               if bound is not None
-               else list(range(len(stride_rows))))
-        if io_stats is not None:
-            io_stats["strides_total"] = len(stride_rows)
-            io_stats["strides_read"] = len(sel)
-        block_size = footer.get("block_size", BLOCK_SIZE)
-        from .framing import block_offsets, decompress_range
+    read = make_stream if stride_rows is None else stride_stream
+    rows = [starts[si + 1] - starts[si] for si in sel]
+    masked = set()  # predicate columns masked on their dictionary
 
-        def stride_stream(m: dict, si: int, state: dict) -> Stream | None:
-            ln = m["pos_len"][si]
-            if ln == 0:
-                return None
-            corrupt = (f"stripe stream corrupt: col={m['col']} "
-                       f"kind={m['kind']} stride={si}")
-            try:
-                if "seg" not in state:  # raw offsets = cumsum of pos_len
-                    seg = buf[m["offset"] : m["offset"] + m["length"]]
-                    state.update(seg=seg, cache={},
-                                 pos_off=list(accumulate(m["pos_len"], initial=0)),
-                                 offsets=(block_offsets(seg)
-                                          if codec != "none" else None))
-                data = decompress_range(
-                    state["seg"], state["pos_off"][si], ln, codec,
-                    m.get("bs", block_size), cache=state["cache"],
-                    io_stats=io_stats, offsets=state["offsets"])
-            except ValueError as e:
-                raise ValueError(f"{corrupt} ({e})") from None
-            if zlib.crc32(data) != m["pos_crc"][si]:
-                raise ValueError(f"{corrupt} (crc mismatch)")
-            cdc = m["pos_codec"][si] if "pos_codec" in m else m["codec"]
-            prm = m["pos_params"][si] if "pos_params" in m else m["params"]
-            return Stream(m["col"], m["kind"], cdc, data, m["pos_n"][si], prm)
+    def column(field_):
+        metas = [m for m in footer["streams"] if m["col"] == field_.name
+                 or m["col"].startswith(field_.name + ".")]
+        states = [{} for _ in metas]  # per-stream block cache of this pass
+        last = {}  # unit → its streams: a mask, then a decode, reads once
 
-        def field_chunks(field_):
-            metas = col_metas(field_.name)
-            states = [dict() for _ in metas]  # per-stream block cache
-            for si in sel:
-                streams = [s for m, st in zip(metas, states)
-                           if (s := stride_stream(m, si, st)) is not None]
-                yield streams, stride_rows[si]
-    else:
-        def field_chunks(field_):
-            yield [make_stream(m) for m in col_metas(field_.name)], n_rows
+        def streams(i):
+            if i not in last:
+                last.clear()
+                last[i] = [s for m, st in zip(metas, states)
+                           if (s := read(m, sel[i], st)) is not None]
+            return last[i]
 
-    def decode_field(field_):
-        chunks = [decode_column(field_, s, n) for s, n in field_chunks(field_)]
-        return pa.chunked_array(chunks, type=field_.type) \
-            if chunks else pa.chunked_array([], type=field_.type)
+        def mask(i, term):
+            m = column_predicate_mask(field_, streams(i), rows[i], term)
+            if m is not None:
+                masked.add(field_.name)
+            return m
+        return (lambda i: decode_column(field_, streams(i), rows[i])), mask
 
-    def predicate_mask_field(field_, term):
-        # dictionary fast path: one compare over the tiny dict per chunk +
-        # a fancy-index over ids — row strings never materialize
-        out = []
-        for s, n in field_chunks(field_):
-            m = column_predicate_mask(field_, s, n, term)
-            if m is None:
-                return None
-            out.append(m)
-        return pa.chunked_array(out, type=pa.bool_()) \
-            if out else pa.chunked_array([], type=pa.bool_())
-
-    # late materialization (CompressDB-style compressed-scan refinement,
-    # PAPERS.md SIGMOD 2022): decode the predicate columns FIRST, and only
-    # materialize the remaining columns for stripes/strides where rows
-    # actually match — a selective scan never decodes non-matching data
-    decoded: dict[str, object] = {}
-    mask = None
-    if bound is not None:
-        import pyarrow.compute as pc
-
-        for term in bound.terms:
-            pred_field = schema.field(term.col)
-            m = None
-            if term.col not in decoded:
-                m = predicate_mask_field(pred_field, term)
-                if m is not None and io_stats is not None:
-                    io_stats["dict_masked_cols"] = \
-                        io_stats.get("dict_masked_cols", 0) + 1
-            if m is None:
-                if term.col not in decoded:
-                    decoded[term.col] = decode_field(pred_field)
-                m = term.mask(decoded[term.col])
-            mask = m if mask is None else pc.and_kleene(mask, m)
-            if not pc.any(mask).as_py():
-                return out_schema.empty_table()
-
-    cols = {f.name: decoded[f.name] if f.name in decoded else decode_field(f)
-            for f in proj}
-    tbl = pa.table(cols, schema=out_schema)
-
-    keep = None  # ~delete_mask aligned to the DECODED rows (selected strides)
+    tbl, mask, kept = read_units(out_schema, bound, rows, column)
+    if io_stats is not None and masked:
+        io_stats["dict_masked_cols"] = \
+            io_stats.get("dict_masked_cols", 0) + len(masked)
+    live = None  # ~delete_mask over the rows of the units kept
     if delete_mask is not None:
-        dm = np.asarray(delete_mask, dtype=bool)
-        if len(dm) != n_rows:
-            raise ValueError(
-                f"delete mask length {len(dm)} != stripe rows {n_rows}")
-        if stride_rows is not None and sel != list(range(len(stride_rows))):
-            bounds = [0]
-            for sr in stride_rows:
-                bounds.append(bounds[-1] + sr)
-            parts = [~dm[bounds[si]:bounds[si + 1]] for si in sel]
-            keep = (np.concatenate(parts) if parts
-                    else np.zeros(0, dtype=bool))
-        else:
-            keep = ~dm
-
+        live = np.concatenate([np.zeros(0, dtype=bool)] + [
+            ~dm[starts[sel[i]]:starts[sel[i] + 1]] for i in kept])
     if mask is not None:
-        if keep is not None:
-            import pyarrow.compute as pc
-
-            mask = pc.and_(mask, pa.array(keep))
-        tbl = tbl.filter(mask)  # non-matching rows never leave the task
-    elif range_slice is not None:
+        # non-matching rows never leave the task
+        return tbl.filter(mask if live is None
+                          else pc.and_(mask, pa.array(live)))
+    if range_slice is not None:
         tbl = tbl.slice(*range_slice)  # zero-copy exact-row trim
-        if keep is not None:
-            tbl = tbl.filter(pa.array(
-                keep[range_slice[0]:range_slice[0] + range_slice[1]]))
-    elif keep is not None:
-        tbl = tbl.filter(pa.array(keep))
-    return tbl
+        if live is not None:
+            live = live[range_slice[0]:sum(range_slice)]
+    return tbl if live is None else tbl.filter(pa.array(live))

@@ -1,10 +1,12 @@
 """Seeded mutation contract for both readers: a bit flip, a random byte or
 a 1-15 byte zero-fill anywhere in a file must give back a table or a
 ``ValueError`` raised by the reader, never another exception and never a
-hang.
+hang. Each mutated file is read twice: whole, and through a predicate
+(stride and row-group pruning, predicate columns first).
 
 - ``.oray``: every stream carries a CRC32, so a mutated stripe must decode
-  to exactly the input table or raise.
+  to exactly the input table (its matching rows, for the predicate read)
+  or raise.
 - ORC carries no checksum over stream payloads, so a mutated file may read
   back as different rows with no error; only the kind of outcome is
   checked. A pyarrow error type (``ArrowInvalid`` is a ``ValueError``)
@@ -19,12 +21,15 @@ import pyarrow as pa
 import pyarrow.orc as pa_orc
 import pytest
 
+from apacheorcdotnet_ray.predicate import bind
 from apacheorcdotnet_ray.sources.orc_reader import OrcFile
 from apacheorcdotnet_ray.sources.orc_writer import write_orc
 from apacheorcdotnet_ray.stripe import EncodeConfig, decode_stripe, encode_stripe
 
 N_ROWS = 3_000
 CASES = 400
+ORAY_PRED = ("k", ">=", 1_700)
+ORC_PRED = ("k", "==", 1_234)
 
 
 def _table(timestamps: bool) -> pa.Table:
@@ -69,8 +74,19 @@ def test_oray_mutations_decode_exactly_or_raise(stride):
     t = _table(timestamps=True)
     buf, _ = encode_stripe(t, EncodeConfig(row_index_stride=stride))
     assert decode_stripe(buf).equals(t)
+    want = bind(ORAY_PRED, t.schema).filter(t)
+    assert decode_stripe(buf, predicate=ORAY_PRED).equals(want)
     outcomes = {"equal": 0, "ValueError": 0}
+    pred_outcomes = {"equal": 0, "ValueError": 0}
     for mutated in _mutations(buf):
+        try:
+            got = decode_stripe(mutated, predicate=ORAY_PRED)
+        except Exception as e:  # noqa: BLE001 - the contract is the type
+            assert _reader_error(e), f"{type(e).__name__}: {e}"
+            pred_outcomes["ValueError"] += 1
+        else:
+            assert got.equals(want), "a mutated stripe matched other rows"
+            pred_outcomes["equal"] += 1
         try:
             got = decode_stripe(mutated)
         except Exception as e:  # noqa: BLE001 - the contract is the type
@@ -80,6 +96,7 @@ def test_oray_mutations_decode_exactly_or_raise(stride):
         assert got.equals(t), "a mutated stripe decoded to other rows"
         outcomes["equal"] += 1
     assert sum(outcomes.values()) == CASES
+    assert sum(pred_outcomes.values()) == CASES
 
 
 def _timeout(signum, frame):
@@ -99,24 +116,29 @@ def test_orc_mutations_read_or_raise(tmp_path, writer):
     path = str(tmp_path / "mutated.orc")
     old = signal.signal(signal.SIGALRM, _timeout)
     outcomes = {"table": 0, "ValueError": 0}
+    pred_outcomes = {"table": 0, "ValueError": 0}
     try:
         for mutated in _mutations(data):
             with open(path, "wb") as fh:
                 fh.write(mutated)
-            signal.alarm(10)
-            try:
-                f = OrcFile(path)
+            for predicate, counts in ((ORC_PRED, pred_outcomes),
+                                      (None, outcomes)):
+                signal.alarm(10)
                 try:
-                    got = f.read_table()
+                    f = OrcFile(path)
+                    try:
+                        got = f.read_table(predicate=predicate)
+                    finally:
+                        f.close()
+                except Exception as e:  # noqa: BLE001 - the contract is the type
+                    assert _reader_error(e), f"{type(e).__name__}: {e}"
+                    counts["ValueError"] += 1
+                    continue
                 finally:
-                    f.close()
-            except Exception as e:  # noqa: BLE001 - the contract is the type
-                assert _reader_error(e), f"{type(e).__name__}: {e}"
-                outcomes["ValueError"] += 1
-                continue
-            finally:
-                signal.alarm(0)
-            outcomes["table"] += 1
+                    signal.alarm(0)
+                assert isinstance(got, pa.Table)
+                counts["table"] += 1
     finally:
         signal.signal(signal.SIGALRM, old)
     assert sum(outcomes.values()) == CASES
+    assert sum(pred_outcomes.values()) == CASES

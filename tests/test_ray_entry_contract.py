@@ -63,3 +63,30 @@ def test_module_does_not_own_a_ray_session():
         and n.func.attr in ("init", "shutdown")
     ]
     assert not calls, f"__ray_entry__ calls ray.{calls} — driver owns the session"
+
+
+def test_out_dir_keys_on_the_package_sources(tmp_path, monkeypatch):
+    """Two copies of the package that differ in one stripe/ file get
+    different query scratch directories, so a gate run never decodes
+    outputs another checkout wrote; identical copies share one."""
+    import os
+    import shutil
+
+    import apacheorcdotnet_ray as pkg
+
+    e = _entry()
+    src = os.path.dirname(pkg.__file__)
+    copies = []
+    for name in ("a", "b", "c"):
+        dst = tmp_path / name / "apacheorcdotnet_ray"
+        shutil.copytree(src, dst, ignore=shutil.ignore_patterns("__pycache__"))
+        copies.append(dst)
+    with open(copies[1] / "stripe" / "framing.py", "a") as f:
+        f.write("\n# one changed line\n")
+
+    def out_dir(copy):
+        monkeypatch.setattr(pkg, "__file__", str(copy / "__init__.py"))
+        return e._out_dir(str(tmp_path), "rt-lineitem")
+    a, b, c = map(out_dir, copies)
+    assert a != b
+    assert a == c
