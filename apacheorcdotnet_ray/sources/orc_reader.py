@@ -54,8 +54,7 @@ from ..codecs.bitpack import read_varint_unsigned, zigzag_decode_scalar
 from ..predicate import bind, normalize_predicate
 from ..stripe import framing
 from ..stripe.columns import (_ABSENT, DATA, LENGTH, PRESENT, SECONDARY,
-                              build_string_array, column_predicate_mask,
-                              decode_array, read_units)
+                              build_string_array, decode_array, read_units)
 
 # --- minimal protobuf wire-format reader -----------------------------------
 
@@ -589,21 +588,14 @@ class OrcFile:
         def column(field_):
             c, seekers = cid[field_.name], {}  # stripe → this pass's seek
 
-            def source(i):
-                st, g = units[i]
-                if g is None:
-                    return _OrcSource(self, st, c)
-                if id(st) not in seekers:
-                    seekers[id(st)] = self._seek(st, c)
-                return seekers[id(st)](g)
-
             def decode(i):
                 st, g = units[i]
                 if g is None:
                     return self._read_stripe(st, c)
-                return decode_array(field_.type, rows[i], source(i))
-            return decode, lambda i, t: column_predicate_mask(
-                field_, source(i), rows[i], t)
+                if id(st) not in seekers:
+                    seekers[id(st)] = self._seek(st, c)
+                return decode_array(field_.type, rows[i], seekers[id(st)](g))
+            return decode, lambda i, t: None  # decode, then mask
         return read_units(schema, bound, rows, column)[0]
 
 

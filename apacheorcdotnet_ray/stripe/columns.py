@@ -214,7 +214,8 @@ def encode_array(arr: pa.Array, sink):
     elif pa.types.is_decimal128(t):
         sink.decimals(np.frombuffer(arr.buffers()[1], dtype=np.int64, count=2 * len(arr),
                                     offset=arr.offset * 16).reshape(-1, 2), t)
-    elif _is_text(t):
+    elif (pa.types.is_string(t) or pa.types.is_large_string(t)
+          or pa.types.is_binary(t) or pa.types.is_large_binary(t)):
         if len(arr) and sink.wants_dictionary(arr):
             sink.dictionary(*_sorted_dictionary(arr))
         else:
@@ -243,11 +244,6 @@ def encode_array(arr: pa.Array, sink):
         sink.nested(form, [encode_array(c, sink.child(i, path, c))
                            for i, (path, c) in enumerate(kids)])
     return sink
-
-
-def _is_text(t: pa.DataType) -> bool:
-    return (pa.types.is_string(t) or pa.types.is_large_string(t)
-            or pa.types.is_binary(t) or pa.types.is_large_binary(t))
 
 
 def string_parts(valid: pa.Array) -> tuple[np.ndarray, bytes]:
@@ -429,11 +425,14 @@ def read_units(schema: pa.Schema, bound, rows: list[int], column):
     ``decode(i)`` and ``mask(i, term)``: the term's mask on unit i's
     encoded column, or None. Predicate columns decode first, units with no
     match drop out, and ``schema``'s columns decode for the rest
-    (CompressDB's late materialization, SIGMOD 2022). Returns their rows,
-    match mask (None without ``bound``) and indexes."""
-    live, masks, got = range(len(rows)), {}, {}
+    (CompressDB's late materialization, SIGMOD 2022); a predicate column
+    masked on its encoding decodes in its own pass, so it inflates once.
+    Returns their rows, match mask (None without ``bound``) and indexes."""
+    live, masks, got, passes = range(len(rows)), {}, {}, {}
     for t in bound.terms if bound is not None else ():
-        decode, mask = column(pa.field(t.col, t.type))
+        if t.col not in passes:
+            passes[t.col] = column(pa.field(t.col, t.type))
+        decode, mask = passes[t.col]
         arrs = got.setdefault(t.col, {})
         for i in live:
             m = None if i in arrs else mask(i, t)
@@ -444,7 +443,9 @@ def read_units(schema: pa.Schema, bound, rows: list[int], column):
         live = [i for i in live if pc.any(masks[i]).as_py()]
     cols = []
     for f in schema:
-        arrs, decode = got.get(f.name, {}), column(f)[0] if live else None
+        arrs, decode = got.get(f.name, {}), None
+        if any(i not in arrs for i in live):
+            decode = (passes.get(f.name) or column(f))[0]
         cols.append(pa.chunked_array(
             [arrs[i] if i in arrs else decode(i) for i in live], type=f.type))
     mask = None if bound is None else pa.chunked_array(
@@ -518,7 +519,8 @@ def _values(t: pa.DataType, n: int, src) -> pa.Array:
         lanes = np.empty((n, 2), dtype=np.int64)
         lanes[:, 0], lanes[:, 1] = src.decimal_lanes(n, t)
         return _fixed(t, lanes)
-    if _is_text(t):
+    if (pa.types.is_string(t) or pa.types.is_large_string(t)
+            or pa.types.is_binary(t) or pa.types.is_large_binary(t)):
         d = src.dictionary(t)
         if d is not None:
             return d.take(pa.array(_dict_ids(src, len(d), n)))
@@ -598,20 +600,17 @@ def decode_column(field_: pa.Field, streams: list[Stream], n_rows: int) -> pa.Ar
     return decode_array(field_.type, n_rows, src)
 
 
-def column_predicate_mask(field_: pa.Field, streams, n_rows: int,
+def column_predicate_mask(field_: pa.Field, streams: list[Stream], n_rows: int,
                           term) -> pa.Array | None:
     """Evaluate a bound ``predicate.Term`` directly on a dict-encoded
-    string/binary column (``.oray`` streams, or a ``decode_array`` source):
-    ONE comparison over the (tiny) sorted dictionary, then a fancy-index
-    over the id stream — row strings never materialize for the predicate.
-    Returns None when the column isn't dict-encoded; the caller then
-    decodes + compares normally. Null rows yield null (Kleene), matching
-    ``term.mask`` on a decoded column."""
-    if not _is_text(field_.type):
-        return None
-    src = (_OraySource({(s.col, s.kind): s for s in streams}, field_.name)
-           if isinstance(streams, list) else streams)
-    d = src.dictionary(field_.type)
+    string/binary column: ONE comparison over the (tiny) sorted dictionary,
+    then a fancy-index over the id stream — row strings never materialize
+    for the predicate (the classic predicate-on-encoded-data win for
+    low-cardinality columns). Returns None when the column isn't
+    dict-encoded; the caller then decodes + compares normally. Null rows
+    yield null (Kleene), matching ``term.mask`` on a decoded column."""
+    src = _OraySource({(s.col, s.kind): s for s in streams}, field_.name)
+    d = src.dictionary(field_.type)  # only strings have a DICT_DATA stream
     if d is None:
         return None
     dmask = term.mask(d).to_numpy(zero_copy_only=False).astype(bool)

@@ -390,7 +390,7 @@ def decode_stripe(
 
     read = make_stream if stride_rows is None else stride_stream
     rows = [starts[si + 1] - starts[si] for si in sel]
-    masked = set()  # predicate columns masked on their dictionary
+    masked = set()  # ids of the terms masked on their dictionary
 
     def column(field_):
         metas = [m for m in footer["streams"] if m["col"] == field_.name
@@ -408,7 +408,7 @@ def decode_stripe(
         def mask(i, term):
             m = column_predicate_mask(field_, streams(i), rows[i], term)
             if m is not None:
-                masked.add(field_.name)
+                masked.add(id(term))
             return m
         return (lambda i: decode_column(field_, streams(i), rows[i])), mask
 

@@ -1,8 +1,10 @@
 """Seeded mutation contract for both readers: a bit flip, a random byte or
 a 1-15 byte zero-fill anywhere in a file must give back a table or a
 ``ValueError`` raised by the reader, never another exception and never a
-hang. Each mutated file is read twice: whole, and through a predicate
-(stride and row-group pruning, predicate columns first).
+hang. Mutated ``.oray`` stripes are also read through a predicate (stride
+pruning, predicate columns first), and a second ORC file with small row
+groups and a bloom is read only through one (row-group seeks and bloom
+probes).
 
 - ``.oray``: every stream carries a CRC32, so a mutated stripe must decode
   to exactly the input table (its matching rows, for the predicate read)
@@ -30,6 +32,8 @@ N_ROWS = 3_000
 CASES = 400
 ORAY_PRED = ("k", ">=", 1_700)
 ORC_PRED = ("k", "==", 1_234)
+ORC_STRIDE = 500
+ORC_COLUMNS = ["k", "s", "d"]
 
 
 def _table(timestamps: bool) -> pa.Table:
@@ -116,29 +120,71 @@ def test_orc_mutations_read_or_raise(tmp_path, writer):
     path = str(tmp_path / "mutated.orc")
     old = signal.signal(signal.SIGALRM, _timeout)
     outcomes = {"table": 0, "ValueError": 0}
-    pred_outcomes = {"table": 0, "ValueError": 0}
     try:
         for mutated in _mutations(data):
             with open(path, "wb") as fh:
                 fh.write(mutated)
-            for predicate, counts in ((ORC_PRED, pred_outcomes),
-                                      (None, outcomes)):
-                signal.alarm(10)
+            signal.alarm(10)
+            try:
+                f = OrcFile(path)
                 try:
-                    f = OrcFile(path)
-                    try:
-                        got = f.read_table(predicate=predicate)
-                    finally:
-                        f.close()
-                except Exception as e:  # noqa: BLE001 - the contract is the type
-                    assert _reader_error(e), f"{type(e).__name__}: {e}"
-                    counts["ValueError"] += 1
-                    continue
+                    got = f.read_table()
                 finally:
-                    signal.alarm(0)
-                assert isinstance(got, pa.Table)
-                counts["table"] += 1
+                    f.close()
+            except Exception as e:  # noqa: BLE001 - the contract is the type
+                assert _reader_error(e), f"{type(e).__name__}: {e}"
+                outcomes["ValueError"] += 1
+                continue
+            finally:
+                signal.alarm(0)
+            outcomes["table"] += 1
     finally:
         signal.signal(signal.SIGALRM, old)
     assert sum(outcomes.values()) == CASES
-    assert sum(pred_outcomes.values()) == CASES
+
+
+@pytest.mark.parametrize("writer", ["write_orc", "pyarrow"])
+def test_orc_row_group_predicate_mutations_read_or_raise(tmp_path, writer):
+    """Predicate reads of a file with 500-row groups and a bloom on ``k``:
+    the scalar columns read seek into the row groups that the ROW_INDEX
+    stats and per-group blooms keep."""
+    t = _table(timestamps=False)
+    src = str(tmp_path / "src.orc")
+    if writer == "pyarrow":
+        pa_orc.write_table(t, src, compression="zlib",
+                           row_index_stride=ORC_STRIDE,
+                           bloom_filter_columns=[1])  # ORC column id of k
+    else:
+        write_orc(t, src, row_index_stride=ORC_STRIDE, bloom_columns=["k"])
+    f = OrcFile(src)
+    # the one row group that holds k == 1234, whole: a row-group unit
+    assert f.read_table(columns=ORC_COLUMNS, predicate=ORC_PRED).equals(
+        t.select(ORC_COLUMNS).slice(1_000, ORC_STRIDE))
+    f.close()
+    with open(src, "rb") as fh:
+        data = fh.read()
+    path = str(tmp_path / "mutated.orc")
+    old = signal.signal(signal.SIGALRM, _timeout)
+    outcomes = {"table": 0, "ValueError": 0}
+    try:
+        for mutated in _mutations(data):
+            with open(path, "wb") as fh:
+                fh.write(mutated)
+            signal.alarm(10)
+            try:
+                f = OrcFile(path)
+                try:
+                    got = f.read_table(columns=ORC_COLUMNS, predicate=ORC_PRED)
+                finally:
+                    f.close()
+            except Exception as e:  # noqa: BLE001 - the contract is the type
+                assert _reader_error(e), f"{type(e).__name__}: {e}"
+                outcomes["ValueError"] += 1
+                continue
+            finally:
+                signal.alarm(0)
+            assert isinstance(got, pa.Table)
+            outcomes["table"] += 1
+    finally:
+        signal.signal(signal.SIGALRM, old)
+    assert sum(outcomes.values()) == CASES

@@ -1,10 +1,12 @@
 """The one selective-read driver (``stripe/columns.read_units``) on both
 formats: a unit kept by its statistics whose predicate column holds no
-exact match decodes no other column, and a predicate that prunes every
-ORC file still gives a typed dataset."""
+exact match decodes no other column, a dictionary-masked predicate column
+inflates once, and a predicate that prunes every ORC file still gives a
+typed dataset."""
 
 import numpy as np
 import pyarrow as pa
+import pytest
 
 from apacheorcdotnet_ray.predicate import bind
 from apacheorcdotnet_ray.sources import orc_reader
@@ -74,3 +76,18 @@ def test_read_orc_files_all_pruned_is_a_typed_empty_dataset(ray_session, tmp_pat
     assert ds.count() == 0
     assert ds.schema().names == ["v"]
     assert ds.schema().types == [pa.int64()]
+
+
+@pytest.mark.parametrize("stride", [None, 1_000])
+def test_oray_dictionary_predicate_column_inflates_once(stride):
+    """A dictionary-masked predicate column that the read also returns
+    decodes from the streams its mask inflated."""
+    t = _table().append_column("s", pa.array(["a", "b", "c"] * 1_000))
+    buf, _ = encode_stripe(t, EncodeConfig(row_index_stride=stride))
+    pred = [("s", ">=", "b"), ("s", "<=", "b")]
+    io = [{}, {}]
+    for cols, st in ((["v"], io[0]), (["v", "s"], io[1])):
+        got = decode_stripe(buf, columns=cols, predicate=pred, io_stats=st)
+        assert got.equals(bind(pred, t.schema).filter(t).select(cols))
+    assert io[0]["bytes_decompressed"] == io[1]["bytes_decompressed"]
+    assert io[0]["dict_masked_cols"] == io[1]["dict_masked_cols"] == 2  # per term
