@@ -11,7 +11,7 @@ statistics roll-ups.
 Layout:
   codecs/    pure NumPy codec kernels (no Ray) — bit-exact with the reference
   stripe/    stripe container format: column stream layout, footer, zlib framing
-  stages/    map_batches callables (encode/decode actors)
+  stages/    stateless map_batches callables (stripe encode/decode tasks)
   sources/   datasources + deterministic test-corpus synthesizers
   pipelines/ user-facing Ray Data pipelines (encode/decode/verify/dedup/...)
   state/     manifest + lineage records for resumable jobs

@@ -8,6 +8,8 @@ import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
+from .shuffle import grouped_sum
+
 
 def top_orders_by_revenue(
     lineitem: rd.Dataset, orders: rd.Dataset, min_total: float = 100_000.0,
@@ -19,7 +21,6 @@ def top_orders_by_revenue(
     while the filtered orders side is small, repartition shuffle at scale);
     per-order sums pre-aggregate inside bounded partitions; only k rows
     reach the driver-side head."""
-    from .dedup import _grouped_map
     from .joins import hash_join
 
     hot = orders.filter(expr=f"o_totalprice > {min_total}")
@@ -33,15 +34,10 @@ def top_orders_by_revenue(
         return pa.table({
             "l_orderkey": batch.column("l_orderkey"),
             "o_custkey": batch.column("o_custkey"),
-            "cents": pa.array(np.floor(v * 100).astype(np.int64)),
+            "revenue_cents": pa.array(np.floor(v * 100).astype(np.int64)),
         })
 
-    def reduce_part(df):
-        return df.groupby(["l_orderkey", "o_custkey"], sort=False,
-                          as_index=False)["cents"].sum() \
-            .rename(columns={"cents": "revenue_cents"})
-
-    per_order = _grouped_map(joined.map_batches(to_cents, batch_format="pyarrow"),
-                             ["l_orderkey"], reduce_part)
+    per_order = grouped_sum(joined.map_batches(to_cents, batch_format="pyarrow"),
+                            ["l_orderkey", "o_custkey"], ["revenue_cents"])
     return per_order.sort(["revenue_cents", "l_orderkey"],
                           descending=[True, False]).limit(k)

@@ -21,25 +21,16 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from .shuffle import grouped_sum
+from .text import word_freqs
+
 
 def word_histogram(ds: rd.Dataset, text_col: str = "text") -> tuple[np.ndarray, np.ndarray]:
     """Distributed (word, count) histogram: per-batch value_counts partial,
     bounded-partition sum, one vocabulary-sized driver collection."""
-    def partial(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col)
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        vc = pc.split_pattern(texts, " ").flatten().value_counts()
-        return pa.table({"w": vc.field("values"),
-                         "cnt": vc.field("counts").cast(pa.int64())})
-
-    from .dedup import _grouped_map
-
-    def reduce_part(df):
-        return df.groupby("w", sort=False, as_index=False)["cnt"].sum()
-
-    summed = _grouped_map(ds.map_batches(partial, batch_format="pyarrow"),
-                          ["w"], reduce_part)
+    summed = grouped_sum(ds.map_batches(word_freqs, fn_kwargs={"col": text_col},
+                                        batch_format="pyarrow"),
+                         ["w"], ["cnt"])
     rows = summed.take_all()  # vocabulary-sized by construction
     words = np.array([r["w"] for r in rows], dtype=object)
     counts = np.array([r["cnt"] for r in rows], dtype=np.int64)

@@ -20,6 +20,7 @@ import ray
 import ray.data as rd
 
 from .dedup import _batch_word_hashes, _batch_shingle_hashes
+from .shuffle import grouped_map
 from .text import STOPWORDS, word_counts
 
 
@@ -292,7 +293,7 @@ def curate_pipeline(
     group. Full documents never cross a shuffle: only (fp, doc_id, n_tok)
     survivor rows reach the bounded hash partitions. Returns
     (doc_id, n_tok) of the curated corpus."""
-    from .dedup import _grouped_map, _prefix_fingerprints
+    from .dedup import _prefix_fingerprints
 
     def gate(batch: pa.Table) -> pa.Table:
         keep = (_gopher_keep(batch, text_col, 30, 100_000, 2.5, 10.0, 2, 0.2)
@@ -312,4 +313,4 @@ def curate_pipeline(
         first = df.groupby("fp", sort=False, as_index=False).first()
         return first[[id_col, "n_tok"]]
 
-    return _grouped_map(survivors, ["fp"], keep_min, num_partitions)
+    return grouped_map(survivors, ["fp"], keep_min, num_partitions)

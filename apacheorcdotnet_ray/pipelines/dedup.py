@@ -12,98 +12,13 @@ from __future__ import annotations
 import logging
 
 import numpy as np
-
-# polars imports at module level: its lazy submodule init is not
-# thread-safe, and Ray workers can hit first-use concurrently from
-# multiple task threads (observed: AttributeError on polars._reexport)
-import polars  # noqa: F401
-
 import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
+from .shuffle import grouped_map, grouped_sum
+
 log = logging.getLogger(__name__)
-
-
-# ---------------------------------------------------------------------------
-# bounded hash-partition grouping
-#
-# Ray's groupby(...).map_groups(fn) invokes fn once per group; with
-# near-unique keys (LSH buckets, full texts) that is one Python call per row.
-# Instead: hash the key to a bounded partition id, groupby the partition id
-# (fixed number of groups regardless of key cardinality), and run a VECTORIZED
-# pandas group-reduction inside each partition. All rows of one key land in
-# one partition, so semantics match a per-key groupby; skew is bounded because
-# the partition key is a uniform hash.
-
-
-def _grouped_map(
-    ds: rd.Dataset, keys: list[str], fn, num_partitions: int = 64
-) -> rd.Dataset:
-    """groupby(keys)-equivalent with O(num_partitions) group invocations:
-    fn(df) receives complete key-groups and must itself reduce per key."""
-
-    def add_pk(batch: pa.Table) -> pa.Table:
-        import polars as pl
-
-        h = pl.from_arrow(batch.select(keys)).hash_rows(seed=1).to_numpy()
-        return batch.append_column(
-            "_pk", pa.array((h % np.uint64(num_partitions)).astype(np.int64))
-        )
-
-    return (
-        ds.map_batches(add_pk, batch_format="pyarrow")
-        .groupby("_pk")
-        .map_groups(lambda g: fn(g.drop(columns="_pk")), batch_format="pandas")
-        .map_batches(_strip_meta_drop_empty, batch_format="pyarrow",
-                     zero_copy_batch=True)
-    )
-
-
-def _grouped_map_arrow(
-    ds: rd.Dataset, keys: list[str], fn, num_partitions: int = 64
-) -> rd.Dataset:
-    """Arrow-format twin of ``_grouped_map``: fn(pa.Table) receives complete
-    key-groups, zero pandas conversion — the right variant when the payload
-    has list/tensor columns (object-dtype pandas would force per-row
-    materialization)."""
-
-    def add_pk(batch: pa.Table) -> pa.Table:
-        import polars as pl
-
-        h = pl.from_arrow(batch.select(keys)).hash_rows(seed=1).to_numpy()
-        return batch.append_column(
-            "_pk", pa.array((h % np.uint64(num_partitions)).astype(np.int64))
-        )
-
-    return (
-        ds.map_batches(add_pk, batch_format="pyarrow")
-        .groupby("_pk")
-        .map_groups(lambda g: fn(g.drop_columns(["_pk"])), batch_format="pyarrow")
-        .map_batches(_strip_meta_drop_empty, batch_format="pyarrow",
-                     zero_copy_batch=True)
-    )
-
-
-def _strip_meta(batch: pa.Table) -> pa.Table:
-    """Ray's pandas→Arrow conversion after map_groups re-attaches the pandas
-    metadata blob, making the schema unhashable (defeats Ray's block-schema
-    dedup and spams warnings downstream) — strip it (zero-copy). Shared by
-    every pandas map_groups consumer (_grouped_map, asof_join)."""
-    return batch.replace_schema_metadata(None) if batch.schema.metadata else batch
-
-
-def _strip_meta_drop_empty(batch: pa.Table):
-    """_strip_meta plus: DROP the zero-COLUMN blocks Ray's map_groups emits
-    for empty sort-range partitions (schema "."). They poison schema-strict
-    consumers — pa.Table.join inside Dataset.join's aggregators raises
-    'No match ... FieldRef' when such a block lands alone in a partition
-    (flaky, depends on range-partition sampling). Consumers whose whole
-    result may be empty keep their schema via a setops._schema_seed union
-    block, which this stage never sees."""
-    if batch.num_columns == 0:
-        return
-    yield _strip_meta(batch)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +132,7 @@ def dedup_exact(ds: rd.Dataset, key: str = "text", id_col: str = "doc_id") -> rd
     def keep_first(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby(key, sort=False, as_index=False)[id_col].min()[[id_col]]
 
-    return _grouped_map(ds.select_columns([id_col, key]), [key], keep_first)
+    return grouped_map(ds.select_columns([id_col, key]), [key], keep_first)
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +321,9 @@ def dedup_minhash_lsh(
                              "doc_b": duniq[pkey % n_docs]})
 
     postings = ds.map_batches(explode, batch_format="pyarrow")
-    pairs = _grouped_map(postings, ["band_id", "band_hash"], bucket_pairs,
-                         num_partitions)
-    pairs = _grouped_map(
+    pairs = grouped_map(postings, ["band_id", "band_hash"], bucket_pairs,
+                        num_partitions)
+    pairs = grouped_map(
         pairs, ["doc_a", "doc_b"],
         lambda df: df.drop_duplicates(["doc_a", "doc_b"]), num_partitions)
     # candidates are small (near-dups + band collisions); pin them so the
@@ -635,12 +550,12 @@ def dedup_simhash(ds: rd.Dataset, max_hamming: int = 3, blocks: int = 4) -> rd.D
                              "doc_b": duniq[dc_s[ib][hit]],
                              "hamming": d[hit]})
 
-    pairs = _grouped_map(
+    pairs = grouped_map(
         sigs.map_batches(explode, batch_format="pyarrow"),
         ["block_id", "block_val"],
         bucket_verify,
     )
-    return _grouped_map(
+    return grouped_map(
         pairs, ["doc_a", "doc_b"],
         lambda df: df.drop_duplicates(["doc_a", "doc_b"]),
     )
@@ -741,8 +656,8 @@ def dedup_ngram_jaccard(
         return c[j >= threshold][["doc_a", "doc_b", "jaccard"]]
 
     postings = ds.map_batches(explode, batch_format="pyarrow")
-    pairs = _grouped_map(postings, ["sh"], shingle_pairs)
-    return _grouped_map(pairs, ["doc_a", "doc_b"], count_and_score)
+    pairs = grouped_map(postings, ["sh"], shingle_pairs)
+    return grouped_map(pairs, ["doc_a", "doc_b"], count_and_score)
 
 
 def dup_clusters(pairs_ds: rd.Dataset, a_col: str = "doc_a", b_col: str = "doc_b") -> rd.Dataset:
@@ -871,11 +786,11 @@ def dedup_embedding_lsh(
                              "vec_b": duniq[dc_s[ib][hit]],
                              "cosine": sims[hit]})
 
-    pairs = _grouped_map(
+    pairs = grouped_map(
         emb_ds.map_batches(explode, batch_format="pyarrow"),
         ["band_id", "band_hash"], bucket_verify)
-    return _grouped_map(pairs, ["vec_a", "vec_b"],
-                        lambda df: df.drop_duplicates(["vec_a", "vec_b"]))
+    return grouped_map(pairs, ["vec_a", "vec_b"],
+                       lambda df: df.drop_duplicates(["vec_a", "vec_b"]))
 
 
 # ---------------------------------------------------------------------------
@@ -995,13 +910,9 @@ def dup_ngram_spans(
             .groupby(id_col, sort=False, as_index=False)["_d"].sum()
         return out.rename(columns={"_d": "n_dup"})
 
-    per_part = _grouped_map(ds.map_batches(postings, batch_format="pyarrow"),
-                            ["ng"], mark_dups, num_partitions)
-
-    def dup_reduce(df):
-        return df.groupby(id_col, sort=False, as_index=False)["n_dup"].sum()
-
-    dups = _grouped_map(per_part, [id_col], dup_reduce, num_partitions)
+    per_part = grouped_map(ds.map_batches(postings, batch_format="pyarrow"),
+                           ["ng"], mark_dups, num_partitions)
+    dups = grouped_sum(per_part, [id_col], ["n_dup"], num_partitions)
 
     def totals(batch: pa.Table) -> pa.Table:
         wc = pc.add(pc.count_substring(batch.column(text_col), " "), 1) \

@@ -7,7 +7,7 @@ training-data pipeline actually needs:
   every batch joins locally via Arrow's hash join — zero shuffle of the
   large side.
 - ``asof_join``: both sides co-partitioned by key via bounded hash
-  partitions (see dedup._grouped_map), then one vectorized
+  partitions (``shuffle.grouped_map``), then one vectorized
   ``pandas.merge_asof`` per partition — the composition pattern
   (map_batches + groupby + per-group sorted merge) for operators the
   Dataset API lacks. Partitioning assumption: all rows of one key fit in
@@ -20,6 +20,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray.data as rd
+
+from .shuffle import grouped_map
 
 
 def broadcast_hash_join(
@@ -63,8 +65,6 @@ def range_join_follow_counts(
     rank(ts_b) for right-ranks into the same sorted array."""
     import pandas as pd
 
-    from .dedup import _grouped_map
-
     delta = np.timedelta64(int(window_minutes * 60_000_000), "us")
 
     def count_part(df: pd.DataFrame) -> pd.DataFrame:
@@ -88,8 +88,8 @@ def range_join_follow_counts(
             "n_follow": (hi - lo).astype(np.int64),
         })
 
-    return _grouped_map(ds.select_columns([id_col, key, ts_col]), [key], count_part,
-                        num_partitions)
+    return grouped_map(ds.select_columns([id_col, key, ts_col]), [key], count_part,
+                       num_partitions)
 
 
 def asof_join(
@@ -139,13 +139,6 @@ def asof_join(
                                batch_format="pyarrow")
     both = l_norm.union(r_norm)
 
-    def add_pk(batch: pa.Table) -> pa.Table:
-        k = batch.column("_jk").to_numpy(zero_copy_only=False).astype(np.int64).view(np.uint64)
-        with np.errstate(over="ignore"):
-            pk = ((k * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(40)) \
-                % np.uint64(num_partitions)
-        return batch.append_column("_pk", pa.array(pk.astype(np.int64)))
-
     def merge_part(df: pd.DataFrame) -> pd.DataFrame:
         l = df[df["_side"] == "l"][["_id", "_jk", "_t"]].sort_values("_t", kind="mergesort")
         # deterministic tie-break: max value among right rows sharing (key, t)
@@ -153,10 +146,10 @@ def asof_join(
              .groupby(["_jk", "_t"], as_index=False)["_val"].max()
              .sort_values("_t", kind="mergesort"))
         if not len(l):
-            return pd.DataFrame({"_id": pd.Series(dtype="int64"),
-                                 "_t": pd.Series(dtype="datetime64[us]"),
-                                 "_val": pd.Series(dtype="float64")})
-        if not len(r):
+            merged = pd.DataFrame({"_id": pd.Series(dtype="int64"),
+                                   "_t": pd.Series(dtype="datetime64[us]"),
+                                   "_val": pd.Series(dtype="float64")})
+        elif not len(r):
             merged = l[["_id", "_t"]].copy()
             merged["_val"] = np.nan
         else:
@@ -167,20 +160,9 @@ def asof_join(
         merged["_id"] = merged["_id"].astype("int64")
         merged["_t"] = merged["_t"].astype("datetime64[us]")
         merged["_val"] = merged["_val"].astype("float64")
-        return merged
+        return merged.set_axis([left_id, left_on, right_value], axis=1)
 
-    out = (
-        both.map_batches(add_pk, batch_format="pyarrow")
-        .groupby("_pk")
-        .map_groups(merge_part, batch_format="pandas")
-    )
-
-    def rename(batch: pa.Table) -> pa.Table:
-        from .dedup import _strip_meta
-
-        return _strip_meta(batch.rename_columns([left_id, left_on, right_value]))
-
-    return out.map_batches(rename, batch_format="pyarrow")
+    return grouped_map(both, ["_jk"], merge_part, num_partitions)
 
 
 def hash_join(
@@ -276,13 +258,6 @@ def repartition_join(
     both = left.map_batches(norm("l"), batch_format="pyarrow").union(
         right.map_batches(norm("r"), batch_format="pyarrow"))
 
-    def add_pk(batch: pa.Table) -> pa.Table:
-        import polars as pl
-
-        h = pl.from_arrow(batch.select([left_on])).hash_rows(seed=3).to_numpy()
-        return batch.append_column(
-            "_pk", pa.array((h % np.uint64(num_partitions)).astype(np.int64)))
-
     join_type = {"inner": "inner", "left": "left outer",
                  "full": "full outer"}[how]
 
@@ -294,11 +269,8 @@ def repartition_join(
         r = tbl.filter(pc.invert(mask_l)).select([left_on] + r_cols)
         return l.join(r, keys=[left_on], join_type=join_type).select(all_cols)
 
-    return (
-        both.map_batches(add_pk, batch_format="pyarrow")
-        .groupby("_pk")
-        .map_groups(merge_part, batch_format="pyarrow")
-    )
+    return grouped_map(both, [left_on], merge_part, num_partitions,
+                       batch_format="pyarrow")
 
 
 def semi_join(ds: rd.Dataset, keys_ds: rd.Dataset, left_on: str,

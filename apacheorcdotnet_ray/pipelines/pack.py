@@ -1,7 +1,7 @@
 """Sequence packing: documents' token lists → fixed-length training
 sequences, the last tokens-axis mile of an LLM data pipeline.
 
-Docs are hash-partitioned (bounded partitions, like dedup._grouped_map) and
+Docs are hash-partitioned (bounded partitions, ``shuffle.grouped_map``) and
 packed greedily in deterministic doc-id order WITHIN each partition, so the
 operator is reproducible, shuffle-bounded, and each partition emits
 independent, self-contained sequences — on a cluster each ~1/N-th of the
@@ -20,6 +20,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray.data as rd
+
+from .shuffle import grouped_map
 
 
 def pack_sequences(
@@ -40,7 +42,6 @@ def pack_sequences(
       block-diagonal attention masking.
     - ``first_doc`` / ``n_docs``: lineage back to the packed documents.
     """
-    from .dedup import _grouped_map_arrow
 
     def pack(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -109,8 +110,8 @@ def pack_sequences(
             "tokens": tokens,
         })
 
-    return _grouped_map_arrow(ds.select_columns([id_col, tokens_col]), [id_col],
-                              pack, num_partitions)
+    return grouped_map(ds.select_columns([id_col, tokens_col]), [id_col],
+                       pack, num_partitions, batch_format="pyarrow")
 
 
 def _matrix_stream(packed, seq_len: int, batch_rows: int, start_batch: int):

@@ -17,6 +17,8 @@ import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
+from .shuffle import grouped_map
+
 _MOD = 2147483647          # 2^31 - 1
 _MULT = 2654435761         # Knuth multiplicative constant
 _BUCKETS = 1_000_000
@@ -80,15 +82,13 @@ def stratified_sample(
     pandas groupby head over hash order."""
     import pandas as pd
 
-    from .dedup import _grouped_map
-
     def pick(df: pd.DataFrame) -> pd.DataFrame:
         h = _row_hash(df[id_col].to_numpy())
         df = df.assign(_h=h).sort_values(["_h", id_col], kind="mergesort")
         out = df.groupby(key_col, sort=False).head(n_per_group)
         return out.drop(columns="_h")
 
-    return _grouped_map(ds, [key_col], pick, num_partitions)
+    return grouped_map(ds, [key_col], pick, num_partitions)
 
 
 def token_budget_sample(
@@ -183,8 +183,6 @@ def epoch_shuffle_rank(
     import pyarrow.compute as pc  # noqa: F401 (parallel import pattern)
     import ray
 
-    from .dedup import _grouped_map
-
     def _h(batch: pa.Table) -> np.ndarray:
         ids = batch.column(id_col).to_numpy(zero_copy_only=False)
         return _row_hash(ids.astype(np.int64) + epoch * 65599)
@@ -217,8 +215,8 @@ def epoch_shuffle_rank(
         return df.assign(
             epoch_rank=b[df["_b"].to_numpy()] + loc)[[id_col, "epoch_rank"]]
 
-    return _grouped_map(ds.map_batches(meta, batch_format="pyarrow"),
-                        ["_b"], local_rank, num_partitions)
+    return grouped_map(ds.map_batches(meta, batch_format="pyarrow"),
+                       ["_b"], local_rank, num_partitions)
 
 
 def weighted_sample(

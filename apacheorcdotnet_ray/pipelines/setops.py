@@ -11,7 +11,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
-from .dedup import _grouped_map
+from .shuffle import grouped_map
 
 
 def to_arrow_table(ds: rd.Dataset) -> pa.Table:
@@ -57,7 +57,7 @@ def intersect(a: rd.Dataset, b: rd.Dataset, cols: list[str],
         return ha.merge(hb, on=cols, how="inner")
 
     return _schema_seed(a, cols).union(
-        _grouped_map(_tagged_union(a, b, cols), cols, part, num_partitions))
+        grouped_map(_tagged_union(a, b, cols), cols, part, num_partitions))
 
 
 def except_(a: rd.Dataset, b: rd.Dataset, cols: list[str],
@@ -71,7 +71,7 @@ def except_(a: rd.Dataset, b: rd.Dataset, cols: list[str],
         return m[m["_merge"] == "left_only"][cols]
 
     return _schema_seed(a, cols).union(
-        _grouped_map(_tagged_union(a, b, cols), cols, part, num_partitions))
+        grouped_map(_tagged_union(a, b, cols), cols, part, num_partitions))
 
 
 def distinct(ds: rd.Dataset, cols: list[str], num_partitions: int = 64) -> rd.Dataset:
@@ -83,7 +83,7 @@ def distinct(ds: rd.Dataset, cols: list[str], num_partitions: int = 64) -> rd.Da
 
     proj = ds.map_batches(lambda b: b.select(cols), batch_format="pyarrow")
     return _schema_seed(ds, cols).union(
-        _grouped_map(proj, cols, part, num_partitions))
+        grouped_map(proj, cols, part, num_partitions))
 
 
 def union_distinct(a: rd.Dataset, b: rd.Dataset, cols: list[str],
@@ -94,4 +94,4 @@ def union_distinct(a: rd.Dataset, b: rd.Dataset, cols: list[str],
         return df[cols].drop_duplicates()
 
     return _schema_seed(a, cols).union(
-        _grouped_map(_tagged_union(a, b, cols), cols, part, num_partitions))
+        grouped_map(_tagged_union(a, b, cols), cols, part, num_partitions))

@@ -14,6 +14,8 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from .shuffle import grouped_map
+
 
 def _to_matrix(col) -> np.ndarray:
     arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
@@ -276,8 +278,6 @@ def knn_join_ivf(
     ``knn_join``)."""
     import pandas as pd
 
-    from .dedup import _grouped_map, _grouped_map_arrow
-
     if n_probe is None:
         n_probe = n_centroids
     cent = train_centroids(emb_ds, n_centroids, emb_col=emb_col)
@@ -338,9 +338,9 @@ def knn_join_ivf(
                              "cosine": pa.array([], type=pa.float64())})
         return pa.concat_tables(out)
 
-    cand = _grouped_map_arrow(
+    cand = grouped_map(
         emb_ds.map_batches(explode, batch_format="pyarrow"),
-        ["bucket"], bucket_knn, num_partitions)
+        ["bucket"], bucket_knn, num_partitions, batch_format="pyarrow")
 
     def reduce_topk(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values([id_col, "cosine", "nn_id"],
@@ -349,7 +349,7 @@ def knn_join_ivf(
         df = df[df["rank"] < k]
         return df[[id_col, "rank", "nn_id", "cosine"]]
 
-    return _grouped_map(cand, [id_col], reduce_topk, num_partitions)
+    return grouped_map(cand, [id_col], reduce_topk, num_partitions)
 
 
 def ivf_topk(emb_ds: rd.Dataset, query_vecs: np.ndarray, k: int = 10,

@@ -19,6 +19,7 @@ import polars  # noqa: F401
 import ray.data as rd
 
 from ..stripe.stats import column_stats, merge_stats
+from .shuffle import grouped_map, grouped_sum
 
 
 def dataset_column_stats(ds: rd.Dataset, columns: list[str] | None = None) -> dict[str, dict]:
@@ -102,10 +103,8 @@ def distinct_count(ds: rd.Dataset, col: str) -> pa.Table:
 
         return pd.DataFrame({"n": [df[col].nunique()]})
 
-    from .dedup import _grouped_map
-
     uniq = ds.map_batches(batch_unique, batch_format="pyarrow")
-    parts = _grouped_map(uniq, [col], part_count).take_all()
+    parts = grouped_map(uniq, [col], part_count).take_all()
     return pa.table({"n_distinct": pa.array([sum(r["n"] for r in parts)], type=pa.int64())})
 
 
@@ -210,8 +209,6 @@ def sessionize(
     import numpy as np
     import pandas as pd
 
-    from .dedup import _grouped_map
-
     gap = pd.Timedelta(minutes=gap_minutes)
 
     def count_sessions(df: pd.DataFrame) -> pd.DataFrame:
@@ -224,8 +221,8 @@ def sessionize(
         out["n_events"] = g.size()
         return out.reset_index()
 
-    return _grouped_map(ds.select_columns([user_col, ts_col]), [user_col],
-                        count_sessions)
+    return grouped_map(ds.select_columns([user_col, ts_col]), [user_col],
+                       count_sessions)
 
 
 def quantile_exact(ds: rd.Dataset, col: str, q: float, bins: int = 4096) -> float:
@@ -308,8 +305,6 @@ def top_k_by_group(ds: rd.Dataset, group: str, col: str, k: int = 3) -> rd.Datas
     vectorized pandas sort + cumcount head."""
     import pandas as pd
 
-    from .dedup import _grouped_map
-
     def partial(batch: pa.Table) -> pa.Table:
         g = batch.group_by([group, col]).aggregate([([], "count_all")])
         return g.rename_columns([group, col, "p_cnt"])
@@ -323,7 +318,7 @@ def top_k_by_group(ds: rd.Dataset, group: str, col: str, k: int = 3) -> rd.Datas
         return out[[group, col, "cnt", "rank"]]
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
-    return _grouped_map(partials, [group], reduce_part)
+    return grouped_map(partials, [group], reduce_part)
 
 
 def group_stats_by(ds: rd.Dataset, key: str, sum_col: str) -> rd.Dataset:
@@ -471,8 +466,6 @@ def group_quantile(ds: rd.Dataset, key: str, value_col: str, q: float = 0.5,
     import numpy as np
     import pandas as pd
 
-    from .dedup import _grouped_map
-
     def pick(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values([key, value_col], kind="mergesort")
         sizes = df.groupby(key, sort=False)[value_col].transform("size").to_numpy()
@@ -481,8 +474,8 @@ def group_quantile(ds: rd.Dataset, key: str, value_col: str, q: float = 0.5,
         out = df[take][[key, value_col]]
         return out.rename(columns={value_col: f"q{int(q * 100)}"})
 
-    return _grouped_map(ds.select_columns([key, value_col]), [key], pick,
-                        num_partitions)
+    return grouped_map(ds.select_columns([key, value_col]), [key], pick,
+                       num_partitions)
 
 
 def group_rollup(ds: rd.Dataset, key: str, value_col: str) -> rd.Dataset:
@@ -526,13 +519,8 @@ def value_histogram(ds: rd.Dataset, col: str, bin_width: float = 10.0) -> rd.Dat
         return pa.table({"bin": pa.array(vals),
                          "n": pa.array(counts.astype(np.int64))})
 
-    from .dedup import _grouped_map
-
-    def reduce_part(df):
-        return df.groupby("bin", sort=False, as_index=False)["n"].sum()
-
-    return _grouped_map(ds.map_batches(partial, batch_format="pyarrow"),
-                        ["bin"], reduce_part)
+    return grouped_sum(ds.map_batches(partial, batch_format="pyarrow"),
+                       ["bin"], ["n"])
 
 
 def corr_columns(ds: rd.Dataset, x: str, y: str) -> pa.Table:
@@ -579,8 +567,6 @@ def running_total(
     floor-millis integers so the oracle compares value-exactly."""
     import numpy as np
 
-    from .dedup import _grouped_map
-
     def cum(df):
         df = df.sort_values([user_col, ts_col, id_col], kind="mergesort")
         millis = np.floor(df[value_col].to_numpy() * 1000).astype(np.int64)
@@ -588,7 +574,7 @@ def running_total(
         df["cum_millis"] = df.groupby(user_col, sort=False)["cum_millis"].cumsum()
         return df[[id_col, user_col, "cum_millis"]]
 
-    return _grouped_map(
+    return grouped_map(
         ds.select_columns([id_col, user_col, ts_col, value_col]),
         [user_col], cum)
 
@@ -600,7 +586,6 @@ def event_paths(
     """Per-user ordered event-type path (the string_agg ... ORDER BY window
     shape, used for funnel/journey mining). Bounded hash partitions on the
     user key; per-partition one sort + join-aggregation."""
-    from .dedup import _grouped_map
 
     def agg(df):
         df = df.sort_values([user_col, ts_col, id_col], kind="mergesort")
@@ -609,7 +594,7 @@ def event_paths(
         out["n_events"] = g.size()
         return out.reset_index()
 
-    return _grouped_map(
+    return grouped_map(
         ds.select_columns([user_col, ts_col, id_col, type_col]),
         [user_col], agg)
 
@@ -680,8 +665,6 @@ def windowed_distinct(ds: rd.Dataset, ts_col: str = "ts",
     reduction a groupby over raw events could never afford."""
     import pyarrow.compute as pc
 
-    from .dedup import _grouped_map
-
     def partial(batch: pa.Table) -> pa.Table:
         ws = pc.floor_temporal(batch.column(ts_col), unit=window)
         t = pa.table({"window_start": ws, "id": batch.column(id_col)})
@@ -693,8 +676,8 @@ def windowed_distinct(ds: rd.Dataset, ts_col: str = "ts",
         out["n_distinct"] = out["n_distinct"].astype("int64")
         return out
 
-    return _grouped_map(ds.map_batches(partial, batch_format="pyarrow"),
-                        ["window_start"], reduce_part)
+    return grouped_map(ds.map_batches(partial, batch_format="pyarrow"),
+                       ["window_start"], reduce_part)
 
 
 def profile_table(ds: rd.Dataset, columns: list[str] | None = None) -> pa.Table:
@@ -777,8 +760,6 @@ def lag_delta(
     Python."""
     import numpy as np
 
-    from .dedup import _grouped_map
-
     def lag(df):
         df = df.sort_values([user_col, ts_col, id_col], kind="mergesort")
         ms = df[ts_col].to_numpy().astype("datetime64[ms]").astype(np.int64)
@@ -792,7 +773,7 @@ def lag_delta(
         out["delta_ms"] = out["delta_ms"].astype("Int64")
         return out
 
-    return _grouped_map(
+    return grouped_map(
         ds.select_columns([id_col, user_col, ts_col]), [user_col], lag)
 
 
@@ -842,8 +823,6 @@ def group_dense_rank(
     import numpy as np
     import pandas as pd
 
-    from .dedup import _grouped_map
-
     def rank_part(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
             return pd.DataFrame({id_col: np.array([], dtype=np.int64),
@@ -867,5 +846,5 @@ def group_dense_rank(
             "drank": (cum - base).astype(np.int64),
         })
 
-    return _grouped_map(ds.select_columns([id_col, key, val]), [key],
-                        rank_part, num_partitions)
+    return grouped_map(ds.select_columns([id_col, key, val]), [key],
+                       rank_part, num_partitions)

@@ -21,6 +21,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
+from .shuffle import grouped_map, grouped_sum
+
 VOCAB = 50257
 STOPWORDS = ("the", "a", "of", "and", "to", "in", "is", "on")
 
@@ -29,6 +31,18 @@ def word_counts(batch: pa.Table, col: str = "text") -> pa.Array:
     """Words per doc when splitting on single spaces (== DuckDB
     len(string_split(text, ' ')))."""
     return pc.add(pc.count_substring(batch.column(col), " "), 1)
+
+
+def word_freqs(batch: pa.Table, col: str = "text") -> pa.Table:
+    """One batch's word histogram (w, cnt int64), splitting on single
+    spaces: the per-batch partial of a distributed word count, summed per
+    word by ``grouped_sum``."""
+    texts = batch.column(col)
+    if isinstance(texts, pa.ChunkedArray):
+        texts = texts.combine_chunks()
+    vc = pc.split_pattern(texts, " ").flatten().value_counts()
+    return pa.table({"w": vc.field("values"),
+                     "cnt": vc.field("counts").cast(pa.int64())})
 
 
 def token_count(ds: rd.Dataset) -> rd.Dataset:
@@ -236,13 +250,8 @@ def ngram_counts(ds: rd.Dataset, n: int = 2, k: int = 10,
         vc = grams.value_counts()
         return pa.table({"ng": vc.field("values"), "cnt": vc.field("counts")})
 
-    from .dedup import _grouped_map
-
-    def reduce_part(df):
-        return df.groupby("ng", sort=False, as_index=False)["cnt"].sum()
-
-    summed = _grouped_map(ds.map_batches(partial, batch_format="pyarrow"),
-                          ["ng"], reduce_part)
+    summed = grouped_sum(ds.map_batches(partial, batch_format="pyarrow"),
+                         ["ng"], ["cnt"])
     return summed.sort(["cnt", "ng"], descending=[True, False]).limit(k)
 
 
@@ -262,21 +271,9 @@ def oov_rate(ds: rd.Dataset, k: int = 200, text_col: str = "text",
     import ray
     from ray.data.aggregate import Sum
 
-    from .dedup import _grouped_map
-
-    def wc_partial(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col)
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        vc = pc.split_pattern(texts, " ").flatten().value_counts()
-        return pa.table({"w": vc.field("values"),
-                         "cnt": vc.field("counts").cast(pa.int64())})
-
-    def wc_reduce(df):
-        return df.groupby("w", sort=False, as_index=False)["cnt"].sum()
-
-    counts = _grouped_map(ds.map_batches(wc_partial, batch_format="pyarrow"),
-                          ["w"], wc_reduce, num_partitions)
+    counts = grouped_sum(ds.map_batches(word_freqs, fn_kwargs={"col": text_col},
+                                        batch_format="pyarrow"),
+                         ["w"], ["cnt"], num_partitions)
     top = counts.sort(["cnt", "w"], descending=[True, False]).limit(k).take_all()
     vocab_ref = ray.put(pa.array([r["w"] for r in top], type=pa.string()))
 
@@ -340,7 +337,6 @@ def tfidf_top_terms(ds: rd.Dataset, k: int = 3,
     tf * N / df. The linear kernel uses only IEEE +,*,/ so its doubles are
     bit-identical across engines — the driver's DuckDB oracle runs it
     because numpy's log and DuckDB's ln differ in the last ulp."""
-    from .dedup import _grouped_map
     from .joins import hash_join
 
     n_docs = ds.count()  # one driver-side scalar
@@ -371,14 +367,10 @@ def tfidf_top_terms(ds: rd.Dataset, k: int = 3,
         # batches), so df partial = rows per term
         g = batch.group_by("term").aggregate([([], "count_all")])
         return pa.table({"term": g.column("term"),
-                         "p": g.column("count_all").cast(pa.int64())})
+                         "df": g.column("count_all").cast(pa.int64())})
 
-    def df_reduce(dfp):
-        out = dfp.groupby("term", sort=False, as_index=False)["p"].sum()
-        return out.rename(columns={"p": "df"})
-
-    doc_freq = _grouped_map(post.map_batches(df_partial, batch_format="pyarrow"),
-                            ["term"], df_reduce, num_partitions)
+    doc_freq = grouped_sum(post.map_batches(df_partial, batch_format="pyarrow"),
+                           ["term"], ["df"], num_partitions)
 
     joined = hash_join(post, doc_freq, left_on="term", right_on="term",
                        num_partitions=num_partitions)
@@ -401,7 +393,7 @@ def tfidf_top_terms(ds: rd.Dataset, k: int = 3,
 
     import pandas as pd  # noqa: F811
 
-    return _grouped_map(scored, [id_col], topk, num_partitions)
+    return grouped_map(scored, [id_col], topk, num_partitions)
 
 
 def bm25_search(ds: rd.Dataset, query: str, k: int = 10,
@@ -628,13 +620,8 @@ def heavy_hitters(ds: rd.Dataset, phi: float = 0.002,
                           minlength=len(cand)).astype(np.int64)
         return pa.table({"w": cand, "cnt": pa.array(cnt)})
 
-    from .dedup import _grouped_map
-
-    def reduce_part(df):
-        return df.groupby("w", sort=False, as_index=False)["cnt"].sum()
-
-    summed = _grouped_map(ds.map_batches(exact, batch_format="pyarrow"),
-                          ["w"], reduce_part, num_partitions=8)
+    summed = grouped_sum(ds.map_batches(exact, batch_format="pyarrow"),
+                         ["w"], ["cnt"], num_partitions=8)
     return summed.filter(expr=f"cnt > {threshold}")
 
 
@@ -760,8 +747,6 @@ def text_index_search(index_dir: str, query: str, k: int = 10,
     idfs = (np.log((n_docs - dfs + 0.5) / (dfs + 0.5)) if idf == "log"
             else (n_docs - dfs + 0.5) / (dfs + 0.5))
 
-    from .dedup import _grouped_map
-
     def score_part(df: pd.DataFrame) -> pd.DataFrame:
         piv = df.pivot_table(index=[id_col, "dl"], columns="term",
                              values="tf", fill_value=0, aggfunc="sum")
@@ -777,5 +762,5 @@ def text_index_search(index_dir: str, query: str, k: int = 10,
         return out.sort_values(["score", id_col],
                                ascending=[False, True]).head(k)
 
-    scored = _grouped_map(cands, [id_col], score_part)
+    scored = grouped_map(cands, [id_col], score_part)
     return scored.sort(["score", id_col], descending=[True, False]).limit(k)

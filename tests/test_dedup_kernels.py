@@ -163,7 +163,7 @@ def test_ngram_jaccard_logs_dropped_shingles(monkeypatch, caplog):
             return self
 
     stages = []
-    monkeypatch.setattr(dedup, "_grouped_map",
+    monkeypatch.setattr(dedup, "grouped_map",
                         lambda ds, keys, fn: stages.append(fn) or ds)
     dedup.dedup_ngram_jaccard(_Plan(), df_cap=2)
     postings = pd.DataFrame({"sh": [7, 7, 7, 8, 8], "doc": [1, 2, 3, 1, 2],

@@ -3,10 +3,11 @@ at a given sf and compare row-count / schema / order-insensitive values against
 oracle_sql() via DuckDB. Usage: python tools/check_queries.py [sf_dir]."""
 
 import json
+import os
 import sys
 import time
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def to_pandas(res):
@@ -64,6 +65,7 @@ def main():
     qs = entrymod.queries()
     oq = entrymod.oracle_sql()
     results = {}
+    seconds = {}
     for name, fn in qs.items():
         if only and name not in only:
             continue
@@ -75,6 +77,7 @@ def main():
             print(name, results[name])
             continue
         dt = time.time() - t0
+        seconds[name] = round(dt, 2)
         if name not in oq:
             results[name] = f"rows-only: {len(mine)} rows ({dt:.1f}s)"
             print(name, results[name])
@@ -100,7 +103,7 @@ def main():
         print(name, results[name])
 
     bad = {k: v for k, v in results.items() if not v.startswith(("OK", "rows-only"))}
-    print(json.dumps({"total": len(results), "bad": bad}, indent=2))
+    print(json.dumps({"total": len(results), "bad": bad, "seconds": seconds}))
     ray.shutdown()
     sys.exit(1 if bad else 0)
 
