@@ -4,7 +4,10 @@ Exact dedup (hash-partition → per-group first), MinHash+LSH, SimHash and
 n-gram-Jaccard near-dup, embedding-cosine near-dup. All follow the
 shuffle-aware pattern: vectorized per-batch signature computation inside
 ``map_batches``, then a ``groupby`` over small signature rows (never over full
-documents), candidate verification per group, tiny driver-side merge.
+documents), candidate verification per group, tiny driver-side merge. The
+four bucketed near-duplicate operators list the document pairs of a bucket
+through one kernel, ``_bucket_pairs``, and drop repeated pairs through one
+shuffle, ``_distinct_pairs``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ log = logging.getLogger(__name__)
 # (i < j) pairs, then score each pair". Buckets are many and small, so a
 # Python loop over buckets (or worse, over pairs) dominates; these kernels do
 # the enumeration and set-intersection for ALL buckets/pairs of a partition
-# in a handful of NumPy calls.
+# in a handful of NumPy calls. ``_bucket_pairs`` is the one enumeration the
+# operators call: one row per (bucket, document), then ``_segment_pairs``.
 
 
 def _segment_pairs(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -69,9 +73,55 @@ def _group_sizes(
     for k in group_keys:
         ks = k[order]
         change[1:] |= ks[1:] != ks[:-1]
-    change[0] = bool(len(order))
+    change[:1] = True
     starts = np.nonzero(change)[0]
     return order, np.diff(np.append(starts, len(order)))
+
+
+def _bucket_pairs(
+    df: pd.DataFrame, keys: list[str], id_col: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair of distinct documents that share a bucket (rows of equal
+    ``keys``), for all buckets of ``df`` at once.
+
+    Returns (rows, ids, ia, ib). ``rows`` are positions in ``df``, one per
+    (bucket, document), so callers gather payload columns with them;
+    ``ids`` are their document ids; ``ia < ib`` index ``rows``, with
+    ``ids[ia] < ids[ib]``. A pair comes back once per bucket it shares."""
+    rows = np.nonzero(df.duplicated(keys, keep=False).to_numpy())[0]
+    # sort=True: code order is id order, so pairs come out (smaller, larger)
+    codes, uniq = pd.factorize(df[id_col].to_numpy()[rows], sort=True)
+    order, sizes = _group_sizes([df[k].to_numpy()[rows] for k in keys], codes)
+    codes = codes[order]
+    bucket = np.repeat(np.arange(len(sizes)), sizes)
+    first = np.ones(len(order), dtype=bool)  # a doc's first row in its bucket
+    first[1:] = (bucket[1:] != bucket[:-1]) | (codes[1:] != codes[:-1])
+    ia, ib = _segment_pairs(np.bincount(bucket[first], minlength=len(sizes)))
+    return rows[order[first]], uniq[codes[first]], ia, ib
+
+
+def _distinct_pairs(
+    pairs: rd.Dataset, a: str, b: str, num_partitions: int = 64
+) -> rd.Dataset:
+    """One row per (a, b): a pair listed by several buckets, in one
+    partition or in several, keeps its first row."""
+    return grouped_map(pairs, [a, b], lambda df: df.drop_duplicates([a, b]),
+                       num_partitions)
+
+
+def _typed_pairs(
+    ds: rd.Dataset, id_col: str, names: tuple[str, str, str],
+    score_type: pa.DataType, pairs: rd.Dataset,
+) -> rd.Dataset:
+    """``pairs`` behind a zero-row (a, b, score) seed block, a and b typed
+    as ``ds``'s ``id_col``: an operator that finds no pair still has its
+    columns (Ray drops the schema when every output block is empty, as
+    ``setops._schema_seed`` notes)."""
+    sch = ds.schema()
+    t = sch.types[sch.names.index(id_col)]
+    a, b, score = names
+    seed = pa.schema([(a, t), (b, t), (score, score_type)]).empty_table()
+    return rd.from_arrow(seed).union(pairs)
 
 
 def _gather_segments(
@@ -144,9 +194,6 @@ def _shingle_mult(k: int) -> np.ndarray:
     with np.errstate(over="ignore"):
         return (np.arange(k, dtype=np.uint64) * np.uint64(2) + np.uint64(1)) \
             * np.uint64(0x9E3779B97F4A7C15)
-
-
-_SHINGLE_MULT = _shingle_mult(6)  # shared default for small-k call sites
 
 
 def _batch_word_hashes(texts: pa.Array | pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
@@ -295,41 +342,19 @@ def dedup_minhash_lsh(
         })
 
     def bucket_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        """Candidate (doc_a < doc_b) pairs from every bucket in this
-        partition, deduped across buckets — vectorized (no Python loop
-        over buckets or pairs)."""
-        empty = pd.DataFrame({"doc_a": pd.Series(dtype=df["doc_id"].dtype),
-                              "doc_b": pd.Series(dtype=df["doc_id"].dtype)})
-        dup = df[df.duplicated(["band_id", "band_hash"], keep=False)]
-        if dup.empty:
-            return empty
-        # sort=True so code order == id order → pairs come out (min, max)
-        dcodes, duniq = pd.factorize(dup["doc_id"], sort=True)
-        band = dup["band_id"].to_numpy(np.int32)
-        bh = dup["band_hash"].to_numpy(np.int64)
-        order = np.lexsort((dcodes, bh, band))
-        dc_s, b_s, h_s = dcodes[order], band[order], bh[order]
-        gstart = np.ones(len(b_s), dtype=bool)
-        gstart[1:] = (b_s[1:] != b_s[:-1]) | (h_s[1:] != h_s[:-1])
-        bsizes = np.diff(np.append(np.nonzero(gstart)[0], len(b_s)))
-        ia, ib = _segment_pairs(bsizes)
-        if not len(ia):
-            return empty
-        n_docs = len(duniq)
-        pkey = np.unique(dc_s[ia].astype(np.int64) * n_docs + dc_s[ib])
-        return pd.DataFrame({"doc_a": duniq[pkey // n_docs],
-                             "doc_b": duniq[pkey % n_docs]})
+        _, ids, ia, ib = _bucket_pairs(df, ["band_id", "band_hash"], "doc_id")
+        return pd.DataFrame({"doc_a": ids[ia], "doc_b": ids[ib]})
 
     postings = ds.map_batches(explode, batch_format="pyarrow")
     pairs = grouped_map(postings, ["band_id", "band_hash"], bucket_pairs,
                         num_partitions)
-    pairs = grouped_map(
-        pairs, ["doc_a", "doc_b"],
-        lambda df: df.drop_duplicates(["doc_a", "doc_b"]), num_partitions)
+    pairs = _distinct_pairs(pairs, "doc_a", "doc_b", num_partitions)
     # candidates are small (near-dups + band collisions); pin them so the
     # banding shuffle runs ONCE even though verify consumes pairs three
     # times (two id projections + the join left side)
-    return _verify_pairs_jaccard(ds, pairs.materialize(), k, jaccard_threshold)
+    return _typed_pairs(
+        ds, "doc_id", ("doc_a", "doc_b", "jaccard"), pa.float64(),
+        _verify_pairs_jaccard(ds, pairs.materialize(), k, jaccard_threshold))
 
 
 def _verify_pairs_jaccard(
@@ -515,39 +540,15 @@ def dedup_simhash(ds: rd.Dataset, max_hamming: int = 3, blocks: int = 4) -> rd.D
         })
 
     def bucket_verify(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"doc_a": pd.Series(dtype=df["doc_id"].dtype),
-                              "doc_b": pd.Series(dtype=df["doc_id"].dtype),
-                              "hamming": pd.Series(dtype=np.int64)})
-        dup = df[df.duplicated(["block_id", "block_val"], keep=False)]
-        if dup.empty:
-            return empty
-        # batched across ALL buckets: sort by (bucket, doc code), dedupe
-        # same-doc repeats within a bucket, expand pairs once, popcount once
-        dcodes, duniq = pd.factorize(dup["doc_id"], sort=True)
-        blk = dup["block_id"].to_numpy(np.int32)
-        bv = dup["block_val"].to_numpy(np.int64)
-        h = dup["simhash"].to_numpy(np.int64).view(np.uint64)
-        order = np.lexsort((dcodes, bv, blk))
-        dc_s, b_s, v_s, h_s = dcodes[order], blk[order], bv[order], h[order]
-        keep = np.ones(len(order), dtype=bool)
-        keep[1:] = ((b_s[1:] != b_s[:-1]) | (v_s[1:] != v_s[:-1])
-                    | (dc_s[1:] != dc_s[:-1]))
-        dc_s, b_s, v_s, h_s = dc_s[keep], b_s[keep], v_s[keep], h_s[keep]
-        gstart = np.ones(len(b_s), dtype=bool)
-        gstart[1:] = (b_s[1:] != b_s[:-1]) | (v_s[1:] != v_s[:-1])
-        sizes = np.diff(np.append(np.nonzero(gstart)[0], len(b_s)))
-        ia, ib = _segment_pairs(sizes)
-        if not len(ia):
-            return empty
-        x = h_s[ia] ^ h_s[ib]
+        # batched across ALL buckets: expand pairs once, popcount once
+        rows, ids, ia, ib = _bucket_pairs(df, ["block_id", "block_val"], "doc_id")
+        h = df["simhash"].to_numpy(np.int64).view(np.uint64)[rows]
+        x = h[ia] ^ h[ib]
         d = np.zeros(len(x), dtype=np.int64)  # popcount via byte LUT
         for shift in range(0, 64, 8):
             d += _POPCOUNT8[(x >> np.uint64(shift)) & np.uint64(0xFF)]
         hit = d <= max_hamming
-        if not hit.any():
-            return empty
-        return pd.DataFrame({"doc_a": duniq[dc_s[ia][hit]],
-                             "doc_b": duniq[dc_s[ib][hit]],
+        return pd.DataFrame({"doc_a": ids[ia][hit], "doc_b": ids[ib][hit],
                              "hamming": d[hit]})
 
     pairs = grouped_map(
@@ -555,10 +556,8 @@ def dedup_simhash(ds: rd.Dataset, max_hamming: int = 3, blocks: int = 4) -> rd.D
         ["block_id", "block_val"],
         bucket_verify,
     )
-    return grouped_map(
-        pairs, ["doc_a", "doc_b"],
-        lambda df: df.drop_duplicates(["doc_a", "doc_b"]),
-    )
+    return _typed_pairs(ds, "doc_id", ("doc_a", "doc_b", "hamming"), pa.int64(),
+                        _distinct_pairs(pairs, "doc_a", "doc_b"))
 
 
 # ---------------------------------------------------------------------------
@@ -625,25 +624,10 @@ def dedup_ngram_jaccard(
                 log.warning("dedup_ngram_jaccard: dropped %d shingles with "
                             "df > %d", n_hot, df_cap)
                 dup = dup[~hot]
-        if dup.empty:
-            return pd.DataFrame({"doc_a": pd.Series(dtype=df["doc"].dtype),
-                                 "doc_b": pd.Series(dtype=df["doc"].dtype),
-                                 "n_a": pd.Series(dtype=np.int64),
-                                 "n_b": pd.Series(dtype=np.int64)})
-        # batched pair expansion over ALL shingle groups at once: sort by
-        # (shingle, doc code), then one _segment_pairs call. sort=True codes
-        # preserve doc order, so pairs come out (smaller doc, larger doc) as
-        # the per-group argsort used to produce.
-        dcodes, duniq = pd.factorize(dup["doc"], sort=True)
-        sh = dup["sh"].to_numpy(np.int64)
-        ns = dup["n"].to_numpy(np.int64)
-        order, sizes = _group_sizes([sh], dcodes)
-        dc_s, ns_s = dcodes[order], ns[order]
-        ia, ib = _segment_pairs(sizes)
-        return pd.DataFrame({"doc_a": duniq[dc_s[ia]],
-                             "doc_b": duniq[dc_s[ib]],
-                             "n_a": ns_s[ia],
-                             "n_b": ns_s[ib]})
+        rows, ids, ia, ib = _bucket_pairs(dup, ["sh"], "doc")
+        n = dup["n"].to_numpy(np.int64)[rows]
+        return pd.DataFrame({"doc_a": ids[ia], "doc_b": ids[ib],
+                             "n_a": n[ia], "n_b": n[ib]})
 
     def count_and_score(df: pd.DataFrame) -> pd.DataFrame:
         c = (df.groupby(["doc_a", "doc_b"], sort=False)
@@ -657,7 +641,8 @@ def dedup_ngram_jaccard(
 
     postings = ds.map_batches(explode, batch_format="pyarrow")
     pairs = grouped_map(postings, ["sh"], shingle_pairs)
-    return grouped_map(pairs, ["doc_a", "doc_b"], count_and_score)
+    return _typed_pairs(ds, id_col, ("doc_a", "doc_b", "jaccard"), pa.float64(),
+                        grouped_map(pairs, ["doc_a", "doc_b"], count_and_score))
 
 
 def dup_clusters(pairs_ds: rd.Dataset, a_col: str = "doc_a", b_col: str = "doc_b") -> rd.Dataset:
@@ -753,44 +738,20 @@ def dedup_embedding_lsh(
         })
 
     def bucket_verify(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"vec_a": pd.Series(dtype=df[id_col].dtype),
-                              "vec_b": pd.Series(dtype=df[id_col].dtype),
-                              "cosine": pd.Series(dtype=np.float64)})
-        dup = df[df.duplicated(["band_id", "band_hash"], keep=False)]
-        if dup.empty:
-            return empty
         # batched across ALL buckets: expand in-bucket pairs once, then one
         # row-wise einsum for every pair's cosine (vectors are pre-normalized)
-        dcodes, duniq = pd.factorize(dup[id_col], sort=True)
-        band = dup["band_id"].to_numpy(np.int32)
-        bh = dup["band_hash"].to_numpy(np.int64)
-        order = np.lexsort((dcodes, bh, band))
-        dc_s, b_s, h_s = dcodes[order], band[order], bh[order]
-        keep = np.ones(len(order), dtype=bool)
-        keep[1:] = ((b_s[1:] != b_s[:-1]) | (h_s[1:] != h_s[:-1])
-                    | (dc_s[1:] != dc_s[:-1]))
-        sel = order[keep]
-        dc_s, b_s, h_s = dc_s[keep], b_s[keep], h_s[keep]
-        gstart = np.ones(len(b_s), dtype=bool)
-        gstart[1:] = (b_s[1:] != b_s[:-1]) | (h_s[1:] != h_s[:-1])
-        sizes = np.diff(np.append(np.nonzero(gstart)[0], len(b_s)))
-        ia, ib = _segment_pairs(sizes)
-        if not len(ia):
-            return empty
-        m = np.stack(dup["vec"].to_numpy()[sel]).astype(np.float64)
+        rows, ids, ia, ib = _bucket_pairs(df, ["band_id", "band_hash"], id_col)
+        m = np.stack(df["vec"].to_numpy())[rows].astype(np.float64)
         sims = np.einsum("ij,ij->i", m[ia], m[ib])
         hit = sims >= threshold
-        if not hit.any():
-            return empty
-        return pd.DataFrame({"vec_a": duniq[dc_s[ia][hit]],
-                             "vec_b": duniq[dc_s[ib][hit]],
+        return pd.DataFrame({"vec_a": ids[ia][hit], "vec_b": ids[ib][hit],
                              "cosine": sims[hit]})
 
     pairs = grouped_map(
         emb_ds.map_batches(explode, batch_format="pyarrow"),
         ["band_id", "band_hash"], bucket_verify)
-    return grouped_map(pairs, ["vec_a", "vec_b"],
-                       lambda df: df.drop_duplicates(["vec_a", "vec_b"]))
+    return _typed_pairs(emb_ds, id_col, ("vec_a", "vec_b", "cosine"), pa.float64(),
+                        _distinct_pairs(pairs, "vec_a", "vec_b"))
 
 
 # ---------------------------------------------------------------------------

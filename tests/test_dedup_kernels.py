@@ -8,6 +8,7 @@ reference semantics are the obvious triu/set-intersection definitions.
 import numpy as np
 
 from apacheorcdotnet_ray.pipelines.dedup import (
+    _bucket_pairs,
     _gather_segments,
     _group_sizes,
     _pair_intersections,
@@ -79,6 +80,47 @@ def test_group_sizes():
     # tiebreak orders within groups ascending
     assert np.array_equal(np.array([9, 8, 7, 6, 5])[order],
                           np.array([5, 6, 8, 7, 9]))
+    order, sizes = _group_sizes([np.array([], dtype=np.int64)],
+                                np.array([], dtype=np.int64))
+    assert len(order) == 0 and len(sizes) == 0
+
+
+def _brute_bucket_pairs(df, keys, id_col):
+    """Each pair of distinct ids sharing a bucket, once per bucket."""
+    from collections import Counter
+
+    exp = Counter()
+    for _, g in df.groupby(keys):
+        ids = sorted(set(g[id_col].tolist()))
+        exp.update((a, b) for i, a in enumerate(ids) for b in ids[i + 1:])
+    return exp
+
+
+def test_bucket_pairs_matches_brute_force():
+    from collections import Counter
+
+    import pandas as pd
+
+    rng = np.random.default_rng(2)
+    for trial in range(200):
+        n = int(rng.integers(0, 40)) if trial else 0
+        n_keys = int(rng.integers(1, 4))
+        keys = [f"k{j}" for j in range(n_keys)]
+        df = pd.DataFrame({k: rng.integers(0, 3, n) for k in keys})
+        # few distinct ids: the same (bucket, doc) repeats, and one id
+        # appears in several buckets
+        df["doc"] = rng.integers(100, 110, n)
+        rows, ids, ia, ib = _bucket_pairs(df, keys, "doc")
+        assert ids.dtype == df["doc"].dtype  # typed even when empty
+        assert np.array_equal(df["doc"].to_numpy()[rows], ids)
+        assert np.all(ia < ib) and np.all(ids[ia] < ids[ib])
+        # both rows of a pair lie in one bucket
+        kv = df[keys].to_numpy()[rows]
+        assert np.array_equal(kv[ia], kv[ib])
+        # one row per (bucket, document)
+        assert len({(*k, d) for k, d in zip(kv.tolist(), ids.tolist())}) == len(rows)
+        got = Counter(zip(ids[ia].tolist(), ids[ib].tolist()))
+        assert got == _brute_bucket_pairs(df, keys, "doc")
 
 
 def test_dup_ngram_spans(ray_session):
@@ -165,6 +207,7 @@ def test_ngram_jaccard_logs_dropped_shingles(monkeypatch, caplog):
     stages = []
     monkeypatch.setattr(dedup, "grouped_map",
                         lambda ds, keys, fn: stages.append(fn) or ds)
+    monkeypatch.setattr(dedup, "_typed_pairs", lambda ds, *a: a[-1])
     dedup.dedup_ngram_jaccard(_Plan(), df_cap=2)
     postings = pd.DataFrame({"sh": [7, 7, 7, 8, 8], "doc": [1, 2, 3, 1, 2],
                              "n": [2, 3, 1, 2, 3]})
@@ -172,3 +215,91 @@ def test_ngram_jaccard_logs_dropped_shingles(monkeypatch, caplog):
         pairs = stages[0](postings)
     assert "dropped 1 shingles with df > 2" in caplog.text
     assert pairs.to_dict("list") == {"doc_a": [1], "doc_b": [2], "n_a": [2], "n_b": [3]}
+
+
+def _two_batch_docs(rows_a, rows_b):
+    import pyarrow as pa
+    import ray.data as rd
+
+    def t(rows):
+        return pa.table({"doc_id": pa.array([d for d, _ in rows], type=pa.int64()),
+                         "text": [x for _, x in rows]})
+
+    return rd.from_arrow([t(rows_a), t(rows_b)])
+
+
+def test_repeated_doc_id_never_pairs_with_itself(ray_session):
+    """doc 1 sits in both batches with the same text: each bucket lists it
+    once, so it is not its own near-duplicate and the n-gram intersection
+    counts each shared shingle once."""
+    from apacheorcdotnet_ray.pipelines import dedup
+
+    ds = _two_batch_docs([(1, "a b c d e f g h"), (3, "p q r s t u v w")],
+                         [(1, "a b c d e f g h"), (2, "a b c d e f g x")])
+    for out in (dedup.dedup_minhash_lsh(ds, jaccard_threshold=0.5),
+                dedup.dedup_ngram_jaccard(ds, threshold=0.5)):
+        df = out.to_pandas()
+        assert df[["doc_a", "doc_b"]].values.tolist() == [[1, 2]]
+        assert np.isclose(df["jaccard"].iloc[0], 5 / 7)
+
+
+def _no_dup_docs():
+    return _two_batch_docs(
+        [(1, "alpha beta gamma delta epsilon"), (2, "one two three four five")],
+        [(3, "red green blue yellow purple"), (4, "north south east west up")])
+
+
+def _assert_typed_empty(out, names, types):
+    import pyarrow as pa
+
+    from apacheorcdotnet_ray.pipelines.setops import to_arrow_table
+
+    t = to_arrow_table(out)
+    assert t.num_rows == 0
+    assert t.schema == pa.schema(list(zip(names, types)))
+
+
+def test_minhash_no_pairs_keeps_columns(ray_session):
+    import pyarrow as pa
+
+    from apacheorcdotnet_ray.pipelines import dedup
+
+    _assert_typed_empty(dedup.dedup_minhash_lsh(_no_dup_docs()),
+                        ["doc_a", "doc_b", "jaccard"],
+                        [pa.int64(), pa.int64(), pa.float64()])
+
+
+def test_simhash_no_pairs_keeps_columns(ray_session):
+    import pyarrow as pa
+
+    from apacheorcdotnet_ray.pipelines import dedup
+
+    _assert_typed_empty(dedup.dedup_simhash(_no_dup_docs(), max_hamming=0),
+                        ["doc_a", "doc_b", "hamming"],
+                        [pa.int64(), pa.int64(), pa.int64()])
+
+
+def test_ngram_jaccard_no_pairs_keeps_columns(ray_session):
+    import pyarrow as pa
+
+    from apacheorcdotnet_ray.pipelines import dedup
+
+    _assert_typed_empty(dedup.dedup_ngram_jaccard(_no_dup_docs()),
+                        ["doc_a", "doc_b", "jaccard"],
+                        [pa.int64(), pa.int64(), pa.float64()])
+
+
+def test_embedding_lsh_no_pairs_keeps_columns(ray_session):
+    """The id type comes from the input (int32 here)."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from apacheorcdotnet_ray.pipelines import dedup
+
+    ds = rd.from_arrow(pa.table({
+        "vec_id": pa.array([1, 2, 3], type=pa.int32()),
+        "embedding": pa.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]],
+                              type=pa.list_(pa.float32()))}))
+    _assert_typed_empty(dedup.dedup_embedding_lsh(ds, threshold=0.99),
+                        ["vec_a", "vec_b", "cosine"],
+                        [pa.int32(), pa.int32(), pa.float64()])

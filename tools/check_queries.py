@@ -44,7 +44,7 @@ def main():
 
     import ray
 
-    ray.init(address="local", num_cpus=16, include_dashboard=False, logging_level="ERROR")
+    ray.init(address="local", num_cpus=os.cpu_count(), include_dashboard=False, logging_level="ERROR")
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
