@@ -97,8 +97,8 @@ def cmd_import_orc(args) -> int:
     columns = args.columns.split(",") if args.columns else None
     # repeatable: terms AND together
     predicate = [_predicate_term(p) for p in args.predicate or ()]
-    read_orc_files(args.input, columns=columns, predicate=predicate,
-                   split_stripes=args.split_stripes).write_parquet(args.out)
+    read_orc_files(args.input, columns=columns,
+                   predicate=predicate).write_parquet(args.out)
     print(json.dumps({"out": args.out}))
     return 0
 
@@ -209,8 +209,6 @@ def main(argv=None) -> int:
                           "stats + blooms) and row groups (ROW_INDEX), "
                           "then filters rows exactly; repeatable — terms "
                           "AND together")
-    io_.add_argument("--split-stripes", action="store_true",
-                     help="one Ray task per stripe instead of per file")
     io_.set_defaults(fn=cmd_import_orc)
 
     args = p.parse_args(argv)

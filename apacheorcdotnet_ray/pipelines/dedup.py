@@ -617,7 +617,7 @@ def dedup_ngram_jaccard(
     def shingle_pairs(df: pd.DataFrame) -> pd.DataFrame:
         dup = df[df.duplicated(["sh"], keep=False)]
         if df_cap is not None and len(dup):
-            f = dup.groupby("sh", sort=False)["sh"].transform("size")
+            f = dup.groupby("sh", sort=False)["doc"].transform("nunique")
             hot = f > df_cap
             if hot.any():
                 n_hot = dup.loc[hot, "sh"].nunique()

@@ -8,9 +8,10 @@ predicate scan, not a full rewrite. Every subsequent ``read_stripes`` /
 ``compact_stripes`` physically drops deleted rows when it rewrites.
 
 Scale shape: footer-stat/bloom pruning first (stripes whose stats exclude
-the predicate are never opened — same path as a predicate read), then one
-Ray task per surviving stripe decodes ONLY the predicate columns and writes
-its sidecar atomically. Deletes accumulate (set-OR) and re-runs are
+the predicate are never opened — same path as a predicate read), then Ray
+tasks over the surviving stripes (``map_paths``, sized like a read of those
+files) decode ONLY the predicate columns and write each stripe's sidecar
+atomically. Deletes accumulate (set-OR) and re-runs are
 idempotent.
 """
 
@@ -20,10 +21,9 @@ import os
 
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray.data as rd
 
 from ..predicate import bind, normalize_predicate
-from ..sources.stripes import prune_stripes, stripe_paths
+from ..sources.stripes import map_paths, prune_stripes, stripe_paths
 from ..stripe.container import decode_stripe
 from ..stripe.deletes import read_delete_mask, write_delete_mask
 
@@ -61,10 +61,8 @@ def delete_where(stripe_dir: str, predicate) -> dict:
 
     new_total = 0
     if candidates:
-        res = rd.from_items(
-            [{"path": p} for p in candidates],
-            override_num_blocks=min(len(candidates), 64),
-        ).map_batches(mark, batch_format="pyarrow")
+        res = map_paths([{"path": p} for p in candidates], mark,
+                        sum(os.path.getsize(p) for p in candidates))
         new_total = sum(r["new"] for r in res.take_all())
     total = 0
     for p in paths:

@@ -28,6 +28,8 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
+from ..sources.stripes import (map_footers, map_paths, read_stripe_footer,
+                               read_stripes, stripe_paths)
 from ..stages.encode import StripeEncoder, write_stripe_file
 from ..state.manifest import Manifest
 from ..stripe import EncodeConfig
@@ -58,8 +60,6 @@ def decode_dataset(
     predicate: tuple | None = None, unify_schema: bool = False,
     on_error: str = "raise",
 ) -> rd.Dataset:
-    from ..sources.stripes import read_stripes
-
     return read_stripes(stripe_dir, columns, predicate,
                         unify_schema=unify_schema, on_error=on_error)
 
@@ -162,7 +162,6 @@ def compact_stripes(
     tail-only footer reads (never data); one task per bin decodes its members
     and re-encodes one merged stripe. Stripes already at/above target copy
     through untouched (no re-encode cost)."""
-    from ..sources.stripes import read_stripe_footer, stripe_paths
     from ..stages.decode import StripeDecoder
 
     config = config or EncodeConfig()
@@ -173,9 +172,10 @@ def compact_stripes(
     passthrough: list[str] = []
     cur: list[str] = []
     cur_vals = 0
-    for p in stripe_paths(stripe_dir):
-        footer = read_stripe_footer(p)
-        nvals = sum(s["n"] for s in footer["streams"] if s["kind"] == "DATA")
+    paths = stripe_paths(stripe_dir)
+    n_values = map_footers(paths, lambda p: sum(
+        s["n"] for s in read_stripe_footer(p)["streams"] if s["kind"] == "DATA"))
+    for p, nvals in zip(paths, n_values):
         if nvals >= budget:
             passthrough.append(p)
             continue
@@ -217,13 +217,9 @@ def compact_stripes(
                 tables.append(enc(dec(blobs)))
             return pa.concat_tables(tables)
 
-        bins_ds = rd.from_items(
-            [{"paths": json.dumps(b)} for b in small_bins],
-            override_num_blocks=len(small_bins),
-        )
-        merged = bins_ds.map_batches(
-            compact_bin, batch_format="pyarrow", batch_size=1
-        ).count()
+        merged = map_paths(
+            [{"paths": json.dumps(b)} for b in small_bins], compact_bin,
+            sum(os.path.getsize(p) for b in small_bins for p in b)).count()
     return {
         "input_stripes": len(passthrough) + sum(len(b) for b in small_bins),
         "passthrough": len(passthrough),
@@ -261,15 +257,11 @@ def _file_partitions(path: str) -> list[dict]:
 def enumerate_partitions(paths: list[str]) -> list[dict]:
     """Deterministic (file, row-group range) partitions from parquet metadata
     — the analog of the reader's FileTail/stripe-directory scan
-    (FileTail.cs:22-54). Footer reads are cheap but serial; above a few
-    hundred files they fan out as Ray tasks (a 100 TB corpus has ~10^5
-    files — a serial driver scan would dominate job startup)."""
-    paths = sorted(paths)
-    if len(paths) > 256:
-        scan = ray.remote(num_cpus=0.25)(_file_partitions)
-        nested = ray.get([scan.remote(p) for p in paths])
-        return [part for sub in nested for part in sub]
-    return [part for p in paths for part in _file_partitions(p)]
+    (FileTail.cs:22-54). Footer reads go through ``map_footers``, which
+    fans out as Ray tasks above a few hundred files (a 100 TB corpus has
+    ~10^5 files — a serial driver scan would dominate job startup)."""
+    return [part for sub in map_footers(sorted(paths), _file_partitions)
+            for part in sub]
 
 
 def encode_num_blocks(n_parts: int, est_bytes: int, cpus: int, ctx) -> int:
@@ -278,8 +270,9 @@ def encode_num_blocks(n_parts: int, est_bytes: int, cpus: int, ctx) -> int:
     ``ctx.read_op_min_num_blocks`` while blocks stay above
     ``ctx.target_min_block_size``, at least enough to keep them under
     ``ctx.target_max_block_size``, and two per CPU; never more than one per
-    descriptor. It sizes the encode tasks (parquet partitions) and every
-    ``.oray`` read's decode tasks (stripe files, ``sources.stripes.decode_paths``)."""
+    descriptor. ``sources.stripes.map_paths`` sizes every per-file job
+    with it: encode (parquet partitions), ``.oray`` and ORC reads (stripes),
+    delete marking and compaction."""
     n = max(min(ctx.read_op_min_num_blocks, est_bytes // ctx.target_min_block_size),
             est_bytes // ctx.target_max_block_size, 2 * cpus)
     return max(1, min(n_parts, n))
@@ -386,16 +379,11 @@ def encode_corpus(
     ]
     if todo:
         # one task per block, each a contiguous run of partitions: a task per
-        # tiny partition costs more in scheduling than its encode
-        n_blocks = encode_num_blocks(
-            len(todo), sum(p["byte_size"] for p in todo),
-            int(ray.cluster_resources().get("CPU", 1)), rd.DataContext.get_current())
-        # stateless task pool: Ray reuses warm workers, no actor startup
-        # latency, and scheduling load-balances across the whole cluster
+        # tiny partition costs more in scheduling than its encode. Stateless
+        # task pool: Ray reuses warm workers, no actor startup latency.
         fn = _EncodePartition(out_dir=out_dir, config=config, columns=columns)
-        records = rd.from_items(todo, override_num_blocks=n_blocks).map_batches(
-            fn.__call__, batch_format="pyarrow", batch_size=1,
-        ).take_all()  # small: one record per partition
+        records = map_paths(todo, fn.__call__, sum(p["byte_size"] for p in todo)
+                            ).take_all()  # small: one record per partition
         manifest.append(records)
         manifest.rewrite_sorted()
 

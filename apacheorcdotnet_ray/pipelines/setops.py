@@ -17,7 +17,9 @@ from .shuffle import grouped_map
 def to_arrow_table(ds: rd.Dataset) -> pa.Table:
     """Collect a (small) Dataset to one Arrow table, preserving the schema
     even when the result has zero rows (``Dataset.to_pandas()`` returns a
-    column-less frame for all-empty datasets)."""
+    column-less frame for all-empty datasets). Materialized first: on a
+    lazy Dataset, ``schema()`` and ``iter_batches`` each run the plan."""
+    ds = ds.materialize()
     sch = ds.schema()
     schema = pa.schema(list(zip(sch.names, sch.types)))
     batches = [b for b in ds.iter_batches(batch_format="pyarrow") if b.num_rows]

@@ -36,8 +36,8 @@ source:
 - the file is ``mmap``-ed, not slurped: only the tail plus the streams a
   read actually touches are ever paged in / copied;
 - ``read_table(columns=...)`` prunes at the decode (unrequested streams
-  never decompress); ``read_orc_files`` is the Ray Data source (one decode
-  task per file).
+  never decompress); ``read_orc_files`` is the Ray Data source (one row
+  per stripe through ``sources.stripes.map_paths``, as ``.oray`` reads).
 """
 
 from __future__ import annotations
@@ -730,8 +730,7 @@ def read_file_stats(path: str) -> dict[str, dict]:
 
 
 def read_orc_files(paths, columns: list[str] | None = None,
-                   predicate: tuple | None = None,
-                   split_stripes: bool = False):
+                   predicate: tuple | None = None):
     """Ray Data source over real ``.orc`` files, column-pruned at the
     stream level — unrequested columns never decompress. ``paths``: a
     directory, a glob, or an explicit list. ``predicate`` = one
@@ -743,19 +742,22 @@ def read_orc_files(paths, columns: list[str] | None = None,
     is touched), surviving files prune STRIPES by Metadata stripe stats
     (+ blooms) and ROW GROUPS by ROW_INDEX, ``read_table`` drops the kept
     units with no match, and surviving rows are filtered exactly on every
-    term. When every file is pruned, the result is an empty dataset of the
-    first file's schema, projected to ``columns``.
+    term. When nothing is left to read, the result is an empty dataset of
+    the first file's schema, projected to ``columns``.
 
-    Task granularity: one decode task per FILE by default;
-    ``split_stripes=True`` makes it one task per STRIPE (a driver-side
-    tail read per file lists the stripes), so import parallelism is bound
-    by total stripes, not file count — the right unit when the input is a
-    few huge multi-stripe files."""
+    The task unit is the STRIPE, as for ``.oray`` reads: one tail read per
+    file (``map_footers``) prunes it and lists its stripes, and
+    ``map_paths`` reads the ``{"path", "stripe"}`` rows in as many tasks as
+    a read of the kept files' bytes gets. A file with no stripes (pyarrow
+    writes an empty table so) contributes no rows."""
     import glob as _glob
+    import itertools
     import os
 
     import pyarrow as pa
     import ray.data as rd
+
+    from .stripes import map_footers, map_paths, project_schema
 
     preds = normalize_predicate(predicate)
     if isinstance(paths, str):
@@ -765,37 +767,27 @@ def read_orc_files(paths, columns: list[str] | None = None,
             paths = sorted(_glob.glob(paths))
     if not paths:
         raise FileNotFoundError("no .orc files matched")
-    if preds:
-        kept, schema = [], None
-        for p in paths:
-            f = OrcFile(p)  # tail only: schema and footer stats
-            try:
-                schema = f.schema if schema is None else schema
-                if bind(preds, f.schema).may_match(f.file_stats().get):
-                    kept.append(p)
-            finally:
-                f.close()
-        pruned = len(paths) - len(kept)
-        if pruned:
-            log.info("read_orc_files: footer stats pruned %d/%d files "
-                     "(predicate %s)", pruned, len(paths), preds)
-        if not kept:
-            # a TYPED empty dataset, projected like a read: the first
-            # file's schema, as read_stripes gives the first footer's
-            if columns is not None:
-                schema = pa.schema([schema.field(c) for c in columns
-                                    if c in schema.names])
-            return rd.from_arrow(schema.empty_table())
-        paths = kept
 
-    items = [{"path": p, "stripe": -1} for p in paths]
-    if split_stripes:
-        items = []
-        for p in paths:
-            f = OrcFile(p)  # tail-only: stripe directory, no streams
-            n_st = max(len(f.stripes), 1)
+    def stripes_to_read(p: str) -> int:
+        f = OrcFile(p)  # tail only: schema, footer stats, stripe directory
+        try:
+            if preds and not bind(preds, f.schema).may_match(f.file_stats().get):
+                return 0
+            return len(f.stripes)
+        finally:
             f.close()
-            items.extend({"path": p, "stripe": i} for i in range(n_st))
+
+    counts = map_footers(paths, stripes_to_read)
+    if preds and 0 in counts:
+        log.info("read_orc_files: %d/%d files have no stripe to read "
+                 "(predicate %s)", counts.count(0), len(paths), preds)
+    items = [{"path": p, "stripe": i}
+             for p, n in zip(paths, counts) for i in range(n)]
+    if not items:
+        f = OrcFile(paths[0])
+        schema = f.schema
+        f.close()
+        return rd.from_arrow(project_schema(schema, columns).empty_table())
 
     # the exact row filter needs every predicate column even when the
     # caller's projection excludes them — read them, filter, then drop
@@ -806,17 +798,18 @@ def read_orc_files(paths, columns: list[str] | None = None,
 
     def decode(batch: pa.Table) -> pa.Table:
         tables = []
-        for p, si in zip(batch.column("path").to_pylist(),
-                         batch.column("stripe").to_pylist()):
+        rows = zip(batch.column("path").to_pylist(),
+                   batch.column("stripe").to_pylist())
+        for p, stripes in itertools.groupby(rows, key=lambda r: r[0]):
             f = OrcFile(p)
             # surviving files also prune STRIPES and ROW GROUPS
             t = f.read_table(columns=read_cols, predicate=preds or None,
-                             stripe_indices=None if si < 0 else [si])
+                             stripe_indices=[si for _, si in stripes])
             if preds:  # exact row filter after the prunes
                 t = bind(preds, f.schema).filter(t)
             tables.append(t)
             f.close()
         return pa.concat_tables(tables).drop_columns(drop_after)
 
-    return rd.from_items(items, override_num_blocks=len(items)) \
-        .map_batches(decode, batch_format="pyarrow", batch_size=1)
+    return map_paths(items, decode, sum(
+        os.path.getsize(p) for p, n in zip(paths, counts) if n))

@@ -4,10 +4,19 @@ One stripe = one independent unit of decode (the reference's stripes are
 self-describing for the same reason, Stripes/StripeReader.cs:38-61), so a
 Dataset of stripe paths + a stateless decode ``map_batches`` parallelizes
 embarrassingly: each decode task opens and decodes its own stripe files,
-streaming with backpressure. Every ``.oray`` read builds its Dataset through
-``decode_paths``: path rows from ``from_items``, in as many blocks as Ray
-Data's read rule gives (``encode_num_blocks``). ``read_binary_files`` would
-do the same reads but costs about 40 ms more per query (Ray 2.49, 1 CPU).
+streaming with backpressure. ``read_binary_files`` would do the same reads
+but costs about 40 ms more per query (Ray 2.49, 1 CPU).
+
+This module holds the package's one file-to-task rule, for both formats:
+
+- ``map_paths`` is the only place a list of file rows (``.oray`` stripes,
+  ORC stripes, parquet partitions, delete candidates, compaction bins)
+  becomes Ray tasks: ``from_items`` in as many blocks as Ray Data's read
+  rule gives (``encode_num_blocks``), one call of the task function per
+  block;
+- ``map_footers`` is the only tail scan fan-out: serial on the driver for
+  a few hundred files, chunked Ray tasks above that;
+- ``project_schema`` types every all-pruned read's empty result.
 
 Predicate pushdown (the reference's ROW_INDEX/seek-statistics analog,
 ColumnTypes/ColumnWriterStatistics.cs:12-33): stripe footers carry per-column
@@ -48,28 +57,36 @@ def read_stripe_footer(path: str) -> dict:
         return parse_footer(read_tail, path)
 
 
-def _stripe_schema(path: str, columns: list[str] | None) -> pa.Schema:
-    """One stripe's schema, projected to the ``columns`` it has."""
-    sch = footer_schema(read_stripe_footer(path))
+def project_schema(schema: pa.Schema, columns: list[str] | None) -> pa.Schema:
+    """``schema`` projected to the ``columns`` it has: the type of a read
+    that has nothing left to read (a schema-less ``pa.table({})`` breaks
+    downstream column references)."""
     if columns is None:
-        return sch
-    return pa.schema([sch.field(c) for c in columns if c in sch.names])
+        return schema
+    return pa.schema([schema.field(c) for c in columns if c in schema.names])
 
 
-def decode_paths(rows: list[dict], decoder: StripeDecoder) -> rd.Dataset:
-    """``decoder`` over one row per stripe (``{"path": ...}``, plus
-    ``"row_range"`` for a slice), in as many blocks as Ray Data would give a
-    read of those files (``encode_num_blocks``); each task reads and decodes
-    its block's stripes in row order."""
+def map_paths(rows: list[dict], fn, est_bytes: int) -> rd.Dataset:
+    """``fn`` over file rows (``{"path": ...}`` per stripe, or any other
+    per-file descriptor), in as many blocks as Ray Data would give a read of
+    ``est_bytes`` from those files (``encode_num_blocks``); each task calls
+    ``fn`` once on its block's rows, in row order."""
     import ray
 
     from ..pipelines.encode import encode_num_blocks
 
     n_blocks = encode_num_blocks(
-        len(rows), sum(os.path.getsize(r["path"]) for r in rows),
-        int(ray.cluster_resources().get("CPU", 1)), rd.DataContext.get_current())
+        len(rows), est_bytes, int(ray.cluster_resources().get("CPU", 1)),
+        rd.DataContext.get_current())
     return rd.from_items(rows, override_num_blocks=n_blocks).map_batches(
-        decoder.__call__, batch_format="pyarrow", batch_size=None)
+        fn, batch_format="pyarrow", batch_size=None)
+
+
+def decode_paths(rows: list[dict], decoder: StripeDecoder) -> rd.Dataset:
+    """``decoder`` over one row per stripe (``{"path": ...}``, plus
+    ``"row_range"`` for a slice), sized by the stripe files' bytes."""
+    return map_paths(rows, decoder.__call__,
+                     sum(os.path.getsize(r["path"]) for r in rows))
 
 
 def stripe_may_match(footer: dict, predicate) -> bool:
@@ -89,10 +106,11 @@ def stripe_may_match(footer: dict, predicate) -> bool:
 
 
 def map_footers(paths: list[str], fn) -> list:
-    """Apply ``fn(path)`` per stripe (tail-only footer work), fanning out as
-    64-stripe Ray tasks above 256 stripes — a big corpus has far more
-    stripes than a serial driver scan should touch. The single shared
-    implementation for pruning, schema unification, and footer stats."""
+    """Apply ``fn(path)`` per file (tail-only footer work), fanning out as
+    64-file Ray tasks above 256 files — a big corpus has far more files
+    than a serial driver scan should touch. The single shared
+    implementation for pruning, schema unification, footer stats, ORC
+    stripe listing and parquet partition listing."""
     if len(paths) > 256:
         import ray
 
@@ -190,13 +208,11 @@ def read_stripes(
         flags = map_footers(paths, keep_stripe)
         kept = [p for p, f in zip(paths, flags) if f]
         if not kept:
-            # everything pruned: return a TYPED empty dataset (a schema-less
-            # pa.table({}) breaks downstream column references), projected
-            # like a normal read would be — the unified schema when
-            # unify_schema is on, else the first footer's
+            # everything pruned: the unified schema when unify_schema is
+            # on, else the first footer's
             sch = (target_schema if target_schema is not None
-                   else _stripe_schema(paths[0], columns))
-            return rd.from_arrow(sch.empty_table())
+                   else footer_schema(read_stripe_footer(paths[0])))
+            return rd.from_arrow(project_schema(sch, columns).empty_table())
         paths = kept
     fallback_schema = None
     if on_error == "skip" and target_schema is None:
@@ -205,7 +221,8 @@ def read_stripes(
         # skipped the same way the decode tasks will skip them)
         for p in paths[:8]:
             try:
-                fallback_schema = _stripe_schema(p, columns)
+                fallback_schema = project_schema(
+                    footer_schema(read_stripe_footer(p)), columns)
             except Exception:  # noqa: BLE001 — corrupt candidate, try next
                 continue
             break
@@ -259,7 +276,8 @@ def read_row_range(
             rows.append({"path": p, "row_range": (lo - acc, hi - acc)})
         acc += n
     if not rows:
-        return rd.from_arrow(_stripe_schema(paths[0], columns).empty_table())
+        return rd.from_arrow(project_schema(
+            footer_schema(read_stripe_footer(paths[0])), columns).empty_table())
 
     # rows must come out in encode order, but Ray Data's default
     # preserve_order=False lets blocks surface in task-COMPLETION order

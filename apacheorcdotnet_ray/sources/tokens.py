@@ -91,6 +91,15 @@ def generate_tokens_shard(shard_id: int, docs_per_shard: int = 10_000, seed: int
     })
 
 
+def _write_shard(shard_id: int, docs_per_shard: int, seed: int, path: str) -> None:
+    """Write one shard unless it exists (atomically: a crash leaves no
+    partial shard under its final name)."""
+    if not os.path.exists(path):
+        t = generate_tokens_shard(shard_id, docs_per_shard, seed)
+        pq.write_table(t, path + ".tmp", compression="zstd")
+        os.replace(path + ".tmp", path)
+
+
 def write_tokens_corpus(out_dir: str, n_shards: int = 8, docs_per_shard: int = 10_000,
                         seed: int = 42, use_ray: bool = False) -> list[str]:
     """Write the corpus as one parquet file per shard. Deterministic."""
@@ -99,19 +108,9 @@ def write_tokens_corpus(out_dir: str, n_shards: int = 8, docs_per_shard: int = 1
     if use_ray:
         import ray
 
-        @ray.remote(num_cpus=1)
-        def _write(i: int, path: str) -> str:
-            if not os.path.exists(path):
-                t = generate_tokens_shard(i, docs_per_shard, seed)
-                pq.write_table(t, path + ".tmp", compression="zstd")
-                os.replace(path + ".tmp", path)
-            return path
-
-        ray.get([_write.remote(i, p) for i, p in enumerate(paths)])
+        write = ray.remote(num_cpus=1)(_write_shard)
+        ray.get([write.remote(i, docs_per_shard, seed, p) for i, p in enumerate(paths)])
     else:
-        for i, path in enumerate(paths):
-            if not os.path.exists(path):
-                t = generate_tokens_shard(i, docs_per_shard, seed)
-                pq.write_table(t, path + ".tmp", compression="zstd")
-                os.replace(path + ".tmp", path)
+        for i, p in enumerate(paths):
+            _write_shard(i, docs_per_shard, seed, p)
     return paths

@@ -103,8 +103,6 @@ def _encode_int_data(vals: np.ndarray, config: EncodeConfig, signed: bool = True
 def _decode_int_data(stream: Stream) -> np.ndarray:
     if stream.codec == "rlev2":
         return rlev2.decode(stream.data, stream.params.get("signed", True), stream.n)
-    if stream.codec == "rlev2u":
-        return rlev2.decode(stream.data, False, stream.n)
     if stream.codec == "for":
         return for_.decode(stream.data)
     if stream.codec == "intdict":

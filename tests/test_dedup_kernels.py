@@ -191,6 +191,24 @@ def test_verify_pairs_jaccard_join_path_matches_broadcast(ray_session):
     assert set(zip(full["doc_a"], full["doc_b"])) == {(1, 3)}
 
 
+def _ngram_shingle_stage(monkeypatch):
+    """``dedup_ngram_jaccard``'s per-shingle stage, run in process: a
+    stand-in Dataset whose every stage returns itself, and a ``grouped_map``
+    that records the function instead of running it."""
+    from apacheorcdotnet_ray.pipelines import dedup
+
+    class _Plan:
+        def map_batches(self, *a, **k):
+            return self
+
+    stages = []
+    monkeypatch.setattr(dedup, "grouped_map",
+                        lambda ds, keys, fn: stages.append(fn) or ds)
+    monkeypatch.setattr(dedup, "_typed_pairs", lambda ds, *a: a[-1])
+    dedup.dedup_ngram_jaccard(_Plan(), df_cap=2)
+    return stages[0]
+
+
 def test_ngram_jaccard_logs_dropped_shingles(monkeypatch, caplog):
     """Shingles over ``df_cap`` are dropped with a logged warning (run in
     process: the grouped stage's function is called directly)."""
@@ -200,21 +218,30 @@ def test_ngram_jaccard_logs_dropped_shingles(monkeypatch, caplog):
 
     from apacheorcdotnet_ray.pipelines import dedup
 
-    class _Plan:  # stands in for the Dataset: every stage returns itself
-        def map_batches(self, *a, **k):
-            return self
-
-    stages = []
-    monkeypatch.setattr(dedup, "grouped_map",
-                        lambda ds, keys, fn: stages.append(fn) or ds)
-    monkeypatch.setattr(dedup, "_typed_pairs", lambda ds, *a: a[-1])
-    dedup.dedup_ngram_jaccard(_Plan(), df_cap=2)
+    shingle_pairs = _ngram_shingle_stage(monkeypatch)
     postings = pd.DataFrame({"sh": [7, 7, 7, 8, 8], "doc": [1, 2, 3, 1, 2],
                              "n": [2, 3, 1, 2, 3]})
     with caplog.at_level(logging.WARNING, logger=dedup.__name__):
-        pairs = stages[0](postings)
+        pairs = shingle_pairs(postings)
     assert "dropped 1 shingles with df > 2" in caplog.text
     assert pairs.to_dict("list") == {"doc_a": [1], "doc_b": [2], "n_a": [2], "n_b": [3]}
+
+
+def test_ngram_jaccard_df_cap_counts_documents(monkeypatch, caplog):
+    """``df_cap`` bounds a shingle's DOCUMENT frequency: a doc_id listed
+    twice under one shingle counts once."""
+    import logging
+
+    import pandas as pd
+
+    from apacheorcdotnet_ray.pipelines import dedup
+
+    shingle_pairs = _ngram_shingle_stage(monkeypatch)
+    postings = pd.DataFrame({"sh": [7, 7, 7], "doc": [1, 1, 2], "n": [2, 2, 3]})
+    with caplog.at_level(logging.WARNING, logger=dedup.__name__):
+        pairs = shingle_pairs(postings)
+    assert "dropped" not in caplog.text
+    assert pairs[["doc_a", "doc_b"]].to_dict("list") == {"doc_a": [1], "doc_b": [2]}
 
 
 def _two_batch_docs(rows_a, rows_b):

@@ -709,8 +709,8 @@ def test_stripe_stats_pruning(tmp_path):
 
 
 def test_read_orc_files_split_stripes(ray_session, tmp_path):
-    """split_stripes=True makes the Ray task unit one STRIPE (import
-    parallelism bound by total stripes, not file count)."""
+    """The Ray task unit is one STRIPE (import parallelism bound by total
+    stripes, not file count)."""
     import pyarrow as pa
 
     from apacheorcdotnet_ray.sources.orc_reader import read_orc_files
@@ -720,13 +720,37 @@ def test_read_orc_files_split_stripes(ray_session, tmp_path):
     t = pa.table({"k": np.arange(n, dtype=np.int64)})
     p = str(tmp_path / "big.orc")
     write_orc(t, p, stripe_rows=30_000)  # 3 stripes, ONE file
-    ds = read_orc_files([p], split_stripes=True)
+    ds = read_orc_files([p])
     assert ds.count() == n
     got = sorted(r["k"] for r in ds.take_all())
     assert got == list(range(n))
     # stripe pruning composes with stripe-level tasks
-    pr = read_orc_files([p], predicate=("k", "<", 100), split_stripes=True)
+    pr = read_orc_files([p], predicate=("k", "<", 100))
     assert sorted(r["k"] for r in pr.take_all()) == list(range(100))
+
+
+def test_read_orc_files_empty_file(ray_session, tmp_path):
+    """pyarrow writes an empty table as an ORC file with no stripes: beside a
+    non-empty file it adds no rows, and on its own it reads as a typed empty
+    Dataset."""
+    import pyarrow as pa
+    import pyarrow.orc as po
+
+    from apacheorcdotnet_ray.sources.orc_reader import OrcFile, read_orc_files
+    from apacheorcdotnet_ray.sources.orc_writer import write_orc
+
+    t = pa.table({"k": pa.array(np.arange(50, dtype=np.int64)),
+                  "s": pa.array([f"v{i}" for i in range(50)])})
+    empty, full = str(tmp_path / "a_empty.orc"), str(tmp_path / "b_full.orc")
+    po.write_table(t.slice(0, 0), empty)
+    write_orc(t, full)
+    assert OrcFile(empty).stripes == []
+    ds = read_orc_files([empty, full])
+    assert sorted(r["k"] for r in ds.take_all()) == list(range(50))
+    assert ds.schema().names == ["k", "s"]
+    alone = read_orc_files([empty], columns=["s"])
+    assert alone.count() == 0
+    assert list(zip(alone.schema().names, alone.schema().types)) == [("s", pa.string())]
 
 
 def test_byte_binary_float_kinds(tmp_path):

@@ -616,6 +616,24 @@ def test_map_footers_ray_fanout(ray_session, tmp_path):
     assert len(kept) == 3  # stripes 0,1,2 hold k<30
 
 
+def test_enumerate_partitions_ray_fanout(ray_session, tmp_path):
+    """>256 parquet files take map_footers' Ray fan-out and list the same
+    partitions, in the same order, as the per-file scan."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from apacheorcdotnet_ray.pipelines.encode import _file_partitions
+
+    paths = []
+    for i in range(300):
+        paths.append(str(tmp_path / f"p{i:04d}.parquet"))
+        pq.write_table(pa.table({"k": list(range(i % 7 + 1))}), paths[-1],
+                       row_group_size=1)
+    want = [part for p in paths for part in _file_partitions(p)]
+    assert len(want) > 300
+    assert enumerate_partitions(paths[::-1]) == want
+
+
 def test_encode_corpus_append_resume(ray_session, tmp_path):
     """Appending new input files re-encodes ONLY the new partitions."""
     import os

@@ -127,6 +127,23 @@ def test_set_ops(ray_session):
     assert empty.num_rows == 0 and empty.schema.names == ["key"]
 
 
+def test_to_arrow_table_runs_the_plan_once(ray_session, tmp_path):
+    """Collecting reads the schema and the rows from one execution."""
+    import uuid
+
+    import ray.data as rd
+
+    from apacheorcdotnet_ray.pipelines.setops import to_arrow_table
+
+    def mark(batch):
+        (tmp_path / uuid.uuid4().hex).touch()
+        return batch
+
+    ds = rd.range(10, override_num_blocks=1).map_batches(mark, batch_format="pyarrow")
+    assert to_arrow_table(ds).column("id").to_pylist() == list(range(10))
+    assert len(list(tmp_path.iterdir())) == 1
+
+
 def test_iter_training_batches(ray_session, tmp_path):
     import numpy as np
 

@@ -47,6 +47,32 @@ def test_read_stripes_tasks_follow_read_rule(ray_session, tmp_path):
     assert sorted(ds.to_pandas()["k"]) == list(range(400))
 
 
+def test_read_orc_files_tasks_follow_read_rule(ray_session, tmp_path):
+    """ORC reads share the rule: one row per stripe, as many tasks as
+    ``encode_num_blocks`` gives the files' bytes (not one per file or per
+    stripe)."""
+    import ray
+    import ray.data as rd
+
+    from apacheorcdotnet_ray.pipelines.encode import encode_num_blocks
+    from apacheorcdotnet_ray.sources.orc_reader import OrcFile, read_orc_files
+    from apacheorcdotnet_ray.sources.orc_writer import write_orc
+
+    paths = []
+    for i in range(3):
+        t = pa.table({"k": pa.array(np.arange(i * 30, (i + 1) * 30, dtype=np.int64))})
+        paths.append(str(tmp_path / f"f{i}.orc"))
+        write_orc(t, paths[-1], stripe_rows=10)
+    assert [len(OrcFile(p).stripes) for p in paths] == [3, 3, 3]
+    want = encode_num_blocks(
+        9, sum(os.path.getsize(p) for p in paths),
+        int(ray.cluster_resources().get("CPU", 1)), rd.DataContext.get_current())
+    ds = read_orc_files(paths).materialize()
+    tasks = re.search(r"MapBatches\(decode\): (\d+) tasks", ds.stats())
+    assert int(tasks.group(1)) == want > 1
+    assert sorted(ds.to_pandas()["k"]) == list(range(90))
+
+
 def test_read_row_range_keeps_order_across_blocks(ray_session, tmp_path):
     d = _tiny_stripes(tmp_path / "s")
     # rows 95..334 span stripes 9-33, which land in several decode blocks

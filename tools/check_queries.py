@@ -16,7 +16,10 @@ def to_pandas(res):
     import ray.data as rd
 
     if isinstance(res, rd.Dataset):
-        return res.to_pandas()
+        # Dataset.to_pandas() drops the columns of a zero-row result
+        from apacheorcdotnet_ray.pipelines.setops import to_arrow_table
+
+        return to_arrow_table(res).to_pandas()
     if isinstance(res, pa.Table):
         return res.to_pandas()
     if isinstance(res, pd.DataFrame):
