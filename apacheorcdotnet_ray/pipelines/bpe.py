@@ -22,7 +22,7 @@ import ray
 import ray.data as rd
 
 from .shuffle import grouped_sum
-from .text import word_freqs
+from .text import word_freqs, words
 
 
 def word_histogram(ds: rd.Dataset, text_col: str = "text") -> tuple[np.ndarray, np.ndarray]:
@@ -98,23 +98,19 @@ def bpe_token_count(ds: rd.Dataset, n_merges: int = 20,
     word → n_subwords map (vocabulary-sized) broadcasts once; each batch does
     a dictionary-encode lookup + per-doc reduceat — unseen words fall back to
     character count (standard char-level fallback)."""
-    words, counts = word_histogram(ds, text_col)
-    _, (sym, wid) = _merge_loop(words, counts, n_merges)
-    tok_len = np.bincount(wid, minlength=len(words)).astype(np.int64)
-    lookup_ref = ray.put({w: int(n) for w, n in zip(words, tok_len)})
+    vocab, counts = word_histogram(ds, text_col)
+    _, (sym, wid) = _merge_loop(vocab, counts, n_merges)
+    tok_len = np.bincount(wid, minlength=len(vocab)).astype(np.int64)
+    lookup_ref = ray.put({w: int(n) for w, n in zip(vocab, tok_len)})
 
     def fn(batch: pa.Table) -> pa.Table:
         lut = ray.get(lookup_ref)
-        texts = batch.column(text_col)
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        wl = pc.split_pattern(texts, " ")
-        flat = wl.flatten().dictionary_encode()
+        flat, offs = words(batch.column(text_col))
+        flat = flat.dictionary_encode()
         dvals = flat.dictionary.to_pylist()  # batch-distinct words only
         per_distinct = np.array([lut.get(w, len(w)) for w in dvals],
                                 dtype=np.int64)
         per_word = per_distinct[flat.indices.to_numpy(zero_copy_only=False)]
-        offs = wl.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
         per_doc = np.add.reduceat(per_word, offs[:-1]) if len(per_word) \
             else np.zeros(batch.num_rows, dtype=np.int64)
         return pa.table({
@@ -168,11 +164,8 @@ def bpe_encode(ds: rd.Dataset, codec_ref, id_col: str = "doc_id",
     def fn(batch: pa.Table) -> pa.Table:
         codec = ray.get(codec_ref)
         word2ids, tok_id = codec["word2ids"], codec["tok_id"]
-        texts = batch.column(text_col)
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        wl = pc.split_pattern(texts, " ")
-        flat = wl.flatten().dictionary_encode()
+        flat, word_doc_offs = words(batch.column(text_col))
+        flat = flat.dictionary_encode()
         dist = []
         for w in flat.dictionary.to_pylist():   # batch-distinct words only
             ids = word2ids.get(w)
@@ -192,8 +185,6 @@ def bpe_encode(ds: rd.Dataset, codec_ref, id_col: str = "doc_id",
                + np.repeat(dist_offs[:-1][widx], lens))
         tok = dist_flat[idx]
         # per-doc token ranges; drop each non-empty doc's trailing separator
-        word_doc_offs = np.asarray(wl.offsets, dtype=np.int64)
-        word_doc_offs = word_doc_offs - word_doc_offs[0]
         cum = np.concatenate([[0], np.cumsum(lens)])
         tok_doc_offs = cum[word_doc_offs]
         keep = np.ones(total, dtype=bool)

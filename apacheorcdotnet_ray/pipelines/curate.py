@@ -19,26 +19,9 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from .dedup import _batch_word_hashes, _batch_shingle_hashes
+from .dedup import _batch_shingle_hashes
 from .shuffle import grouped_map
-from .text import STOPWORDS, word_counts
-
-
-def _doc_shingles(texts, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-doc n-word shingle hashes with SHORT DOCS CONTRIBUTING NOTHING
-    (docs with < n words have no n-gram — matches the SQL ``WHERE len(ws)
-    >= n`` form), unlike dedup's fallback-hash convention."""
-    flat, offs = _batch_shingle_hashes(texts, n)
-    wc = pc.add(pc.count_substring(texts, " "), 1).to_numpy(zero_copy_only=False)
-    short = wc < n
-    if not short.any():
-        return flat, offs
-    # _batch_shingle_hashes emits exactly one fallback hash per short doc —
-    # drop those entries and zero the doc's count
-    counts = np.diff(offs)
-    counts[short] = 0
-    keep = np.repeat(~short, np.diff(offs))
-    return flat[keep], np.concatenate([[0], np.cumsum(counts)])
+from .text import doc_terms, stop_hits, word_counts, words
 
 
 def decontaminate(
@@ -49,7 +32,8 @@ def decontaminate(
     text_col: str = "text",
 ) -> rd.Dataset:
     """Remove training documents that share ANY n-word shingle with the
-    test/eval set — the standard benchmark-decontamination pass.
+    test/eval set — the standard benchmark-decontamination pass. A document
+    under n words has no shingle (the SQL ``WHERE len(ws) >= n`` form).
 
     The test side reduces to a distinct shingle-hash array (per-batch
     ``np.unique`` partials, one tiny driver union) broadcast once via
@@ -61,7 +45,7 @@ def decontaminate(
     distributed semi-join of shingle postings (joins.semi_join shape).
     """
     def test_partial(batch: pa.Table) -> pa.Table:
-        flat, _ = _doc_shingles(batch.column(text_col), n)
+        flat, _ = _batch_shingle_hashes(batch.column(text_col), n, "drop")
         u = np.unique(flat)
         # one packed row per batch (vocab_counts-style): the driver reduce
         # touches one small object per batch, not one row per hash
@@ -75,7 +59,7 @@ def decontaminate(
 
     def keep_clean(batch: pa.Table) -> pa.Table:
         th = ray.get(test_ref)
-        flat, offs = _doc_shingles(batch.column(text_col), n)
+        flat, offs = _batch_shingle_hashes(batch.column(text_col), n, "drop")
         if len(th) and len(flat):
             idx = np.searchsorted(th, flat).clip(max=len(th) - 1)
             hit = (th[idx] == flat).astype(np.int64)
@@ -116,22 +100,12 @@ def redact_terms(
 
 
 def _top_word_counts(texts) -> np.ndarray:
-    """Per-doc count of the most frequent word, vectorized across the whole
-    batch: lexsort (doc, word-hash) → run lengths → per-doc max via reduceat."""
-    wh, offs = _batch_word_hashes(texts)
-    n_docs = len(offs) - 1
-    doc_idx = np.repeat(np.arange(n_docs, dtype=np.int64), np.diff(offs))
-    order = np.lexsort((wh, doc_idx))
-    sw, sd = wh[order], doc_idx[order]
-    new_run = np.ones(len(sw), dtype=bool)
-    new_run[1:] = (sw[1:] != sw[:-1]) | (sd[1:] != sd[:-1])
-    run_starts = np.nonzero(new_run)[0]
-    run_lens = np.diff(np.append(run_starts, len(sw)))
-    run_doc = sd[run_starts]
-    # every doc has >=1 word (split_pattern emits >=1), so run_doc covers
-    # 0..n_docs-1 and the first-run index per doc is a unique() byproduct
-    first_run = np.unique(run_doc, return_index=True)[1]
-    return np.maximum.reduceat(run_lens, first_run)
+    """Per-doc count of the most frequent word: the max tf of each doc's
+    ``doc_terms`` (0 for a null text, which has no words)."""
+    doc, _, tf = doc_terms(texts)
+    top = np.zeros(len(texts), dtype=np.int64)
+    np.maximum.at(top, doc, tf)
+    return top
 
 
 def gopher_filter(
@@ -149,8 +123,9 @@ def gopher_filter(
     length band, stopword evidence, single-word repetition cap), one
     vectorized pass. Returns the surviving ids.
 
-    stop-hit counting uses the shared non-overlapping ' w ' substring
-    convention (same as text.lang_id) so the SQL oracle is value-exact."""
+    stop-hit counting is ``text.stop_hits`` (the non-overlapping ' w '
+    substring convention text.lang_id uses) so the SQL oracle is
+    value-exact."""
 
     def fn(batch: pa.Table) -> pa.Table:
         keep = _gopher_keep(batch, text_col, min_words, max_words,
@@ -169,17 +144,10 @@ def _gopher_keep(batch: pa.Table, text_col: str, min_words: int,
     nw = word_counts(batch, text_col).cast(pa.int64()).to_numpy()
     text_len = pc.utf8_length(txt).cast(pa.int64()).to_numpy()
     mean_wl = (text_len - (nw - 1)).astype(np.float64) / nw
-    padded = pc.binary_join_element_wise(
-        pa.array([" "] * batch.num_rows), txt,
-        pa.array([" "] * batch.num_rows), "")
-    stop_hits = np.zeros(batch.num_rows, dtype=np.int64)
-    for w in STOPWORDS:
-        stop_hits += pc.count_substring(padded, f" {w} ").to_numpy(
-            zero_copy_only=False).astype(np.int64)
     top_frac = _top_word_counts(txt).astype(np.float64) / nw
     return ((nw >= min_words) & (nw <= max_words)
             & (mean_wl >= min_mean_word_len) & (mean_wl <= max_mean_word_len)
-            & (stop_hits >= min_stop_hits)
+            & (stop_hits(txt).to_numpy() >= min_stop_hits)
             & (top_frac <= max_top_word_frac))
 
 
@@ -197,12 +165,7 @@ def chunk_documents(
     W = chunk_words
 
     def fn(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col)
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        words = pc.split_pattern(texts, " ")
-        flat = words.flatten()
-        offs = words.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
+        flat, offs = words(batch.column(text_col))
         wc = np.diff(offs)
         n_chunks = -(-wc // W)  # every doc has >=1 word -> >=1 chunk
         total = int(n_chunks.sum())

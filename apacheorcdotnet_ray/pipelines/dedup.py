@@ -20,6 +20,7 @@ import pyarrow as pa
 import ray.data as rd
 
 from .shuffle import grouped_map, grouped_sum
+from .text import ngram_windows, ngrams, word_counts, words
 
 log = logging.getLogger(__name__)
 
@@ -197,16 +198,11 @@ def _shingle_mult(k: int) -> np.ndarray:
 
 
 def _batch_word_hashes(texts: pa.Array | pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized words→uint64 hashes for a whole batch: Arrow split_pattern
+    """Vectorized words→uint64 hashes for a whole batch: ``text.words``
     + polars hash (Rust xxhash kernel). Returns (flat word hashes, offsets)."""
     import polars as pl
-    import pyarrow.compute as pc
 
-    if isinstance(texts, pa.ChunkedArray):
-        texts = texts.combine_chunks()
-    words = pc.split_pattern(texts, " ")
-    flat = words.flatten()
-    offs = words.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
+    flat, offs = words(texts)
     if len(flat) == 0:
         return np.empty(0, dtype=np.uint64), offs
     wh = pl.from_arrow(pa.table({"w": flat}))["w"].hash(seed=0).to_numpy().astype(np.uint64)
@@ -214,53 +210,44 @@ def _batch_word_hashes(texts: pa.Array | pa.ChunkedArray) -> tuple[np.ndarray, n
 
 
 def _batch_shingle_hashes(
-    texts: pa.Array | pa.ChunkedArray, k: int
+    texts: pa.Array | pa.ChunkedArray, k: int, short: str = "fold"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-doc k-word-shingle hash sets for a whole batch, vectorized.
 
-    Returns (flat shingle hashes, doc boundary offsets into it). A doc with
-    fewer than k words contributes one fallback hash (its word-hash fold)."""
+    Returns (flat shingle hashes, doc boundary offsets into it). Shingles
+    are the ``text.ngram_windows`` windows. A doc with fewer than k words
+    has none; ``short`` says what it contributes instead: "fold" → one
+    fallback hash (its word-hash fold), "drop" → nothing (the SQL ``WHERE
+    len(ws) >= n`` form)."""
     wh, offs = _batch_word_hashes(texts)
-    n_docs = len(offs) - 1
     wc = np.diff(offs)
-    n_sh = np.maximum(wc - k + 1, 0)
+    doc, pos = ngram_windows(wc, k)
+    start = offs[:-1][doc] + pos
     mult = _shingle_mult(k)
-    if len(wh) >= k:
-        with np.errstate(over="ignore"):
-            s = wh[: len(wh) - k + 1] * mult[0]
-            for j in range(1, k):
-                s = s + wh[j : len(wh) - k + 1 + j] * mult[j]
-        # drop cross-boundary positions: for each internal doc start b, flat
-        # positions b-k+1..b-1 span two docs
-        valid = np.ones(len(s), dtype=bool)
-        if n_docs > 1 and k > 1:
-            bad = (np.add.outer(offs[1:-1], np.arange(-(k - 1), 0))).ravel()
-            bad = bad[(bad >= 0) & (bad < len(s))]
-            valid[bad] = False
-        s = s[valid]
-    else:
-        s = np.empty(0, dtype=np.uint64)
-
-    # docs with <k words: fold their word hashes into one fallback hash
-    # (split_pattern yields >=1 word per doc, so every doc emits something)
-    short = np.nonzero(wc < k)[0]
-    if len(short):
-        out_counts = np.where(wc >= k, n_sh, 1)
-        out = np.empty(int(out_counts.sum()), dtype=np.uint64)
-        out_offs = np.concatenate([[0], np.cumsum(out_counts)])
-        s_offs = np.concatenate([[0], np.cumsum(n_sh)])
-        copy_docs = np.nonzero(wc >= k)[0]
-        for d in copy_docs.tolist():
-            out[out_offs[d] : out_offs[d + 1]] = s[s_offs[d] : s_offs[d + 1]]
-        with np.errstate(over="ignore"):
-            for d in short.tolist():
-                seg = wh[offs[d] : offs[d + 1]]
-                # position-dependent fold (mult[:len] = same family as full
-                # shingles) so permuted word orders do NOT collide — matches
-                # the order-sensitive oracle semantics for <k-word docs
-                out[out_offs[d]] = (seg * mult[: len(seg)]).sum()
-        return out, out_offs
-    return s, np.concatenate([[0], np.cumsum(n_sh)])
+    with np.errstate(over="ignore"):
+        s = wh[start] * mult[0]
+        for j in range(1, k):
+            s = s + wh[start + j] * mult[j]
+    counts = np.bincount(doc, minlength=len(wc))
+    is_short = wc < k
+    if short == "drop" or not is_short.any():
+        return s, np.concatenate([[0], np.cumsum(counts)])
+    # fold each short doc's word hashes into one hash, position-dependent
+    # (mult[:wc] = same family as full shingles) so permuted word orders do
+    # NOT collide — matches the order-sensitive oracle semantics for <k-word
+    # docs. Folds are differences of one wrapping running sum, so a doc with
+    # no words (a null text) folds to 0
+    word_doc = np.repeat(np.arange(len(wc), dtype=np.int64), wc)
+    in_short = is_short[word_doc]
+    word_pos = np.arange(len(wh), dtype=np.int64) - offs[:-1][word_doc]
+    with np.errstate(over="ignore"):
+        run = np.cumsum(np.concatenate([np.zeros(1, np.uint64),
+                                        wh[in_short] * mult[word_pos[in_short]]]))
+        end = np.cumsum(wc[is_short])
+        folded = run[end] - run[end - wc[is_short]]
+    out = np.insert(s, (np.cumsum(counts) - counts)[is_short], folded)
+    counts[is_short] = 1
+    return out, np.concatenate([[0], np.cumsum(counts)])
 
 
 _MERSENNE = np.uint64((1 << 61) - 1)
@@ -812,8 +799,8 @@ def dup_ngram_spans(
     a distributable postings shape. Output: (doc_id, n_pos, n_dup,
     dup_frac) for every doc with at least n words.
 
-    One postings pass builds (ngram, doc_id, pos) per batch (vectorized
-    shifted-slice join, cross-doc windows masked); ONE bounded hash
+    One postings pass builds (ngram, doc_id, pos) per batch from the
+    in-doc windows of ``text.ngrams``; ONE bounded hash
     shuffle keyed on the ngram co-locates each ngram's occurrences; inside
     a partition a single sort + duplicated-mask marks every non-first
     occurrence, pre-aggregated to per-doc counts before the tiny final
@@ -829,40 +816,14 @@ def dup_ngram_spans(
     from .joins import hash_join
 
     def postings(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col)
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        words = pc.split_pattern(texts, " ")
-        flat = words.flatten()
-        offs = np.asarray(words.offsets, dtype=np.int64)
-        offs = offs - offs[0]
-        m = len(flat) - n + 1
-        empty = pa.table({
-            "ng": pa.array([], type=pa.int64() if hashed else pa.string()),
-            id_col: pa.array([], type=batch.schema.field(id_col).type),
-            "pos": pa.array([], type=pa.int64()),
-        })
-        if m <= 0:
-            return empty
-        shifted = [flat.slice(j, m) for j in range(n)]
-        grams = pc.binary_join_element_wise(*shifted, " ")
-        starts = offs[:-1]
-        doc_idx = np.repeat(np.arange(batch.num_rows, dtype=np.int64),
-                            np.diff(offs))[:m]
-        pos = np.arange(m, dtype=np.int64) - starts[doc_idx]
-        # a window starting within n-1 words of a doc's end spans two docs
-        valid = pos <= (np.diff(offs) - n)[doc_idx]
-        if not valid.any():
-            return empty
-        grams = grams.filter(pa.array(valid))
+        grams, doc, pos = ngrams(batch.column(text_col), n)
         if hashed:
             import polars as pl
 
             grams = pa.array(pl.from_arrow(pa.table({"g": grams}))["g"]
                              .hash(seed=0).to_numpy().view(np.int64))
-        ids = batch.column(id_col).take(pa.array(doc_idx[valid]))
-        return pa.table({"ng": grams, id_col: ids,
-                         "pos": pa.array(pos[valid])})
+        ids = batch.column(id_col).take(pa.array(doc))
+        return pa.table({"ng": grams, id_col: ids, "pos": pa.array(pos)})
 
     def mark_dups(df):
         df = df.sort_values(["ng", id_col, "pos"], kind="mergesort")
@@ -876,11 +837,11 @@ def dup_ngram_spans(
     dups = grouped_sum(per_part, [id_col], ["n_dup"], num_partitions)
 
     def totals(batch: pa.Table) -> pa.Table:
-        wc = pc.add(pc.count_substring(batch.column(text_col), " "), 1) \
-            .to_numpy(zero_copy_only=False).astype(np.int64)
+        wc = word_counts(batch, text_col).to_numpy(zero_copy_only=False)
+        n_pos = np.bincount(ngram_windows(wc, n)[0], minlength=len(wc))
         t = pa.table({id_col: batch.column(id_col),
-                      "n_pos": pa.array(wc - n + 1)})
-        return t.filter(pa.array(wc >= n))
+                      "n_pos": pa.array(n_pos.astype(np.int64))})
+        return t.filter(pa.array(n_pos > 0))
 
     joined = hash_join(ds.map_batches(totals, batch_format="pyarrow"),
                        dups, id_col, id_col, how="left",

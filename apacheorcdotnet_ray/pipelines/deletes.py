@@ -73,16 +73,3 @@ def delete_where(stripe_dir: str, predicate) -> dict:
             "rows_deleted_new": int(new_total),
             "rows_deleted_total": int(total)}
 
-
-def undelete_all(stripe_dir: str) -> int:
-    """Drop every delete sidecar under the directory (restore all rows);
-    returns the number of sidecars removed."""
-    from ..stripe.deletes import sidecar_path
-
-    n = 0
-    for p in stripe_paths(stripe_dir):
-        sp = sidecar_path(p)
-        if os.path.exists(sp):
-            os.remove(sp)
-            n += 1
-    return n

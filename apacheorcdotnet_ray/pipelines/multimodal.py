@@ -138,7 +138,7 @@ def decode_media(ds: rd.Dataset, batch_size: int = 64) -> rd.Dataset:
 
 
 # ---------------------------------------------------------------------------
-# feature extraction / resize / frame sampling (vectorized over decoded pixels)
+# feature extraction / frame sampling (vectorized over decoded pixels)
 
 _BINS = 16  # histogram bins; divides 256, so a pixel's bin is one floor-divide
 
@@ -190,43 +190,6 @@ def pixel_features(batch: pa.Table) -> pa.Table:
 def extract_features(ds: rd.Dataset, batch_size: int = 64) -> rd.Dataset:
     return ds.map_batches(pixel_features, batch_format="pyarrow",
                           batch_size=batch_size)
-
-
-def resize_images(ds: rd.Dataset, out_w: int = 8, out_h: int = 8) -> rd.Dataset:
-    """Nearest-neighbor resize of decoded frames (vectorized index gather per
-    item). A real pipeline would swap the kernel for PIL/cv2 inside the same
-    stage shape."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        col = batch.column("pixels")
-        arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-        flat = arr.flatten().to_numpy(zero_copy_only=False)
-        offs = arr.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-        ws = batch.column("width").to_numpy()
-        hs = batch.column("height").to_numpy()
-        fs = batch.column("n_frames").to_numpy()
-        out = []
-        for i in range(len(arr)):
-            w, h, fr = int(ws[i]), int(hs[i]), int(fs[i])
-            frames = flat[offs[i] : offs[i + 1]].reshape(fr, h, w)
-            yi = (np.arange(out_h) * h) // out_h
-            xi = (np.arange(out_w) * w) // out_w
-            out.append(frames[:, yi][:, :, xi].ravel())
-        offsets = np.concatenate([[0], np.cumsum([len(o) for o in out])]).astype(np.int32)
-        resized = pa.ListArray.from_arrays(
-            pa.array(offsets),
-            pa.array(np.concatenate(out) if out else np.empty(0, np.uint8),
-                     type=pa.uint8()),
-        )
-        return pa.table({
-            "media_id": batch.column("media_id"),
-            "n_frames": batch.column("n_frames"),
-            "width": pa.array(np.full(len(arr), out_w, dtype=np.int32)),
-            "height": pa.array(np.full(len(arr), out_h, dtype=np.int32)),
-            "pixels": resized,
-        })
-
-    return ds.map_batches(fn, batch_format="pyarrow", batch_size=64)
 
 
 def sample_frames(ds: rd.Dataset, every_n: int = 2) -> rd.Dataset:

@@ -18,6 +18,7 @@ import pyarrow as pa
 import ray.data as rd
 
 from .shuffle import grouped_map
+from .text import word_counts
 
 _MOD = 2147483647          # 2^31 - 1
 _MULT = 2654435761         # Knuth multiplicative constant
@@ -114,8 +115,8 @@ def token_budget_sample(
     import ray
 
     def _nt(batch: pa.Table) -> np.ndarray:
-        return pc.add(pc.count_substring(batch.column(text_col), " "), 1) \
-            .to_numpy(zero_copy_only=False).astype(np.int64)
+        return word_counts(batch, text_col).to_numpy(
+            zero_copy_only=False).astype(np.int64)
 
     def _hb(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
         h = _row_hash(batch.column(id_col).to_numpy(zero_copy_only=False))

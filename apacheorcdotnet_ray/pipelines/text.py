@@ -3,12 +3,20 @@ counting, language-ID heuristic, quality scoring, fingerprinting.
 
 All vectorized (pyarrow.compute / polars) inside ``map_batches``; formulas are
 chosen to be expressible in ANSI SQL with *identical* semantics so the DuckDB
-oracle can validate them (e.g. word count = count(' ')+1 == len(string_split(text,' '))).
+oracle can validate them.
+
+One word rule serves every text operator here and in ``dedup``, ``curate``,
+``bpe`` and ``sample``: a document's words are what Python's
+``text.split(' ')`` yields (split on a single space, so ``""`` is one empty
+word and ``"a  b"`` is three). ``words()`` is the one split; ``word_counts()``
+counts the same words without splitting, since count(' ') + 1 ==
+len(text.split(' ')) == DuckDB len(string_split(text, ' ')). The helpers
+built on them (``doc_terms``, ``distinct_word_counts``, ``stop_hits``,
+``ngram_windows``, ``ngrams``, ``query_terms``) are the only other places
+that look at words.
 """
 
 from __future__ import annotations
-
-import zlib
 
 import numpy as np
 
@@ -17,6 +25,7 @@ import numpy as np
 # multiple task threads (observed: AttributeError on polars._reexport)
 import polars  # noqa: F401
 
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
@@ -27,20 +36,88 @@ VOCAB = 50257
 STOPWORDS = ("the", "a", "of", "and", "to", "in", "is", "on")
 
 
+def words(texts: pa.Array | pa.ChunkedArray) -> tuple[pa.Array, np.ndarray]:
+    """The one word split: (flat words of every doc in order, int64 doc
+    offsets into them starting at 0). Each doc's words are exactly
+    ``text.split(' ')``, so every doc has at least one word; a null text
+    has none."""
+    if isinstance(texts, pa.ChunkedArray):
+        texts = texts.combine_chunks()
+    wl = pc.split_pattern(texts, " ")
+    return wl.flatten(), np.asarray(wl.offsets, dtype=np.int64)
+
+
 def word_counts(batch: pa.Table, col: str = "text") -> pa.Array:
-    """Words per doc when splitting on single spaces (== DuckDB
-    len(string_split(text, ' ')))."""
+    """Words per doc under the ``words`` rule, counted without splitting:
+    count(' ') + 1 (== DuckDB len(string_split(text, ' ')))."""
     return pc.add(pc.count_substring(batch.column(col), " "), 1)
 
 
+def doc_terms(texts: pa.Array | pa.ChunkedArray
+              ) -> tuple[np.ndarray, pa.Array, np.ndarray]:
+    """Each distinct (doc, word) pair of a batch with the word's count in
+    that doc: (doc index, word, tf int64), ordered by doc. Exact: words are
+    told apart by dictionary code, not by hash."""
+    flat, offs = words(texts)
+    enc = flat.dictionary_encode()
+    codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    nv = max(1, len(enc.dictionary))
+    doc = np.repeat(np.arange(len(offs) - 1, dtype=np.int64), np.diff(offs))
+    pair, tf = np.unique(doc * nv + codes, return_counts=True)
+    return pair // nv, enc.dictionary.take(pa.array(pair % nv)), tf.astype(np.int64)
+
+
+def distinct_word_counts(texts: pa.Array | pa.ChunkedArray) -> np.ndarray:
+    """Distinct words per doc (== DuckDB len(list_distinct(string_split(
+    text, ' ')))), as int64."""
+    doc, _, _ = doc_terms(texts)
+    return np.bincount(doc, minlength=len(texts)).astype(np.int64)
+
+
+def stop_hits(texts: pa.Array | pa.ChunkedArray) -> pa.Array | pa.ChunkedArray:
+    """Per-doc stopword hits with SQL-identical semantics:
+    Σ_w count(' w ' in ' '||text||' '), non-overlapping, int64 (null for
+    a null text)."""
+    padded = pc.binary_join_element_wise(" ", texts, " ", "")
+    hits = pa.scalar(0, pa.int64())
+    for w in STOPWORDS:
+        hits = pc.add(hits, pc.count_substring(padded, f" {w} ").cast(pa.int64()))
+    return hits
+
+
+def query_terms(query: str) -> list[str]:
+    """A search query's distinct terms (whitespace split), sorted: the term
+    order every BM25 score sums in."""
+    return sorted(set(query.split()))
+
+
+def ngram_windows(wc: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one n-gram window rule: a doc of ``wc`` words holds the n-word
+    windows that start at in-doc positions 0 .. wc - n, so a window never
+    crosses into the next doc and a doc under n words has none. Returns
+    (doc index, in-doc start position) of every window, docs in order."""
+    per_doc = np.maximum(np.asarray(wc, dtype=np.int64) - n + 1, 0)
+    doc = np.repeat(np.arange(len(per_doc), dtype=np.int64), per_doc)
+    first = np.cumsum(per_doc) - per_doc
+    return doc, np.arange(len(doc), dtype=np.int64) - first[doc]
+
+
+def ngrams(texts: pa.Array | pa.ChunkedArray, n: int
+           ) -> tuple[pa.Array, np.ndarray, np.ndarray]:
+    """Every in-doc n-word window of a batch as its space-joined string:
+    (n-gram, doc index, in-doc start position)."""
+    flat, offs = words(texts)
+    doc, pos = ngram_windows(np.diff(offs), n)
+    start = offs[:-1][doc] + pos
+    grams = pc.binary_join_element_wise(
+        *[flat.take(pa.array(start + j)) for j in range(n)], " ")
+    return grams, doc, pos
+
+
 def word_freqs(batch: pa.Table, col: str = "text") -> pa.Table:
-    """One batch's word histogram (w, cnt int64), splitting on single
-    spaces: the per-batch partial of a distributed word count, summed per
-    word by ``grouped_sum``."""
-    texts = batch.column(col)
-    if isinstance(texts, pa.ChunkedArray):
-        texts = texts.combine_chunks()
-    vc = pc.split_pattern(texts, " ").flatten().value_counts()
+    """One batch's word histogram (w, cnt int64): the per-batch partial of
+    a distributed word count, summed per word by ``grouped_sum``."""
+    vc = words(batch.column(col))[0].value_counts()
     return pa.table({"w": vc.field("values"),
                      "cnt": vc.field("counts").cast(pa.int64())})
 
@@ -112,14 +189,9 @@ def extract_json_field(ds: rd.Dataset, col: str, field: str,
 def quality_scores(ds: rd.Dataset) -> rd.Dataset:
     """Per-doc quality signals: word count, distinct-word count, uniqueness
     ratio, mean word length. Matches the oracle formulas exactly."""
-    import polars as pl
-
     def fn(batch: pa.Table) -> pa.Table:
         n_words = word_counts(batch).cast(pa.int64())
-        df = pl.from_arrow(batch.select(["doc_id", "text"]))
-        n_unique = df.select(
-            pl.col("text").str.split(" ").list.n_unique().alias("u")
-        )["u"].to_numpy().astype(np.int64)
+        n_unique = distinct_word_counts(batch.column("text"))
         nw = n_words.to_numpy()
         text_len = pc.utf8_length(batch.column("text")).cast(pa.int64()).to_numpy()
         return pa.table({
@@ -141,12 +213,9 @@ def quality_filter(
     enough lexical diversity. One vectorized pass computes the signals and
     applies the mask per batch — the filter composes with any downstream
     stage without materializing rejects."""
-    import polars as pl
-
     def fn(batch: pa.Table) -> pa.Table:
         n_words = word_counts(batch).cast(pa.int64()).to_numpy()
-        n_unique = pl.from_arrow(batch.select(["text"]))["text"] \
-            .str.split(" ").list.n_unique().to_numpy().astype(np.int64)
+        n_unique = distinct_word_counts(batch.column("text"))
         keep = (n_words >= min_words) & (n_words <= max_words) & (
             n_unique.astype(np.float64) / n_words >= min_uniq_ratio)
         return batch.filter(pa.array(keep))
@@ -159,12 +228,7 @@ def lang_id(ds: rd.Dataset) -> rd.Dataset:
     hits = Σ_w count(' w ' in ' '||text||' '); lang_pred = 'en' if hits>0."""
 
     def fn(batch: pa.Table) -> pa.Table:
-        padded = pc.binary_join_element_wise(
-            pa.array([" "] * batch.num_rows), batch.column("text"),
-            pa.array([" "] * batch.num_rows), "")
-        hits = pa.array(np.zeros(batch.num_rows, dtype=np.int64))
-        for w in STOPWORDS:
-            hits = pc.add(hits, pc.count_substring(padded, f" {w} ").cast(pa.int64()))
+        hits = stop_hits(batch.column("text"))
         pred = pc.if_else(pc.greater(hits, 0), pa.scalar("en"), pa.scalar("other"))
         return pa.table({
             "doc_id": batch.column("doc_id"),
@@ -221,33 +285,12 @@ def doc_fingerprints(ds: rd.Dataset, window: int = 8) -> rd.Dataset:
 
 def ngram_counts(ds: rd.Dataset, n: int = 2, k: int = 10,
                  text_col: str = "text") -> rd.Dataset:
-    """Global top-k word n-grams: vectorized n-gram string construction per
-    batch (binary_join over shifted flat word arrays, cross-doc positions
-    masked) → per-batch value_counts partial → grouped sum → tiny sorted
+    """Global top-k word n-grams: the batch's in-doc n-gram strings
+    (``ngrams``) → per-batch value_counts partial → grouped sum → tiny sorted
     head. Ties break on the n-gram string, matching the SQL oracle."""
 
     def partial(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col)
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        words = pc.split_pattern(texts, " ")
-        flat = words.flatten()
-        offs = words.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-        m = len(flat) - n + 1
-        if m <= 0:
-            return pa.table({"ng": pa.array([], type=pa.string()),
-                             "cnt": pa.array([], type=pa.int64())})
-        shifted = [flat.slice(j, m) for j in range(n)]
-        grams = pc.binary_join_element_wise(*shifted, " ")
-        # drop cross-doc windows: for each internal doc start b, positions
-        # b-n+1..b-1 span two docs
-        valid = np.ones(m, dtype=bool)
-        if len(offs) > 2 and n > 1:
-            bad = (np.add.outer(offs[1:-1], np.arange(-(n - 1), 0))).ravel()
-            bad = bad[(bad >= 0) & (bad < m)]
-            valid[bad] = False
-        grams = grams.filter(pa.array(valid))
-        vc = grams.value_counts()
+        vc = ngrams(batch.column(text_col), n)[0].value_counts()
         return pa.table({"ng": vc.field("values"), "cnt": vc.field("counts")})
 
     summed = grouped_sum(ds.map_batches(partial, batch_format="pyarrow"),
@@ -279,16 +322,10 @@ def oov_rate(ds: rd.Dataset, k: int = 200, text_col: str = "text",
 
     def part(batch: pa.Table) -> pa.Table:
         vocab = ray.get(vocab_ref)
-        texts = batch.column(text_col)
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        words = pc.split_pattern(texts, " ")
-        flat = words.flatten()
+        flat, offs = words(batch.column(text_col))
         oov = pc.invert(pc.is_in(flat, value_set=vocab)).to_numpy(
             zero_copy_only=False).astype(np.int64)
-        per_doc_tok = pc.list_value_length(words).to_numpy(zero_copy_only=False)
-        offs = np.asarray(words.offsets, dtype=np.int64)
-        offs = offs - offs[0]
+        per_doc_tok = np.diff(offs)
         keys = batch.column(key_col)
         if isinstance(keys, pa.ChunkedArray):
             keys = keys.combine_chunks()
@@ -326,7 +363,7 @@ def tfidf_top_terms(ds: rd.Dataset, k: int = 3,
                     id_col: str = "doc_id", text_col: str = "text",
                     num_partitions: int = 64, idf: str = "log") -> rd.Dataset:
     """Per-doc top-k terms by tf-idf, rank ties on the term string. Fully
-    distributed: per-batch Arrow group_by builds the (doc, term, tf)
+    distributed: per-batch ``doc_terms`` builds the (doc, term, tf)
     postings (docs never span batches), document frequency aggregates
     through bounded hash partitions, and the vocabulary-sized df table
     joins back via hash_join's adaptive path — broadcast while the vocab
@@ -342,22 +379,11 @@ def tfidf_top_terms(ds: rd.Dataset, k: int = 3,
     n_docs = ds.count()  # one driver-side scalar
 
     def postings(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col)
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        words = pc.split_pattern(texts, " ")
-        flat = words.flatten()
-        counts = pc.list_value_length(words).to_numpy(zero_copy_only=False)
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        t = pa.table({
-            id_col: pa.array(np.repeat(ids, counts)),
-            "term": flat,
-        })
-        g = t.group_by([id_col, "term"]).aggregate([([], "count_all")])
+        doc, term, tf = doc_terms(batch.column(text_col))
         return pa.table({
-            id_col: g.column(id_col),
-            "term": g.column("term"),
-            "tf": g.column("count_all").cast(pa.int64()),
+            id_col: batch.column(id_col).take(pa.array(doc)),
+            "term": term,
+            "tf": pa.array(tf),
         })
 
     post = ds.map_batches(postings, batch_format="pyarrow")
@@ -391,8 +417,6 @@ def tfidf_top_terms(ds: rd.Dataset, k: int = 3,
         out["rank"] = out["rank"].astype(np.int64)
         return out
 
-    import pandas as pd  # noqa: F811
-
     return grouped_map(scored, [id_col], topk, num_partitions)
 
 
@@ -418,19 +442,13 @@ def bm25_search(ds: rd.Dataset, query: str, k: int = 10,
     words equal to each query term ('hash hash hash' → tf 3). Vectorized
     as one split + ``pc.index_in`` against the tiny term list + a flat
     bincount per batch — no per-row Python."""
-    terms = sorted(set(query.split()))
+    terms = query_terms(query)
 
     def term_tf(batch: pa.Table) -> np.ndarray:
         """(n_rows × n_terms) exact word-equality counts."""
-        texts = batch.column(text_col)
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        wl = pc.split_pattern(texts, " ")
-        flat = wl.flatten()
+        flat, offs = words(batch.column(text_col))
         tid = pc.index_in(flat, value_set=pa.array(terms)).to_numpy(
             zero_copy_only=False)
-        offs = np.asarray(wl.offsets, dtype=np.int64)
-        offs = offs - offs[0]
         doc_idx = np.repeat(np.arange(batch.num_rows, dtype=np.int64),
                             np.diff(offs))
         hit = ~np.isnan(tid) if tid.dtype.kind == "f" else tid >= 0
@@ -550,6 +568,8 @@ def normalize_text(ds: rd.Dataset, id_col: str = "doc_id",
         return pa.table({id_col: batch.column(id_col), "norm_text": t})
 
     return ds.map_batches(fn, batch_format="pyarrow")
+
+
 def heavy_hitters(ds: rd.Dataset, phi: float = 0.002,
                   text_col: str = "text") -> rd.Dataset:
     """Exact frequent words above a support fraction (count > floor(phi*N)),
@@ -579,10 +599,7 @@ def heavy_hitters(ds: rd.Dataset, phi: float = 0.002,
         return values.take(pa.array(keep)), counts[keep] - residual
 
     def partial(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col)
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        flat = pc.split_pattern(texts, " ").flatten()
+        flat, _ = words(batch.column(text_col))
         vc = flat.value_counts()
         values = vc.field("values")
         counts = vc.field("counts").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -611,10 +628,7 @@ def heavy_hitters(ds: rd.Dataset, phi: float = 0.002,
 
     def exact(batch: pa.Table) -> pa.Table:
         cand = ray.get(cand_ref)
-        texts = batch.column(text_col)
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        flat = pc.split_pattern(texts, " ").flatten()
+        flat, _ = words(batch.column(text_col))
         codes = pc.index_in(flat, value_set=cand).drop_null()
         cnt = np.bincount(codes.to_numpy(zero_copy_only=False).astype(np.int64),
                           minlength=len(cand)).astype(np.int64)
@@ -651,27 +665,12 @@ def text_index_build(ds: rd.Dataset, index_dir: str, num_buckets: int = 32,
     os.makedirs(index_dir, exist_ok=True)
 
     def postings(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col)
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        wl = pc.split_pattern(texts, " ")
-        flat = wl.flatten().dictionary_encode()
-        offs = np.asarray(wl.offsets, dtype=np.int64)
-        offs = offs - offs[0]
-        dl = np.diff(offs)
-        doc_idx = np.repeat(np.arange(batch.num_rows, dtype=np.int64), dl)
-        codes = flat.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        nv = max(1, len(flat.dictionary))
-        uk, cnt = np.unique(doc_idx * nv + codes, return_counts=True)
-        d, c = uk // nv, uk % nv
-        term = flat.dictionary.take(pa.array(c))
-        ids = batch.column(id_col)
-        if isinstance(ids, pa.ChunkedArray):
-            ids = ids.combine_chunks()
+        d, term, tf = doc_terms(batch.column(text_col))
+        dl = word_counts(batch, text_col).to_numpy(zero_copy_only=False)
         return pa.table({
             "term": term,
-            id_col: ids.take(pa.array(d)),
-            "tf": pa.array(cnt.astype(np.int64)),
+            id_col: batch.column(id_col).take(pa.array(d)),
+            "tf": pa.array(tf),
             "dl": pa.array(dl[d].astype(np.int64)),
             "bucket": pa.array(_term_bucket(term, num_buckets)),
         })
@@ -708,13 +707,11 @@ def text_index_search(index_dir: str, query: str, k: int = 10,
     import json
     import os
 
-    import pandas as pd
-
     with open(os.path.join(index_dir, "meta.json")) as f:
         meta = json.load(f)
     id_col = meta["id_col"]
     n_docs, avgdl = meta["n_docs"], meta["sum_dl"] / meta["n_docs"]
-    terms = sorted(set(query.split()))
+    terms = query_terms(query)
     buckets = sorted({int(x) for x in _term_bucket(
         pa.array(terms, type=pa.string()), meta["num_buckets"])})
     paths = [p for bkt in buckets for p in sorted(

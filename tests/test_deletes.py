@@ -6,7 +6,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
-from apacheorcdotnet_ray.pipelines.deletes import delete_where, undelete_all
+from apacheorcdotnet_ray.pipelines.deletes import delete_where
 from apacheorcdotnet_ray.pipelines.encode import encode_dataset
 from apacheorcdotnet_ray.sources.stripes import read_row_range, read_stripes
 from apacheorcdotnet_ray.stripe.config import EncodeConfig
@@ -86,14 +86,9 @@ def test_compact_applies_deletes_physically(ray_session, tmp_path):
     assert sorted(r["k"] for r in got) == list(alive)
 
 
-def test_undelete_and_mask_merge(ray_session, tmp_path):
+def test_mask_merge(ray_session, tmp_path):
     out, _ = _corpus(tmp_path, n=2000)
-    delete_where(out, ("k", "<", 5))
-    assert undelete_all(out) >= 1
-    assert read_stripes(out).count() == 2000
-    # direct mask-merge API
     p = sorted(__import__("glob").glob(out + "/*.oray"))[0]
-    import json
     from apacheorcdotnet_ray.sources.stripes import read_stripe_footer
 
     rows = read_stripe_footer(p)["rows"]

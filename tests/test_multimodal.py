@@ -51,14 +51,6 @@ def test_features(media_ds):
     assert (feats["mean_pixel"] > 100).all()  # uniform bytes → mean ≈ 127.5
 
 
-def test_resize(media_ds):
-    dec = mm.decode_media(media_ds)
-    rs = mm.resize_images(dec, out_w=8, out_h=8).to_pandas()
-    for _, row in rs.iterrows():
-        assert row["width"] == 8 and row["height"] == 8
-        assert len(row["pixels"]) == 8 * 8 * row["n_frames"]
-
-
 def test_frame_sampling(media_ds):
     dec = mm.decode_media(media_ds)
     sampled = mm.sample_frames(dec, every_n=2).to_pandas()

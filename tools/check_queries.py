@@ -7,7 +7,8 @@ import os
 import sys
 import time
 
-sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
 
 
 def to_pandas(res):
@@ -47,7 +48,9 @@ def main():
 
     import ray
 
-    ray.init(address="local", num_cpus=os.cpu_count(), include_dashboard=False, logging_level="ERROR")
+    # workers import the package from this checkout, whatever the cwd
+    ray.init(address="local", num_cpus=os.cpu_count(), include_dashboard=False, logging_level="ERROR",
+             runtime_env={"env_vars": {"PYTHONPATH": ROOT}})
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
