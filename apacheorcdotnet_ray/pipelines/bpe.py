@@ -10,7 +10,7 @@ bincount, fusion via mask arithmetic); no per-character Python.
 
 ``bpe_token_count`` applies a trained merge table: the word → subword-count
 mapping (again vocabulary-sized) ships once via ``ray.put``; the corpus pass
-is a streaming per-batch dictionary lookup + reduceat.
+is a streaming per-batch dictionary lookup + per-doc bincount.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def bpe_token_count(ds: rd.Dataset, n_merges: int = 20,
                     id_col: str = "doc_id", text_col: str = "text") -> rd.Dataset:
     """Per-doc subword count under a freshly trained merge table. The
     word → n_subwords map (vocabulary-sized) broadcasts once; each batch does
-    a dictionary-encode lookup + per-doc reduceat — unseen words fall back to
+    a dictionary-encode lookup + per-doc bincount — unseen words fall back to
     character count (standard char-level fallback)."""
     vocab, counts = word_histogram(ds, text_col)
     _, (sym, wid) = _merge_loop(vocab, counts, n_merges)
@@ -111,8 +111,10 @@ def bpe_token_count(ds: rd.Dataset, n_merges: int = 20,
         per_distinct = np.array([lut.get(w, len(w)) for w in dvals],
                                 dtype=np.int64)
         per_word = per_distinct[flat.indices.to_numpy(zero_copy_only=False)]
-        per_doc = np.add.reduceat(per_word, offs[:-1]) if len(per_word) \
-            else np.zeros(batch.num_rows, dtype=np.int64)
+        # summed by doc index, so a doc with no words (a null text) gets 0
+        doc = np.repeat(np.arange(batch.num_rows), np.diff(offs))
+        per_doc = np.bincount(doc, weights=per_word,
+                              minlength=batch.num_rows).astype(np.int64)
         return pa.table({
             id_col: batch.column(id_col),
             "n_bpe_tokens": pa.array(per_doc, type=pa.int64()),

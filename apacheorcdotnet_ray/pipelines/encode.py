@@ -270,11 +270,16 @@ def encode_num_blocks(n_parts: int, est_bytes: int, cpus: int, ctx) -> int:
     ``ctx.read_op_min_num_blocks`` while blocks stay above
     ``ctx.target_min_block_size``, at least enough to keep them under
     ``ctx.target_max_block_size``, and two per CPU; never more than one per
-    descriptor. ``sources.stripes.map_paths`` sizes every per-file job
-    with it: encode (parquet partitions), ``.oray`` and ORC reads (stripes),
-    delete marking and compaction."""
+    descriptor. One departure from Ray Data: a job under
+    ``ctx.target_min_block_size`` gets one block per CPU, not two. Its
+    second task per CPU only adds a task's fixed cost (a 256-row, 3-stripe
+    select at 1 CPU: 2 serial tasks, the second pure overhead), while one
+    per CPU still runs every CPU. ``sources.stripes.map_paths`` sizes every
+    per-file job with it: encode (parquet partitions), ``.oray`` and ORC
+    reads (stripes), delete marking and compaction."""
+    per_cpu = 1 if est_bytes < ctx.target_min_block_size else 2
     n = max(min(ctx.read_op_min_num_blocks, est_bytes // ctx.target_min_block_size),
-            est_bytes // ctx.target_max_block_size, 2 * cpus)
+            est_bytes // ctx.target_max_block_size, per_cpu * cpus)
     return max(1, min(n_parts, n))
 
 

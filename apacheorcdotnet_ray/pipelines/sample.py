@@ -115,7 +115,8 @@ def token_budget_sample(
     import ray
 
     def _nt(batch: pa.Table) -> np.ndarray:
-        return word_counts(batch, text_col).to_numpy(
+        # a null text has no words
+        return pc.fill_null(word_counts(batch, text_col), 0).to_numpy(
             zero_copy_only=False).astype(np.int64)
 
     def _hb(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,9 @@ This module holds the package's one file-to-task rule, for both formats:
   ORC stripes, parquet partitions, delete candidates, compaction bins)
   becomes Ray tasks: ``from_items`` in as many blocks as Ray Data's read
   rule gives (``encode_num_blocks``), one call of the task function per
-  block;
+  block, except that a job under ``target_min_block_size`` (1 MiB) gets
+  one block per CPU rather than two: a small read's second task per CPU
+  only adds a task's fixed cost;
 - ``map_footers`` is the only tail scan fan-out: serial on the driver for
   a few hundred files, chunked Ray tasks above that;
 - ``project_schema`` types every all-pruned read's empty result.
@@ -69,8 +71,10 @@ def project_schema(schema: pa.Schema, columns: list[str] | None) -> pa.Schema:
 def map_paths(rows: list[dict], fn, est_bytes: int) -> rd.Dataset:
     """``fn`` over file rows (``{"path": ...}`` per stripe, or any other
     per-file descriptor), in as many blocks as Ray Data would give a read of
-    ``est_bytes`` from those files (``encode_num_blocks``); each task calls
-    ``fn`` once on its block's rows, in row order."""
+    ``est_bytes`` from those files, but one per CPU rather than two below
+    ``target_min_block_size`` (``encode_num_blocks``); each task calls
+    ``fn`` once on its block's rows, in row order. ``est_bytes`` is what
+    the job reads: a row range passes its share of each stripe file."""
     import ray
 
     from ..pipelines.encode import encode_num_blocks
@@ -83,8 +87,8 @@ def map_paths(rows: list[dict], fn, est_bytes: int) -> rd.Dataset:
 
 
 def decode_paths(rows: list[dict], decoder: StripeDecoder) -> rd.Dataset:
-    """``decoder`` over one row per stripe (``{"path": ...}``, plus
-    ``"row_range"`` for a slice), sized by the stripe files' bytes."""
+    """``decoder`` over one row per whole stripe (``{"path": ...}``), sized
+    by the stripe files' bytes (``read_row_range`` sizes its slices)."""
     return map_paths(rows, decoder.__call__,
                      sum(os.path.getsize(r["path"]) for r in rows))
 
@@ -268,12 +272,14 @@ def read_row_range(
     counts = map_footers(paths, lambda p: read_stripe_footer(p)["rows"])
     start, want = max(0, int(offset)), max(0, int(limit))
     rows = []
-    acc = 0
+    acc = est_bytes = 0
     for p, n in zip(paths, counts):
         lo = max(start, acc)
         hi = min(start + want, acc + n)
         if lo < hi:
             rows.append({"path": p, "row_range": (lo - acc, hi - acc)})
+            # the range's share of the stripe, not the whole file
+            est_bytes += os.path.getsize(p) * (hi - lo) // n
         acc += n
     if not rows:
         return rd.from_arrow(project_schema(
@@ -292,6 +298,7 @@ def read_row_range(
     try:
         # row_range addresses PHYSICAL rows (stable across deletes, so a
         # resume offset never shifts); deleted rows drop from the slice
-        return decode_paths(rows, StripeDecoder(columns=columns))
+        return map_paths(rows, StripeDecoder(columns=columns).__call__,
+                         est_bytes)
     finally:
         ctx.execution_options.preserve_order = prev

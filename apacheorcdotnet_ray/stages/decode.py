@@ -1,7 +1,8 @@
 """StripeDecoder — stateless decode stage for `map_batches`.
 
 Input batches carry one row per stripe file: its ``path`` and, for a slice,
-a stripe-local ``row_range`` (``sources.stripes.decode_paths`` builds them).
+a stripe-local ``row_range`` (``sources.stripes.decode_paths`` and
+``read_row_range`` build them).
 Each task reads and decodes its stripes one at a time; output is the decoded
 Arrow table. The analog of the reference's read path (OrcReader.cs:18-47)
 except we never materialize rows — streams decode straight into Arrow arrays

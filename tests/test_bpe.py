@@ -84,3 +84,12 @@ def test_bpe_roundtrip_lossless_weird_spacing(ray_session):
     out = bpe.bpe_roundtrip(ds, n_merges=6).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
     assert out["text"].tolist() == texts
+
+
+def test_bpe_token_count_null_text(ray_session):
+    # a null text has no words: 0 tokens, in the middle and at a batch's end
+    ds = rd.from_arrow(pa.table({"doc_id": [1, 2, 3, 4],
+                                 "text": ["low low", None, "lower", None]}))
+    tc = bpe.bpe_token_count(ds, n_merges=4).to_pandas() \
+        .sort_values("doc_id").reset_index(drop=True)
+    assert tc["n_bpe_tokens"].tolist() == [2, 0, 1, 0]

@@ -157,6 +157,27 @@ def test_token_budget_sample(ray_session):
     assert token_budget_sample(ds, 0, n_buckets=64).count() == 0
 
 
+def test_token_budget_sample_null_text(ray_session):
+    """A null text counts 0 tokens, not a huge negative one that would let
+    every doc pass the budget."""
+    from apacheorcdotnet_ray.pipelines.sample import _row_hash, token_budget_sample
+
+    n = 60
+    nt = np.array([0 if i % 5 == 2 else i % 7 + 1 for i in range(n)])
+    ds = rd.from_arrow(pa.table({
+        "doc_id": pa.array(np.arange(n), type=pa.int64()),
+        "text": pa.array([" ".join(["w"] * k) if k else None for k in nt],
+                         type=pa.string())})).repartition(3)
+    budget = int(nt.sum()) // 2
+    out = sorted(token_budget_sample(ds, budget, n_buckets=16)
+                 .to_pandas()["doc_id"].tolist())
+    h = _row_hash(np.arange(n))
+    order = np.lexsort((np.arange(n), h))
+    keep = np.arange(n)[order][np.cumsum(nt[order]) <= budget]
+    assert 0 < len(out) < n
+    assert out == sorted(keep.tolist())
+
+
 def test_oov_rate(ray_session):
     from apacheorcdotnet_ray.pipelines.text import oov_rate
 

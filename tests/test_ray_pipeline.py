@@ -79,8 +79,14 @@ def test_encode_num_blocks_rule():
                           target_max_block_size=128 * mib)
     # many tiny partitions: blocks of at least 1 MiB, but two per CPU
     assert encode_num_blocks(32, 4 * mib + 5, 1, ctx) == 4
-    assert encode_num_blocks(32, 100_000, 1, ctx) == 2
-    assert encode_num_blocks(32, 100_000, 4, ctx) == 8
+    assert encode_num_blocks(32, mib, 1, ctx) == 2
+    assert encode_num_blocks(32, mib, 4, ctx) == 8
+    assert encode_num_blocks(32, 2 * mib, 4, ctx) == 8
+    # under 1 MiB in all: one block per CPU, not two
+    assert encode_num_blocks(32, 100_000, 1, ctx) == 1
+    assert encode_num_blocks(32, 100_000, 4, ctx) == 4
+    assert encode_num_blocks(64, mib - 1, 32, ctx) == 32
+    assert encode_num_blocks(3, 0, 1, ctx) == 1
     # CPUs >= partitions: one block per partition
     assert encode_num_blocks(32, 100_000, 32, ctx) == 32
     assert encode_num_blocks(3, 100_000, 8, ctx) == 3
@@ -99,11 +105,11 @@ def test_encode_corpus_block_sizing_same_output(ray_session, tmp_path, monkeypat
     rule = enc.encode_num_blocks
     used = []
 
-    def one_cpu(n_parts, est_bytes, cpus, ctx):
-        used.append(rule(n_parts, est_bytes, 1, ctx))
+    def two_cpus(n_parts, est_bytes, cpus, ctx):
+        used.append(rule(n_parts, est_bytes, 2, ctx))
         return used[-1]
 
-    monkeypatch.setattr(enc, "encode_num_blocks", one_cpu)
+    monkeypatch.setattr(enc, "encode_num_blocks", two_cpus)
     encode_corpus(paths, str(tmp_path / "sized"))
     monkeypatch.setattr(enc, "encode_num_blocks", lambda n_parts, *_: n_parts)
     encode_corpus(paths, str(tmp_path / "per_part"))

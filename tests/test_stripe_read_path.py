@@ -80,6 +80,61 @@ def test_read_row_range_keeps_order_across_blocks(ray_session, tmp_path):
     assert got == list(range(95, 335))
 
 
+def _one_cpu_rule(monkeypatch):
+    """Evaluate the file-to-task rule at 1 CPU; returns the est_bytes seen."""
+    import apacheorcdotnet_ray.pipelines.encode as enc
+
+    rule, seen = enc.encode_num_blocks, []
+
+    def one_cpu(n_parts, est_bytes, cpus, ctx):
+        seen.append(est_bytes)
+        return rule(n_parts, est_bytes, 1, ctx)
+
+    monkeypatch.setattr(enc, "encode_num_blocks", one_cpu)
+    return seen
+
+
+def _decode_tasks(ds) -> int:
+    return int(re.search(r"MapBatches\(StripeDecoder.__call__\): (\d+) tasks",
+                         ds.stats()).group(1))
+
+
+def test_small_row_range_runs_one_task(ray_session, tmp_path, monkeypatch):
+    """A 256-row range over 3 stripes is under 1 MiB: at 1 CPU it runs one
+    decode task, not two; at more CPUs it keeps one task per stripe."""
+    import ray
+
+    d = _tiny_stripes(tmp_path / "s", n_stripes=5, rows=125)
+    # rows 100..355 overlap stripes 0-2
+    ds = read_row_range(d, 100, 256).materialize()
+    assert _decode_tasks(ds) == min(3, int(ray.cluster_resources()["CPU"]))
+    _one_cpu_rule(monkeypatch)
+    ds = read_row_range(d, 100, 256).materialize()
+    assert _decode_tasks(ds) == 1
+    assert ds.to_pandas()["k"].tolist() == list(range(100, 356))
+
+
+def test_row_range_estimate_is_its_share(ray_session, tmp_path, monkeypatch):
+    """A row range is sized by its share of each stripe file, so a few rows
+    of large stripes count as a small read."""
+    d = tmp_path / "s"
+    d.mkdir()
+    rng = np.random.default_rng(3)
+    for s in range(2):
+        t = pa.table({"k": pa.array(np.arange(s * 200_000, (s + 1) * 200_000,
+                                              dtype=np.int64)),
+                      "v": pa.array(rng.integers(0, 1 << 62, 200_000))})
+        buf, _ = encode_stripe(t)
+        (d / f"src_rg{s}-s0-x.oray").write_bytes(buf)
+    sizes = [os.path.getsize(d / f"src_rg{s}-s0-x.oray") for s in range(2)]
+    assert min(sizes) > 1 << 20
+    seen = _one_cpu_rule(monkeypatch)
+    ds = read_row_range(str(d), 199_872, 256).materialize()
+    assert seen == [sizes[0] * 128 // 200_000 + sizes[1] * 128 // 200_000]
+    assert _decode_tasks(ds) == 1
+    assert ds.to_pandas()["k"].tolist() == list(range(199_872, 200_128))
+
+
 def test_decoder_applies_sidecar_and_row_range(tmp_path):
     t = pa.table({"k": pa.array(np.arange(1000, dtype=np.int64)),
                   "v": pa.array(np.arange(1000, dtype=np.int64) % 7)})
