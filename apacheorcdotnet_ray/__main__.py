@@ -1,8 +1,9 @@
 """Console entry points — the reference's WriterTest.App / ReaderTest.App
 console surface (Program.cs) re-expressed as a small CLI:
 
-    python -m apacheorcdotnet_ray encode  IN.parquet [IN2...] OUT_DIR
-        [--compression zlib|zstd|none] [--stride N]
+    python -m apacheorcdotnet_ray encode  'IN*.parquet' [IN2...] OUT_DIR
+        [--compression zlib|zstd|none] [--stride N] [--columns a,b]
+        [--group-by-source] [--no-resume]
     python -m apacheorcdotnet_ray decode  STRIPE_DIR OUT.parquet
         [--columns a,b] [--predicate col,op,lit]
     python -m apacheorcdotnet_ray inspect STRIPE_DIR_OR_FILE
@@ -12,6 +13,8 @@ console surface (Program.cs) re-expressed as a small CLI:
     python -m apacheorcdotnet_ray import-orc IN OUT.parquet [--columns a,b]
 
 This module OWNS its Ray session (guarded init) — library code never does.
+It joins ``RAY_ADDRESS`` (``ray job submit``), else the latest ``ray start``
+cluster, else starts a local one.
 """
 
 from __future__ import annotations
@@ -25,22 +28,37 @@ def _ensure_ray():
     import ray
 
     if not ray.is_initialized():
-        ray.init(address="local", include_dashboard=False, logging_level="ERROR")
+        ray.init(include_dashboard=False, logging_level="ERROR")
 
 
 def cmd_encode(args) -> int:
-    from .pipelines.encode import encode_corpus
+    import glob
+
+    from .pipelines.encode import encode_corpus, encode_grouped
+    from .sources.parquet import read_parquet_clean
     from .stripe import EncodeConfig
 
+    # expanded here: a large corpus overflows a shell's argument limit
+    paths = sorted(p for pattern in args.inputs for p in glob.glob(pattern))
+    if not paths:
+        print(f"no input files match {args.inputs}", file=sys.stderr)
+        return 2
     _ensure_ray()
     cfg = EncodeConfig(compression=args.compression,
                        row_index_stride=args.stride,
                        bloom_columns=tuple(args.bloom.split(",")) if args.bloom else (),
                        sort_within_stripe=args.sort_within_stripe)
-    summary = encode_corpus(args.inputs, args.out_dir, config=cfg)
-    print(json.dumps({k: summary[k] for k in
-                      ("rows", "raw_bytes", "encoded_bytes", "stripes")
-                      if k in summary}, default=str))
+    columns = args.columns.split(",") if args.columns else None
+    keys = ("rows", "raw_bytes", "encoded_bytes")
+    if args.group_by_source:
+        metrics = encode_grouped(read_parquet_clean(paths, columns=columns),
+                                 args.out_dir, config=cfg).take_all()
+        summary = {k: sum(r[k] for r in metrics) for k in keys}
+        summary["stripes"] = len(metrics)
+    else:
+        summary = encode_corpus(paths, args.out_dir, config=cfg,
+                                columns=columns, resume=not args.no_resume)
+    print(json.dumps({k: summary[k] for k in (*keys, "stripes")}, default=str))
     return 0
 
 
@@ -152,7 +170,7 @@ def main(argv=None) -> int:
     sub = p.add_subparsers(dest="cmd", required=True)
 
     e = sub.add_parser("encode", help="parquet -> .oray stripes")
-    e.add_argument("inputs", nargs="+")
+    e.add_argument("inputs", nargs="+", help="parquet files or quoted globs")
     e.add_argument("out_dir")
     e.add_argument("--compression", default="zlib",
                    choices=["zlib", "zstd", "none"])
@@ -162,6 +180,10 @@ def main(argv=None) -> int:
                    help="per-stripe Bloom filters for equality pruning")
     e.add_argument("--sort-within-stripe", default=None, metavar="col",
                    help="sort rows by col inside each stripe (tighter strides)")
+    e.add_argument("--columns", default=None, metavar="a,b")
+    e.add_argument("--group-by-source", action="store_true",
+                   help="one source per stripe, hot sources split")
+    e.add_argument("--no-resume", action="store_true")
     e.set_defaults(fn=cmd_encode)
 
     d = sub.add_parser("decode", help=".oray stripes -> parquet")

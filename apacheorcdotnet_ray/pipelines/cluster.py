@@ -20,7 +20,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from .similarity import _normalize, _to_matrix
+from .similarity import _nearest, _normalize, _to_matrix, _unit
 
 
 def seed_centroids(
@@ -56,47 +56,36 @@ def kmeans(
     reduce is O(n_batches * k * d) bytes — independent of corpus size."""
     cent = seed_centroids(emb_ds, k, id_col, emb_col)
 
-    def make_partial(cent_ref, count_only: bool):
+    def sums_counts(cent: np.ndarray):
+        """One pass under ``cent``: per-cluster vector sums and counts."""
+        cent_ref = ray.put(cent)
+
         def partial(batch: pa.Table) -> pa.Table:
             cm = ray.get(cent_ref)
-            m = _normalize(_to_matrix(batch.column(emb_col)))
-            assign = np.argmax(m @ cm.T, axis=1)
-            counts = np.bincount(assign, minlength=len(cm)).astype(np.int64)
-            if count_only:
-                return pa.table({"counts": pa.array([counts.tobytes()],
-                                                    type=pa.binary())})
+            m = _unit(batch.column(emb_col))
+            assign = _nearest(m, cm)[:, 0]
             sums = np.zeros_like(cm)
             np.add.at(sums, assign, m)
+            counts = np.bincount(assign, minlength=len(cm)).astype(np.int64)
             return pa.table({
                 "sums": pa.array([sums.tobytes()], type=pa.binary()),
                 "counts": pa.array([counts.tobytes()], type=pa.binary()),
             })
-        return partial
 
-    d = None
-    for _ in range(iters):
-        cent_ref = ray.put(cent)
-        rows = emb_ds.map_batches(make_partial(cent_ref, False),
-                                  batch_format="pyarrow").take_all()
-        d = cent.shape[1]
-        sums = np.zeros((k, d))
-        counts = np.zeros(k, dtype=np.int64)
-        for r in rows:
-            sums += np.frombuffer(r["sums"], dtype=np.float64).reshape(k, d)
+        sums, counts = np.zeros(cent.shape), np.zeros(k, dtype=np.int64)
+        for r in emb_ds.map_batches(partial, batch_format="pyarrow").take_all():
+            sums += np.frombuffer(r["sums"], dtype=np.float64).reshape(cent.shape)
             counts += np.frombuffer(r["counts"], dtype=np.int64)
-        nz = counts > 0
-        cent[nz] = _normalize(sums[nz] / counts[nz, None])
-        # empty clusters keep their previous centroid (standard Lloyd fix)
+        return sums, counts
 
-    cent_ref = ray.put(cent)
-    rows = emb_ds.map_batches(make_partial(cent_ref, True),
-                              batch_format="pyarrow").take_all()
-    counts = np.zeros(k, dtype=np.int64)
-    for r in rows:
-        counts += np.frombuffer(r["counts"], dtype=np.int64)
+    for _ in range(iters):
+        sums, counts = sums_counts(cent)
+        nz = counts > 0
+        # empty clusters keep their previous centroid (standard Lloyd fix)
+        cent[nz] = _normalize(sums[nz] / counts[nz, None])
     return pa.table({
         "cluster": pa.array(np.arange(k, dtype=np.int64)),
-        "n_members": pa.array(counts),
+        "n_members": pa.array(sums_counts(cent)[1]),
     })
 
 
@@ -151,15 +140,15 @@ def kmeans_assign(
 ) -> rd.Dataset:
     """One assignment pass against the deterministic seed centroids (the k
     lowest-id vectors): (id, cluster). Ties break to the lowest cluster
-    index (np.argmax first-wins), mirrored by the oracle's rank ordering."""
+    index (``_nearest``), mirrored by the oracle's rank ordering."""
     cent_ref = ray.put(seed_centroids(emb_ds, k, id_col, emb_col))
 
     def assign(batch: pa.Table) -> pa.Table:
         cm = ray.get(cent_ref)
-        m = _normalize(_to_matrix(batch.column(emb_col)))
         return pa.table({
             id_col: batch.column(id_col),
-            "cluster": pa.array(np.argmax(m @ cm.T, axis=1).astype(np.int64)),
+            "cluster": pa.array(_nearest(_unit(batch.column(emb_col)), cm)[:, 0],
+                                type=pa.int64()),
         })
 
     return emb_ds.map_batches(assign, batch_format="pyarrow")

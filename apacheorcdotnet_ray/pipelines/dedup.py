@@ -703,9 +703,9 @@ def dedup_embedding_lsh(
     bits_per_band = n_planes // bands
 
     def explode(batch: pa.Table) -> pa.Table:
-        from .similarity import _normalize, _to_matrix
+        from .similarity import _unit
 
-        m = _normalize(_to_matrix(batch.column(emb_col)))
+        m = _unit(batch.column(emb_col))
         d = m.shape[1]
         if d not in planes_by_dim:  # same seed per dim → identical planes everywhere
             planes_by_dim[d] = np.random.default_rng(seed).normal(size=(d, n_planes))

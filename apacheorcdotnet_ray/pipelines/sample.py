@@ -230,7 +230,7 @@ def weighted_sample(
     with the repo's deterministic row hash standing in for the uniform
     draw — heavier rows get proportionally smaller priorities, and the
     result is reproducible across runs and partitionings). Per-batch
-    partial top-k (argpartition) → tiny driver merge; nothing shuffles.
+    partial top-k (lexsort) → tiny driver merge; nothing shuffles.
     The priority is ONE IEEE double division, evaluated identically by
     numpy and the SQL oracle, so the selection is bit-exact; ties break
     on id."""
@@ -241,7 +241,7 @@ def weighted_sample(
             .astype(np.float64)
         pri = _row_hash(ids).astype(np.float64) / w
         if len(pri) > k:
-            # lexsort (not bare argpartition): equal priorities straddling
+            # lexsort, not a bare partition: equal priorities straddling
             # the k-boundary must break on id, matching the driver merge
             # and the SQL oracle's ORDER BY priority, doc_id
             keep = np.lexsort((ids, pri))[:k]

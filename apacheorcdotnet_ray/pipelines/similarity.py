@@ -1,10 +1,13 @@
 """Similarity search over an embedding column (list<float>).
 
 Baseline: brute-force cosine top-k — numpy matmul per batch against a
-broadcast query matrix (``ray.put`` once, read per actor), per-batch top-k
-partials merged in a tiny driver reduce. Scale path: IVF — seeded k-means
-centroids on a sample, bucket assignment per batch, search restricted to the
-``n_probe`` nearest buckets.
+broadcast query matrix (``ray.put`` once), per-batch top-k partials merged
+in a tiny driver reduce. Scale path: IVF — seeded k-means centroids on a
+sample, bucket assignment per batch, search restricted to the ``n_probe``
+nearest buckets.
+
+Every operator here and in ``cluster.py`` ranks through ``_topk`` and
+assigns to centroids through ``_nearest``.
 """
 
 from __future__ import annotations
@@ -28,43 +31,94 @@ def _normalize(m: np.ndarray) -> np.ndarray:
     return m / np.linalg.norm(m, axis=1, keepdims=True)
 
 
+def _unit(col) -> np.ndarray:
+    """An embedding column as a float64 matrix of unit rows."""
+    return _normalize(_to_matrix(col))
+
+
+def _nearest(m: np.ndarray, cent: np.ndarray, n: int = 1) -> np.ndarray:
+    """Each unit row's ``n`` best centroid indexes by cosine, best first;
+    ties go to the lowest index (``np.argmax``'s first-wins), so column 0
+    is the assignment."""
+    return np.argsort(-(m @ cent.T), axis=1, kind="stable")[:, :n]
+
+
+def _first_k(rows, keys, scores, k: int):
+    """Order flat candidates by row, score descending, then key ascending,
+    and keep each row's first ``k``. Returns (indexes, ranks)."""
+    order = np.lexsort((keys, -scores, rows))
+    r = rows[order]
+    rank = np.arange(len(r)) - np.searchsorted(r, r)
+    keep = rank < k
+    return order[keep], rank[keep]
+
+
+def _topk(sims: np.ndarray, k: int, ids: np.ndarray):
+    """The one top-k selection: each row's <= k best columns of a score
+    matrix, as flat (row, column, score, rank) arrays in row then rank
+    order. Rank orders score descending, then ``ids[column]`` ascending;
+    ``-inf`` entries are masked and never returned."""
+    kk = min(k, sims.shape[1])
+    if kk == 0:
+        rows = cols = np.zeros(0, dtype=np.int64)
+    else:
+        # every column scoring at least the row's kk-th best, so a tie
+        # across the cutoff is decided by id below, not by the partition
+        kth = -np.partition(-sims, kk - 1, axis=1)[:, kk - 1:kk]
+        rows, cols = np.nonzero((sims >= kth) & (sims > -np.inf))
+    scores = sims[rows, cols]
+    keep, rank = _first_k(rows, ids[cols], scores, k)
+    return rows[keep], cols[keep], scores[keep], rank
+
+
+_RANKED = pa.schema([("query_idx", pa.int64()), ("rank", pa.int64()),
+                     ("vec_id", pa.int64()), ("cosine", pa.float64())])
+
+
+def _ranked(query_idx, vec_id, cosine, k: int) -> pa.Table:
+    """Each query's k best candidates as typed ``_RANKED`` rows, in query
+    then rank order; zero rows keep the columns."""
+    keep, rank = _first_k(query_idx, vec_id, cosine, k)
+    return pa.table([query_idx[keep], rank, vec_id[keep], cosine[keep]],
+                    schema=_RANKED)
+
+
+def _scan_topk(emb_ds: rd.Dataset, q: np.ndarray, k: int, id_col: str,
+               emb_col: str, ivf: tuple | None = None) -> pa.Table:
+    """The one query scoring pass (``brute_force_topk``, ``ivf_topk``, the
+    ``ivf_search`` rerank): per batch, each unit query's top-k by cosine,
+    merged on the driver. ``ivf`` is (centroids, probed), probed a
+    (query, centroid) bool matrix: a vector scores -inf for the queries
+    that do not probe its nearest centroid."""
+    state = ray.put((q, ivf))
+
+    def partial(batch: pa.Table) -> pa.Table:
+        qm, ivf_ = ray.get(state)
+        ids = batch.column(id_col).to_numpy()
+        m = _unit(batch.column(emb_col))
+        sims = qm @ m.T  # (n_query, n_batch)
+        if ivf_ is not None:
+            cent, probed = ivf_
+            sims[~probed[:, _nearest(m, cent)[:, 0]]] = -np.inf
+        r, c, s, rank = _topk(sims, k, ids)
+        return pa.table([r, rank, ids[c], s], schema=_RANKED)
+
+    # Ray passes empty blocks through without calling ``partial``
+    parts = [t for t in emb_ds.map_batches(partial, batch_format="pyarrow")
+             .iter_batches(batch_size=None, batch_format="pyarrow") if t.num_rows]
+    cand = pa.concat_tables(parts or [_RANKED.empty_table()])
+    return _ranked(cand["query_idx"].to_numpy(), cand["vec_id"].to_numpy(),
+                   cand["cosine"].to_numpy(), k)
+
+
 def brute_force_topk(
     emb_ds: rd.Dataset, query_vecs: np.ndarray, k: int = 10,
     id_col: str = "vec_id", emb_col: str = "embedding",
 ) -> pa.Table:
-    """Exact cosine top-k per query. Returns (query_idx, vec_id, cosine, rank)."""
+    """Exact cosine top-k per query. Returns (query_idx, rank, vec_id,
+    cosine), ties broken on vec_id."""
     q = _normalize(np.atleast_2d(np.asarray(query_vecs, dtype=np.float64)))
-    q_ref = ray.put(q)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        qm = ray.get(q_ref)
-        ids = batch.column(id_col).to_numpy()
-        m = _normalize(_to_matrix(batch.column(emb_col)))
-        sims = qm @ m.T  # (n_query, n_batch)
-        kk = min(k, sims.shape[1])
-        top = np.argpartition(-sims, kk - 1, axis=1)[:, :kk]
-        out_q, out_id, out_s = [], [], []
-        for qi in range(sims.shape[0]):
-            out_q.extend([qi] * kk)
-            out_id.extend(ids[top[qi]].tolist())
-            out_s.extend(sims[qi, top[qi]].tolist())
-        return pa.table({
-            "query_idx": pa.array(out_q, type=pa.int64()),
-            "vec_id": pa.array(out_id, type=pa.int64()),
-            "cosine": pa.array(out_s, type=pa.float64()),
-        })
-
-    partials = emb_ds.map_batches(partial, batch_format="pyarrow").take_all()
-    # tiny driver merge: k per (query, batch) partial rows
-    by_q: dict[int, list] = {}
-    for r in partials:
-        by_q.setdefault(r["query_idx"], []).append((r["cosine"], r["vec_id"]))
-    rows = []
-    for qi, cand in sorted(by_q.items()):
-        cand.sort(key=lambda t: (-t[0], t[1]))
-        for rank, (s, vid) in enumerate(cand[:k]):
-            rows.append({"query_idx": qi, "rank": rank, "vec_id": vid, "cosine": s})
-    return pa.Table.from_pylist(rows)
+    return _scan_topk(emb_ds, q, k, id_col, emb_col)
 
 
 def filtered_topk(
@@ -98,7 +152,7 @@ def train_centroids(emb_ds: rd.Dataset, n_centroids: int = 16, iters: int = 10,
     rng = np.random.default_rng(seed)
     cent = m[rng.choice(len(m), size=min(n_centroids, len(m)), replace=False)]
     for _ in range(iters):
-        assign = np.argmax(m @ cent.T, axis=1)
+        assign = _nearest(m, cent)[:, 0]
         for c in range(len(cent)):
             members = m[assign == c]
             if len(members):
@@ -129,8 +183,8 @@ def ivf_build(
 
     def assign(batch: pa.Table) -> pa.Table:
         cm = ray.get(cent_ref)
-        m = _normalize(_to_matrix(batch.column(emb_col)))
-        bucket = np.argmax(m @ cm.T, axis=1).astype(np.int32)
+        m = _unit(batch.column(emb_col))
+        bucket = _nearest(m, cm)[:, 0].astype(np.int32)
         out = batch
         if quantize:
             q = np.clip(np.round(m * 127.0), -127, 127).astype(np.int8)
@@ -168,8 +222,7 @@ def ivf_search(
 
     cent = np.load(os.path.join(index_dir, "centroids.npy"))
     q = _normalize(np.atleast_2d(np.asarray(query_vecs, dtype=np.float64)))
-    probe = np.argsort(-(q @ cent.T), axis=1)[:, :n_probe]
-    buckets = sorted({int(b) for row in probe for b in row})
+    buckets = np.unique(_nearest(q, cent, n_probe)).tolist()
     paths = [p for b in buckets
              for p in glob.glob(os.path.join(index_dir, f"bucket={b}", "*.parquet"))]
     from ..sources.parquet import read_parquet_clean
@@ -181,26 +234,14 @@ def ivf_search(
     import pyarrow.compute as pc
 
     cand = brute_force_topk(ds, q, k * refine_factor, id_col=id_col, emb_col=emb_col)
-    cand_ids = pc.unique(cand.column("vec_id"))
-    ids_ref = ray.put(cand_ids)
+    ids_ref = ray.put(pc.unique(cand.column("vec_id")))
 
     def lookup(batch: pa.Table) -> pa.Table:
         hit = batch.select([id_col, emb_col])
         return hit.filter(pc.is_in(hit.column(id_col), value_set=ray.get(ids_ref)))
 
-    exact = pa.concat_tables(
-        ray.get(refine_ds.map_batches(lookup, batch_format="pyarrow")
-                .to_arrow_refs()))
-    ids = exact.column(id_col).to_numpy()
-    m = _normalize(_to_matrix(exact.column(emb_col)))
-    sims = q @ m.T  # (n_query, n_candidates) — candidates only, tiny
-    rows = []
-    for qi in range(sims.shape[0]):
-        order = np.lexsort((ids, -sims[qi]))[:k]
-        for rank, j in enumerate(order):
-            rows.append({"query_idx": qi, "rank": rank,
-                         "vec_id": int(ids[j]), "cosine": float(sims[qi, j])})
-    return pa.Table.from_pylist(rows)
+    return _scan_topk(refine_ds.map_batches(lookup, batch_format="pyarrow"),
+                      q, k, id_col, emb_col)
 
 
 def knn_join(
@@ -222,28 +263,19 @@ def knn_join(
     refs = emb_ds.select_columns([id_col, emb_col]).to_arrow_refs()
     corpus = pa.concat_tables(ray.get(refs))
     all_ids = corpus.column(id_col).to_numpy()
-    cm = _normalize(_to_matrix(corpus.column(emb_col)))
-    state = ray.put((all_ids, cm))
+    state = ray.put((all_ids, _unit(corpus.column(emb_col))))
 
     def nn(batch: pa.Table) -> pa.Table:
         ids_all, m_all = ray.get(state)
         ids = batch.column(id_col).to_numpy()
-        m = _normalize(_to_matrix(batch.column(emb_col)))
-        sims = m @ m_all.T  # (batch, N)
+        sims = _unit(batch.column(emb_col)) @ m_all.T  # (batch, N)
         sims[ids[:, None] == ids_all[None, :]] = -np.inf  # mask self
-        kk = min(k, sims.shape[1] - 1)
-        top = np.argpartition(-sims, kk - 1, axis=1)[:, :kk]
-        rows_s = np.take_along_axis(sims, top, axis=1)
-        # order the k candidates: cosine desc, id asc (deterministic)
-        order = np.lexsort((ids_all[top], -rows_s), axis=1)
-        top = np.take_along_axis(top, order, axis=1)
-        rows_s = np.take_along_axis(rows_s, order, axis=1)
-        n = len(ids)
+        r, c, s, rank = _topk(sims, k, ids_all)
         return pa.table({
-            id_col: pa.array(np.repeat(ids, kk)),
-            "rank": pa.array(np.tile(np.arange(kk, dtype=np.int64), n)),
-            "nn_id": pa.array(ids_all[top].ravel()),
-            "cosine": pa.array(rows_s.ravel()),
+            id_col: pa.array(ids[r]),
+            "rank": pa.array(rank, type=pa.int64()),
+            "nn_id": pa.array(ids_all[c]),
+            "cosine": pa.array(s),
         })
 
     return emb_ds.map_batches(nn, batch_format="pyarrow")
@@ -287,12 +319,10 @@ def knn_join_ivf(
     def explode(batch: pa.Table) -> pa.Table:
         cm = ray.get(cent_ref)
         ids = batch.column(id_col).to_numpy()
-        m = _normalize(_to_matrix(batch.column(emb_col)))
-        sims = m @ cm.T
-        assign = np.argmax(sims, axis=1).astype(np.int32)
-        probes = np.argsort(-sims, axis=1)[:, :n_probe].astype(np.int32)
+        m = _unit(batch.column(emb_col))
+        near = _nearest(m, cm, max(n_probe, 1))
         n, d = m.shape
-        bucket = np.concatenate([assign, probes.ravel()])
+        bucket = np.concatenate([near[:, 0], near[:, :n_probe].ravel()])
         rep_ids = np.concatenate([ids, np.repeat(ids, n_probe)])
         role = np.concatenate([np.zeros(n, np.int8),
                                np.ones(n * n_probe, np.int8)])
@@ -311,32 +341,17 @@ def knn_join_ivf(
         role = t.column("role").to_numpy(zero_copy_only=False)
         ids = t.column(id_col).to_numpy(zero_copy_only=False)
         m = _to_matrix(t.column("vec"))
-        out = []
+        out = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
         for b in np.unique(bk):  # few buckets per partition; matmul dominates
             sel = bk == b
-            mem = sel & (role == 0)
-            qry = sel & (role == 1)
-            if not mem.any() or not qry.any():
-                continue
+            mem, qry = sel & (role == 0), sel & (role == 1)
             mi, qi = ids[mem], ids[qry]
             sims = m[qry] @ m[mem].T
             sims[qi[:, None] == mi[None, :]] = -np.inf  # mask self
-            kk = min(k, sims.shape[1])
-            top = np.argpartition(-sims, kk - 1, axis=1)[:, :kk] \
-                if sims.shape[1] > kk else \
-                np.tile(np.arange(sims.shape[1]), (sims.shape[0], 1))
-            s = np.take_along_axis(sims, top, axis=1)
-            keep = np.isfinite(s.ravel())
-            out.append(pa.table({
-                id_col: pa.array(np.repeat(qi, top.shape[1])[keep]),
-                "nn_id": pa.array(mi[top].ravel()[keep]),
-                "cosine": pa.array(s.ravel()[keep], type=pa.float64()),
-            }))
-        if not out:
-            return pa.table({id_col: pa.array([], type=pa.int64()),
-                             "nn_id": pa.array([], type=pa.int64()),
-                             "cosine": pa.array([], type=pa.float64())})
-        return pa.concat_tables(out)
+            r, c, s, _ = _topk(sims, k, mi)
+            out.append((qi[r], mi[c], s))
+        q_ids, nn_ids, cos = (np.concatenate(x) for x in zip(*out))
+        return pa.table({id_col: q_ids, "nn_id": nn_ids, "cosine": cos})
 
     cand = grouped_map(
         emb_ds.map_batches(explode, batch_format="pyarrow"),
@@ -356,42 +371,10 @@ def ivf_topk(emb_ds: rd.Dataset, query_vecs: np.ndarray, k: int = 10,
              n_centroids: int = 16, n_probe: int = 4,
              id_col: str = "vec_id", emb_col: str = "embedding") -> pa.Table:
     """IVF approximate top-k: only vectors whose centroid is among the query's
-    n_probe nearest are scored."""
+    n_probe nearest are scored; at n_probe = n_centroids it is
+    ``brute_force_topk``."""
     cent = train_centroids(emb_ds, n_centroids, emb_col=emb_col)
     q = _normalize(np.atleast_2d(np.asarray(query_vecs, dtype=np.float64)))
-    probe = np.argsort(-(q @ cent.T), axis=1)[:, :n_probe]  # (n_query, n_probe)
-    state = ray.put((q, cent, probe))
-
-    def partial(batch: pa.Table) -> pa.Table:
-        qm, cm, pr = ray.get(state)
-        ids = batch.column(id_col).to_numpy()
-        m = _normalize(_to_matrix(batch.column(emb_col)))
-        assign = np.argmax(m @ cm.T, axis=1)
-        out_q, out_id, out_s = [], [], []
-        for qi in range(qm.shape[0]):
-            mask = np.isin(assign, pr[qi])
-            if not mask.any():
-                continue
-            sims = qm[qi] @ m[mask].T
-            sub_ids = ids[mask]
-            kk = min(k, len(sub_ids))
-            top = np.argpartition(-sims, kk - 1)[:kk]
-            out_q.extend([qi] * kk)
-            out_id.extend(sub_ids[top].tolist())
-            out_s.extend(sims[top].tolist())
-        return pa.table({
-            "query_idx": pa.array(out_q, type=pa.int64()),
-            "vec_id": pa.array(out_id, type=pa.int64()),
-            "cosine": pa.array(out_s, type=pa.float64()),
-        })
-
-    partials = emb_ds.map_batches(partial, batch_format="pyarrow").take_all()
-    by_q: dict[int, list] = {}
-    for r in partials:
-        by_q.setdefault(r["query_idx"], []).append((r["cosine"], r["vec_id"]))
-    rows = []
-    for qi, cand in sorted(by_q.items()):
-        cand.sort(key=lambda t: (-t[0], t[1]))
-        for rank, (s, vid) in enumerate(cand[:k]):
-            rows.append({"query_idx": qi, "rank": rank, "vec_id": vid, "cosine": s})
-    return pa.Table.from_pylist(rows)
+    probed = np.zeros((len(q), len(cent)), dtype=bool)
+    np.put_along_axis(probed, _nearest(q, cent, n_probe), True, axis=1)
+    return _scan_topk(emb_ds, q, k, id_col, emb_col, (cent, probed))

@@ -520,6 +520,35 @@ def test_cli_encode_inspect_decode(ray_session, tmp_path, capsys):
                  "--predicate", "s,==,7"]) == 0
     assert pq.read_table(out_orc)["s"].to_pylist() == ["7"]
 
+    # encode expands quoted globs itself, projects --columns and, with
+    # --group-by-source, packs each stripe from one source
+    import glob
+    from pathlib import Path
+
+    from apacheorcdotnet_ray.sources.parquet import read_parquet_clean
+    from apacheorcdotnet_ray.stripe import decode_stripe
+
+    for shard in (0, 1):
+        pq.write_table(generate_tokens_shard(shard, 120, seed=5),
+                       str(tmp_path / f"tok{shard}.parquet"))
+    pattern = str(tmp_path / "tok*.parquet")
+    cols = ["doc_id", "n_tok", "source"]
+    grouped = str(tmp_path / "grouped")
+    assert main(["encode", pattern, grouped, "--group-by-source",
+                 "--columns", ",".join(cols)]) == 0
+    printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert sorted(printed) == ["encoded_bytes", "raw_bytes", "rows", "stripes"]
+    paths = sorted(glob.glob(os.path.join(grouped, "*.oray")))
+    assert (printed["rows"], printed["stripes"]) == (240, len(paths))
+    for p in paths:
+        buf = Path(p).read_bytes()
+        t = decode_stripe(buf)
+        assert t.column_names == cols
+        assert set(t["source"].to_pylist()) == {read_footer(buf)["lineage"]["source"]}
+    src = read_parquet_clean(sorted(glob.glob(pattern)), columns=cols)
+    assert verify_roundtrip(src, decode_dataset(grouped))["content_match"]
+    assert main(["encode", str(tmp_path / "none*.parquet"), grouped]) == 2
+
 
 def test_conjunction_predicate_read(ray_session, tmp_path):
     import numpy as np

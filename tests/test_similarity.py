@@ -160,3 +160,92 @@ def test_embedding_cosine_guard_fires(ray_session):
     sims = mm @ mm.T
     ia, ib = np.nonzero(np.triu(sims >= 0.8, k=1))
     assert set(zip(got["vec_a"], got["vec_b"])) == set(zip(ia.tolist(), ib.tolist()))
+
+
+def _topk_reference(sims, k, ids):
+    """Row by row: finite entries sorted by score desc, then id asc."""
+    out = []
+    for i, row in enumerate(sims):
+        cand = sorted((-row[j], ids[j], j) for j in range(len(row))
+                      if row[j] > -np.inf)
+        out += [(i, j, -neg, rank) for rank, (neg, _, j) in enumerate(cand[:k])]
+    return out
+
+
+def test_topk_matches_reference():
+    """The one top-k kernel (no Ray): repeated scores break on id, -inf
+    entries never come back, k past a row's finite candidates returns only
+    those, and a zero-column matrix returns nothing."""
+    from apacheorcdotnet_ray.pipelines.similarity import _topk
+
+    rng = np.random.default_rng(7)
+    for trial in range(40):
+        n, c = rng.integers(0, 6), rng.integers(0, 12)
+        sims = rng.integers(-2, 3, (n, c)).astype(np.float64)  # many ties
+        sims[rng.random((n, c)) < 0.3] = -np.inf
+        ids = rng.permutation(100)[:c].astype(np.int64)
+        for k in (1, 3, 20):
+            r, col, s, rank = _topk(sims, k, ids)
+            got = list(zip(r.tolist(), col.tolist(), s.tolist(), rank.tolist()))
+            assert got == _topk_reference(sims, k, ids), (trial, k)
+    r, col, s, rank = _topk(np.zeros((3, 0)), 5, np.zeros(0, np.int64))
+    assert len(r) == len(col) == len(s) == len(rank) == 0
+
+
+def test_nearest_matches_argmax_and_stable_argsort():
+    """The one centroid rule: column 0 is np.argmax (first index wins a
+    tie) and the order is a stable argsort of descending cosine."""
+    from apacheorcdotnet_ray.pipelines.similarity import _nearest
+
+    rng = np.random.default_rng(13)
+    m = rng.normal(size=(50, 4))
+    m /= np.linalg.norm(m, axis=1, keepdims=True)
+    cent = m[rng.integers(0, 50, 6)]
+    cent[3] = cent[1]  # a tied centroid pair
+    cent[5] = cent[1]
+    sims = m @ cent.T
+    got = _nearest(m, cent, 4)
+    assert (got[:, 0] == np.argmax(sims, axis=1)).all()
+    assert (got == np.argsort(-sims, axis=1, kind="stable")[:, :4]).all()
+    assert (_nearest(m, cent)[:, 0] == got[:, 0]).all()
+    assert not (got[:, 0] == 3).any() and not (got[:, 0] == 5).any()
+
+
+def test_filtered_topk_nothing_matches_is_typed(ray_session):
+    """A filter that keeps no row still returns the typed result columns
+    (Ray passes empty blocks through without calling the scoring UDF)."""
+    ds, m = _emb_ds(n=200)
+    res = similarity.filtered_topk(ds, m[0][None, :], k=5,
+                                   filter_expr="vec_id < 0")
+    assert res.num_rows == 0
+    assert res.schema == pa.schema([("query_idx", pa.int64()),
+                                    ("rank", pa.int64()),
+                                    ("vec_id", pa.int64()),
+                                    ("cosine", pa.float64())])
+
+
+def test_knn_join_repeated_id_returns_finite_neighbours(ray_session):
+    """A row whose vec_id repeats has fewer OTHER vectors than N - 1: it
+    gets only those, never a masked -inf neighbour."""
+    m = np.random.default_rng(2).normal(size=(3, 4))
+    ds = rd.from_arrow(pa.table({
+        "vec_id": pa.array([1, 1, 2], type=pa.int64()),
+        "embedding": pa.array([v.tolist() for v in m],
+                              type=pa.list_(pa.float64())),
+    }))
+    out = similarity.knn_join(ds, k=2).to_pandas()
+    assert np.isfinite(out["cosine"]).all()
+    assert sorted(zip(out["vec_id"], out["rank"], out["nn_id"])) == [
+        (1, 0, 2), (1, 0, 2), (2, 0, 1), (2, 1, 1)]
+
+
+def test_ivf_topk_exhaustive_probe_is_brute_force(ray_session):
+    """ivf_topk probing every centroid scores every vector: the same ids
+    and ranks as brute_force_topk."""
+    ds, m = _emb_ds()
+    q = m[[17, 400]].astype(np.float64)
+    ivf = similarity.ivf_topk(ds, q, k=8, n_centroids=6, n_probe=6)
+    exact = similarity.brute_force_topk(ds, q, k=8)
+    for c in ("query_idx", "rank", "vec_id"):
+        assert ivf[c].to_pylist() == exact[c].to_pylist()
+    assert ivf.num_rows == 16
