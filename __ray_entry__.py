@@ -72,6 +72,20 @@ def _out_dir(sf_dir: str, tag: str) -> str:
     return os.path.join(_SCRATCH, f"{tag}-{h}")
 
 
+def _build_once(out: str, build: Callable[[], Any]) -> None:
+    """Build a cached query output once: unless ``out`` holds the
+    ``_built`` marker, remove it, run ``build`` and then write the marker,
+    so a half-built directory (a crashed run) is rebuilt, never read."""
+    import shutil
+
+    done = os.path.join(out, "_built")
+    if not os.path.exists(done):
+        shutil.rmtree(out, ignore_errors=True)
+        build()
+        os.makedirs(out, exist_ok=True)
+        open(done, "w").close()
+
+
 def _roundtrip(sf_dir: str, table: str, compression: str = "zlib"):
     """Encode a testdata table to stripes and decode it back — the correctness
     gate for the whole engine: the oracle is a plain SELECT of the source."""
@@ -94,8 +108,7 @@ def _ann_ivf_indexed(sf_dir: str):
     from apacheorcdotnet_ray.pipelines import similarity
 
     idx = _out_dir(sf_dir, "ivf-index")
-    if not os.path.exists(os.path.join(idx, "centroids.npy")):
-        similarity.ivf_build(_read(sf_dir, "embeddings"), idx)
+    _build_once(idx, lambda: similarity.ivf_build(_read(sf_dir, "embeddings"), idx))
     t = pq.read_table(_table_path(sf_dir, "embeddings"), columns=["vec_id", "embedding"])
     ids = t["vec_id"].to_numpy()
     q = np.asarray(t["embedding"][int(np.argmin(ids))].as_py(), dtype=np.float64)
@@ -116,9 +129,8 @@ def _ann_ivf_quantized(sf_dir: str):
     from apacheorcdotnet_ray.pipelines import similarity
 
     idx = _out_dir(sf_dir, "ivf-index-q8")
-    if not os.path.exists(os.path.join(idx, "centroids.npy")):
-        similarity.ivf_build(_read(sf_dir, "embeddings"), idx, n_centroids=8,
-                             quantize=True)
+    _build_once(idx, lambda: similarity.ivf_build(
+        _read(sf_dir, "embeddings"), idx, n_centroids=8, quantize=True))
     t = pq.read_table(_table_path(sf_dir, "embeddings"), columns=["vec_id", "embedding"])
     ids = t["vec_id"].to_numpy()
     q = np.asarray(t["embedding"][int(np.argmin(ids))].as_py(), dtype=np.float64)
@@ -136,13 +148,10 @@ def _dedup_incremental(sf_dir: str):
     from apacheorcdotnet_ray.pipelines import dedup
 
     idx = _out_dir(sf_dir, "fp-index")
-    done = os.path.join(idx, "_built")  # marker: dir alone may be half-built
-    if not os.path.exists(done):
-        corpus = _read(sf_dir, "documents", columns=["doc_id", "source", "text"]) \
-            .map_batches(lambda t: t.filter(pc.not_equal(t.column("source"), "src5")),
-                         batch_format="pyarrow")
-        dedup.build_fingerprint_index(corpus, idx)
-        open(done, "w").close()
+    corpus = _read(sf_dir, "documents", columns=["doc_id", "source", "text"]) \
+        .map_batches(lambda t: t.filter(pc.not_equal(t.column("source"), "src5")),
+                     batch_format="pyarrow")
+    _build_once(idx, lambda: dedup.build_fingerprint_index(corpus, idx))
     incoming = _read(sf_dir, "documents", columns=["doc_id", "source", "text"]) \
         .map_batches(lambda t: t.filter(pc.equal(t.column("source"), "src5")),
                      batch_format="pyarrow")
@@ -324,16 +333,10 @@ def _orc_bloom_point_lookup(sf_dir: str):
     from apacheorcdotnet_ray.sources.orc_writer import write_orc_dataset
 
     out = _out_dir(sf_dir, "orc-bloom-sink")
-    done = os.path.join(out, "_built")
-    if not os.path.exists(done):
-        import shutil
-
-        shutil.rmtree(out, ignore_errors=True)
-        write_orc_dataset(
-            _read(sf_dir, "orders",
-                  columns=["o_orderkey", "o_custkey", "o_totalprice"]),
-            out, stripe_rows=2000, bloom_columns=["o_orderkey"])
-        open(done, "w").close()
+    _build_once(out, lambda: write_orc_dataset(
+        _read(sf_dir, "orders",
+              columns=["o_orderkey", "o_custkey", "o_totalprice"]),
+        out, stripe_rows=2000, bloom_columns=["o_orderkey"]))
     return read_orc_files(out, predicate=("o_orderkey", "==", 7))
 
 
@@ -351,13 +354,7 @@ def _orc_file_roundtrip(sf_dir: str):
     from apacheorcdotnet_ray.sources.orc_writer import write_orc_dataset
 
     out = _out_dir(sf_dir, "orc-sink")
-    done = os.path.join(out, "_built")
-    if not os.path.exists(done):
-        import shutil
-
-        shutil.rmtree(out, ignore_errors=True)
-        write_orc_dataset(_read(sf_dir, "documents"), out)
-        open(done, "w").close()
+    _build_once(out, lambda: write_orc_dataset(_read(sf_dir, "documents"), out))
     return pa.concat_tables(
         [po.ORCFile(p).read() for p in sorted(glob.glob(out + "/*.orc"))])
 
@@ -373,13 +370,7 @@ def _orc_file_roundtrip_events(sf_dir: str):
     from apacheorcdotnet_ray.sources.orc_writer import write_orc_dataset
 
     out = _out_dir(sf_dir, "orc-sink-events")
-    done = os.path.join(out, "_built")
-    if not os.path.exists(done):
-        import shutil
-
-        shutil.rmtree(out, ignore_errors=True)
-        write_orc_dataset(_read(sf_dir, "events"), out)
-        open(done, "w").close()
+    _build_once(out, lambda: write_orc_dataset(_read(sf_dir, "events"), out))
     t = pa.concat_tables(
         [po.ORCFile(p).read() for p in sorted(glob.glob(out + "/*.orc"))])
     # pyarrow reads ORC timestamps as ns; the oracle view is us
@@ -404,13 +395,8 @@ def _orc_file_roundtrip_tokens(sf_dir: str):
     from apacheorcdotnet_ray.sources.orc_writer import write_orc_dataset
 
     out = _out_dir(sf_dir, "orc-sink-tokens")
-    done = os.path.join(out, "_built")
-    if not os.path.exists(done):
-        import shutil
-
-        shutil.rmtree(out, ignore_errors=True)
-        write_orc_dataset(tokenize_documents(_read(sf_dir, "documents")), out)
-        open(done, "w").close()
+    _build_once(out, lambda: write_orc_dataset(
+        tokenize_documents(_read(sf_dir, "documents")), out))
     t = pa.concat_tables(
         [po.ORCFile(p).read() for p in sorted(glob.glob(out + "/*.orc"))])
     return pa.table({
@@ -452,14 +438,11 @@ def _bm25_index_search(sf_dir: str):
     by term-hash bucket, built once): search reads only the query terms'
     partitions, scores bit-identically to the streaming bm25_search — same
     SQL oracle."""
-    import glob
-
     from apacheorcdotnet_ray.pipelines import text
 
     idx = _out_dir(sf_dir, "txt-index")
-    if not glob.glob(os.path.join(idx, "meta.json")):
-        text.text_index_build(
-            _read(sf_dir, "documents", columns=["doc_id", "text"]), idx)
+    _build_once(idx, lambda: text.text_index_build(
+        _read(sf_dir, "documents", columns=["doc_id", "text"]), idx))
     return text.text_index_search(idx, "hash join merge", k=10, idf="linear")
 
 
@@ -556,19 +539,18 @@ def _predicate_scan_stride(sf_dir: str):
 def _predicate_scan_zorder(sf_dir: str):
     """Z-order clustering: predicate on the NON-leading key still prunes
     (a plain sort would only serve its first column)."""
-    import shutil
-
     from apacheorcdotnet_ray.pipelines.encode import decode_dataset, encode_zordered
     from apacheorcdotnet_ray.stripe import EncodeConfig
 
     out = _out_dir(sf_dir, "rt-events-zorder")
-    if not os.path.exists(os.path.join(out, "_done")):
-        shutil.rmtree(out, ignore_errors=True)
+
+    def build():
         ds = _read(sf_dir, "events", columns=["event_id", "user_id"])
         encode_zordered(ds, out, by=["user_id", "event_id"],
                         config=EncodeConfig(row_index_stride=2000),
                         batch_size=2000).materialize()
-        open(os.path.join(out, "_done"), "w").close()
+
+    _build_once(out, build)
     return _collect(decode_dataset(
         out, predicate=[("event_id", ">=", 2000), ("event_id", "<", 2500)]))
 
@@ -592,19 +574,18 @@ def _predicate_scan_sorted(sf_dir: str):
     """Key-clustered corpus: distributed sort by user_id before encoding,
     so stripe footer ranges are disjoint and a point/range predicate
     prunes nearly every stripe at the tail read."""
-    import shutil
-
     from apacheorcdotnet_ray.pipelines.encode import decode_dataset, encode_sorted
     from apacheorcdotnet_ray.stripe import EncodeConfig
 
     out = _out_dir(sf_dir, "rt-events-sorted")
-    if not os.path.exists(os.path.join(out, "_done")):
-        shutil.rmtree(out, ignore_errors=True)
+
+    def build():
         ds = _read(sf_dir, "events", columns=["event_id", "user_id", "value"])
         encode_sorted(ds, out, by="user_id",
                       config=EncodeConfig(row_index_stride=2000),
                       batch_size=2000).materialize()
-        open(os.path.join(out, "_done"), "w").close()
+
+    _build_once(out, build)
     return _collect(decode_dataset(
         out, columns=["event_id", "user_id"],
         predicate=[("user_id", ">=", 100), ("user_id", "<", 120)],
@@ -618,19 +599,19 @@ def _predicate_scan_temporal(sf_dir: str):
     upper bound, both pruning via parsed footer stats and filtering via the
     literal-casting compare kernel."""
     import datetime
-    import shutil
 
     from apacheorcdotnet_ray.pipelines.encode import decode_dataset, encode_sorted
     from apacheorcdotnet_ray.stripe import EncodeConfig
 
     out = _out_dir(sf_dir, "rt-events-ts")
-    if not os.path.exists(os.path.join(out, "_done")):
-        shutil.rmtree(out, ignore_errors=True)
+
+    def build():
         ds = _read(sf_dir, "events", columns=["event_id", "ts"])
         encode_sorted(ds, out, by="ts",
                       config=EncodeConfig(row_index_stride=2000),
                       batch_size=2000).materialize()
-        open(os.path.join(out, "_done"), "w").close()
+
+    _build_once(out, build)
     return _collect(decode_dataset(
         out,
         predicate=[("ts", ">=", "2024-01-10T00:00:00"),
@@ -697,8 +678,6 @@ def _predicate_scan_conj(sf_dir: str):
 def _roundtrip_structs(sf_dir: str):
     """Struct column round-trip: pack events columns into a (nested) struct,
     encode to stripes, decode, unpack back to flat columns."""
-    import shutil
-
     import pyarrow as pa
 
     from apacheorcdotnet_ray.pipelines.encode import decode_dataset, encode_dataset
@@ -721,20 +700,20 @@ def _roundtrip_structs(sf_dir: str):
         })
 
     out = _out_dir(sf_dir, "rt-structs")
-    if not os.path.exists(os.path.join(out, "_done")):
-        shutil.rmtree(out, ignore_errors=True)
+
+    def build():
         ds = _read(sf_dir, "events",
                    columns=["event_id", "user_id", "event_type", "value"]) \
             .map_batches(pack, batch_format="pyarrow")
         encode_dataset(ds, out, batch_size=50_000).materialize()
-        open(os.path.join(out, "_done"), "w").close()
+
+    _build_once(out, build)
     return decode_dataset(out).map_batches(unpack, batch_format="pyarrow")
 
 
 def _roundtrip_decimal38(sf_dir: str):
     """decimal(38,10) two-lane varint round-trip: mantissas pushed beyond 64
     bits so the DATA+SECONDARY path is exercised on real keys."""
-    import shutil
     from decimal import Decimal
 
     import pyarrow as pa
@@ -750,12 +729,13 @@ def _roundtrip_decimal38(sf_dir: str):
         return pa.table({"o_orderkey": batch.column("o_orderkey"), "big": big})
 
     out = _out_dir(sf_dir, "rt-decimal38")
-    if not os.path.exists(os.path.join(out, "_done")):
-        shutil.rmtree(out, ignore_errors=True)
+
+    def build():
         ds = _read(sf_dir, "orders", columns=["o_orderkey"]) \
             .map_batches(widen, batch_format="pyarrow")
         encode_dataset(ds, out, batch_size=100_000).materialize()
-        open(os.path.join(out, "_done"), "w").close()
+
+    _build_once(out, build)
 
     def stringify(batch: pa.Table) -> pa.Table:
         # DuckDB's pandas bridge renders DECIMAL(38,10) as lossy float64, so
@@ -771,20 +751,19 @@ def _roundtrip_decimal38(sf_dir: str):
 def _json_struct_roundtrip(sf_dir: str):
     """Real-data struct path: parse events.props JSON into a typed struct,
     round-trip it through stripe struct streams, flatten for the oracle."""
-    import shutil
-
     import pyarrow as pa
 
     from apacheorcdotnet_ray.pipelines.encode import decode_dataset, encode_dataset
     from apacheorcdotnet_ray.pipelines.text import parse_json_struct
 
     out = _out_dir(sf_dir, "rt-json-struct")
-    if not os.path.exists(os.path.join(out, "_done")):
-        shutil.rmtree(out, ignore_errors=True)
+
+    def build():
         ds = parse_json_struct(
             _read(sf_dir, "events", columns=["event_id", "props"]), "props")
         encode_dataset(ds, out, batch_size=50_000).materialize()
-        open(os.path.join(out, "_done"), "w").close()
+
+    _build_once(out, build)
 
     def unpack(batch: pa.Table) -> pa.Table:
         rec = batch.column("props").combine_chunks()
@@ -797,31 +776,23 @@ def _json_struct_roundtrip(sf_dir: str):
 def _tokenize_roundtrip(sf_dir: str):
     from apacheorcdotnet_ray.pipelines.encode import decode_dataset, encode_dataset
     from apacheorcdotnet_ray.pipelines.text import tokenize_documents
-    import shutil
 
     out = _out_dir(sf_dir, "rt-tokens")
-    if not os.path.exists(os.path.join(out, "_done")):
-        shutil.rmtree(out, ignore_errors=True)
-        ds = tokenize_documents(_read(sf_dir, "documents"))
-        encode_dataset(ds, out, batch_size=10_000).materialize()
-        open(os.path.join(out, "_done"), "w").close()
+    _build_once(out, lambda: encode_dataset(
+        tokenize_documents(_read(sf_dir, "documents")), out,
+        batch_size=10_000).materialize())
     dec = decode_dataset(out)
     return dec.select_columns(["doc_id", "n_tok", "source"])
 
 
 def _grouped_roundtrip(sf_dir: str):
     """Tokenize → source-keyed skew-split stripe packing → decode."""
-    import shutil
-
     from apacheorcdotnet_ray.pipelines.encode import decode_dataset, encode_grouped
     from apacheorcdotnet_ray.pipelines.text import tokenize_documents
 
     out = _out_dir(sf_dir, "rt-grouped")
-    if not os.path.exists(os.path.join(out, "_done")):
-        shutil.rmtree(out, ignore_errors=True)
-        ds = tokenize_documents(_read(sf_dir, "documents"))
-        encode_grouped(ds, out).materialize()
-        open(os.path.join(out, "_done"), "w").close()
+    _build_once(out, lambda: encode_grouped(
+        tokenize_documents(_read(sf_dir, "documents")), out).materialize())
     return decode_dataset(out).select_columns(["doc_id", "n_tok", "source"])
 
 

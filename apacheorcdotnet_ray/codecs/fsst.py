@@ -273,14 +273,13 @@ def decompress(codes: bytes, table: SymbolTable) -> bytes:
 # column-level helpers: compress a whole chunk of strings at once
 
 
-def encode_chunk(data: bytes, sample: bytes | None = None,
-                 table: SymbolTable | None = None) -> bytes:
-    """Train on (a sample of) the data and compress. Layout: table | varint len | codes.
+def encode_chunk(data: bytes, table: SymbolTable | None = None) -> bytes:
+    """Train on the data and compress. Layout: table | varint len | codes.
     Pass ``table`` to reuse a symbol table already trained by the selector."""
     from .bitpack import write_varint_unsigned
 
     if table is None:
-        table = train(sample if sample is not None else data)
+        table = train(data)
     codes = compress(data, table)
     out = bytearray()
     tbl = table.serialize()

@@ -155,10 +155,9 @@ def _encode_batch(
     ZZl = zz_all[pos : pos + limit * _WINDOW].reshape(limit, _WINDOW)
     mins = Wl.min(axis=1)
     maxs = Wl.max(axis=1)
-    with np.errstate(over="ignore"):
-        diff = maxs - mins
-        D = Wl[:, 1:] - Wl[:, :-1]
-        absD = np.abs(D)
+    diff = maxs - mins
+    D = Wl[:, 1:] - Wl[:, :-1]
+    absD = np.abs(D)
     ovf = ((maxs ^ mins) < 0) & ((maxs ^ diff) < 0)
     d0 = D[:, 0]
     fixed = maxs == mins
@@ -179,8 +178,7 @@ def _encode_batch(
     is_patch = np.zeros(limit, dtype=bool)
     if len(pb_idx):
         pb_pos[pb_idx] = np.arange(len(pb_idx))
-        with np.errstate(over="ignore"):
-            BR = (Wl[pb_idx] - mins[pb_idx, None]).view(U64)
+        BR = (Wl[pb_idx] - mins[pb_idx, None]).view(U64)
         br100, br95 = percentile_widths(BR, 0.95)
         is_patch[pb_idx] = br100 != br95
 
@@ -243,8 +241,7 @@ def _encode_window(out: bytearray, w: np.ndarray, signed: bool, aligned: bool) -
         return rep
 
     # Writer.cs:61-72 — DELTA attempt over the whole window
-    with np.errstate(over="ignore"):
-        deltas = w[1:] - w[:-1]
+    deltas = w[1:] - w[:-1]
     minv = int(w.min())
     maxv = int(w.max())
     if subtraction_would_overflow(maxv, minv):
@@ -262,8 +259,7 @@ def _encode_window(out: bytearray, w: np.ndarray, signed: bool, aligned: bool) -
     is_increasing = d0 > 0 and bool(np.all(deltas >= 0))
     is_decreasing = d0 < 0 and bool(np.all(deltas <= 0))
     if is_increasing or is_decreasing:
-        with np.errstate(over="ignore"):
-            abs_d = np.abs(deltas)
+        abs_d = np.abs(deltas)
         delta_max = int(abs_d[1:].max()) if n > 2 else 0
         bits = num_bits(delta_max)
         bits = (
@@ -279,8 +275,7 @@ def _encode_window(out: bytearray, w: np.ndarray, signed: bool, aligned: bool) -
     zz = (zigzag_encode(w) if signed else w).view(U64)
     bits100, bits90 = percentile_widths(zz, 0.9)
     if bits100 != bits90:
-        with np.errstate(over="ignore"):
-            base_reduced = (w - np.int64(minv)).view(U64)
+        base_reduced = (w - np.int64(minv)).view(U64)
         br100, br95 = percentile_widths(base_reduced, 0.95)
         if br100 != br95:
             _patch_encode(out, minv, base_reduced.copy(), int(br100), int(br95))

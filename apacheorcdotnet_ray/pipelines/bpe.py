@@ -26,8 +26,8 @@ from .text import word_freqs, words
 
 
 def word_histogram(ds: rd.Dataset, text_col: str = "text") -> tuple[np.ndarray, np.ndarray]:
-    """Distributed (word, count) histogram: per-batch value_counts partial,
-    bounded-partition sum, one vocabulary-sized driver collection."""
+    """Distributed (word, count) histogram: words counted by ``grouped_sum``,
+    one vocabulary-sized driver collection."""
     summed = grouped_sum(ds.map_batches(word_freqs, fn_kwargs={"col": text_col},
                                         batch_format="pyarrow"),
                          ["w"], ["cnt"])

@@ -55,13 +55,7 @@ def encode_dataset(
     )
 
 
-def decode_dataset(
-    stripe_dir: str, columns: list[str] | None = None,
-    predicate: tuple | None = None, unify_schema: bool = False,
-    on_error: str = "raise",
-) -> rd.Dataset:
-    return read_stripes(stripe_dir, columns, predicate,
-                        unify_schema=unify_schema, on_error=on_error)
+decode_dataset = read_stripes  # the decode path's name for the stripe reader
 
 
 # ---------------------------------------------------------------------------
@@ -71,47 +65,44 @@ def decode_dataset(
 def encode_grouped(
     ds: rd.Dataset,
     out_dir: str,
-    key: str = "source",
-    weight_col: str = "n_tok",
-    id_col: str = "doc_id",
     config: EncodeConfig | None = None,
     stripe_value_budget: int | None = None,
 ) -> rd.Dataset:
-    """Encode with stripes packed per ``key`` (one source never mixes into
-    another's stripes) and hot keys split explicitly:
+    """Encode with stripes packed per ``source`` (one source never mixes into
+    another's stripes) and hot sources split explicitly:
 
-    1. a tiny pre-aggregated ``groupby(key).sum(weight_col)`` measures each
-       source (partials per batch → the shuffle moves one row per
-       (batch, key), never data rows);
-    2. any source whose total flattened-value weight exceeds the stripe
-       budget is split into ``ceil(total/budget)`` salted sub-keys; rows are
-       assigned ``salt = hash(id) % n_salts`` — deterministic, uniform, and
+    1. ``grouped_sum`` measures each source's weight: its ``n_tok`` total
+       (flattened values) when that column exists, against
+       ``config.target_stripe_values``, else its row count, against
+       100,000 rows (the shuffle moves one row per (batch, source), never
+       data rows);
+    2. any source whose weight exceeds the stripe budget is split into
+       ``ceil(total/budget)`` salted sub-keys; rows are assigned
+       ``salt = hash(doc_id) % n_salts`` — deterministic, uniform, and
        coordination-free, so one giant source cannot serialize the job;
     3. ``groupby(stripe_key)`` co-locates each sub-group and ``map_groups``
        encodes exactly one stripe per group.
 
     Returns the metrics Dataset (one row per stripe, same schema as
     ``StripeEncoder``)."""
-    from .stats import group_stats_by
+    from .shuffle import grouped_sum
 
+    key, id_col = "source", "doc_id"
     config = config or EncodeConfig()
     os.makedirs(out_dir, exist_ok=True)
 
-    if weight_col in ds.schema().names:
-        budget = stripe_value_budget or config.target_stripe_values
-        totals = group_stats_by(
-            ds.select_columns([key, weight_col]), key, weight_col
-        ).take_all()  # tiny: one row per source
-    else:
-        # no flattened-value weight column → budget by row count instead
-        budget = stripe_value_budget or _STRIPE_ROWS
-        from ray.data.aggregate import Count
+    by_values = "n_tok" in ds.schema().names
+    budget = stripe_value_budget or (
+        config.target_stripe_values if by_values else _STRIPE_ROWS)
 
-        totals = [
-            {key: r[key], "sum_val": r["count()"]}
-            for r in ds.groupby(key).aggregate(Count()).take_all()
-        ]
-    n_salts = {r[key]: max(1, -(-int(r["sum_val"]) // budget)) for r in totals}
+    def weight(batch: pa.Table) -> pa.Table:
+        w = (batch.column("n_tok") if by_values
+             else np.ones(batch.num_rows, dtype=np.int64))
+        return pa.table({key: batch.column(key), "w": w})
+
+    totals = grouped_sum(ds.map_batches(weight, batch_format="pyarrow"),
+                         [key], ["w"]).take_all()  # tiny: one row per source
+    n_salts = {r[key]: max(1, -(-int(r["w"]) // budget)) for r in totals}
     salts_ref = ray.put(n_salts)
 
     def add_stripe_key(batch: pa.Table) -> pa.Table:
@@ -154,18 +145,17 @@ def encode_grouped(
 def compact_stripes(
     stripe_dir: str,
     out_dir: str,
-    config: EncodeConfig | None = None,
     target_values: int | None = None,
 ) -> dict:
     """Merge undersized stripes into target-sized ones (the cleanup pass a
     grouped encode of many small sources needs). Driver plans bins from
     tail-only footer reads (never data); one task per bin decodes its members
-    and re-encodes one merged stripe. Stripes already at/above target copy
-    through untouched (no re-encode cost)."""
+    and re-encodes one merged stripe with the default ``EncodeConfig``.
+    Stripes already at/above target copy through untouched (no re-encode
+    cost)."""
     from ..stages.decode import StripeDecoder
 
-    config = config or EncodeConfig()
-    budget = target_values or config.target_stripe_values
+    budget = target_values or EncodeConfig().target_stripe_values
     os.makedirs(out_dir, exist_ok=True)
 
     small_bins: list[list[str]] = []
@@ -207,7 +197,7 @@ def compact_stripes(
 
     merged = 0
     if small_bins:
-        enc = StripeEncoder(out_dir=out_dir, config=config)
+        enc = StripeEncoder(out_dir=out_dir)
         dec = StripeDecoder()
 
         def compact_bin(batch: pa.Table) -> pa.Table:

@@ -8,6 +8,12 @@ Instead: hash the key to a bounded partition id, groupby the partition id
 group-reduction inside each partition. All rows of one key land in
 one partition, so semantics match a per-key groupby; skew is bounded because
 the partition key is a uniform hash.
+
+``grouped_sum`` is the package's one keyed count/sum: every operator that
+counts or sums by key derives its columns and calls it, and it reduces in
+Arrow before and after the shuffle. Ray's own ``Sum``/``Count``
+aggregations are not used: in Ray 2.49 their groupby raises ``TypeError``
+on a null string key.
 """
 
 from __future__ import annotations
@@ -53,13 +59,22 @@ def grouped_map(
 def grouped_sum(
     ds: rd.Dataset, keys: list[str], cols: list[str], num_partitions: int = 64
 ) -> rd.Dataset:
-    """Per-key sums of ``cols`` (the final step of a partial-then-sum
-    aggregate: ``ds`` holds per-batch partials, one row per key each)."""
+    """The one keyed count/sum of ``pipelines/``: per-key sums of ``cols``
+    over the rows of ``ds``, as columns ``keys`` then ``cols`` under their
+    own names (a count is the sum of a column of ones). One Arrow reduction
+    runs on both sides of the shuffle: per batch, so one row per (batch,
+    key) crosses the wire, and again per partition. Arrow's rules hold: a
+    null key is one group, a group whose values are all null sums to null
+    (SQL's SUM), and int64 sums stay exact int64."""
+    aggs = [(c, "sum") for c in cols]
 
-    def reduce_part(df):
-        return df.groupby(keys, sort=False, as_index=False)[cols].sum()
+    def reduce(t: pa.Table) -> pa.Table:
+        g = t.select(keys + cols).group_by(keys, use_threads=False).aggregate(aggs)
+        return pa.table([g.column(n) for n in keys + [f"{c}_sum" for c in cols]],
+                        names=keys + cols)
 
-    return grouped_map(ds, keys, reduce_part, num_partitions)
+    return grouped_map(ds.map_batches(reduce, batch_format="pyarrow"),
+                       keys, reduce, num_partitions, batch_format="pyarrow")
 
 
 def _strip_meta_drop_empty(batch: pa.Table):

@@ -3,7 +3,13 @@
 A1/A2 analog (SURVEY.md §2.5): per-batch partial stats inside ``map_batches``
 (pyarrow.compute kernels), file-level final merge as a tiny driver-side reduce
 over one small partial row per batch — the partial+final aggregation tree,
-never a full shuffle."""
+never a full shuffle.
+
+Every count or sum by key (windowed and sliding aggregates, top-k, pricing
+summary, group stats, rollup, cube, pivot, histogram) only derives its
+output columns per batch, a count being a column of ones, and hands them to
+``shuffle.grouped_sum``: one Arrow reduction before and after the shuffle,
+with SQL's null rules."""
 
 from __future__ import annotations
 
@@ -60,32 +66,24 @@ def windowed_agg(ds: rd.Dataset, ts_col: str = "ts", key: str = "event_type",
                  value_col: str = "value", window: str = "hour") -> rd.Dataset:
     """Tumbling-window aggregate over an event stream: per (window_start, key)
     event count + quantized value sum. Pure batch semantics (the reference has
-    no watermarks): the window id is a column derived per batch, then the
-    grouped partial+final sum pattern applies. Values are quantized to integer
-    millis (floor(value*1000)) so the sum is association-order-independent and
-    oracle-comparable."""
+    no watermarks): the window id is a column derived per batch, then
+    ``grouped_sum`` counts and sums per window and key. Values are quantized
+    to integer millis (floor(value*1000)) so the sum is
+    association-order-independent and oracle-comparable."""
     import numpy as np
     import pyarrow.compute as pc
 
-    def partial(batch: pa.Table) -> pa.Table:
-        ws = pc.floor_temporal(batch.column(ts_col), unit=window)
+    def rows(batch: pa.Table) -> pa.Table:
         millis = pc.floor(pc.multiply(batch.column(value_col), pa.scalar(1000.0)))
-        t = pa.table({
-            "window_start": ws,
+        return pa.table({
+            "window_start": pc.floor_temporal(batch.column(ts_col), unit=window),
             key: batch.column(key),
-            "v": millis.cast(pa.int64()),
+            "sum_millis": millis.cast(pa.int64()),
+            "n_events": np.ones(batch.num_rows, dtype=np.int64),
         })
-        g = t.group_by(["window_start", key]).aggregate([("v", "sum"), ([], "count_all")])
-        return g.select(["window_start", key, "v_sum", "count_all"]).rename_columns(
-            ["window_start", key, "p_sum", "p_cnt"])
 
-    from ray.data.aggregate import Sum
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["window_start", key])
-        .aggregate(Sum("p_sum", alias_name="sum_millis"), Sum("p_cnt", alias_name="n_events"))
-    )
+    return grouped_sum(ds.map_batches(rows, batch_format="pyarrow"),
+                       ["window_start", key], ["sum_millis", "n_events"])
 
 
 def distinct_count(ds: rd.Dataset, col: str) -> pa.Table:
@@ -93,8 +91,6 @@ def distinct_count(ds: rd.Dataset, col: str) -> pa.Table:
     sample (StringWriter.cs:89-92, A4) to a full-dataset operator: per-batch
     unique first (the shuffle ships unique values only), then per-partition
     unique counts, then a tiny driver sum."""
-    import pyarrow.compute as pc
-
     def batch_unique(batch: pa.Table) -> pa.Table:
         return pa.table({col: batch.column(col).unique()})
 
@@ -146,20 +142,17 @@ def distinct_count_hll(ds: rd.Dataset, col: str, p: int = _HLL_P) -> pa.Table:
 
 
 def top_k(ds: rd.Dataset, col: str, k: int = 10) -> pa.Table:
-    """Exact heavy hitters: per-batch pre-aggregated counts → grouped sum over
-    (value, partial) rows → tiny driver-side top-k. Ties break by value."""
-    from ray.data.aggregate import Sum
+    """Exact heavy hitters: per-value counts (``grouped_sum``) → tiny
+    driver-side top-k. Ties break by value, a null value last."""
+    import numpy as np
 
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(col).aggregate([([], "count_all")])
-        return g.rename_columns([col, "p_cnt"])
+    def ones(batch: pa.Table) -> pa.Table:
+        return pa.table({col: batch.column(col),
+                         "cnt": np.ones(batch.num_rows, dtype=np.int64)})
 
-    counts = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(col)
-        .aggregate(Sum("p_cnt", alias_name="cnt"))
-    ).take_all()
-    counts.sort(key=lambda r: (-r["cnt"], r[col]))
+    counts = grouped_sum(ds.map_batches(ones, batch_format="pyarrow"),
+                         [col], ["cnt"]).take_all()
+    counts.sort(key=lambda r: (-r["cnt"], r[col] is None, r[col]))
     top = counts[:k]
     return pa.table({
         col: pa.array([r[col] for r in top]),
@@ -171,31 +164,24 @@ def pricing_summary(ds: rd.Dataset) -> rd.Dataset:
     """TPC-H Q1-shaped grouped multi-aggregate over lineitem with per-batch
     pre-aggregation; money columns quantized to integer cents so sums are
     association-order-independent (oracle-comparable)."""
+    import numpy as np
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def rows(batch: pa.Table) -> pa.Table:
         cents = pc.floor(pc.multiply(batch.column("l_extendedprice"),
                                      pa.scalar(100.0))).cast(pa.int64())
-        qty = batch.column("l_quantity").cast(pa.int64())  # quantities are integral
-        t = pa.table({
+        return pa.table({
             "l_returnflag": batch.column("l_returnflag"),
             "l_linestatus": batch.column("l_linestatus"),
-            "q": qty,
-            "c": cents,
+            # quantities are integral
+            "sum_qty": batch.column("l_quantity").cast(pa.int64()),
+            "sum_cents": cents,
+            "count_order": np.ones(batch.num_rows, dtype=np.int64),
         })
-        g = t.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("q", "sum"), ("c", "sum"), ([], "count_all")])
-        return g.rename_columns(
-            ["l_returnflag", "l_linestatus", "p_qty", "p_cents", "p_cnt"])
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(Sum("p_qty", alias_name="sum_qty"),
-                   Sum("p_cents", alias_name="sum_cents"),
-                   Sum("p_cnt", alias_name="count_order"))
-    )
+    return grouped_sum(ds.map_batches(rows, batch_format="pyarrow"),
+                       ["l_returnflag", "l_linestatus"],
+                       ["sum_qty", "sum_cents", "count_order"])
 
 
 def sessionize(
@@ -245,8 +231,6 @@ def quantile_exact(ds: rd.Dataset, col: str, q: float, bins: int = 4096) -> floa
         for row in ds.map_batches(partial, batch_format="pyarrow").take_all():
             acc += np.frombuffer(row["h"], dtype=np.int64)
         return acc
-
-    import pyarrow.compute as pc
 
     stats = dataset_column_stats(ds, [col])[col]
     lo, hi, n = float(stats["min"]), float(stats["max"]), stats["count"] - stats["null_count"]
@@ -322,22 +306,17 @@ def top_k_by_group(ds: rd.Dataset, group: str, col: str, k: int = 3) -> rd.Datas
 
 
 def group_stats_by(ds: rd.Dataset, key: str, sum_col: str) -> rd.Dataset:
-    """Grouped count+sum with pre-aggregation: one partial row per (batch, key)
-    before the shuffle, so the groupby moves partials, not rows."""
-    import pyarrow.compute as pc
+    """Grouped sum + count per ``key`` (``sum_val``, ``n_rows``) through
+    ``grouped_sum``: SQL SUM semantics, so a null key is one group and an
+    all-null group sums to NULL."""
+    import numpy as np
 
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(key).aggregate([(sum_col, "sum"), ([], "count_all")])
-        g = g.select([key, f"{sum_col}_sum", "count_all"])
-        return g.rename_columns([key, "p_sum", "p_cnt"])
+    def rows(batch: pa.Table) -> pa.Table:
+        return pa.table({key: batch.column(key), "sum_val": batch.column(sum_col),
+                         "n_rows": np.ones(batch.num_rows, dtype=np.int64)})
 
-    from ray.data.aggregate import Sum
-
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    return (
-        partials.groupby(key)
-        .aggregate(Sum("p_sum", alias_name="sum_val"), Sum("p_cnt", alias_name="n_rows"))
-    )
+    return grouped_sum(ds.map_batches(rows, batch_format="pyarrow"),
+                       [key], ["sum_val", "n_rows"])
 
 
 def sliding_windowed_agg(ds: rd.Dataset, ts_col: str = "ts",
@@ -348,9 +327,9 @@ def sliding_windowed_agg(ds: rd.Dataset, ts_col: str = "ts",
     (window_start, key) count + quantized value sum.
 
     The explode is a vectorized repeat (window/slide is a small constant),
-    then the same per-batch partial → grouped final sum pattern as the
-    tumbling variant — the shuffle moves one small partial row per
-    (batch, window, key), never the exploded events."""
+    then the same ``grouped_sum`` as the tumbling variant — it reduces each
+    batch first, so the shuffle moves one row per (batch, window, key),
+    never the exploded events."""
     import numpy as np
     import pyarrow.compute as pc
 
@@ -358,7 +337,7 @@ def sliding_windowed_agg(ds: rd.Dataset, ts_col: str = "ts",
     n_win = window_minutes // slide_minutes
     slide_us = np.int64(slide_minutes * 60_000_000)
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def rows(batch: pa.Table) -> pa.Table:
         ts = batch.column(ts_col).cast(pa.timestamp("us")).cast(pa.int64()) \
             .to_numpy(zero_copy_only=False)
         # newest window containing t starts at floor(t/slide)*slide; the
@@ -371,23 +350,16 @@ def sliding_windowed_agg(ds: rd.Dataset, ts_col: str = "ts",
         keys = batch.column(key)
         if isinstance(keys, pa.ChunkedArray):
             keys = keys.combine_chunks()
-        t = pa.table({
+        return pa.table({
             "window_start": pa.array(starts, type=pa.int64()).cast(
                 pa.timestamp("us")),
             key: keys.take(pa.array(np.repeat(np.arange(len(ts)), n_win))),
-            "v": pa.array(np.repeat(millis, n_win)),
+            "sum_millis": pa.array(np.repeat(millis, n_win)),
+            "n_events": np.ones(len(starts), dtype=np.int64),
         })
-        g = t.group_by(["window_start", key]).aggregate([("v", "sum"), ([], "count_all")])
-        return g.select(["window_start", key, "v_sum", "count_all"]).rename_columns(
-            ["window_start", key, "p_sum", "p_cnt"])
 
-    from ray.data.aggregate import Sum
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["window_start", key])
-        .aggregate(Sum("p_sum", alias_name="sum_millis"), Sum("p_cnt", alias_name="n_events"))
-    )
+    return grouped_sum(ds.map_batches(rows, batch_format="pyarrow"),
+                       ["window_start", key], ["sum_millis", "n_events"])
 
 
 def stats_from_footers(stripe_dir: str, int_columns: list[str],
@@ -436,25 +408,19 @@ def pivot_counts(ds: rd.Dataset, key: str, pivot_col: str,
                  categories: list[str]) -> rd.Dataset:
     """Pivot: one row per ``key`` with a count column per category of
     ``pivot_col``. The category list is explicit (schema must be static);
-    per-batch vectorized one-hot partial counts, then one grouped sum —
-    the shuffle moves one partial row per (batch, key)."""
-    import numpy as np
+    per-batch vectorized one-hot columns, then one ``grouped_sum``."""
     import pyarrow.compute as pc
-
-    from ray.data.aggregate import Sum
 
     cat_names = [f"n_{c}" for c in categories]
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def one_hot(batch: pa.Table) -> pa.Table:
         cols = {key: batch.column(key)}
         for c, name in zip(categories, cat_names):
             cols[name] = pc.equal(batch.column(pivot_col), c).cast(pa.int64())
-        t = pa.table(cols)
-        g = t.group_by(key).aggregate([(n, "sum") for n in cat_names])
-        return g.rename_columns([key] + cat_names)
+        return pa.table(cols)
 
-    aggs = [Sum(n, alias_name=n) for n in cat_names]
-    return ds.map_batches(partial, batch_format="pyarrow").groupby(key).aggregate(*aggs)
+    return grouped_sum(ds.map_batches(one_hot, batch_format="pyarrow"),
+                       [key], cat_names)
 
 
 def group_quantile(ds: rd.Dataset, key: str, value_col: str, q: float = 0.5,
@@ -505,21 +471,20 @@ def group_rollup(ds: rd.Dataset, key: str, value_col: str) -> rd.Dataset:
 
 
 def value_histogram(ds: rd.Dataset, col: str, bin_width: float = 10.0) -> rd.Dataset:
-    """Fixed-width histogram: bin = floor(value / bin_width). One streaming
-    pass of per-batch bin value_counts partials, bounded-partition sum — the
-    distinct-bin domain crosses the wire, never values. floor-after-divide is
-    the same single IEEE op in the SQL oracle, so counts are value-exact."""
+    """Fixed-width histogram: bin = floor(value / bin_width), counted per bin
+    by ``grouped_sum`` — the distinct-bin domain crosses the wire, never
+    values. floor-after-divide is the same single IEEE op in the SQL
+    oracle, so counts are value-exact; a null value falls in the null bin,
+    as SQL's floor(NULL / w) does."""
     import numpy as np
     import pyarrow.compute as pc
 
-    def partial(batch: pa.Table) -> pa.Table:
-        v = batch.column(col).to_numpy(zero_copy_only=False).astype(np.float64)
-        bins = np.floor(v / bin_width).astype(np.int64)
-        vals, counts = np.unique(bins, return_counts=True)
-        return pa.table({"bin": pa.array(vals),
-                         "n": pa.array(counts.astype(np.int64))})
+    def bins(batch: pa.Table) -> pa.Table:
+        v = batch.column(col).cast(pa.float64(), safe=False)
+        return pa.table({"bin": pc.floor(pc.divide(v, bin_width)).cast(pa.int64()),
+                         "n": np.ones(batch.num_rows, dtype=np.int64)})
 
-    return grouped_sum(ds.map_batches(partial, batch_format="pyarrow"),
+    return grouped_sum(ds.map_batches(bins, batch_format="pyarrow"),
                        ["bin"], ["n"])
 
 
@@ -601,26 +566,21 @@ def event_paths(
 
 def group_cube(ds: rd.Dataset, key1: str, key2: str, value_col: str) -> rd.Dataset:
     """GROUP BY CUBE(key1, key2): all four grouping sets — (k1,k2), (k1),
-    (k2), () — from ONE streaming pass. Per-batch partial sums over the
-    pair domain shuffle as partials (never rows); the three coarser sets
-    are a free driver-side fold over the tiny per-pair result, so no second
-    scan and no second shuffle. SQL SUM semantics match group_rollup's
-    (reference stats roll-up: src/ApacheOrcDotNet/Statistics/, same
-    stride→stripe→file aggregation tree shape, one level wider)."""
-    from ray.data.aggregate import Sum
+    (k2), () — from ONE streaming pass. The per-pair sums come from
+    ``grouped_sum``; the three coarser sets are a free driver-side fold
+    over the tiny per-pair result, so no second scan and no second
+    shuffle. SQL SUM semantics match group_rollup's (reference stats
+    roll-up: src/ApacheOrcDotNet/Statistics/, same stride→stripe→file
+    aggregation tree shape, one level wider)."""
+    import numpy as np
 
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by([key1, key2]).aggregate(
-            [(value_col, "sum"), ([], "count_all")])
-        g = g.select([key1, key2, f"{value_col}_sum", "count_all"])
-        return g.rename_columns([key1, key2, "p_sum", "p_cnt"])
+    def rows(batch: pa.Table) -> pa.Table:
+        return pa.table({key1: batch.column(key1), key2: batch.column(key2),
+                         "sum_val": batch.column(value_col),
+                         "n_rows": np.ones(batch.num_rows, dtype=np.int64)})
 
-    per_pair = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby([key1, key2])
-        .aggregate(Sum("p_sum", alias_name="sum_val"),
-                   Sum("p_cnt", alias_name="n_rows"))
-    )
+    per_pair = grouped_sum(ds.map_batches(rows, batch_format="pyarrow"),
+                           [key1, key2], ["sum_val", "n_rows"])
     rows = per_pair.take_all()  # tiny: one row per (key1, key2) pair
     sch = per_pair.schema() if rows else None
     if sch is not None:

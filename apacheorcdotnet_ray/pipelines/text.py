@@ -115,11 +115,10 @@ def ngrams(texts: pa.Array | pa.ChunkedArray, n: int
 
 
 def word_freqs(batch: pa.Table, col: str = "text") -> pa.Table:
-    """One batch's word histogram (w, cnt int64): the per-batch partial of
-    a distributed word count, summed per word by ``grouped_sum``."""
-    vc = words(batch.column(col))[0].value_counts()
-    return pa.table({"w": vc.field("values"),
-                     "cnt": vc.field("counts").cast(pa.int64())})
+    """One batch's words as (w, cnt = 1) rows: the input of a distributed
+    word count, summed per word by ``grouped_sum``."""
+    flat = words(batch.column(col))[0]
+    return pa.table({"w": flat, "cnt": np.ones(len(flat), dtype=np.int64)})
 
 
 def token_count(ds: rd.Dataset) -> rd.Dataset:
@@ -152,24 +151,17 @@ def token_count_regex(ds: rd.Dataset) -> rd.Dataset:
 
 
 def token_count_by_source(ds: rd.Dataset) -> rd.Dataset:
-    """Per-source doc count + total word count, with per-batch pre-aggregation
-    before the (tiny) shuffle."""
-    from ray.data.aggregate import Sum
+    """Per-source total word count + doc count, summed by ``grouped_sum``."""
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
+    def rows(batch: pa.Table) -> pa.Table:
+        return pa.table({
             "source": batch.column("source"),
-            "n_words": word_counts(batch).cast(pa.int64()),
+            "sum_words": word_counts(batch).cast(pa.int64()),
+            "n_docs": np.ones(batch.num_rows, dtype=np.int64),
         })
-        g = t.group_by("source").aggregate([("n_words", "sum"), ([], "count_all")])
-        return g.select(["source", "n_words_sum", "count_all"]).rename_columns(
-            ["source", "p_words", "p_docs"])
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("source")
-        .aggregate(Sum("p_words", alias_name="sum_words"), Sum("p_docs", alias_name="n_docs"))
-    )
+    return grouped_sum(ds.map_batches(rows, batch_format="pyarrow"),
+                       ["source"], ["sum_words", "n_docs"])
 
 
 def extract_json_field(ds: rd.Dataset, col: str, field: str,
@@ -286,14 +278,14 @@ def doc_fingerprints(ds: rd.Dataset, window: int = 8) -> rd.Dataset:
 def ngram_counts(ds: rd.Dataset, n: int = 2, k: int = 10,
                  text_col: str = "text") -> rd.Dataset:
     """Global top-k word n-grams: the batch's in-doc n-gram strings
-    (``ngrams``) → per-batch value_counts partial → grouped sum → tiny sorted
+    (``ngrams``) → counted per n-gram by ``grouped_sum`` → tiny sorted
     head. Ties break on the n-gram string, matching the SQL oracle."""
 
-    def partial(batch: pa.Table) -> pa.Table:
-        vc = ngrams(batch.column(text_col), n)[0].value_counts()
-        return pa.table({"ng": vc.field("values"), "cnt": vc.field("counts")})
+    def rows(batch: pa.Table) -> pa.Table:
+        grams = ngrams(batch.column(text_col), n)[0]
+        return pa.table({"ng": grams, "cnt": np.ones(len(grams), dtype=np.int64)})
 
-    summed = grouped_sum(ds.map_batches(partial, batch_format="pyarrow"),
+    summed = grouped_sum(ds.map_batches(rows, batch_format="pyarrow"),
                          ["ng"], ["cnt"])
     return summed.sort(["cnt", "ng"], descending=[True, False]).limit(k)
 
@@ -305,14 +297,12 @@ def oov_rate(ds: rd.Dataset, k: int = 200, text_col: str = "text",
     vocab size.
 
     Two passes, nothing corpus-sized ever collected: (1) distributed word
-    counts (per-batch value_counts partials → bounded hash partitions) with
-    only the k-row head pulled to the driver; (2) the tiny vocabulary is
-    broadcast once via ``ray.put`` and one streaming pass computes per-batch
-    (source, n_tokens, n_oov) partials via ``pc.is_in`` + bincount over
-    dictionary codes, reduced by a 20-key groupby. Top-k ties break on the
-    word string, matching the SQL oracle."""
+    counts (``grouped_sum``) with only the k-row head pulled to the driver;
+    (2) the tiny vocabulary is broadcast once via ``ray.put`` and one
+    streaming pass computes each doc's (source, n_tokens, n_oov) via
+    ``pc.is_in``, summed per source by ``grouped_sum``. Top-k ties break on
+    the word string, matching the SQL oracle."""
     import ray
-    from ray.data.aggregate import Sum
 
     counts = grouped_sum(ds.map_batches(word_freqs, fn_kwargs={"col": text_col},
                                         batch_format="pyarrow"),
@@ -326,35 +316,20 @@ def oov_rate(ds: rd.Dataset, k: int = 200, text_col: str = "text",
         oov = pc.invert(pc.is_in(flat, value_set=vocab)).to_numpy(
             zero_copy_only=False).astype(np.int64)
         per_doc_tok = np.diff(offs)
-        keys = batch.column(key_col)
-        if isinstance(keys, pa.ChunkedArray):
-            keys = keys.combine_chunks()
-        denc = keys.dictionary_encode()
-        codes = denc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        nk = len(denc.dictionary)
-        per_doc_oov = np.add.reduceat(oov, offs[:-1]) if len(flat) else \
-            np.zeros(len(per_doc_tok), dtype=np.int64)
+        # a trailing 0 keeps a wordless last doc's offset (a null text) in range
+        per_doc_oov = np.add.reduceat(np.append(oov, 0), offs[:-1])
         per_doc_oov[per_doc_tok == 0] = 0
-        return pa.table({
-            key_col: denc.dictionary,
-            "n_tokens": pa.array(np.bincount(codes, weights=per_doc_tok,
-                                             minlength=nk).astype(np.int64)),
-            "n_oov": pa.array(np.bincount(codes, weights=per_doc_oov,
-                                          minlength=nk).astype(np.int64)),
-        })
+        return pa.table({key_col: batch.column(key_col),
+                         "n_tokens": per_doc_tok, "n_oov": per_doc_oov})
 
-    agg = ds.map_batches(part, batch_format="pyarrow") \
-        .groupby(key_col).aggregate(Sum("n_tokens"), Sum("n_oov"))
+    agg = grouped_sum(ds.map_batches(part, batch_format="pyarrow"),
+                      [key_col], ["n_tokens", "n_oov"], num_partitions)
 
     def final(batch: pa.Table) -> pa.Table:
-        nt = batch.column("sum(n_tokens)").to_numpy(zero_copy_only=False)
-        no = batch.column("sum(n_oov)").to_numpy(zero_copy_only=False)
-        return pa.table({
-            key_col: batch.column(key_col),
-            "n_tokens": pa.array(nt.astype(np.int64)),
-            "n_oov": pa.array(no.astype(np.int64)),
-            "oov_rate": pa.array(no.astype(np.float64) / nt.astype(np.float64)),
-        })
+        nt = batch.column("n_tokens").to_numpy(zero_copy_only=False)
+        no = batch.column("n_oov").to_numpy(zero_copy_only=False)
+        return batch.append_column(
+            "oov_rate", pa.array(no.astype(np.float64) / nt.astype(np.float64)))
 
     return agg.map_batches(final, batch_format="pyarrow")
 
@@ -388,14 +363,12 @@ def tfidf_top_terms(ds: rd.Dataset, k: int = 3,
 
     post = ds.map_batches(postings, batch_format="pyarrow")
 
-    def df_partial(batch: pa.Table) -> pa.Table:
-        # (doc, term) pairs are unique within a batch (docs don't span
-        # batches), so df partial = rows per term
-        g = batch.group_by("term").aggregate([([], "count_all")])
-        return pa.table({"term": g.column("term"),
-                         "df": g.column("count_all").cast(pa.int64())})
+    def df_rows(batch: pa.Table) -> pa.Table:
+        # a posting is one distinct (doc, term) pair, so df = postings per term
+        return pa.table({"term": batch.column("term"),
+                         "df": np.ones(batch.num_rows, dtype=np.int64)})
 
-    doc_freq = grouped_sum(post.map_batches(df_partial, batch_format="pyarrow"),
+    doc_freq = grouped_sum(post.map_batches(df_rows, batch_format="pyarrow"),
                            ["term"], ["df"], num_partitions)
 
     joined = hash_join(post, doc_freq, left_on="term", right_on="term",
@@ -582,8 +555,8 @@ def heavy_hitters(ds: rd.Dataset, phi: float = 0.002,
     mergeable-summary guarantee (Agarwal et al., "Mergeable Summaries",
     PODS'12) keeps total error <= N/(m+1) < floor(phi*N)+1, so the merged
     sketch's support is a superset of the true answer. Pass 2 broadcasts
-    the <=m candidate words once and exact-counts only those
-    (pc.index_in + bincount), so the shuffle is candidate-sized — never
+    the <=m candidate words once and exact-counts only those (``pc.is_in``
+    + ``grouped_sum``), so the shuffle is candidate-sized — never
     vocabulary-sized like a naive word-count groupby at 100 TB."""
     import ray
 
@@ -627,12 +600,9 @@ def heavy_hitters(ds: rd.Dataset, phi: float = 0.002,
     cand_ref = ray.put(cand)
 
     def exact(batch: pa.Table) -> pa.Table:
-        cand = ray.get(cand_ref)
         flat, _ = words(batch.column(text_col))
-        codes = pc.index_in(flat, value_set=cand).drop_null()
-        cnt = np.bincount(codes.to_numpy(zero_copy_only=False).astype(np.int64),
-                          minlength=len(cand)).astype(np.int64)
-        return pa.table({"w": cand, "cnt": pa.array(cnt)})
+        hit = flat.filter(pc.is_in(flat, value_set=ray.get(cand_ref)))
+        return pa.table({"w": hit, "cnt": np.ones(len(hit), dtype=np.int64)})
 
     summed = grouped_sum(ds.map_batches(exact, batch_format="pyarrow"),
                          ["w"], ["cnt"], num_partitions=8)

@@ -577,14 +577,13 @@ def write_orc(table: pa.Table, path: str, compression: str = "zlib",
 
 
 def write_orc_dataset(ds, out_dir: str, compression: str = "zlib",
-                      prefix: str = "part",
                       stripe_rows: int | None = None,
                       row_index_stride: int = _DEFAULT_STRIDE,
-                      bloom_columns: list[str] | tuple[str, ...] = (),
-                      bloom_fpp: float = 0.05) -> int:
-    """Ray Data sink: one ``.orc`` file per input block (resumable
-    partitioned output — a failed run just rewrites missing parts).
-    Returns the number of files written."""
+                      bloom_columns: list[str] | tuple[str, ...] = ()) -> int:
+    """Ray Data sink: one ``part-<id>.orc`` file per input block (resumable
+    partitioned output — a failed run just rewrites missing parts), blooms
+    at ``write_orc``'s default false-positive rate. Returns the number of
+    files written."""
     import os
 
     import ray.data as rd  # noqa: F401  (type context)
@@ -594,12 +593,12 @@ def write_orc_dataset(ds, out_dir: str, compression: str = "zlib",
     def write_block(batch: pa.Table) -> pa.Table:
         import uuid
 
-        name = f"{prefix}-{uuid.uuid4().hex[:12]}.orc"
+        name = f"part-{uuid.uuid4().hex[:12]}.orc"
         tmp = os.path.join(out_dir, "." + name)
         write_orc(batch, tmp, compression=compression,
                   stripe_rows=stripe_rows,
                   row_index_stride=row_index_stride,
-                  bloom_columns=bloom_columns, bloom_fpp=bloom_fpp)
+                  bloom_columns=bloom_columns)
         os.rename(tmp, os.path.join(out_dir, name))  # atomic publish
         return pa.table({"path": pa.array([os.path.join(out_dir, name)]),
                          "rows": pa.array([batch.num_rows], type=pa.int64())})

@@ -193,6 +193,21 @@ def test_oov_rate(ray_session):
     assert out.loc["s2", "oov_rate"] == 0.75
 
 
+def test_oov_rate_null_text_last_in_batch(ray_session):
+    """A null text has no words; as a batch's last row it counts 0 tokens
+    instead of raising IndexError from the per-doc reduceat."""
+    from apacheorcdotnet_ray.pipelines.text import oov_rate
+
+    ds = rd.from_arrow(pa.table({
+        "source": ["s1", "s2", "s2"],
+        "text": ["a a b", "a c", None],
+    }))
+    out = oov_rate(ds, k=2, num_partitions=8).to_pandas() \
+        .set_index("source").sort_index()
+    assert out.loc["s1", "n_tokens"] == 3 and out.loc["s1", "n_oov"] == 0
+    assert out.loc["s2", "n_tokens"] == 2 and out.loc["s2", "n_oov"] == 1
+
+
 def test_bloom_semi_join_null_and_unhashable_keys(ray_session):
     """Null left keys never match; a key type without an ORC bloom hash
     (decimal) skips the prefilter and still answers the exact semi join."""

@@ -753,6 +753,36 @@ def test_value_histogram_exact(ray_session):
     assert out == {0: 2, 1: 1, 2: 2, 3: 1, -1: 1, -2: 1}
 
 
+def test_value_histogram_null_value_is_null_bin(ray_session):
+    """floor(NULL / w) is NULL in SQL: a null value counts in the null bin."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from apacheorcdotnet_ray.pipelines import stats
+
+    ds = rd.from_arrow(pa.table({"value": pa.array([0.1, None, 0.3])}))
+    out = {r["bin"]: r["n"] for r in
+           stats.value_histogram(ds, "value", bin_width=0.25).take_all()}
+    assert out == {0: 1, None: 1, 1: 1}
+
+
+def test_group_stats_by_null_string_key_is_one_group(ray_session):
+    """A null string key is one group and an all-null group sums to NULL
+    (SQL GROUP BY / SUM), where a Ray groupby-aggregate raised TypeError."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from apacheorcdotnet_ray.pipelines import stats
+
+    ds = rd.from_arrow(pa.table({
+        "src": pa.array(["a", None, "a", None, "b"]),
+        "v": pa.array([1, 2, 3, None, None], type=pa.int64()),
+    })).repartition(2)
+    rows = {r["src"]: (r["sum_val"], r["n_rows"])
+            for r in stats.group_stats_by(ds, "src", "v").take_all()}
+    assert rows == {"a": (4, 2), None: (2, 2), "b": (None, 1)}
+
+
 def test_corr_columns_matches_numpy(ray_session):
     import pyarrow as pa
     import ray.data as rd

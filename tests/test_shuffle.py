@@ -128,3 +128,23 @@ def test_grouped_sum_matches_pandas_groupby_sum(ray_session):
     pd.testing.assert_frame_equal(
         got.sort_values(key).reset_index(drop=True),
         want.sort_values(key).reset_index(drop=True), check_dtype=False)
+
+
+def test_grouped_sum_keeps_null_key_exact_int64_and_null_sum(ray_session):
+    """A null key is one group, an int64 sum stays exact and a group whose
+    values are all null sums to null: the result equals one Arrow group_by
+    over the whole input."""
+    t = pa.table({
+        "k": pa.array(["a", None, "a", None, "b"]),
+        "v": pa.array([2**62 + 1, 2, 3, None, None], type=pa.int64()),
+    })
+    out = grouped_sum(rd.from_arrow(t).repartition(3), ["k"], ["v"],
+                      num_partitions=4)
+    got = pa.concat_tables([b for b in _blocks(out) if b.num_rows])
+    w = t.group_by(["k"]).aggregate([("v", "sum")])
+    want = pa.table({"k": w["k"], "v": w["v_sum"]})
+    assert got.schema == want.schema
+    assert ({r["k"]: r["v"] for r in got.to_pylist()}
+            == {r["k"]: r["v"] for r in want.to_pylist()}
+            == {"a": 2**62 + 4, None: 2, "b": None})
+    assert got.num_rows == 3
